@@ -43,19 +43,7 @@ from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
 from repro.algebra.tuples import Row, null_row
 from repro.util.errors import SchemaError
-from repro.util.fastpath import fast_enabled, parallel_enabled
-
-
-def _parallel_counts(left: Relation, right: Relation, predicate: Predicate, variant: str):
-    """Morsel-driven partitioned counts, or None when inapplicable.
-
-    Lazily imports :mod:`repro.engine.parallel` (the engine imports the
-    algebra, so a module-level import here would be a cycle).  Only
-    consulted when :func:`repro.util.fastpath.parallel_enabled` is on.
-    """
-    from repro.engine.parallel import parallel_counts
-
-    return parallel_counts(left, right, predicate, variant)
+from repro.util.fastpath import fast_enabled
 
 
 def _require_disjoint(left: Relation, right: Relation, op: str) -> None:
@@ -111,10 +99,6 @@ def join(left: Relation, right: Relation, predicate: Predicate) -> Relation:
     predicate p" (Section 1.2).
     """
     _require_disjoint(left, right, "join")
-    if parallel_enabled():
-        out = _parallel_counts(left, right, predicate, "inner")
-        if out is not None:
-            return Relation._adopt_counts(_output_schema(left, right), out)
     if fast_enabled():
         out = kernels.join_counts(left, right, predicate)
         if out is not None:
@@ -142,10 +126,6 @@ def outerjoin(left: Relation, right: Relation, predicate: Predicate) -> Relation
     ``right`` here.
     """
     _require_disjoint(left, right, "outerjoin")
-    if parallel_enabled():
-        out = _parallel_counts(left, right, predicate, "left_outer")
-        if out is not None:
-            return Relation._adopt_counts(_output_schema(left, right), out)
     if fast_enabled():
         out = kernels.outerjoin_counts(left, right, predicate)
         if out is not None:
@@ -183,10 +163,6 @@ def full_outerjoin(left: Relation, right: Relation, predicate: Predicate) -> Rel
     ``JN(R1,R2) ∪ (unmatched R1 padded) ∪ (unmatched R2 padded)``.
     """
     _require_disjoint(left, right, "full_outerjoin")
-    if parallel_enabled():
-        out = _parallel_counts(left, right, predicate, "full_outer")
-        if out is not None:
-            return Relation._adopt_counts(_output_schema(left, right), out)
     if fast_enabled():
         out = kernels.full_outerjoin_counts(left, right, predicate)
         if out is not None:
@@ -226,10 +202,6 @@ def antijoin(left: Relation, right: Relation, predicate: Predicate) -> Relation:
     The output scheme is ``sch(R1)``.
     """
     _require_disjoint(left, right, "antijoin")
-    if parallel_enabled():
-        out = _parallel_counts(left, right, predicate, "anti")
-        if out is not None:
-            return Relation._adopt_counts(left.schema, out)
     if fast_enabled():
         out = kernels.antijoin_counts(left, right, predicate)
         if out is not None:
@@ -253,10 +225,6 @@ def naive_antijoin(left: Relation, right: Relation, predicate: Predicate) -> Rel
 def semijoin(left: Relation, right: Relation, predicate: Predicate) -> Relation:
     """Semijoin: the tuples of ``R1`` that do have a match in ``R2``."""
     _require_disjoint(left, right, "semijoin")
-    if parallel_enabled():
-        out = _parallel_counts(left, right, predicate, "semi")
-        if out is not None:
-            return Relation._adopt_counts(left.schema, out)
     if fast_enabled():
         out = kernels.semijoin_counts(left, right, predicate)
         if out is not None:

@@ -46,20 +46,6 @@ class Relation:
         return rel
 
     @classmethod
-    def _adopt_counts(cls, schema: Schema | Iterable[str], counts: Counter) -> "Relation":
-        """Take ownership of a freshly-built Counter, skipping row checks.
-
-        Internal fast path for kernels whose construction already
-        guarantees every row lies on ``schema`` with positive
-        multiplicity (e.g. the parallel join merge, whose output rows are
-        fusions of already-validated input rows).  The caller must hand
-        over the Counter and not mutate it afterwards.
-        """
-        rel = cls(schema)
-        rel._bag = counts
-        return rel
-
-    @classmethod
     def from_dicts(
         cls, schema: Schema | Iterable[str], dicts: Iterable[Mapping[str, Any]]
     ) -> "Relation":

@@ -60,8 +60,7 @@ class Row(Mapping[str, Any]):
         # unpickling.  The default slotted-class pickling would carry
         # ``_hash`` across verbatim, which is wrong across processes:
         # string hashing is salted per process (PYTHONHASHSEED), so a
-        # child's cached hash would break dict lookups in the parent —
-        # the shard wire format depends on this round-trip.
+        # child's cached hash would break dict lookups in the parent.
         return (Row, (self._values,))
 
     def __repr__(self) -> str:

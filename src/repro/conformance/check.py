@@ -13,11 +13,6 @@ tier                    route
 ``"engine"``            physical planner + iterators, hash equi-joins
 ``"engine-merge"``      physical planner + iterators, merge equi-joins
 ``"sqlite"``            transpiled SQL on stdlib sqlite3 (external oracle)
-``"parallel"``          algebra operators dispatched through the
-                        morsel-driven partitioned executor
-                        (:mod:`repro.engine.parallel`), pinned to
-                        ``workers=2, partitions=3, min_rows=0`` for
-                        deterministic small-input coverage
 ``"batch"``             physical planner + iterators with vectorized
                         columnar execution forced ON
                         (:mod:`repro.engine.batch`), batch size pinned
@@ -87,11 +82,9 @@ EXECUTOR_TIERS: Tuple[str, ...] = (
     "engine",
     "engine-merge",
     "sqlite",
-    "parallel",
     "batch",
     "yannakakis",
     "wcoj",
-    "shard",
     "backend:sqlite",
     "backend:duckdb",
 )
@@ -148,15 +141,6 @@ def run_executor(
             return expr.eval(db)
     if name == "algebra":
         return expr.eval(db)
-    if name == "parallel":
-        from repro.engine.parallel.config import using_config
-        from repro.util.fastpath import parallel_mode
-
-        # Odd partition count on purpose: uneven buckets exercise the
-        # skew/merge path; min_rows=0 defeats the small-input gate so the
-        # fuzzer's tiny relations actually take the partitioned route.
-        with parallel_mode(True), using_config(workers=2, partitions=3, min_rows=0):
-            return expr.eval(db)
     if name in _ENGINE_TIERS:
         from repro.engine.executor import execute_plan
         from repro.engine.planner import Planner
@@ -196,8 +180,6 @@ def run_executor(
         if storage is None:
             storage = Storage.from_database(db)
         return _run_wcoj(expr, db, storage)
-    if name == "shard":
-        return _run_shard(expr, db)
     if name.startswith("backend:"):
         return _run_backend_tier(name.split(":", 1)[1], expr, db)
     raise PlanningError(f"unknown executor tier {name!r}")
@@ -264,86 +246,9 @@ def _recurse_with_cores(tier: str, expr: Expression, db: Database, is_core, run_
     return recurse(expr)
 
 
-#: Lazily-created worker pool for the ``shard`` tier, pinned to a tiny
-#: deterministic geometry (2 processes, 3 shards — odd on purpose, like
-#: the parallel tier's partition count, so uneven shards and the
-#: null-rides-on-shard-0 rule are exercised on every case).  Persistent
-#: across checks: spawning processes per fuzz case would dominate runtime.
-_SHARD_TIER_POOL = None
-
-
-def _shard_tier_pool():
-    global _SHARD_TIER_POOL
-    if _SHARD_TIER_POOL is None or _SHARD_TIER_POOL.closed:
-        from repro.engine.shard.pool import ShardPool
-
-        _SHARD_TIER_POOL = ShardPool(workers=2, name="conformance-shard")
-    return _SHARD_TIER_POOL
-
-
-def _run_shard(expr: Expression, db: Database) -> Relation:
-    """Evaluate with every maximal co-partitionable core process-sharded.
-
-    A *core* here is a tree of Rel/Restrict and the single-attribute-class
-    join operators (:data:`repro.engine.shard.executor._CORE_BINARY`) that
-    :func:`~repro.engine.shard.executor.shard_spec_of` accepts — each such
-    core is hash-sharded across worker processes and merged by
-    multiplicity sum.  Dedup projections and padded unions do not
-    distribute over the shard partition, so they stay wrappers.  Raises
-    :class:`PlanningError` — a cross-check *skip* — when no core is
-    co-partitionable, so the tier never silently duplicates the algebra
-    tier.
-    """
-    from repro.core.expressions import (
-        Antijoin,
-        Join,
-        LeftOuterJoin,
-        Rel,
-        Restrict,
-        RightAntijoin,
-        RightOuterJoin,
-        Semijoin,
-    )
-    from repro.engine.shard.executor import shard_spec_of, sharded_counts
-
-    registry = db.registry
-    took_fast_path = [False]
-    core_binary = (
-        Join,
-        LeftOuterJoin,
-        RightOuterJoin,
-        FullOuterJoin,
-        Semijoin,
-        Antijoin,
-        RightAntijoin,
-    )
-
-    def structural(node: Expression) -> bool:
-        if isinstance(node, Rel):
-            return True
-        if isinstance(node, Restrict):
-            return structural(node.child)
-        if isinstance(node, core_binary):
-            return structural(node.left) and structural(node.right)
-        return False
-
-    def is_core(node: Expression) -> bool:
-        return structural(node) and shard_spec_of(node, registry) is not None
-
-    def run_core(node: Expression) -> Relation:
-        took_fast_path[0] = True
-        schema, merged = sharded_counts(node, db, pool=_shard_tier_pool(), shards=3)
-        return Relation.from_counts(schema, merged)
-
-    relation = _recurse_with_cores("shard", expr, db, is_core, run_core)
-    if not took_fast_path[0]:
-        raise PlanningError("shard tier declines: no co-partitionable join core")
-    return relation
-
-
 #: Lazily-created persistent backends for the ``backend:<name>`` tier
-#: family, mirroring the shard tier's pool: the whole point of the
-#: backend interface is connection reuse, so the tier exercises it.
+#: family: the whole point of the backend interface is connection
+#: reuse, so the tier exercises it.
 _TIER_BACKENDS: Dict[str, object] = {}
 
 

@@ -40,8 +40,6 @@ from repro.util.fastpath import (
     batch_mode,
     batch_size,
     batch_sized,
-    set_batch,
-    set_batch_size,
 )
 
 __all__ = [
@@ -56,6 +54,4 @@ __all__ = [
     "batch_mode",
     "batch_size",
     "batch_sized",
-    "set_batch",
-    "set_batch_size",
 ]

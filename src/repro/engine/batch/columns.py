@@ -43,8 +43,7 @@ def _fast_row(values: Dict[str, Any]) -> Row:
     (batch columns only ever hold values that arrived through validated
     rows): same ``_values`` dict, same ``hash(frozenset(items))``
     contract, so rows from this path hash and compare interchangeably
-    with rows from ``Row.concat`` — the same trick
-    :mod:`repro.engine.parallel.joins` uses for its task outputs.
+    with rows from ``Row.concat``.
     """
     row = Row.__new__(Row)
     object.__setattr__(row, "_values", values)

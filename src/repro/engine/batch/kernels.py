@@ -276,8 +276,7 @@ class BuildSide:
 
     Rows whose key is null are kept in the columns (a full outerjoin must
     pad them out at the end) but never enter a bucket, so they can never
-    match — the same null-key fate the serial and parallel kernels
-    realize.
+    match — the same null-key fate the algebra kernels realize.
     """
 
     __slots__ = ("key", "attrs", "columns", "buckets", "null_indices", "rows")

@@ -33,7 +33,6 @@ from repro.engine.planner import Planner
 from repro.engine.storage import Storage
 from repro.observability.spans import Span, current_tracer, maybe_span
 from repro.util.cancel import CancelToken
-from repro.util.fastpath import shard_enabled
 
 #: Poll the cancel token once per this many rows drained at the plan root
 #: (in addition to the denser evaluation-count polling inside Metrics).
@@ -118,19 +117,7 @@ def execute(
     expression) and every execution gets its own plan tree and metrics
     sink, so concurrent ``execute`` calls over one storage share no
     mutable state — the property :mod:`repro.service` builds on.
-
-    When ``REPRO_SHARD`` (or a :func:`~repro.util.fastpath.shard_mode`
-    override) is on, co-partitionable expressions dispatch to the
-    process-sharded evaluator; with the switch off — the default — the
-    shard machinery is never consulted and this function is
-    byte-identical to a build without it.
     """
-    if shard_enabled():
-        from repro.engine.shard.executor import execute_sharded, plan_sharded
-
-        sharded = plan_sharded(expr, storage)
-        if sharded is not None:
-            return execute_sharded(sharded, cancel=cancel)
     with maybe_span("query.plan", category="engine") as span:
         plan = Planner(storage).plan(expr)
         if span is not None:

@@ -136,7 +136,7 @@ class BatchPull:
     """Thin batch-pull adapter: ``next_batch()`` until None.
 
     The demand-driven face of ``execute_batches`` for consumers that want
-    explicit cursor control (the parallel executor's drain loops, tests)
+    explicit cursor control (tests)
     rather than a ``for`` loop over the generator.
     """
 
@@ -453,15 +453,6 @@ class HashJoin(PhysicalOp):
     ``left_key``/``right_key`` are single equi-join attributes; additional
     conjuncts go into ``residual``.  Null keys never match, as in the
     algebra layer.
-
-    Dispatch is parallel-aware: when
-    :func:`repro.util.fastpath.parallel_enabled` is on, ``execute``
-    routes through :func:`repro.engine.parallel.parallel_counts` — both
-    inputs are drained, radix-partitioned (null keys to the dedicated
-    null partition), joined per partition on the worker pool, and the
-    merged bag is emitted.  The decision is taken at execution time, not
-    planning time, so cached plans stay valid across mode changes; the
-    span attr ``dispatch`` records which path ran.
     """
 
     batch_native = True
@@ -497,15 +488,8 @@ class HashJoin(PhysicalOp):
         arrive through the shim).  Span counters (``build_ns``,
         ``mem_rows`` = bucketed build rows, ``build_buckets``), metric
         totals and labels, and the emission order all match the row path
-        exactly.  The parallel dispatch also honors batching: children
-        drain vectorized, and the merged bag is re-chunked into batches.
+        exactly.
         """
-        if self._use_parallel():
-            for batch in batches_from_rows(
-                self._execute_parallel(metrics), self.schema, batch_size()
-            ):
-                yield self._emit_batch(batch)
-            return
         span = self._span
         build_started = perf_counter_ns() if span is not None else 0
         build = BuildSide(
@@ -530,63 +514,9 @@ class HashJoin(PhysicalOp):
             if out is not None:
                 yield self._emit_batch(out)
 
-    def _use_parallel(self) -> bool:
-        from repro.util.fastpath import parallel_enabled
-
-        return parallel_enabled()
-
-    def _execute_parallel(self, metrics: Metrics) -> Iterator[Row]:
-        """Drain both inputs, join partition-parallel, emit the merged bag.
-
-        Children are consumed exactly once (their retrieval metering and
-        traced rows_out/rows_in accounting are unchanged); output rows
-        are emitted with their bag multiplicity.  Emission order follows
-        the merged counter rather than probe order — downstream algebra
-        is bag-semantic, so no consumer may rely on row order.
-        """
-        from collections import Counter as _Counter
-        from dataclasses import replace
-
-        from repro.algebra.relation import Relation
-        from repro.engine.parallel import current_config, parallel_counts
-
-        span = self._span
-        left_counts: _Counter = _Counter()
-        for row in self.left.execute(metrics):
-            left_counts[row] += 1
-        right_counts: _Counter = _Counter()
-        for row in self.right.execute(metrics):
-            right_counts[row] += 1
-        if span is not None:
-            span.counters["mem_rows"] = sum(right_counts.values())
-            span.set(dispatch="parallel")
-        residual = (
-            ()
-            if isinstance(self.residual, TruePredicate)
-            else tuple(self.residual.conjuncts())
-        )
-        # The inputs are already drained, so the small-input gate has
-        # nothing left to save — run partitioned unconditionally.
-        out = parallel_counts(
-            Relation._adopt_counts(self.left.schema, left_counts),
-            Relation._adopt_counts(self.right.schema, right_counts),
-            None,
-            self.join_type,
-            config=replace(current_config(), min_rows=0),
-            split=((self.left_key,), (self.right_key,), residual),
-        )
-        label = f"ParallelHashJoin[{self.join_type}]"
-        for row, n in out.items():
-            for _ in range(n):
-                metrics.emitted(label)
-                yield row
-
     def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
         from repro.algebra.nulls import is_null
 
-        if self._use_parallel():
-            yield from self._execute_parallel(metrics)
-            return
         span = self._span
         build_started = perf_counter_ns() if span is not None else 0
         buckets: dict = {}
@@ -630,27 +560,6 @@ class HashJoin(PhysicalOp):
         pad = " " * indent
         return (
             f"{pad}HashJoin[{self.join_type}, {self.left_key} = {self.right_key}]\n"
-            f"{self.left.describe(indent + 2)}\n{self.right.describe(indent + 2)}"
-        )
-
-
-class ParallelHashJoin(HashJoin):
-    """A hash join pinned to the morsel-driven partitioned path.
-
-    Identical to :class:`HashJoin` except dispatch: this operator always
-    runs partition-parallel regardless of the ``REPRO_PARALLEL`` switch.
-    The planner emits it when constructed with ``parallel=True``; the
-    default planner keeps emitting :class:`HashJoin`, whose runtime
-    dispatch honors the switch without invalidating cached plans.
-    """
-
-    def _use_parallel(self) -> bool:
-        return True
-
-    def describe(self, indent: int = 0) -> str:
-        pad = " " * indent
-        return (
-            f"{pad}ParallelHashJoin[{self.join_type}, {self.left_key} = {self.right_key}]\n"
             f"{self.left.describe(indent + 2)}\n{self.right.describe(indent + 2)}"
         )
 

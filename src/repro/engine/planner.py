@@ -97,19 +97,13 @@ class Planner:
     index: ``"hash"`` (default) or ``"merge"`` — the latter mainly exists
     so the test suite can differentially validate the two implementations
     on identical plans.
-
-    ``parallel=True`` pins equi-joins to :class:`ParallelHashJoin`
-    (always partitioned, regardless of ``REPRO_PARALLEL``); the default
-    ``False`` emits :class:`HashJoin`, whose *runtime* dispatch follows
-    the switch — so plans cached by the optimizer never encode the mode.
     """
 
-    def __init__(self, storage: Storage, equi_join: str = "hash", parallel: bool = False):
+    def __init__(self, storage: Storage, equi_join: str = "hash"):
         if equi_join not in ("hash", "merge"):
             raise PlanningError(f"unknown equi-join algorithm {equi_join!r}")
         self.storage = storage
         self.equi_join = equi_join
-        self.parallel = parallel
 
     def plan(self, expr: Expression) -> PhysicalOp:
         if isinstance(expr, Rel):
@@ -159,12 +153,6 @@ class Planner:
                 from repro.engine.merge_join import MergeJoin
 
                 return MergeJoin(
-                    left_plan, right_plan, left_key, right_key, residual, join_type
-                )
-            if self.parallel:
-                from repro.engine.iterators import ParallelHashJoin
-
-                return ParallelHashJoin(
                     left_plan, right_plan, left_key, right_key, residual, join_type
                 )
             return HashJoin(left_plan, right_plan, left_key, right_key, residual, join_type)

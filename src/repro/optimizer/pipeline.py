@@ -43,6 +43,7 @@ from repro.optimizer.cost import CostModel, CoutCostModel, RetrievalCostModel, a
 from repro.optimizer.dp import DPOptimizer
 from repro.optimizer.fingerprint import plan_cache_key
 from repro.optimizer.plancache import PlanCache, active_plan_cache
+from repro.util.errors import GraphUndefinedError, SchemaError
 from repro.util.fastpath import wcoj_enabled, yannakakis_enabled
 
 
@@ -221,10 +222,12 @@ def _optimize_query(
     core, filters = _split_leaf_filters(push_report.query)
     result.leaf_filters = filters
     # Multi-relation conjuncts parked above inner joins keep the core from
-    # being a pure join/outerjoin tree; fall back in that case too.
+    # being a pure join/outerjoin tree (GraphUndefinedError), and a
+    # predicate naming an attribute no relation owns has no endpoints
+    # (SchemaError from the registry); fall back in those cases too.
     try:
         graph = graph_of(core, registry)
-    except Exception:
+    except (GraphUndefinedError, SchemaError):
         return result
     result.graph = graph
     result.fingerprint = plan_cache_key(graph, filters, cost_model)
@@ -240,8 +243,7 @@ def _optimize_query(
             # verdict, because non-nice trees are NOT interchangeable
             # and the written order must stand.  The cached join tree /
             # WCOJ spec records the strategy *decision*; whether it is
-            # taken is re-checked against the live fast-path switches,
-            # mirroring HashJoin's execution-time parallel dispatch.
+            # taken is re-checked against the live fast-path switches.
             verdict, chosen, join_tree, wcoj_spec = hit
             result.verdict = verdict
             result.cache_hit = True
@@ -387,12 +389,6 @@ def optimize_and_run(
     re-checked here so ``REPRO_YANNAKAKIS=0`` / ``REPRO_WCOJ=0`` fall
     back to the DP tree even on plans optimized (or cached) while the
     fast paths were on.
-
-    A "dp" strategy falls through to :func:`repro.engine.executor.execute`,
-    which consults the process-shard dispatch (``REPRO_SHARD``, default
-    off) before planning the tree — so sharded execution needs no
-    optimizer involvement here, and with the switch off this path is
-    byte-identical to a build without the shard machinery.
     """
     result = optimize_query(
         query, storage, cost_model=cost_model, cache=cache, use_cache=use_cache

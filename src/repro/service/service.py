@@ -24,17 +24,6 @@ into a serving layer:
   blocking the caller; a saturated service degrades by answering fewer
   queries, not by stalling every client.
 
-* **Worker budget** — inter-query parallelism (the service threads) and
-  intra-query parallelism (partition fan-out inside one join, see
-  :mod:`repro.engine.parallel`) draw from one :class:`WorkerLedger`, so
-  ``service threads + intra-query workers <= max_total_workers()`` holds
-  at every instant.  With ``parallel=True`` the service owns a single
-  shared intra-query :class:`WorkerPool` that every worker's queries use
-  (installed per query via the thread-local parallel config); the pool's
-  size is whatever the ledger has left after the service threads took
-  their grant, clamped possibly to zero — in which case joins degrade to
-  inline serial partitioning rather than oversubscribing the host.
-
 Everything is stdlib ``threading`` + ``queue``.  Counters
 (``service_queries`` / ``service_rejected`` / ``service_timeouts`` /
 ``service_cancelled``) flow into :mod:`repro.tools.instrumentation`, and
@@ -45,7 +34,6 @@ from __future__ import annotations
 
 import queue
 import threading
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from time import monotonic
 from typing import Any, Dict, List, Optional, Sequence
@@ -59,10 +47,6 @@ from repro.backends.base import (
 from repro.backends.hints import HintError
 from repro.core.expressions import Expression
 from repro.engine.executor import ExecutionResult, execute
-from repro.engine.parallel.config import using_config
-from repro.engine.parallel.pool import WorkerLedger, WorkerPool, resolve_workers
-from repro.engine.shard.config import using_shard_config
-from repro.engine.shard.pool import ShardPool, resolve_shard_workers
 from repro.engine.storage import Storage
 from repro.observability.spans import maybe_span
 from repro.optimizer.pipeline import PipelineResult, optimize_query
@@ -75,7 +59,6 @@ from repro.util.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.util.fastpath import parallel_enabled, parallel_mode, shard_enabled, shard_mode
 
 #: Outcome statuses, in the order ``snapshot()`` reports them.
 STATUSES = ("ok", "error", "timeout", "cancelled", "rejected")
@@ -178,29 +161,6 @@ class QueryService:
     overrides it.  The deadline clock starts at submission, so time spent
     queued counts against it — an overloaded service times queries out
     rather than serving arbitrarily stale answers.
-
-    ``parallel`` turns on intra-query parallel joins for every served
-    query (``None`` follows the process default, i.e. ``REPRO_PARALLEL``).
-    ``intra_workers`` sizes the shared intra-query pool (``None`` resolves
-    through :func:`repro.engine.parallel.pool.resolve_workers`); the
-    ledger clamps it so service threads plus intra-query workers never
-    exceed the ceiling.  ``ledger`` defaults to a fresh per-service
-    :class:`WorkerLedger` (ceiling = ``max_total_workers()``); pass
-    :data:`~repro.engine.parallel.pool.GLOBAL_LEDGER` to share the budget
-    with ambient pools in the same process.
-
-    ``shard`` turns on process-sharded execution (``None`` follows
-    ``REPRO_SHARD``, default off): the service owns a persistent
-    :class:`~repro.engine.shard.pool.ShardPool` of ``shard_workers``
-    worker processes (``None`` resolves through
-    :func:`~repro.engine.shard.pool.resolve_shard_workers`), leased from
-    the same ledger as the threads.  Queries whose plans are
-    co-partitionable on one join-key attribute class evaluate across the
-    worker processes; everything else (and everything, when the pool is
-    clamped below two workers) stays on the threaded path.  A worker
-    process dying mid-query fails that query with status ``error``,
-    reclaims its worker lease, and leaves the service up — the pool
-    respawns the worker on the next sharded query.
     """
 
     def __init__(
@@ -212,11 +172,6 @@ class QueryService:
         use_cache: bool = True,
         default_timeout_s: Optional[float] = None,
         cost_model: str = "retrieval",
-        parallel: Optional[bool] = None,
-        intra_workers: Optional[int] = None,
-        shard: Optional[bool] = None,
-        shard_workers: Optional[int] = None,
-        ledger: Optional[WorkerLedger] = None,
         backend: Optional[str] = None,
     ):
         if workers < 1:
@@ -249,42 +204,9 @@ class QueryService:
         self._closed = False
         self._submitted = 0
         self._outcomes: Dict[str, int] = {status: 0 for status in STATUSES}
-        # Worker-budget accounting: the service threads take their grant
-        # first; the intra-query pool gets (at most) what remains.  Both
-        # grants live in the same ledger, which *is* the invariant.
-        self._ledger = ledger if ledger is not None else WorkerLedger()
-        self._service_grant = self._ledger.acquire(workers, "service")
-        if self._service_grant < 1:
-            raise ValueError(
-                "worker ledger has no capacity left for a service thread "
-                f"(ceiling {self._ledger.ceiling}, requested {workers})"
-            )
-        self.parallel = parallel if parallel is not None else parallel_enabled()
-        self._intra_pool: Optional[WorkerPool] = None
-        if self.parallel:
-            self._intra_pool = WorkerPool(
-                workers=resolve_workers(intra_workers),
-                mode="thread",
-                name="intra-query",
-                ledger=self._ledger,
-            )
-        # Process-sharded execution: the service owns a persistent pool of
-        # worker processes, leased (kind="process") from the same ledger
-        # as the service threads — one budget covers both concurrency
-        # kinds.  The pool may be clamped below two workers, in which
-        # case the shard dispatch declines per query and the threaded
-        # path serves as usual.
-        self.shard = shard if shard is not None else shard_enabled()
-        self._shard_pool: Optional[ShardPool] = None
-        if self.shard:
-            self._shard_pool = ShardPool(
-                workers=resolve_shard_workers(shard_workers),
-                name="service-shard",
-                ledger=self._ledger,
-            )
         self._workers = [
             threading.Thread(target=self._worker, name=f"repro-service-{i}", daemon=True)
-            for i in range(self._service_grant)
+            for i in range(workers)
         ]
         for thread in self._workers:
             thread.start()
@@ -365,23 +287,6 @@ class QueryService:
             finally:
                 self._queue.task_done()
 
-    def _query_scope(self) -> ExitStack:
-        """The per-query execution context for this worker thread.
-
-        With ``parallel`` on, forces the parallel join path and pins the
-        service's shared intra-query pool — both thread-locally, so
-        concurrent workers never race each other's restores and queries
-        outside the service are unaffected.
-        """
-        stack = ExitStack()
-        if self.parallel:
-            stack.enter_context(parallel_mode(True))
-            stack.enter_context(using_config(pool=self._intra_pool))
-        if self.shard:
-            stack.enter_context(shard_mode(True))
-            stack.enter_context(using_shard_config(pool=self._shard_pool))
-        return stack
-
     def _backend_for(self, route: str) -> ExecutionBackend:
         """Lazily create (and cache) the backend instance for ``route``."""
         with self._lock:
@@ -428,7 +333,7 @@ class QueryService:
     def _run(self, ticket: QueryTicket) -> None:
         started = monotonic()
         queue_wait = started - ticket.submitted_at
-        with self._query_scope(), maybe_span("service.query", category="service") as span:
+        with maybe_span("service.query", category="service") as span:
             try:
                 # The deadline covers queue wait too: a query that aged out
                 # while queued stops here, before any work is spent on it.
@@ -496,16 +401,6 @@ class QueryService:
         if wait:
             for thread in self._workers:
                 thread.join()
-        # Return every leased worker to the ledger: the intra-query pool
-        # releases its own grant on close, then the service threads' grant
-        # goes back, restoring the ledger to its pre-service books.
-        if self._intra_pool is not None:
-            self._intra_pool.close()
-        if self._shard_pool is not None:
-            self._shard_pool.close()
-        if self._service_grant:
-            self._ledger.release(self._service_grant, "service")
-            self._service_grant = 0
         with self._lock:
             backends = list(self._backends.values())
             self._backends.clear()
@@ -528,24 +423,13 @@ class QueryService:
                 "submitted": self._submitted,
                 "outcomes": dict(self._outcomes),
                 "closed": self._closed,
-            }
-        out["parallel"] = {
-            "enabled": self.parallel,
-            "service_grant": self._service_grant,
-            "intra_pool": self._intra_pool.snapshot() if self._intra_pool else None,
-            "ledger": self._ledger.snapshot(),
-        }
-        out["shard"] = {
-            "enabled": self.shard,
-            "pool": self._shard_pool.snapshot() if self._shard_pool else None,
-        }
-        with self._lock:
-            out["backends"] = {
-                "default": self.default_backend,
-                "routes": dict(self._route_counts),
-                "instances": {
-                    name: backend.snapshot()
-                    for name, backend in self._backends.items()
+                "backends": {
+                    "default": self.default_backend,
+                    "routes": dict(self._route_counts),
+                    "instances": {
+                        name: backend.snapshot()
+                        for name, backend in self._backends.items()
+                    },
                 },
             }
         if self.plan_cache is not None:
@@ -564,14 +448,6 @@ class QueryService:
             f"queue {snap['queue_depth']}/{snap['queue_capacity']}, "
             f"{snap['submitted']} submitted ({outcomes or 'no outcomes yet'})"
         ]
-        if self.parallel:
-            par = snap["parallel"]
-            ledger = par["ledger"]
-            pool = par["intra_pool"] or {"workers": 0, "mode": "serial"}
-            lines.append(
-                f"parallel: intra-query pool {pool['workers']} worker(s) "
-                f"({pool['mode']}), ledger {ledger['granted']}/{ledger['ceiling']}"
-            )
         if self.plan_cache is not None:
             lines.append(self.plan_cache.summary())
         return "\n".join(lines)

@@ -34,23 +34,11 @@ Modes:
                    bar is overhead below 5%; per-test benchmark means are
                    summed (min across repeats) so pytest startup cost
                    cannot mask a real per-query regression.
-* ``--parallel-bench`` — additionally measure the morsel-driven parallel
-                   executor (:mod:`repro.engine.parallel`) on a large
-                   equi-join: serial kernels vs a 1/2/4/8-worker grid,
-                   plus a spill-vs-in-memory cost curve at shrinking
-                   ``REPRO_MEMORY_BUDGET`` values.  Serial and parallel
-                   are timed in the *same process run* and the headline
-                   number is their ratio, which stays stable even when
-                   absolute wall-clock drifts on noisy runners.  Written
-                   under a ``parallel`` report key (the BENCH_PR5
-                   artifact's payload); every timed run is bag-equality
-                   checked against the serial result.
 * ``--batch-bench`` — additionally measure vectorized columnar execution
                    (:mod:`repro.engine.batch`) against the row-at-a-time
                    iterators on the headline 30k-row hash join: row
                    serial vs native batch drain vs batch-through-the-
-                   row-adapter vs batching stacked on the 4-worker
-                   parallel executor.  Cells are interleaved, warmed up,
+                   row-adapter.  Cells are interleaved, warmed up,
                    reduced by min-of-N with raw per-round timings kept,
                    and sequence/bag-equality checked untimed.  Written
                    under a ``batch`` report key (the BENCH_PR6
@@ -100,7 +88,6 @@ HEADLINE = (
     "bench_planning_scalability.py",
     "bench_theorem1_free_reorder.py",
     "bench_optimizer_comparison.py",
-    "bench_parallel_join.py",
 )
 
 #: Instrumentation keys copied into each scenario record.
@@ -244,23 +231,15 @@ def measure_trace_overhead(
     return overhead
 
 
-#: Worker grid for the parallel bench.  Explicit, never ``os.cpu_count()``.
-PARALLEL_WORKER_GRID = (1, 2, 4, 8)
-
-#: Memory budgets for the spill cost curve, largest (never spills) first.
-SPILL_BUDGETS = ("unlimited", "32MB", "8MB", "2MB")
-
-
 def _headline_table(rng, name: str, keys, payload: str, rows: int, null_fraction: float = 0.01):
     """Schema and row dicts for one headline bench base table.
 
     ``keys`` maps each key column to a half-open ``(lo, hi)`` range sampled
     uniformly; ``payload`` names a row-counter ballast column.  A
-    ``null_fraction`` sprinkle of null keys keeps the dedicated null
-    partition (parallel), the null composite-key drop (Yannakakis), and
-    3VL comparisons on the measured path of every consumer.  All bench
-    workloads — two-table equi-join, chain, star — are concatenations of
-    these blocks, so their cell/schema plumbing lives in one place.
+    ``null_fraction`` sprinkle of null keys keeps the null composite-key
+    drop (Yannakakis) and 3VL comparisons on the measured path of every
+    consumer.  All bench workloads — two-table equi-join, chain, star —
+    are concatenations of these blocks, so their cell/schema plumbing lives in one place.
     """
     from repro.algebra.nulls import NULL
 
@@ -276,180 +255,13 @@ def _headline_table(rng, name: str, keys, payload: str, rows: int, null_fraction
     return schema, data
 
 
-def _parallel_workload(seed: int, rows: int, domain: int):
-    """A two-table equi-join workload sized to dominate partitioning cost.
-
-    Key skew is mild (uniform keys over ``domain`` values, so about
-    ``rows**2/domain`` output rows) plus a sprinkle of null keys so the
-    dedicated null partition is on the measured path.
-    """
-    from repro.algebra.predicates import AttrRef, Comparison
-    from repro.algebra.relation import Relation
-    from repro.algebra.tuples import Row
-    from repro.util.rng import make_rng
-
-    rng = make_rng(seed)
-
-    def table(prefix: str, payload: str) -> Relation:
-        schema, data = _headline_table(rng, prefix, {"k": (0, domain)}, payload, rows)
-        return Relation(tuple(schema), [Row(row) for row in data])
-
-    predicate = Comparison(AttrRef("L.k"), "=", AttrRef("R.k"))
-    return table("L", "a"), table("R", "b"), predicate
-
-
-def measure_parallel(
-    seed: int = 0,
-    smoke: bool = False,
-    workers_grid: Sequence[int] = PARALLEL_WORKER_GRID,
-    budgets: Sequence[str] = SPILL_BUDGETS,
-    rounds: int = 3,
-    warmup_rounds: int = 1,
-) -> Dict[str, object]:
-    """Serial-vs-parallel speedup grid and the spill cost curve, in-process.
-
-    Rounds are interleaved (serial, then each grid point, repeated) and
-    reduced by min, so a load spike on the host hits both sides rather
-    than biasing the ratio.  Before the timed rounds every cell runs
-    ``warmup_rounds`` untimed passes — the first execution pays one-off
-    costs (worker-pool spin-up, allocator growth, branch warm-up) that
-    made the BENCH_PR5 grid non-monotonic across worker counts.  The
-    per-round raw timings of every cell are recorded under
-    ``raw_timings_s`` so outliers are diagnosable from the BENCH file
-    itself.  Every parallel result is asserted bag-equal to the serial
-    kernels' result before its time is recorded.
-    """
-    from repro.algebra.operators import join
-    from repro.engine.parallel.budget import BUDGET_ENV, reset_process_budget
-    from repro.engine.parallel.config import using_config
-    from repro.tools import instrumentation
-    from repro.util.fastpath import parallel_mode
-
-    # ~20 matches per key: the probe loop (where the partitioned fast path
-    # wins) dominates input scanning/partitioning, as in the paper-scale
-    # key-FK joins; ~590k output rows at full size.
-    rows = 4_000 if smoke else 30_000
-    domain = max(rows // 20, 2)
-    left, right, predicate = _parallel_workload(seed, rows, domain)
-
-    def timed(fn):
-        start = time.perf_counter()
-        result = fn()
-        return time.perf_counter() - start, result
-
-    def run_serial():
-        with parallel_mode(False):
-            return join(left, right, predicate)
-
-    def run_parallel(w: int):
-        with parallel_mode(True), using_config(workers=w, min_rows=0):
-            return join(left, right, predicate)
-
-    serial_rel = run_serial()  # warm-up pass doubles as the oracle result
-    for _ in range(max(warmup_rounds - 1, 0)):
-        run_serial()
-    for w in workers_grid:
-        for _ in range(warmup_rounds):
-            if run_parallel(w) != serial_rel:
-                raise RuntimeError(
-                    f"parallel join (workers={w}) is not bag-equal to serial"
-                )
-
-    raw: Dict[str, List[float]] = {"serial": []}
-    for w in workers_grid:
-        raw[f"workers={w}"] = []
-    for _ in range(rounds):
-        elapsed, rel = timed(run_serial)
-        raw["serial"].append(round(elapsed, 4))
-        if rel != serial_rel:
-            raise RuntimeError("serial join result drifted between rounds")
-        for w in workers_grid:
-            elapsed, rel = timed(lambda: run_parallel(w))
-            if rel != serial_rel:
-                raise RuntimeError(f"parallel join (workers={w}) is not bag-equal to serial")
-            raw[f"workers={w}"].append(round(elapsed, 4))
-
-    serial_s = min(raw["serial"])
-    grid_s: Dict[int, float] = {w: min(raw[f"workers={w}"]) for w in workers_grid}
-
-    grid = [
-        {
-            "workers": w,
-            "elapsed_s": round(grid_s[w], 4),
-            "speedup": round(serial_s / grid_s[w], 2) if grid_s[w] > 0 else None,
-        }
-        for w in workers_grid
-    ]
-
-    # Spill cost curve: same join at 4 workers under shrinking budgets.
-    # The budget env is read per operator, so flipping it between runs is
-    # enough; reset_process_budget() drops the cached root budget.
-    prior_budget = os.environ.get(BUDGET_ENV)
-    curve: List[Dict[str, object]] = []
-    in_memory_s: Optional[float] = None
-    try:
-        for budget in budgets:
-            if budget == "unlimited":
-                os.environ.pop(BUDGET_ENV, None)
-            else:
-                os.environ[BUDGET_ENV] = budget
-            reset_process_budget()
-            spills_before = instrumentation.snapshot().get("parallel_spills", 0)
-            best = float("inf")
-            for _ in range(rounds):
-                with parallel_mode(True), using_config(workers=4, min_rows=0):
-                    elapsed, rel = timed(lambda: join(left, right, predicate))
-                if rel != serial_rel:
-                    raise RuntimeError(f"spill run (budget={budget}) is not bag-equal to serial")
-                best = min(best, elapsed)
-            spill_events = instrumentation.snapshot().get("parallel_spills", 0) - spills_before
-            if budget == "unlimited":
-                in_memory_s = best
-            curve.append(
-                {
-                    "budget": budget,
-                    "elapsed_s": round(best, 4),
-                    "spill_events": spill_events,
-                    "cost_ratio": round(best / in_memory_s, 2)
-                    if in_memory_s and in_memory_s > 0
-                    else None,
-                    "bag_equal": True,
-                }
-            )
-    finally:
-        if prior_budget is None:
-            os.environ.pop(BUDGET_ENV, None)
-        else:
-            os.environ[BUDGET_ENV] = prior_budget
-        reset_process_budget()
-
-    speedup_at_4 = next((g["speedup"] for g in grid if g["workers"] == 4), None)
-    return {
-        "workload": {
-            "left_rows": len(left),
-            "right_rows": len(right),
-            "output_rows": len(serial_rel),
-            "domain": domain,
-            "null_key_fraction": 0.01,
-        },
-        "rounds": rounds,
-        "warmup_rounds": warmup_rounds,
-        "raw_timings_s": raw,
-        "serial_s": round(serial_s, 4),
-        "grid": grid,
-        "speedup_at_4_workers": speedup_at_4,
-        "spill_curve": curve,
-    }
-
-
 def _batch_workload(seed: int, rows: int, domain: int):
-    """The PR-5 headline join rebuilt as engine base tables (no indexes).
+    """The headline two-table equi-join as engine base tables (no indexes).
 
-    Same shape as :func:`_parallel_workload` — uniform keys over
-    ``domain`` values (~20 matches per key at full size), 1% null keys —
-    but stored in :class:`~repro.engine.storage.Storage` so the measured
-    object is the physical :class:`~repro.engine.iterators.HashJoin`
-    pipeline, row path versus batch path.  No index is created: an
+    Uniform keys over ``domain`` values (~20 matches per key at full
+    size), 1% null keys, stored in :class:`~repro.engine.storage.Storage`
+    so the measured object is the physical
+    :class:`~repro.engine.iterators.HashJoin` pipeline, row path versus batch path.  No index is created: an
     indexed right side would make the planner prefer INLJ, which is not
     the operator under test.
     """
@@ -474,10 +286,10 @@ def measure_batch(
 ) -> Dict[str, object]:
     """Row-at-a-time vs vectorized execution of the headline hash join.
 
-    Four cells, interleaved round-robin and reduced by min (after
+    Three cells, interleaved round-robin and reduced by min (after
     ``warmup_rounds`` untimed passes each), raw per-round timings kept:
 
-    * ``row_serial``     — the PR-5 baseline: ``REPRO_BATCH=0``, rows
+    * ``row_serial``     — the baseline: ``REPRO_BATCH=0``, rows
       drained through ``execute()``;
     * ``batch_serial``   — the headline: batches drained natively through
       ``execute_batches()``, rows counted but never materialized as
@@ -485,19 +297,13 @@ def measure_batch(
       representation; converting it back to rows is the *consumer's*
       choice, priced separately);
     * ``batch_rows``     — honesty cell: batch execution drained through
-      the row-compat adapter, paying full ``Row`` materialization;
-    * ``combined_4w``    — batching + the morsel-parallel executor at 4
-      workers (vectorized children feeding the partitioned join).
+      the row-compat adapter, paying full ``Row`` materialization.
 
     Correctness is verified untimed: the batch row stream must be
-    *sequence*-identical to the row path's, and the combined run
-    bag-equal to it.
+    *sequence*-identical to the row path's.
     """
-    from collections import Counter
-
     from repro.engine.metrics import Metrics
-    from repro.engine.parallel.config import using_config
-    from repro.util.fastpath import batch_mode, batch_size, parallel_mode
+    from repro.util.fastpath import batch_mode, batch_size
 
     rows = 4_000 if smoke else 30_000
     domain = max(rows // 20, 2)
@@ -518,32 +324,17 @@ def measure_batch(
         with batch_mode(True):
             return list(plan.execute(Metrics()))
 
-    def combined_4w() -> int:
-        total = 0
-        with batch_mode(True), parallel_mode(True), using_config(workers=4, min_rows=0):
-            for batch in plan.execute_batches(Metrics()):
-                total += batch.num_rows
-        return total
-
     # Untimed correctness pass (doubles as warm-up round one).
     baseline = row_serial()
     if batch_rows() != baseline:
         raise RuntimeError("batch row stream is not sequence-identical to the row path")
     if batch_serial() != len(baseline):
         raise RuntimeError("batch row count disagrees with the row path")
-    combined_bag: Counter = Counter()
-    with batch_mode(True), parallel_mode(True), using_config(workers=4, min_rows=0):
-        for batch in plan.execute_batches(Metrics()):
-            for row in batch.iter_rows():
-                combined_bag[row] += 1
-    if combined_bag != Counter(baseline):
-        raise RuntimeError("combined batch+parallel run is not bag-equal to serial")
 
     cells = {
         "row_serial": row_serial,
         "batch_serial": batch_serial,
         "batch_rows": batch_rows,
-        "combined_4w": combined_4w,
     }
     for _ in range(max(warmup_rounds - 1, 0)):
         for fn in cells.values():
@@ -576,10 +367,8 @@ def measure_batch(
         "row_serial_s": round(best["row_serial"], 4),
         "batch_serial_s": round(best["batch_serial"], 4),
         "batch_rows_s": round(best["batch_rows"], 4),
-        "combined_4w_s": round(best["combined_4w"], 4),
         "speedup_batch_serial": speedup("batch_serial"),
         "speedup_batch_rows": speedup("batch_rows"),
-        "speedup_combined_4w": speedup("combined_4w"),
         "bag_equal": True,
     }
 
@@ -1021,12 +810,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="also measure ambient-tracing overhead on the headline scenarios",
     )
     parser.add_argument(
-        "--parallel-bench",
-        action="store_true",
-        help="also measure the parallel executor (worker grid + spill curve); "
-        "default output becomes BENCH_PR5.json",
-    )
-    parser.add_argument(
         "--batch-bench",
         action="store_true",
         help="also measure vectorized batch execution against the row-at-a-time "
@@ -1066,8 +849,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.output = REPO_ROOT / "BENCH_PR7.json"
         elif args.batch_bench:
             args.output = REPO_ROOT / "BENCH_PR6.json"
-        elif args.parallel_bench:
-            args.output = REPO_ROOT / "BENCH_PR5.json"
         else:
             args.output = DEFAULT_OUTPUT
 
@@ -1129,21 +910,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"  {name:40s} traced {entry['traced_s']:.4f}s / "
                 f"untraced {entry['untraced_s']:.4f}s  ({entry['overhead_pct']:+.2f}%)"
             )
-    if args.parallel_bench:
-        print("\nmeasuring the parallel executor (serial vs worker grid, spill curve)...")
-        section = measure_parallel(seed=args.seed, smoke=args.smoke)
-        report["parallel"] = section
-        print(f"  serial kernels: {section['serial_s']:.4f}s")
-        for point in section["grid"]:
-            print(
-                f"  workers={point['workers']}: {point['elapsed_s']:.4f}s "
-                f"({point['speedup']}x)"
-            )
-        for point in section["spill_curve"]:
-            print(
-                f"  budget={point['budget']:>9s}: {point['elapsed_s']:.4f}s, "
-                f"{point['spill_events']} spill(s), cost x{point['cost_ratio']}"
-            )
     if args.batch_bench:
         print("\nmeasuring vectorized batch execution vs the row-at-a-time path...")
         section = measure_batch(seed=args.seed, smoke=args.smoke)
@@ -1156,10 +922,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"  batch + rows:      {section['batch_rows_s']:.4f}s "
             f"({section['speedup_batch_rows']}x)"
-        )
-        print(
-            f"  combined 4 workers: {section['combined_4w_s']:.4f}s "
-            f"({section['speedup_combined_4w']}x)"
         )
     if args.yannakakis_bench:
         print("\nmeasuring the acyclic fast path (full reducer) vs the DP plan...")

@@ -31,10 +31,6 @@ TRACE_SCHEMA_RELPATH = Path("docs") / "trace.schema.json"
 #: written by :mod:`repro.tools.servicebench`).
 SERVICEBENCH_SCHEMA_RELPATH = Path("docs") / "servicebench.schema.json"
 
-#: Path of the checked-in open-loop traffic schema (BENCH_PR9 artifacts,
-#: written by :mod:`repro.tools.trafficgen`).
-TRAFFICGEN_SCHEMA_RELPATH = Path("docs") / "trafficgen.schema.json"
-
 #: Schema keywords the validator understands.  Annotation-only keywords are
 #: accepted and skipped; anything unknown is an error.
 _ANNOTATIONS = {"$schema", "title", "description"}
@@ -161,19 +157,3 @@ def is_servicebench_report(document: Any) -> bool:
         and document["meta"].get("artifact") == "BENCH_PR4"
     )
 
-
-def validate_trafficgen_report(document: Any, root: Path | None = None) -> None:
-    """Raise :class:`SchemaValidationError` unless ``document`` is a valid
-    open-loop traffic artifact (``docs/trafficgen.schema.json``)."""
-    errors = validate(document, load_schema(root, TRAFFICGEN_SCHEMA_RELPATH))
-    if errors:
-        raise SchemaValidationError(errors)
-
-
-def is_trafficgen_report(document: Any) -> bool:
-    """Dispatch helper: does this look like a BENCH_PR9 traffic artifact?"""
-    return (
-        isinstance(document, dict)
-        and isinstance(document.get("meta"), dict)
-        and document["meta"].get("artifact") == "BENCH_PR9"
-    )

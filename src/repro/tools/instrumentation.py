@@ -49,10 +49,6 @@ from typing import Dict
 #: ``service_rejected``        (queries shed at admission),
 #: ``service_timeouts``        (queries cancelled by deadline),
 #: ``service_cancelled``       (queries cancelled by the caller),
-#: ``parallel_joins``          (joins taken by the parallel executor),
-#: ``parallel_tasks``          (per-partition join tasks dispatched),
-#: ``parallel_partitions``     (radix partitions materialized),
-#: ``parallel_spills``         (partition buffers spilled to disk),
 #: ``batches_emitted``         (column batches emitted by batch-native ops),
 #: ``batch_rows``              (rows carried by those batches),
 #: ``predicate_vectorized``    (filter-kernel applications with >=1

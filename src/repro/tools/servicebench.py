@@ -130,15 +130,11 @@ def bench_concurrency(
     workload: Sequence[Expression],
     queries_per_run: int,
     workers_grid: Sequence[int] = WORKER_COUNTS,
-    parallel: bool = False,
 ) -> List[Dict[str, Any]]:
     """Throughput at each worker count, cold and cached.
 
-    Every service is constructed with an *explicit* worker count and an
-    explicit ``parallel`` flag (default off), so the measurement is
-    deterministic regardless of the host CPU count or the ambient
-    ``REPRO_PARALLEL`` environment.  With ``parallel=True`` each row also
-    records how many intra-query workers the ledger left the service.
+    Every service is constructed with an *explicit* worker count, so the
+    measurement is deterministic regardless of the host CPU count.
     """
     rows: List[Dict[str, Any]] = []
     batch = [workload[i % len(workload)] for i in range(queries_per_run)]
@@ -149,15 +145,12 @@ def bench_concurrency(
                 for query in workload:
                     optimize_query(query, storage, cache=cache)
                 service = QueryService(
-                    storage, workers=workers, queue_size=queries_per_run,
-                    plan_cache=cache, parallel=parallel,
+                    storage, workers=workers, queue_size=queries_per_run, plan_cache=cache
                 )
             else:
                 service = QueryService(
-                    storage, workers=workers, queue_size=queries_per_run,
-                    use_cache=False, parallel=parallel,
+                    storage, workers=workers, queue_size=queries_per_run, use_cache=False
                 )
-            par_snap = service.snapshot()["parallel"]
             with service:
                 start = monotonic()
                 tickets = service.submit_batch(batch)
@@ -174,10 +167,6 @@ def bench_concurrency(
                 "elapsed_s": round(elapsed, 4),
                 "qps": round(len(outcomes) / elapsed, 2) if elapsed else None,
             }
-            if parallel:
-                pool = par_snap["intra_pool"] or {"workers": 0}
-                row["parallel"] = True
-                row["intra_workers"] = pool["workers"]
             rows.append(row)
     return rows
 
@@ -190,7 +179,6 @@ def stress_drill(
     service = QueryService(
         storage, workers=4, queue_size=8, use_cache=True,
         plan_cache=PlanCache(capacity=64), default_timeout_s=2.0,
-        parallel=False,  # pinned: the drill measures shedding, not joins
     )
     outcomes: Dict[str, int] = {}
     with service:
@@ -220,7 +208,6 @@ def run(
     smoke: bool = False,
     stress: bool = False,
     seed: int = 0,
-    parallel: bool = False,
     out=sys.stdout,
 ) -> Dict[str, Any]:
     relations = 5 if smoke else 6
@@ -246,7 +233,6 @@ def run(
             "workload_shapes": shapes,
             "worker_grid": list(WORKER_COUNTS),
             "worker_sizing": "explicit",
-            "parallel": parallel,
         }
     }
 
@@ -259,13 +245,9 @@ def run(
         file=out,
     )
 
-    print(
-        f"[servicebench] concurrency: workers {list(WORKER_COUNTS)}"
-        + (" (+ intra-query parallel joins)" if parallel else ""),
-        file=out,
-    )
+    print(f"[servicebench] concurrency: workers {list(WORKER_COUNTS)}", file=out)
     report["concurrency"] = bench_concurrency(
-        storage, workload, queries_per_run=queries_per_run, parallel=parallel
+        storage, workload, queries_per_run=queries_per_run
     )
     for row in report["concurrency"]:
         print(
@@ -345,11 +327,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true", help="small sizes for CI")
     parser.add_argument("--stress", action="store_true", help="add the overload drill")
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="serve with intra-query parallel joins (shared ledger-governed pool)",
-    )
-    parser.add_argument(
         "--min-speedup",
         type=float,
         default=3.0,
@@ -361,7 +338,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         smoke=args.smoke,
         stress=args.stress,
         seed=args.seed,
-        parallel=args.parallel,
     )
     problems = verify(report, min_speedup=args.min_speedup)
     for problem in problems:

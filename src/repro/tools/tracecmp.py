@@ -111,10 +111,7 @@ def aggregate_trace(doc: Dict[str, Any]) -> Dict[str, KeyStats]:
 def aggregate_bench(doc: Dict[str, Any]) -> Dict[str, KeyStats]:
     """Per-test mean timings of a benchmark report, keyed scenario::test.
 
-    Reports carrying a ``parallel`` section (BENCH_PR5) also contribute
-    its serial baseline, worker-grid points, and spill-curve points, so
-    the same CLI diffs parallel-executor performance against a committed
-    baseline.  Reports carrying a ``batch`` section (BENCH_PR6) likewise
+    Reports carrying a ``batch`` section (BENCH_PR6) also
     contribute its row-at-a-time baseline and vectorized cells as
     ``batch::`` keys, a ``yannakakis`` section (BENCH_PR7) contributes
     per-topology DP and semijoin-reducer cells as ``yannakakis::`` keys,
@@ -130,18 +127,9 @@ def aggregate_bench(doc: Dict[str, Any]) -> Dict[str, KeyStats]:
         for test, mean_s in (record.get("timings") or {}).items():
             key = f"{record['scenario']}::{test}"
             stats[key] = KeyStats(key, mean_s * 1e3)
-    parallel = doc.get("parallel")
-    if parallel:
-        stats["parallel::serial"] = KeyStats("parallel::serial", parallel["serial_s"] * 1e3)
-        for point in parallel.get("grid", ()):
-            key = f"parallel::workers={point['workers']}"
-            stats[key] = KeyStats(key, point["elapsed_s"] * 1e3)
-        for point in parallel.get("spill_curve", ()):
-            key = f"parallel::budget={point['budget']}"
-            stats[key] = KeyStats(key, point["elapsed_s"] * 1e3)
     batch = doc.get("batch")
     if batch:
-        for cell in ("row_serial", "batch_serial", "batch_rows", "combined_4w"):
+        for cell in ("row_serial", "batch_serial", "batch_rows"):
             key = f"batch::{cell}"
             stats[key] = KeyStats(key, batch[f"{cell}_s"] * 1e3)
     yannakakis = doc.get("yannakakis")

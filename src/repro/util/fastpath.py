@@ -1,330 +1,82 @@
-"""Global switch between the fast kernels and the naive reference code.
+"""The execution switches: one mechanism, instantiated once per choice.
 
-The algebra operators and the subgraph machinery each exist twice: a
-naive transcription of the paper's definitions (the semantic oracle) and
-a hash/bitset fast path that must be bag-equal to it.  This module holds
-the process-wide dispatch switch so the benchmark runner can reproduce
-the naive baseline (``--naive``) and the property tests can compare the
-two paths in one process.
+Several layers exist twice — a reference path (the naive transcription
+of the paper, the row-at-a-time iterators, the binary DP plan) and a
+fast path that must be bag-equal to it.  A :class:`Switch` picks between
+them: a process default read once from the environment at import, plus
+scoped overrides that are private to the thread that opened them, so a
+test or a service worker can pin a mode for its own query without
+another thread seeing it or restoring over it.  README's switch table
+lists the variables; the instances below say what each one selects.
 
-The default is the fast path; set the environment variable
-``REPRO_NAIVE_KERNELS=1`` (before import) or call
-:func:`set_fast_kernels` / :func:`kernel_mode` to flip it.
+The module lives under ``util`` so the algebra can consult it without
+importing the engine.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 
-_enabled: bool = os.environ.get("REPRO_NAIVE_KERNELS", "").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-#: Parallel execution is opt-in: ``REPRO_PARALLEL=1`` (or truthy) turns
-#: on the morsel-driven partitioned join path in
-#: :mod:`repro.engine.parallel`.  The switch lives here, not in the
-#: engine, so the algebra operators can consult it without an import
-#: cycle — the engine already imports the algebra.
-_parallel: bool = os.environ.get("REPRO_PARALLEL", "").lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
-#: Vectorized batch execution is opt-out: ``REPRO_BATCH=0`` falls back to
-#: the row-at-a-time iterators.  Default on — the batch kernels are
-#: bag-identical (indeed sequence-identical) to the row path, so the
-#: faster representation is the default and the row path remains the
-#: differential baseline (the ``engine`` conformance tier pins it off).
-_batch: bool = os.environ.get("REPRO_BATCH", "").lower() not in (
-    "0",
-    "false",
-    "no",
-)
-
-#: The acyclic fast path (GYO + Yannakakis semijoin reduction) is
-#: opt-out: ``REPRO_YANNAKAKIS=0`` pins the optimizer to the binary-tree
-#: DP plans.  Default on — the optimizer only takes the fast path when
-#: the cost model favors it and the safety certificate holds, and the
-#: toggle exists so the conformance suite can prove the DP fallback is
-#: byte-identical when the path is disabled.
-_yannakakis: bool = os.environ.get("REPRO_YANNAKAKIS", "").lower() not in (
-    "0",
-    "false",
-    "no",
-)
-
-#: Process-sharded execution is opt-in: ``REPRO_SHARD=1`` (or truthy)
-#: turns on the multiprocessing dispatch in :mod:`repro.engine.shard`
-#: (tables hash-sharded on a join-key attribute class across a pool of
-#: worker processes).  Default off — with the switch off the dispatch is
-#: never consulted, so the threaded path is byte-identical to a build
-#: without the shard module.
-_shard: bool = os.environ.get("REPRO_SHARD", "").lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
-#: The cyclic fast path (sorted tries + Leapfrog Triejoin) is opt-out:
-#: ``REPRO_WCOJ=0`` pins cyclic join cores to the binary-tree DP plans.
-#: Default on — the optimizer only dispatches to the worst-case optimal
-#: operator when the join core is genuinely cyclic (GYO fails), contains
-#: no outerjoins, and the AGM fractional-cover bound beats the DP plan's
-#: C_out estimate; the toggle exists so the conformance suite can prove
-#: the DP fallback is byte-identical when the path is disabled.
-_wcoj: bool = os.environ.get("REPRO_WCOJ", "").lower() not in (
-    "0",
-    "false",
-    "no",
-)
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _env_batch_size() -> int:
-    raw = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if not raw:
-        return 1024
-    try:
-        size = int(raw)
-    except ValueError:
-        return 1024
-    return size if size >= 1 else 1024
+class Switch:
+    """A process-wide default plus per-thread scoped overrides.
+
+    ``env`` names the variable whose boolean spelling replaces
+    ``default`` (``negate`` for a variable that turns the switch *off*
+    when set); without ``env`` the switch just carries ``default``.
+    """
+
+    def __init__(self, default, env: str | None = None, negate: bool = False):
+        flag = _FLAGS.get(os.environ.get(env, "").strip().lower()) if env else None
+        self.default = default if flag is None else flag != negate
+        self._tls = threading.local()
+
+    def value(self):
+        """The innermost :meth:`scoped` override on this thread, else the default."""
+        stack = getattr(self._tls, "stack", None)
+        return stack[-1] if stack else self.default
+
+    @contextmanager
+    def scoped(self, value):
+        """Override the value on this thread for the duration of the block."""
+        stack = getattr(self._tls, "stack", None)
+        if stack is None:
+            stack = self._tls.stack = []
+        stack.append(type(self.default)(value))
+        try:
+            yield
+        finally:
+            stack.pop()
 
 
+#: Hash kernels and bitset enumeration versus the naive reference code.
+_KERNELS = Switch(True, "REPRO_NAIVE_KERNELS", negate=True)
+#: Vectorized columnar batches versus the row iterators; sequence-identical,
+#: so the row path stays the differential baseline (``engine`` tier).
+_BATCH = Switch(True, "REPRO_BATCH")
+#: GYO + Yannakakis semijoin reduction, taken only when the cost gate and
+#: the Theorem 1 safety certificate allow; off is byte-identical DP.
+_YANNAKAKIS = Switch(True, "REPRO_YANNAKAKIS")
+#: Leapfrog Triejoin on cyclic pure-join cores behind the AGM gate; off is
+#: byte-identical DP.
+_WCOJ = Switch(True, "REPRO_WCOJ")
 #: Rows per :class:`~repro.engine.batch.ColumnBatch` pulled from a scan or
-#: produced by the row->batch shim.  Operators may emit larger batches
-#: (a join's output batch follows its probe batch's match multiplicity).
-_batch_size: int = _env_batch_size()
+#: produced by the row->batch shim (operators may emit larger batches).
+_BATCH_SIZE = Switch(1024)
 
-#: Thread-local overrides pushed by :func:`parallel_mode` /
-#: :func:`batch_mode`.  Scoping the *temporary* switch per thread lets
-#: each QueryService worker force a mode for its own query without racing
-#: other threads' restores (the process-wide default stays whatever the
-#: env / :func:`set_parallel` / :func:`set_batch` said).
-import threading as _threading
-
-_parallel_tls = _threading.local()
-_shard_tls = _threading.local()
-_batch_tls = _threading.local()
-_yannakakis_tls = _threading.local()
-_wcoj_tls = _threading.local()
+fast_enabled, kernel_mode = _KERNELS.value, _KERNELS.scoped
+batch_enabled, batch_mode = _BATCH.value, _BATCH.scoped
+yannakakis_enabled, yannakakis_mode = _YANNAKAKIS.value, _YANNAKAKIS.scoped
+wcoj_enabled, wcoj_mode = _WCOJ.value, _WCOJ.scoped
+batch_size = _BATCH_SIZE.value
 
 
-def fast_enabled() -> bool:
-    """Is the fast-kernel dispatch currently on?"""
-    return _enabled
-
-
-def parallel_enabled() -> bool:
-    """Is the morsel-driven parallel join dispatch currently on?
-
-    The innermost :func:`parallel_mode` override on *this thread* wins;
-    otherwise the process-wide default applies.
-    """
-    stack = getattr(_parallel_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _parallel
-
-
-def set_parallel(enabled: bool) -> bool:
-    """Set the process-wide parallel default; returns the previous one."""
-    global _parallel
-    previous = _parallel
-    _parallel = bool(enabled)
-    return previous
-
-
-@contextmanager
-def parallel_mode(enabled: bool):
-    """Force the parallel path on (True) or off (False) for this thread."""
-    stack = getattr(_parallel_tls, "stack", None)
-    if stack is None:
-        stack = _parallel_tls.stack = []
-    stack.append(bool(enabled))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def shard_enabled() -> bool:
-    """Is the process-sharded execution dispatch currently on?
-
-    The innermost :func:`shard_mode` override on *this thread* wins;
-    otherwise the process-wide default (``REPRO_SHARD``, default off)
-    applies.
-    """
-    stack = getattr(_shard_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _shard
-
-
-def set_shard(enabled: bool) -> bool:
-    """Set the process-wide shard default; returns the previous one."""
-    global _shard
-    previous = _shard
-    _shard = bool(enabled)
-    return previous
-
-
-@contextmanager
-def shard_mode(enabled: bool):
-    """Force sharded execution on (True) or off (False) for this thread."""
-    stack = getattr(_shard_tls, "stack", None)
-    if stack is None:
-        stack = _shard_tls.stack = []
-    stack.append(bool(enabled))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def batch_enabled() -> bool:
-    """Is vectorized columnar batch execution currently on?
-
-    The innermost :func:`batch_mode` override on *this thread* wins;
-    otherwise the process-wide default (``REPRO_BATCH``, default on)
-    applies.
-    """
-    stack = getattr(_batch_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _batch
-
-
-def set_batch(enabled: bool) -> bool:
-    """Set the process-wide batch default; returns the previous one."""
-    global _batch
-    previous = _batch
-    _batch = bool(enabled)
-    return previous
-
-
-@contextmanager
-def batch_mode(enabled: bool):
-    """Force batch execution on (True) or off (False) for this thread."""
-    stack = getattr(_batch_tls, "stack", None)
-    if stack is None:
-        stack = _batch_tls.stack = []
-    stack.append(bool(enabled))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def yannakakis_enabled() -> bool:
-    """Is the acyclic Yannakakis fast path currently eligible?
-
-    The innermost :func:`yannakakis_mode` override on *this thread*
-    wins; otherwise the process-wide default (``REPRO_YANNAKAKIS``,
-    default on) applies.
-    """
-    stack = getattr(_yannakakis_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _yannakakis
-
-
-def set_yannakakis(enabled: bool) -> bool:
-    """Set the process-wide Yannakakis default; returns the previous one."""
-    global _yannakakis
-    previous = _yannakakis
-    _yannakakis = bool(enabled)
-    return previous
-
-
-@contextmanager
-def yannakakis_mode(enabled: bool):
-    """Force the acyclic fast path on (True) or off (False) for this thread."""
-    stack = getattr(_yannakakis_tls, "stack", None)
-    if stack is None:
-        stack = _yannakakis_tls.stack = []
-    stack.append(bool(enabled))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def wcoj_enabled() -> bool:
-    """Is the cyclic Leapfrog-Triejoin fast path currently eligible?
-
-    The innermost :func:`wcoj_mode` override on *this thread* wins;
-    otherwise the process-wide default (``REPRO_WCOJ``, default on)
-    applies.
-    """
-    stack = getattr(_wcoj_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _wcoj
-
-
-def set_wcoj(enabled: bool) -> bool:
-    """Set the process-wide WCOJ default; returns the previous one."""
-    global _wcoj
-    previous = _wcoj
-    _wcoj = bool(enabled)
-    return previous
-
-
-@contextmanager
-def wcoj_mode(enabled: bool):
-    """Force the cyclic fast path on (True) or off (False) for this thread."""
-    stack = getattr(_wcoj_tls, "stack", None)
-    if stack is None:
-        stack = _wcoj_tls.stack = []
-    stack.append(bool(enabled))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def batch_size() -> int:
-    """The configured rows-per-batch (``REPRO_BATCH_SIZE``, default 1024)."""
-    return _batch_size
-
-
-def set_batch_size(size: int) -> int:
-    """Set the process-wide batch size; returns the previous one."""
-    global _batch_size
+def batch_sized(size: int):
+    """Pin the batch size on this thread (tests and the conformance tier)."""
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
-    previous = _batch_size
-    _batch_size = int(size)
-    return previous
-
-
-@contextmanager
-def batch_sized(size: int):
-    """Temporarily pin the batch size (tests and the conformance tier)."""
-    previous = set_batch_size(size)
-    try:
-        yield
-    finally:
-        set_batch_size(previous)
-
-
-def set_fast_kernels(enabled: bool) -> bool:
-    """Turn the fast path on or off; returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def kernel_mode(enabled: bool):
-    """Temporarily force the fast path on (True) or off (False)."""
-    previous = set_fast_kernels(enabled)
-    try:
-        yield
-    finally:
-        set_fast_kernels(previous)
+    return _BATCH_SIZE.scoped(size)

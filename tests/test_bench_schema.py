@@ -9,12 +9,10 @@ import pytest
 from repro.tools.benchschema import (
     SchemaValidationError,
     is_servicebench_report,
-    is_trafficgen_report,
     load_schema,
     validate,
     validate_report,
     validate_servicebench_report,
-    validate_trafficgen_report,
 )
 from repro.util.errors import ReproError
 
@@ -71,25 +69,25 @@ def test_checked_in_bench_report_validates():
     """Every checked-in artifact validates against its own schema.
 
     ``meta.artifact == "BENCH_PR4"`` marks a service-benchmark artifact
-    (``docs/servicebench.schema.json``), ``"BENCH_PR9"`` an open-loop
-    traffic artifact (``docs/trafficgen.schema.json``); everything else
-    is a benchrunner report (``docs/bench_report.schema.json``).
+    (``docs/servicebench.schema.json``); everything else is a
+    benchrunner report (``docs/bench_report.schema.json``).
+    ``BENCH_PR9.json`` is history only: the tool that wrote it and its
+    schema were removed with the process-shard mode it measured.
     """
     candidates = sorted(ROOT.glob("BENCH_*.json"))
     assert candidates, "expected a checked-in BENCH_*.json report"
     kinds = set()
     for path in candidates:
+        if path.name == "BENCH_PR9.json":
+            continue
         document = json.loads(path.read_text())
         if is_servicebench_report(document):
             validate_servicebench_report(document, root=ROOT)
             kinds.add("service")
-        elif is_trafficgen_report(document):
-            validate_trafficgen_report(document, root=ROOT)
-            kinds.add("traffic")
         else:
             validate_report(document, root=ROOT)
             kinds.add("benchrunner")
-    assert kinds == {"service", "traffic", "benchrunner"}
+    assert kinds == {"service", "benchrunner"}
 
 
 @pytest.mark.parametrize(

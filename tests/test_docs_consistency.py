@@ -59,3 +59,19 @@ class TestLayoutMatchesDocs:
         for path in (ROOT / "src" / "repro").rglob("*.py"):
             tree = ast.parse(path.read_text())
             assert ast.get_docstring(tree), f"{path} lacks a module docstring"
+
+
+class TestSwitchTableMatchesSource:
+    #: Set by benchrunner for benchmarks/conftest.py to write counters to;
+    #: a handoff between two of our own processes, not a user switch.
+    INTERNAL = {"REPRO_BENCH_STATS_FILE"}
+
+    def test_readme_lists_exactly_the_variables_the_source_names(self):
+        in_source = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            in_source.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        readme = (ROOT / "README.md").read_text()
+        table = readme.split("### Switches", 1)[1].split("###", 1)[0]
+        in_table = set(re.findall(r"^\| `(REPRO_[A-Z_]+)`", table, re.MULTILINE))
+        assert in_table == in_source - self.INTERNAL
+

@@ -155,3 +155,25 @@ class TestPipeline:
             )
             result, run = optimize_and_run(q, storage)
             assert bag_equal(run.relation, q.eval(db)), seed
+
+    def test_parked_multi_relation_conjunct_falls_back(self):
+        """No query graph for a conjunct parked above inner joins: written order stands."""
+        from repro.algebra import gt
+
+        db = next(iter(random_databases(SCHEMAS, 1, seed=3, domain=3)))
+        storage = Storage.from_database(db)
+        q = Restrict(jn(jn("R1", "R2", P12), "R3", P23), gt("R1.b", "R3.b"))
+        result, run = optimize_and_run(q, storage)
+        assert result.graph is None and not result.reordered
+        assert bag_equal(run.relation, q.eval(db))
+
+    def test_programming_error_in_graph_of_is_not_served_as_written_order(self, monkeypatch):
+        import repro.optimizer.pipeline as pipeline
+
+        def broken(core, registry):
+            raise RuntimeError("bug in graph_of")
+
+        monkeypatch.setattr(pipeline, "graph_of", broken)
+        with pytest.raises(RuntimeError, match="bug in graph_of"):
+            optimize_query(jn("R1", "R2", eq("R1.k", "R2.k")), example1_storage(10))
+

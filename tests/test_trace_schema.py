@@ -131,11 +131,11 @@ class TestBenchReportSchema:
 
         root = Path(__file__).resolve().parents[1]
         for report_path in sorted(root.glob("BENCH_*.json")):
+            if report_path.name == "BENCH_PR9.json":
+                continue  # history only; its schema went with trafficgen
             document = json.loads(report_path.read_text())
             if benchschema.is_servicebench_report(document):
                 benchschema.validate_servicebench_report(document)
-            elif benchschema.is_trafficgen_report(document):
-                benchschema.validate_trafficgen_report(document, root=root)
             else:
                 benchschema.validate_report(document)
 

@@ -1,5 +1,7 @@
 """Tests for the utility modules (rng, pretty, errors) and planner options."""
 
+import threading
+
 import pytest
 
 from repro.algebra import eq
@@ -91,3 +93,52 @@ class TestPlannerMergeOption:
 
         with pytest.raises(PlanningError):
             Planner(Storage(), equi_join="quantum")
+
+
+class TestSwitchOverridesArePerThread:
+    def test_overlapping_scopes_on_two_threads_each_read_their_own(self):
+        from repro.util.fastpath import (
+            batch_enabled,
+            batch_mode,
+            batch_size,
+            batch_sized,
+            fast_enabled,
+            kernel_mode,
+        )
+
+        def current():
+            return fast_enabled(), batch_enabled(), batch_size()
+
+        default = current()
+        barrier = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def hold(flag, size):
+            with kernel_mode(flag), batch_mode(not flag), batch_sized(size):
+                barrier.wait()  # both scopes are open ...
+                seen[flag] = current()
+                barrier.wait()  # ... and both have read before either exits
+            barrier.wait()
+            seen[flag, "after"] = current()
+
+        threads = [
+            threading.Thread(target=hold, args=(True, 2)),
+            threading.Thread(target=hold, args=(False, 3)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert seen[True] == (True, False, 2)
+        assert seen[False] == (False, True, 3)
+        assert seen[True, "after"] == seen[False, "after"] == default
+        assert current() == default
+
+    def test_batch_sized_rejects_sizes_below_one(self):
+        from repro.util.fastpath import batch_size, batch_sized
+
+        with pytest.raises(ValueError):
+            batch_sized(0)
+        assert batch_size() == 1024
+
