@@ -3,11 +3,10 @@
 The conformance layer proved that transpiled SQL on a real engine agrees
 with the local evaluator; this package promotes that machinery from test
 harness to *execution backend*.  A backend is anything that can hold a
-copy of the data and answer expression trees: the local engine itself
-(:class:`~repro.backends.local.LocalBackend`), the stdlib SQLite engine
-(:class:`~repro.backends.sqlite_backend.SQLiteBackend`), or DuckDB when
-the wheel is importable
-(:class:`~repro.backends.duckdb_backend.DuckDBBackend`).
+copy of the data and answer expression trees; the one built in is the
+stdlib SQLite engine (:class:`~repro.backends.sqlite_backend.SQLiteBackend`).
+The service's ``local`` route is the in-process engine and does not go
+through this package.
 
 Two properties make the package an optimizer laboratory rather than a
 mere federation shim:
@@ -25,20 +24,17 @@ mere federation shim:
 
 from repro.backends.base import (
     BACKEND_ENV,
-    BackendCapabilities,
     BackendUnavailableError,
     ExecutionBackend,
     available_backends,
     create_backend,
     default_backend_name,
     register_backend,
-    registered_backends,
 )
 from repro.backends.hints import HintError, hinted_sql, join_shape, parse_join_shape
 
 __all__ = [
     "BACKEND_ENV",
-    "BackendCapabilities",
     "BackendUnavailableError",
     "ExecutionBackend",
     "HintError",
@@ -49,5 +45,4 @@ __all__ = [
     "join_shape",
     "parse_join_shape",
     "register_backend",
-    "registered_backends",
 ]

@@ -1,18 +1,17 @@
-"""The :class:`ExecutionBackend` interface, capabilities, and registry.
+"""The :class:`ExecutionBackend` interface and registry.
 
 A backend owns a *copy* of the data (pushed by :meth:`ExecutionBackend.sync`,
 keyed on the storage generation so unchanged data is never re-shipped) and
 evaluates expression trees against it.  ``execute`` takes an optional
 *hint*: a physical tree whose join order the backend must reproduce
 exactly — rendered by :mod:`repro.backends.hints` as explicitly nested
-JOIN SQL for the SQL backends, or executed verbatim by the local engine.
+JOIN SQL.
 
 Backends are constructed through a name registry so that the service,
 the conformance tiers, and the benchmark harness all route through one
-factory — and so optional backends (DuckDB) can *register* even when
-their wheel is absent, failing at construction time with
-:class:`BackendUnavailableError`, which the conformance cross-checker
-records as a skip rather than a failure.
+factory; an unknown name fails with :class:`BackendUnavailableError`,
+which the conformance cross-checker records as a skip rather than a
+failure.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import os
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.algebra.relation import Relation
@@ -33,7 +31,7 @@ BACKEND_ENV = "REPRO_BACKEND"
 
 
 class BackendUnavailableError(PlanningError):
-    """The backend cannot be constructed here (missing wheel, bad name).
+    """The backend cannot be constructed here (unknown name).
 
     Derives from :class:`~repro.util.errors.PlanningError` so the
     conformance cross-checker records the tier as *skipped*, mirroring
@@ -41,31 +39,8 @@ class BackendUnavailableError(PlanningError):
     """
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can do; consulted by routers before dispatching.
-
-    ``supports_hints`` — accepts a physical tree whose join order must be
-    reproduced; ``native_optimizer`` — has its own join-order optimizer
-    worth A/B-ing against (False for the local engine, which *is* the
-    optimizer under test); ``persistent`` — holds synced data across
-    queries, making generation-keyed sync worthwhile.
-    """
-
-    name: str
-    dialect: str
-    supports_hints: bool
-    native_optimizer: bool
-    persistent: bool
-
-
 class ExecutionBackend(ABC):
     """Abstract base: hold data, answer expression trees."""
-
-    @property
-    @abstractmethod
-    def capabilities(self) -> BackendCapabilities:
-        """Static descriptor of this backend's abilities."""
 
     @abstractmethod
     def sync(self, storage: Storage) -> bool:
@@ -77,28 +52,21 @@ class ExecutionBackend(ABC):
         """
 
     @abstractmethod
-    def execute(
-        self,
-        expr: Expression,
-        hint: Optional[Expression] = None,
-        fingerprint: Optional[str] = None,
-    ) -> Relation:
+    def execute(self, expr: Expression, hint: Optional[Expression] = None) -> Relation:
         """Evaluate ``expr`` against the synced data.
 
         ``hint`` is a physical tree (same semantics as ``expr``) whose
         join order the backend must follow; None lets the backend's own
-        optimizer choose.  ``fingerprint`` (the PR-4 plan fingerprint)
-        keys prepared-statement reuse: two calls with the same
-        fingerprint and hint mode may reuse the compiled statement.
+        optimizer choose.
         """
 
     @abstractmethod
     def close(self) -> None:
         """Release connections; the backend must not be used afterwards."""
 
+    @abstractmethod
     def snapshot(self) -> Dict[str, object]:
-        """Introspection counters for service books; override to extend."""
-        return {"backend": self.capabilities.name}
+        """Introspection counters for service books."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -111,52 +79,36 @@ class ExecutionBackend(ABC):
 # Registry
 # ---------------------------------------------------------------------------
 
-#: name -> (factory, probe).  The probe answers "could the factory
-#: succeed here?" without side effects; None means always available.
-_REGISTRY: Dict[str, Tuple[Callable[..., ExecutionBackend], Optional[Callable[[], bool]]]] = {}
+_REGISTRY: Dict[str, Callable[..., ExecutionBackend]] = {}
 _REGISTRY_LOCK = threading.Lock()
 
 
-def register_backend(
-    name: str,
-    factory: Callable[..., ExecutionBackend],
-    probe: Optional[Callable[[], bool]] = None,
-) -> None:
+def register_backend(name: str, factory: Callable[..., ExecutionBackend]) -> None:
     """Register a backend factory under ``name`` (last registration wins)."""
     with _REGISTRY_LOCK:
-        _REGISTRY[name] = (factory, probe)
+        _REGISTRY[name] = factory
 
 
-def registered_backends() -> Tuple[str, ...]:
-    """All registered names, available here or not, in sorted order."""
+def available_backends() -> Tuple[str, ...]:
+    """All registered backend names, in sorted order."""
     _ensure_builtin()
     with _REGISTRY_LOCK:
         return tuple(sorted(_REGISTRY))
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Registered names whose probe passes in this environment."""
-    _ensure_builtin()
-    with _REGISTRY_LOCK:
-        items = list(_REGISTRY.items())
-    return tuple(sorted(name for name, (_f, probe) in items if probe is None or probe()))
-
-
 def create_backend(name: str, **kwargs) -> ExecutionBackend:
     """Instantiate a registered backend.
 
-    Raises :class:`BackendUnavailableError` for unknown names and for
-    registered-but-absent optional backends (e.g. DuckDB without the
-    wheel), so callers can treat both uniformly as a skip.
+    Raises :class:`BackendUnavailableError` for unknown names, which
+    callers treat as a skip.
     """
     _ensure_builtin()
     with _REGISTRY_LOCK:
-        entry = _REGISTRY.get(name)
-    if entry is None:
+        factory = _REGISTRY.get(name)
+    if factory is None:
         raise BackendUnavailableError(
-            f"unknown backend {name!r}; registered: {', '.join(registered_backends())}"
+            f"unknown backend {name!r}; registered: {', '.join(available_backends())}"
         )
-    factory, _probe = entry
     return factory(**kwargs)
 
 
@@ -171,8 +123,8 @@ _BUILTIN_DONE = False
 def _ensure_builtin() -> None:
     """Import the built-in implementations exactly once (they self-register).
 
-    Deferred so that ``repro.backends.base`` never drags sqlite3/duckdb
-    imports into module load of unrelated code paths.
+    Deferred so that ``repro.backends.base`` never drags the sqlite3
+    import into module load of unrelated code paths.
     """
     global _BUILTIN_DONE
     if _BUILTIN_DONE:
@@ -181,6 +133,4 @@ def _ensure_builtin() -> None:
         if _BUILTIN_DONE:
             return
         _BUILTIN_DONE = True
-    import repro.backends.duckdb_backend  # noqa: F401  (self-registers)
-    import repro.backends.local  # noqa: F401
-    import repro.backends.sqlite_backend  # noqa: F401
+    import repro.backends.sqlite_backend  # noqa: F401  (self-registers)

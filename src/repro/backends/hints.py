@@ -24,10 +24,6 @@ operands are fenced in one: the subtree evaluates as a unit exactly
 where the tree says, and ``CROSS JOIN`` pins the operand order within
 each binary join.
 
-DuckDB keeps the written order once its reordering passes are off
-(``SET disabled_optimizers='join_order,build_side_probe_side'``), so it
-gets the plain nested shape with ``INNER JOIN`` spelling and no fences.
-
 Three exports:
 
 * :func:`join_shape` — the tree's order as nested name tuples, the
@@ -64,13 +60,6 @@ class HintError(PlanningError):
     """The expression has no order-forcing SQL form (operator or predicate)."""
 
 
-#: SQL join keyword per dialect, per operator kind.  ``CROSS JOIN`` is
-#: SQLite's documented no-reorder spelling (it accepts an ON clause like
-#: any inner join); DuckDB rejects ``CROSS JOIN ... ON``, so it gets
-#: plain ``INNER JOIN`` and relies on disabled optimizer passes instead.
-_INNER_KEYWORD = {"sqlite": "CROSS JOIN", "duckdb": "INNER JOIN"}
-
-
 def join_shape(expr: Expression) -> JoinShape:
     """The execution order of a physical tree as nested name tuples.
 
@@ -90,28 +79,18 @@ def join_shape(expr: Expression) -> JoinShape:
     raise HintError(f"operator {type(expr).__name__} has no hinted-SQL form")
 
 
-def _flat(shape: JoinShape) -> List[str]:
-    if isinstance(shape, str):
-        return [shape]
-    return _flat(shape[0]) + _flat(shape[1])
-
-
-def hinted_sql(
-    expr: Expression, registry: SchemaRegistry, dialect: str = "sqlite"
-) -> Tuple[str, List[str]]:
+def hinted_sql(expr: Expression, registry: SchemaRegistry) -> Tuple[str, List[str]]:
     """Render ``expr`` as one SELECT whose FROM clause pins the join order.
 
     Supported shapes are trees of Rel / Restrict / Join / LeftOuterJoin /
     RightOuterJoin — exactly the physical trees the optimizer emits
     (``PipelineResult.chosen``).  A ``Restrict`` over a non-leaf subtree
     becomes a named subquery, which still pins the order *inside* it.
+    Inner joins are spelled ``CROSS JOIN``, SQLite's documented
+    no-reorder spelling (it accepts an ON clause like any inner join).
     Raises :class:`HintError` for other operators and for predicates with
     no SQL rendering.
     """
-    if dialect not in _INNER_KEYWORD:
-        raise HintError(f"unknown hint dialect {dialect!r}")
-    inner_kw = _INNER_KEYWORD[dialect]
-    barriers = dialect == "sqlite"
     counter = [0]
 
     def alias() -> str:
@@ -136,7 +115,7 @@ def hinted_sql(
         a unit, exactly where the tree says it does.
         """
         src, cols, composite = render(node)
-        if composite and barriers:
+        if composite:
             collist = ", ".join(sql_identifier(c) for c in cols)
             return f"(SELECT {collist} FROM {src} LIMIT -1) AS {alias()}", cols
         return src, cols
@@ -149,7 +128,7 @@ def hinted_sql(
             src, cols, composite = render(node.child)
             collist = ", ".join(sql_identifier(c) for c in cols)
             where = pred_sql(node.predicate)
-            fence = " LIMIT -1" if composite and barriers else ""
+            fence = " LIMIT -1" if composite else ""
             return (
                 f"(SELECT {collist} FROM {src} WHERE {where}{fence}) AS {alias()}",
                 cols,
@@ -161,7 +140,7 @@ def hinted_sql(
                 keyword = "LEFT JOIN"
             else:
                 first, second = node.left, node.right
-                keyword = "LEFT JOIN" if isinstance(node, LeftOuterJoin) else inner_kw
+                keyword = "LEFT JOIN" if isinstance(node, LeftOuterJoin) else "CROSS JOIN"
             lsrc, lcols = operand(first)
             rsrc, rcols = operand(second)
             on = pred_sql(node.predicate)
@@ -177,7 +156,7 @@ def hinted_sql(
 # Round-trip parser
 # ---------------------------------------------------------------------------
 
-_JOIN_STARTERS = {"CROSS", "LEFT", "INNER", "JOIN"}
+_JOIN_STARTERS = {"CROSS", "LEFT", "JOIN"}
 
 
 def _tokenize(sql: str) -> List[Tuple[str, str]]:
@@ -337,8 +316,3 @@ def parse_join_shape(sql: str) -> JoinShape:
     ts.expect("word", "SELECT")
     _skip_to_from(ts)
     return _parse_source(ts)
-
-
-def hinted_tables(expr: Expression) -> List[str]:
-    """Base tables in hint order (left-to-right leaf walk of the shape)."""
-    return _flat(join_shape(expr))

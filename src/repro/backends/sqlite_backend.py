@@ -5,7 +5,7 @@ re-shipped every relation; this backend keeps one **persistent
 connection**, syncs data only when the storage *generation* changes,
 wraps loads in a single transaction with ``executemany`` **batched
 inserts**, builds **indexes on join keys** extracted from equi-join
-conjuncts, and caches transpiled SQL keyed by the plan fingerprint so
+conjuncts, and caches transpiled SQL keyed by the expression tree so
 sqlite3's internal statement cache can reuse the **prepared statement**
 across calls.
 
@@ -36,7 +36,7 @@ from repro.algebra.relation import Database, Relation
 from repro.algebra.schema import SchemaRegistry
 from repro.algebra.sqlrender import sql_identifier
 from repro.algebra.tuples import Row
-from repro.backends.base import BackendCapabilities, ExecutionBackend, register_backend
+from repro.backends.base import ExecutionBackend, register_backend
 from repro.backends.hints import hinted_sql
 from repro.core.expressions import BinaryOp, Expression, Restrict
 from repro.engine.storage import Storage
@@ -46,15 +46,6 @@ from repro.util.errors import EvaluationError, SchemaError
 #: Rows per INSERT batch.  executemany already loops in C; the batch
 #: bound just keeps peak argument-buffer memory flat on wide loads.
 INSERT_BATCH = 4096
-
-_CAPS = BackendCapabilities(
-    name="sqlite",
-    dialect="sqlite",
-    supports_hints=True,
-    native_optimizer=True,
-    persistent=True,
-)
-
 
 def _index_targets(expr: Expression, registry: SchemaRegistry) -> List[Tuple[str, str]]:
     """(table, attribute) pairs worth indexing: attr-to-attr equi-join keys."""
@@ -109,10 +100,6 @@ class SQLiteBackend(ExecutionBackend):
             "statement_misses": 0,
             "indexes_built": 0,
         }
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return _CAPS
 
     @property
     def registry(self) -> SchemaRegistry:
@@ -203,29 +190,27 @@ class SQLiteBackend(ExecutionBackend):
 
     # -- execution -----------------------------------------------------------
 
-    def _statement(
-        self,
-        expr: Expression,
-        hint: Optional[Expression],
-        fingerprint: Optional[str],
-    ) -> str:
+    def _statement(self, expr: Expression, hint: Optional[Expression]) -> str:
         """Transpile (or replay) the SQL for one execution.
 
-        The cache key is the plan fingerprint when the caller has one —
-        stable across structurally-equal queries — or the expression
-        itself (trees are hashable) otherwise.  Identical SQL text then
-        hits sqlite3's internal compiled-statement cache, giving
-        prepared-statement reuse without an explicit prepare API.
+        The cache key is the expression tree that is rendered (trees are
+        hashable).  Not the plan fingerprint: that identifies the query
+        *graph*, and when the graph is not freely reorderable, implementing
+        trees with different results share it.  A warm plan-cache hit
+        replays the same chosen tree, so repeated shapes still hit.
+        Identical SQL text then hits sqlite3's internal compiled-statement
+        cache, giving prepared-statement reuse without an explicit
+        prepare API.
         """
         mode = "hinted" if hint is not None else "native"
-        key: object = (mode, fingerprint) if fingerprint else (mode, hint or expr)
+        key = (mode, hint or expr)
         hit = self._sql_cache.get(key)
         if hit is not None:
             self.counters["statement_hits"] += 1
             return hit[0]
         self.counters["statement_misses"] += 1
         if hint is not None:
-            sql, _cols = hinted_sql(hint, self.registry, dialect="sqlite")
+            sql, _cols = hinted_sql(hint, self.registry)
         else:
             from repro.conformance.sqlite_oracle import to_sqlite_sql
 
@@ -233,18 +218,13 @@ class SQLiteBackend(ExecutionBackend):
         self._sql_cache[key] = (sql, hint is not None)
         return sql
 
-    def execute(
-        self,
-        expr: Expression,
-        hint: Optional[Expression] = None,
-        fingerprint: Optional[str] = None,
-    ) -> Relation:
+    def execute(self, expr: Expression, hint: Optional[Expression] = None) -> Relation:
         with self._lock:
             self.counters["queries"] += 1
             if hint is not None:
                 self.counters["hinted_queries"] += 1
                 self.ensure_join_indexes(hint)
-            sql = self._statement(expr, hint, fingerprint)
+            sql = self._statement(expr, hint)
             instrumentation.bump("backend_sqlite_queries")
             cursor = self._conn.execute(sql)
             names = [d[0] for d in cursor.description]

@@ -7,9 +7,8 @@ three independent oracle tiers:
 
 1. **naive algebra** (``executors="naive"``): the nested-loop operators
    that transcribe the paper's definitions — the in-tree semantic truth;
-2. **engine tiers** (``"kernels"``, ``"engine"``, ``"engine-merge"``):
-   the hash kernels and the iterator engine's hash/merge plans — the
-   code we actually want to trust;
+2. **engine tiers** (``"kernels"``, ``"engine"``): the hash kernels and
+   the iterator engine's plans — the code we actually want to trust;
 3. **SQLite** (``"sqlite"``): the stdlib ``sqlite3`` engine running a
    transpiled form of the same query — an oracle that shares *no code*
    with this library.

@@ -10,16 +10,13 @@ tier                    route
                         the nested-loop transcription of the paper (oracle)
 ``"kernels"``           algebra operators with the fast kernels forced ON
 ``"algebra"``           algebra operators in whatever mode is active
-``"engine"``            physical planner + iterators, hash equi-joins
-``"engine-merge"``      physical planner + iterators, merge equi-joins
+``"engine"``            physical planner + iterators (hash equi-joins,
+                        vectorized scan/filter/project/join) at the
+                        default batch size
 ``"sqlite"``            transpiled SQL on stdlib sqlite3 (external oracle)
-``"batch"``             physical planner + iterators with vectorized
-                        columnar execution forced ON
-                        (:mod:`repro.engine.batch`), batch size pinned
-                        to 2 so small inputs still cross chunk
-                        boundaries; the plain ``engine`` tier pins batch
-                        execution OFF so the row-at-a-time path remains
-                        an independent baseline
+``"batch"``             the ``engine`` tier with the batch size pinned
+                        to 2 (:mod:`repro.engine.batch`), so small
+                        inputs still cross chunk boundaries
 ``"yannakakis"``        the acyclic fast path: every maximal
                         join/outerjoin subtree runs as a GYO join tree
                         through the full semijoin reducer
@@ -47,9 +44,6 @@ tier                    route
                         lowers to nested subqueries that SQLite's
                         optimizer reorders freely.  Declines when no
                         multi-relation core is hintable
-``"backend:duckdb"``    the full expression transpiled and run natively
-                        on DuckDB — a second real engine; skipped
-                        cleanly when the optional wheel is absent
 ======================  =====================================================
 
 :func:`cross_check` runs a query through any subset of tiers and demands
@@ -80,16 +74,14 @@ EXECUTOR_TIERS: Tuple[str, ...] = (
     "kernels",
     "algebra",
     "engine",
-    "engine-merge",
     "sqlite",
     "batch",
     "yannakakis",
     "wcoj",
     "backend:sqlite",
-    "backend:duckdb",
 )
 
-_ENGINE_TIERS = frozenset({"engine", "engine-merge", "batch"})
+_ENGINE_TIERS = frozenset({"engine", "batch"})
 
 #: Tiers that evaluate through :class:`~repro.engine.storage.Storage`
 #: (and hence benefit from a shared instance across many checks).
@@ -145,22 +137,18 @@ def run_executor(
         from repro.engine.executor import execute_plan
         from repro.engine.planner import Planner
         from repro.engine.storage import Storage
-        from repro.util.fastpath import batch_mode, batch_sized
+        from repro.util.fastpath import batch_sized
 
         if storage is None:
             storage = Storage.from_database(db)
-        algo = "merge" if name == "engine-merge" else "hash"
-        plan = Planner(storage, equi_join=algo).plan(expr)
+        plan = Planner(storage).plan(expr)
         if name == "batch":
             # Batch size 2 on purpose: the fuzzer's tiny relations then
             # still span several batches, exercising chunk boundaries,
             # zero-row selections, and cross-batch dedup/build state.
-            with batch_mode(True), batch_sized(2):
+            with batch_sized(2):
                 return execute_plan(plan).relation
-        # The row path is this tier's whole point: pin batching off so
-        # "engine"/"engine-merge" stay independent of the batch kernels.
-        with batch_mode(False):
-            return execute_plan(plan).relation
+        return execute_plan(plan).relation
     if name == "sqlite":
         from repro.conformance.sqlite_oracle import SQLiteOracle
 
@@ -265,10 +253,7 @@ def _tier_backend(name: str):
 def _run_backend_tier(backend_name: str, expr: Expression, db: Database) -> Relation:
     """Evaluate through a :mod:`repro.backends` execution backend.
 
-    ``backend:duckdb`` transpiles the *whole* expression and lets the
-    engine's native optimizer run it — a second independent engine next
-    to the ``sqlite`` oracle tier.  ``backend:sqlite`` instead *hints*:
-    every maximal hintable core (trees of Rel/Restrict/Join/LeftOuterJoin/
+    ``backend:sqlite`` *hints*: every maximal hintable core (trees of Rel/Restrict/Join/LeftOuterJoin/
     RightOuterJoin) is rendered as explicitly nested ``CROSS JOIN`` SQL
     pinning the written join order, so the order-forcing grammar itself
     is what gets differentially fuzzed; wrapper operators (FOJ, union,
@@ -282,9 +267,6 @@ def _run_backend_tier(backend_name: str, expr: Expression, db: Database) -> Rela
 
     backend = _tier_backend(backend_name)
     backend.load_database(db)
-
-    if backend_name != "sqlite":
-        return backend.execute(expr)
 
     took_fast_path = [False]
 
@@ -323,9 +305,7 @@ def _run_yannakakis(expr: Expression, db: Database, storage) -> Relation:
     A *core* subtree is a pure tree of Rel/Join/LeftOuterJoin/
     RightOuterJoin — exactly the fragment :func:`~repro.core.graph.graph_of`
     abstracts into a query graph.  Each maximal core runs as a GYO join
-    tree through :class:`~repro.engine.yannakakis.YannakakisOp` (under the
-    ambient batch mode, so the CI matrix covers both row and columnar
-    reducers); wrapper and extended operators evaluate via the algebra
+    tree through :class:`~repro.engine.yannakakis.YannakakisOp`; wrapper and extended operators evaluate via the algebra
     layer on the recursed children.  Raises :class:`PlanningError` — a
     cross-check *skip* — when no core yields a safe join tree, so the
     tier never silently duplicates the algebra tier.
@@ -370,8 +350,7 @@ def _run_wcoj(expr: Expression, db: Database, storage) -> Relation:
     implementing-tree side), so unlike the yannakakis tier they are
     handled as wrappers via the algebra layer.  Each maximal core whose
     attribute-class hypergraph is genuinely cyclic runs as a Leapfrog
-    Triejoin over sorted tries (under the ambient batch mode, so the CI
-    matrix covers both output paths).  Raises :class:`PlanningError` — a
+    Triejoin over sorted tries.  Raises :class:`PlanningError` — a
     cross-check *skip* — when no core is WCOJ-eligible, so the tier
     never silently duplicates the algebra tier.  Note the existing
     ``cycle``/``random`` fuzz topologies join every edge on ``.a = .a``,

@@ -14,7 +14,6 @@ from repro.engine.iterators import (
 )
 from repro.engine.explain import ExplainNode, explain, explain_analyze
 from repro.engine.goj_op import GeneralizedOuterJoinOp
-from repro.engine.merge_join import MergeJoin
 from repro.engine.metrics import Metrics
 from repro.engine.planner import Planner, split_equijoin
 from repro.engine.storage import ColumnStats, Storage, Table
@@ -29,7 +28,6 @@ __all__ = [
     "HashJoin",
     "IndexNestedLoopJoin",
     "Materialize",
-    "MergeJoin",
     "Metrics",
     "NestedLoopJoin",
     "PhysicalOp",

@@ -1,13 +1,10 @@
 """Vectorized columnar batch execution (MonetDB/X100 style).
 
-The engine's hot path — scan, filter, project, hash join — can execute
+The engine's hot path — scan, filter, project, hash join — executes
 batch-at-a-time over :class:`ColumnBatch` chunks instead of one
 ``Row``-dict at a time, amortizing Python interpreter overhead across
-hundreds of tuples per operator call (ROADMAP item 1).  The layer is a
-*representation* change only: every batch-native operator emits exactly
-the row sequence its row-at-a-time twin would, so ``REPRO_BATCH=0`` and
-``=1`` are byte-identical and the row path stays the differential
-baseline for the ``batch`` conformance tier.
+hundreds of tuples per operator call.  It is the only implementation of
+those operators; row consumers see the batches flattened.
 
 Layout:
 
@@ -17,10 +14,9 @@ Layout:
 * :mod:`~repro.engine.batch.kernels` — compiled filter kernels and the
   batch hash-join build/probe for every variant.
 
-The switches (:func:`~repro.util.fastpath.batch_enabled`,
-:func:`~repro.util.fastpath.batch_mode`,
-:func:`~repro.util.fastpath.batch_size`) live in
-:mod:`repro.util.fastpath` with the other dispatch toggles and are
+The chunk size (:func:`~repro.util.fastpath.batch_size`,
+:func:`~repro.util.fastpath.batch_sized`) lives in
+:mod:`repro.util.fastpath` with the other dispatch toggles and is
 re-exported here for convenience.
 """
 
@@ -35,12 +31,7 @@ from repro.engine.batch.kernels import (
     FilterKernel,
     compile_filter,
 )
-from repro.util.fastpath import (
-    batch_enabled,
-    batch_mode,
-    batch_size,
-    batch_sized,
-)
+from repro.util.fastpath import batch_size, batch_sized
 
 __all__ = [
     "ColumnBatch",
@@ -50,8 +41,6 @@ __all__ = [
     "BuildSide",
     "FilterKernel",
     "compile_filter",
-    "batch_enabled",
-    "batch_mode",
     "batch_size",
     "batch_sized",
 ]

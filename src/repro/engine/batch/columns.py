@@ -20,9 +20,8 @@ columnar:
   emitted.
 
 Batches preserve row order: ``to_rows()`` of the batches an operator
-emits replays exactly the sequence its row-at-a-time twin would yield,
-which is what makes ``REPRO_BATCH=0`` byte-identical to ``=1``
-(``tests/test_batch_exec.py`` proves it in a subprocess).
+emits is its row sequence, independent of the chunk size
+(``tests/test_batch_exec.py`` checks every size against 1024).
 """
 
 from __future__ import annotations

@@ -13,17 +13,17 @@ against a zero-copy column-row view.  A mixed predicate vectorizes the
 conjuncts it can and row-evaluates the rest over the (already narrowed)
 selection.  Any ``TypeError`` raised by a vectorized comparison re-runs
 that conjunct through the scalar evaluator so the error (and its
-message) is byte-identical to the row path's.
+message) is the algebra evaluator's.
 
 **Hash join.**  :class:`BuildSide` accumulates build batches into
 columnar storage plus a key-value -> row-index bucket dict (null keys go
 to a never-matching pool, exactly as in :mod:`repro.algebra.kernels`);
 :class:`BatchHashJoiner` probes left batches against it for every
 variant — ``inner``, ``left_outer``, ``full_outer``, ``semi``, ``anti``
-— preserving the row-at-a-time emission order (matches in bucket order,
-pads inline, full-outer right pads at the end) and the row path's
-``Metrics`` accounting (predicate evaluations per candidate pair,
-including the semi join's first-match short circuit).
+— in probe order (matches in bucket order, pads inline, full-outer
+right pads at the end), with ``Metrics`` accounting of one predicate
+evaluation per candidate pair, including the semi join's first-match
+short circuit.
 
 The probe loop batches its bookkeeping: match lists are extended with
 C-level ``list.extend`` / ``itertools.repeat`` instead of per-pair
@@ -79,8 +79,8 @@ class PairColsView(Mapping):
     """A zero-copy view of a (probe row, build row) pair for residuals.
 
     One instance is reused across a whole probe batch (the kernels mutate
-    ``li``/``ri`` between evaluations) — the batch twin of the row path's
-    per-pair :class:`~repro.algebra.predicates.PairView` allocation.
+    ``li``/``ri`` between evaluations) instead of allocating a
+    :class:`~repro.algebra.predicates.PairView` per pair.
     """
 
     __slots__ = ("lcols", "rcols", "li", "ri")
@@ -308,15 +308,15 @@ class BuildSide:
 
     @property
     def bucketed_rows(self) -> int:
-        """Build rows that entered a bucket (the row path's ``mem_rows``)."""
+        """Build rows that entered a bucket (the span's ``mem_rows``)."""
         return self.rows - len(self.null_indices)
 
 
 class BatchHashJoiner:
     """Probe-side driver for one hash join over a finished build side.
 
-    ``metrics`` accounting mirrors the row-at-a-time operators exactly:
-    one predicate evaluation per candidate (bucket) pair — with the semi
+    ``metrics`` accounting matches the row operators' (nested-loop,
+    index nested-loop): one predicate evaluation per candidate (bucket) pair — with the semi
     join's short circuit after the first satisfied pair — and one emitted
     row per output row under ``label``.
     """
@@ -371,8 +371,8 @@ class BatchHashJoiner:
         """(probe_positions, build_indices, unmatched_probe_positions).
 
         ``probe_positions``/``build_indices`` are parallel lists, in probe
-        order with each bucket's matches in insertion order — exactly the
-        emission order of the row-at-a-time hash join.
+        order with each bucket's matches in insertion order — the hash
+        join's emission order.
         """
         metrics = self.metrics
         buckets_get = self.build.buckets.get
@@ -434,7 +434,7 @@ class BatchHashJoiner:
         rcols = self.build.columns
         if pad and unmatched:
             # Re-interleave pads into probe order (matches first per row,
-            # pad rows where no pair satisfied) — the row path's order.
+            # pad rows where no pair satisfied).
             out_l, out_r = _interleave_pads(out_l, out_r, unmatched)
             columns = {a: [col[i] for i in out_l] for a, col in lcols.items()}
             for a, col in rcols.items():
@@ -462,7 +462,7 @@ class BatchHashJoiner:
                 key = key_col[i]
                 bucket = None if key is NULL else buckets_get(key)
                 if bucket:
-                    # The row path evaluates bucket pairs until the first
+                    # Bucket pairs are evaluated until the first
                     # match: with no residual that is one evaluation for
                     # semi, the whole bucket for anti (no short circuit).
                     evaluated += 1 if want else len(bucket)

@@ -4,7 +4,7 @@
 cardinality estimate; with ``analyze=True`` (or via ``explain_analyze``)
 the plan is *executed under a forced tracer* and every operator is
 additionally annotated with what actually happened: rows out, wall time,
-hash-build/sort timings, index probe hits, materialized row counts, and
+hash-build timings, index probe hits, materialized row counts, and
 the planner's kernel-vs-naive dispatch decision.  This is the
 estimate-vs-actual view DBAs use to debug optimizer choices — and it is
 how this reproduction shows, per operator, where Example 1's tuple
@@ -28,7 +28,6 @@ from repro.util.fastpath import fast_enabled
 #: How the planner's operator choice reads in dispatch terms.
 _DISPATCH = {
     "HashJoin": "hash-kernel",
-    "MergeJoin": "merge-kernel",
     "IndexNestedLoopJoin": "index-kernel",
     "GeneralizedOuterJoinOp": "goj-hash-kernel",
     "NestedLoopJoin": "naive-nested-loop",
@@ -38,7 +37,7 @@ _DISPATCH = {
 
 #: Per-operator span counters surfaced in the rendered tree, in order.
 #: ``batches_out`` is the number of column batches a batch-native
-#: operator emitted (absent on row-path runs and shim-only operators).
+#: operator emitted (absent on shim-only operators).
 _DETAIL_COUNTERS = (
     "index_probes",
     "index_hits",

@@ -14,10 +14,9 @@ from itertools import repeat
 from time import perf_counter_ns
 from typing import List, Optional
 
-from repro.algebra.nulls import NULL, is_null, satisfied
-from repro.algebra.predicates import PairView, Predicate, TruePredicate
+from repro.algebra.nulls import NULL, satisfied
+from repro.algebra.predicates import Predicate, TruePredicate
 from repro.algebra.schema import Schema
-from repro.algebra.tuples import Row, null_row
 from repro.engine.batch.columns import ColumnBatch, _fast_row
 from repro.engine.batch.kernels import BuildSide, PairColsView
 from repro.engine.iterators import PhysicalOp
@@ -54,49 +53,13 @@ class GeneralizedOuterJoinOp(PhysicalOp):
     def children(self) -> tuple[PhysicalOp, ...]:
         return (self.left, self.right)
 
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
-        span = self._span
-        build_started = perf_counter_ns() if span is not None else 0
-        buckets: dict = {}
-        build_rows = 0
-        for row in self.right.execute(metrics):
-            key = row[self.right_key]
-            if is_null(key):
-                continue
-            buckets.setdefault(key, []).append(row)
-            build_rows += 1
-        if span is not None:
-            span.counters["build_ns"] = perf_counter_ns() - build_started
-            span.counters["mem_rows"] = build_rows
-            span.counters["build_buckets"] = len(buckets)
-
-        label = "GOJ"
-        seen_projections: set[Row] = set()
-        matched_projections: set[Row] = set()
-        for left_row in self.left.execute(metrics):
-            proj = left_row.project(self.projection)
-            seen_projections.add(proj)
-            key = left_row[self.left_key]
-            matches = [] if is_null(key) else buckets.get(key, [])
-            for right_row in matches:
-                metrics.evaluated()
-                if satisfied(self.residual.evaluate(PairView(left_row, right_row))):
-                    matched_projections.add(proj)
-                    metrics.emitted(label)
-                    yield left_row.concat(right_row)
-
-        padding = null_row(self.schema.difference(Schema(self.projection)))
-        for proj in sorted(seen_projections - matched_projections, key=repr):
-            metrics.emitted(label)
-            yield proj.concat(padding)
-
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
         """Vectorized GOJ: inner-style probe + projection match tracking.
 
         Projections key on their value tuple in (sorted) projection-attr
-        order — equivalent to the row path's ``Row`` set membership — and
-        the unmatched witnesses are rebuilt as rows and sorted by ``repr``
-        so the tail batch replays the row path's emission order exactly.
+        order — equivalent to ``Row`` set membership — and the unmatched
+        witnesses are rebuilt as rows and sorted by ``repr`` so the tail
+        batch has a deterministic order.
         """
         span = self._span
         build_started = perf_counter_ns() if span is not None else 0

@@ -21,18 +21,15 @@ internals (hash-build time, index hits, materialized row counts) through
 ``self._span``, which the wrapper assigns; untraced runs leave ``_span``
 None and skip all accounting.
 
-Vectorized execution: operators with a batch-native implementation
-(``batch_native = True``: scan, filter, project, hash join) expose
+Vectorized execution: scan, filter, project and hash join
+(``batch_native = True``) are implemented only as
 ``execute_batches(metrics)`` yielding
-:class:`~repro.engine.batch.ColumnBatch` chunks; every other operator
-inherits a row->batch shim so a batch consumer can pull from any child.
-``execute()`` on a native operator flattens its own batches back to rows
-when :func:`~repro.util.fastpath.batch_enabled` says so, which keeps the
-iterator interface — and everything built on it (EXPLAIN ANALYZE, span
-tracing, the executor, conformance tiers) — working unchanged.  Batch
-kernels replay the row path's emission order and ``Metrics`` totals
-exactly, so the two modes are byte-identical; only the per-call
-granularity (and speed) differs.
+:class:`~repro.engine.batch.ColumnBatch` chunks; ``execute()`` on them
+flattens those batches back to rows, which keeps the iterator interface
+— and everything built on it (EXPLAIN ANALYZE, span tracing, the
+executor, conformance tiers) — working unchanged.  Row-only operators
+implement ``_execute_rows`` and inherit a row->batch shim so a batch
+consumer can pull from any child.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from repro.engine.metrics import Metrics
 from repro.engine.storage import Table
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError
-from repro.util.fastpath import batch_enabled, batch_size
+from repro.util.fastpath import batch_size
 
 #: Join variants supported by the physical operators.
 JOIN_TYPES = ("inner", "left_outer", "semi", "anti")
@@ -74,25 +71,22 @@ class PhysicalOp:
     #: (build timings, index hits, materialized rows); None when untraced.
     _span: Optional[Span] = None
 
-    #: True on operators with a vectorized ``execute_batches``; the base
-    #: ``execute`` only routes through the batch path for these (routing a
-    #: shim-only operator through it would just round-trip rows).
+    #: True on operators whose ``execute`` drains ``execute_batches``;
+    #: row-only operators implement ``_execute_rows`` instead.
     batch_native: bool = False
 
     def execute(self, metrics: Metrics) -> Iterator[Row]:
         """Row iterator over the operator's output.
 
-        Batch-native operators honor the ``REPRO_BATCH`` switch here:
-        they run vectorized and flatten their batches through the
-        row-compat adapter.  Everything downstream sees the same rows in
-        the same order either way.
+        Batch-native operators flatten their batches through the
+        row-compat adapter.
         """
-        if self.batch_native and batch_enabled():
+        if self.batch_native:
             return rows_from_batches(self.execute_batches(metrics))
         return self._execute_rows(metrics)
 
     def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
-        """The row-at-a-time implementation (the differential baseline)."""
+        """The row-at-a-time implementation of a non-native operator."""
         raise NotImplementedError
 
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
@@ -172,16 +166,10 @@ class SeqScan(PhysicalOp):
         self.table = table
         self.schema = table.schema
 
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
-        for row in self.table.scan():
-            metrics.retrieved(self.table.name)
-            yield row
-
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
         """Columnarize the table a slice at a time.
 
-        Retrieval metering is bumped per chunk with the chunk's row count
-        — the same total, the same table, as the per-row path.
+        Retrieval metering is bumped per chunk with the chunk's row count.
         """
         size = batch_size()
         rows = self.table.rows
@@ -209,18 +197,11 @@ class Filter(PhysicalOp):
     def children(self) -> tuple[PhysicalOp, ...]:
         return (self.child,)
 
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
-        for row in self.child.execute(metrics):
-            metrics.evaluated()
-            if satisfied(self.predicate.evaluate(row)):
-                yield row
-
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
         """Run the compiled filter kernel, narrowing selection vectors.
 
         Surviving rows are a zero-copy selection over the child's batch;
-        batches filtered to zero rows are dropped (the row path yields
-        nothing for them either).
+        batches filtered to zero rows are dropped.
         """
         kernel = compile_filter(self.predicate)
         for batch in self.child.execute_batches(metrics):
@@ -250,16 +231,6 @@ class ProjectOp(PhysicalOp):
     def children(self) -> tuple[PhysicalOp, ...]:
         return (self.child,)
 
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
-        seen = set() if self.dedup else None
-        for row in self.child.execute(metrics):
-            out = row.project(self.attributes)
-            if seen is not None:
-                if out in seen:
-                    continue
-                seen.add(out)
-            yield out
-
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
         """Column-slice projection; dedup keys on value tuples.
 
@@ -267,7 +238,7 @@ class ProjectOp(PhysicalOp):
         (a pure scheme restriction).  With dedup, rows key on their value
         tuple in fixed attribute order — equivalent to ``Row`` equality,
         which compares the same values under the same attributes — and
-        first occurrence wins, matching the row path's emission order.
+        first occurrence wins.
         """
         attrs = self.attributes
         seen = set() if self.dedup else None
@@ -485,10 +456,9 @@ class HashJoin(PhysicalOp):
         """Vectorized build/probe; one output batch per probe batch.
 
         Both children are consumed batch-at-a-time (non-native children
-        arrive through the shim).  Span counters (``build_ns``,
-        ``mem_rows`` = bucketed build rows, ``build_buckets``), metric
-        totals and labels, and the emission order all match the row path
-        exactly.
+        arrive through the shim).  Null keys never enter or probe the
+        build side.  Span counters: ``build_ns``, ``mem_rows`` (bucketed
+        build rows), ``build_buckets``.
         """
         span = self._span
         build_started = perf_counter_ns() if span is not None else 0
@@ -513,48 +483,6 @@ class HashJoin(PhysicalOp):
             out = joiner.probe(batch)
             if out is not None:
                 yield self._emit_batch(out)
-
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
-        from repro.algebra.nulls import is_null
-
-        span = self._span
-        build_started = perf_counter_ns() if span is not None else 0
-        buckets: dict = {}
-        build_rows = 0
-        for row in self.right.execute(metrics):
-            key = row[self.right_key]
-            if is_null(key):
-                continue
-            buckets.setdefault(key, []).append(row)
-            build_rows += 1
-        if span is not None:
-            span.counters["build_ns"] = perf_counter_ns() - build_started
-            span.counters["mem_rows"] = build_rows
-            span.counters["build_buckets"] = len(buckets)
-        padding = null_row(self.right.schema)
-        label = f"HashJoin[{self.join_type}]"
-        for outer_row in self.left.execute(metrics):
-            key = outer_row[self.left_key]
-            matches = [] if is_null(key) else buckets.get(key, [])
-            matched = False
-            for inner_row in matches:
-                metrics.evaluated()
-                if satisfied(self.residual.evaluate(PairView(outer_row, inner_row))):
-                    matched = True
-                    if self.join_type == "semi":
-                        break
-                    if self.join_type in ("inner", "left_outer"):
-                        metrics.emitted(label)
-                        yield outer_row.concat(inner_row)
-            if self.join_type == "left_outer" and not matched:
-                metrics.emitted(label)
-                yield outer_row.concat(padding)
-            elif self.join_type == "semi" and matched:
-                metrics.emitted(label)
-                yield outer_row
-            elif self.join_type == "anti" and not matched:
-                metrics.emitted(label)
-                yield outer_row
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent

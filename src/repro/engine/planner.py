@@ -91,19 +91,10 @@ _JOIN_KINDS = {
 
 
 class Planner:
-    """Stateless physical planner over a :class:`Storage`.
+    """Stateless physical planner over a :class:`Storage`."""
 
-    ``equi_join`` selects the algorithm for equi-joins without a usable
-    index: ``"hash"`` (default) or ``"merge"`` — the latter mainly exists
-    so the test suite can differentially validate the two implementations
-    on identical plans.
-    """
-
-    def __init__(self, storage: Storage, equi_join: str = "hash"):
-        if equi_join not in ("hash", "merge"):
-            raise PlanningError(f"unknown equi-join algorithm {equi_join!r}")
+    def __init__(self, storage: Storage):
         self.storage = storage
-        self.equi_join = equi_join
 
     def plan(self, expr: Expression) -> PhysicalOp:
         if isinstance(expr, Rel):
@@ -146,15 +137,9 @@ class Planner:
                 )
 
         right_plan = self.plan(right_expr)
-        # Preference 2: hash (or merge) join on the equi-key.
+        # Preference 2: hash join on the equi-key.
         if split is not None:
             left_key, right_key, residual = split
-            if self.equi_join == "merge":
-                from repro.engine.merge_join import MergeJoin
-
-                return MergeJoin(
-                    left_plan, right_plan, left_key, right_key, residual, join_type
-                )
             return HashJoin(left_plan, right_plan, left_key, right_key, residual, join_type)
 
         # Fallback: nested loops with the full predicate.

@@ -4,8 +4,7 @@
 in the classic three phases of Yannakakis' algorithm:
 
 1. **Materialize** every node's input (base scans with their pushed
-   filters — batch-native children run their vectorized kernels when
-   ``REPRO_BATCH`` allows);
+   filters, run by their vectorized kernels);
 2. **Full reducer**: a bottom-up pass semijoin-reduces each parent by its
    children, then a top-down pass reduces each child by its parent.  Both
    passes reuse the hash-kernel key machinery

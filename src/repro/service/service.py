@@ -41,8 +41,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.algebra.relation import Relation
 from repro.backends.base import (
     ExecutionBackend,
+    available_backends,
     default_backend_name,
-    registered_backends,
 )
 from repro.backends.hints import HintError
 from repro.core.expressions import Expression
@@ -182,14 +182,13 @@ class QueryService:
         # Backend routing: the default route comes from the ``backend=``
         # parameter, falling back to $REPRO_BACKEND, falling back to
         # "local".  Names are validated eagerly (a typo'd route should not
-        # silently error every query); *availability* is checked lazily at
-        # first use, so a service can be configured for duckdb on hosts
-        # that may or may not have the wheel.
+        # silently error every query); the backend itself is created
+        # lazily at first use.
         self.default_backend = backend if backend is not None else default_backend_name()
-        if self.default_backend != "local" and self.default_backend not in registered_backends():
+        if self.default_backend != "local" and self.default_backend not in available_backends():
             raise ValueError(
                 f"unknown backend route {self.default_backend!r}; "
-                f"registered: {', '.join(registered_backends())}"
+                f"registered: {', '.join(available_backends())}"
             )
         self._backends: Dict[str, ExecutionBackend] = {}
         self._route_counts: Dict[str, int] = {}
@@ -231,10 +230,10 @@ class QueryService:
         everything else stays local).
         """
         route = backend if backend is not None else self.default_backend
-        if route != "local" and route not in registered_backends():
+        if route != "local" and route not in available_backends():
             raise ValueError(
                 f"unknown backend route {route!r}; "
-                f"registered: {', '.join(registered_backends())}"
+                f"registered: {', '.join(available_backends())}"
             )
         with self._lock:
             if self._closed:
@@ -302,8 +301,8 @@ class QueryService:
         """Execute one ticket on a non-local backend route.
 
         The optimizer still runs locally (planning is backend-agnostic);
-        its chosen tree becomes the join-order *hint* and its fingerprint
-        keys the backend's prepared-statement cache.  A backend that
+        its chosen tree becomes the join-order *hint* and keys the
+        backend's prepared-statement cache.  A backend that
         cannot hint this shape (:class:`HintError`) falls back to native
         execution of the original query — same bag, backend's own order.
         """
@@ -320,9 +319,7 @@ class QueryService:
         )
         ticket.token.check()
         try:
-            relation = backend.execute(
-                pipeline.chosen, hint=pipeline.chosen, fingerprint=pipeline.fingerprint
-            )
+            relation = backend.execute(pipeline.chosen, hint=pipeline.chosen)
         except HintError:
             relation = backend.execute(ticket.query)
         ticket.token.check()

@@ -109,17 +109,7 @@ def aggregate_trace(doc: Dict[str, Any]) -> Dict[str, KeyStats]:
 
 
 def aggregate_bench(doc: Dict[str, Any]) -> Dict[str, KeyStats]:
-    """Per-test mean timings of a benchmark report, keyed scenario::test.
-
-    Reports carrying a ``batch`` section (BENCH_PR6) also
-    contribute its row-at-a-time baseline and vectorized cells as
-    ``batch::`` keys, a ``yannakakis`` section (BENCH_PR7) contributes
-    per-topology DP and semijoin-reducer cells as ``yannakakis::`` keys,
-    a ``wcoj`` section (BENCH_PR8) contributes per-topology DP and
-    Leapfrog Triejoin cells as ``wcoj::`` keys, and a ``backends``
-    section (BENCH_PR10) contributes every per-topology execution cell
-    (local / hinted / native per backend) as ``backend::`` keys.
-    """
+    """Per-test mean timings of a benchmark report, keyed scenario::test."""
     stats: Dict[str, KeyStats] = {}
     for record in doc.get("scenarios", ()):
         if record.get("mode") == "naive":
@@ -127,29 +117,6 @@ def aggregate_bench(doc: Dict[str, Any]) -> Dict[str, KeyStats]:
         for test, mean_s in (record.get("timings") or {}).items():
             key = f"{record['scenario']}::{test}"
             stats[key] = KeyStats(key, mean_s * 1e3)
-    batch = doc.get("batch")
-    if batch:
-        for cell in ("row_serial", "batch_serial", "batch_rows"):
-            key = f"batch::{cell}"
-            stats[key] = KeyStats(key, batch[f"{cell}_s"] * 1e3)
-    yannakakis = doc.get("yannakakis")
-    if yannakakis:
-        for workload in yannakakis.get("workloads", ()):
-            for cell in ("dp", "yannakakis"):
-                key = f"yannakakis::{workload['topology']}:{cell}"
-                stats[key] = KeyStats(key, workload[f"{cell}_s"] * 1e3)
-    wcoj = doc.get("wcoj")
-    if wcoj:
-        for workload in wcoj.get("workloads", ()):
-            for cell in ("dp", "wcoj"):
-                key = f"wcoj::{workload['topology']}:{cell}"
-                stats[key] = KeyStats(key, workload[f"{cell}_s"] * 1e3)
-    backends = doc.get("backends")
-    if backends:
-        for workload in backends.get("workloads", ()):
-            for cell, seconds in workload.get("cells", {}).items():
-                key = f"backend::{workload['topology']}:{cell}"
-                stats[key] = KeyStats(key, seconds * 1e3)
     return stats
 
 

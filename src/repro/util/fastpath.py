@@ -1,8 +1,7 @@
 """The execution switches: one mechanism, instantiated once per choice.
 
 Several layers exist twice — a reference path (the naive transcription
-of the paper, the row-at-a-time iterators, the binary DP plan) and a
-fast path that must be bag-equal to it.  A :class:`Switch` picks between
+of the paper, the binary DP plan) and a fast path that must be bag-equal to it.  A :class:`Switch` picks between
 them: a process default read once from the environment at import, plus
 scoped overrides that are private to the thread that opened them, so a
 test or a service worker can pin a mode for its own query without
@@ -55,9 +54,6 @@ class Switch:
 
 #: Hash kernels and bitset enumeration versus the naive reference code.
 _KERNELS = Switch(True, "REPRO_NAIVE_KERNELS", negate=True)
-#: Vectorized columnar batches versus the row iterators; sequence-identical,
-#: so the row path stays the differential baseline (``engine`` tier).
-_BATCH = Switch(True, "REPRO_BATCH")
 #: GYO + Yannakakis semijoin reduction, taken only when the cost gate and
 #: the Theorem 1 safety certificate allow; off is byte-identical DP.
 _YANNAKAKIS = Switch(True, "REPRO_YANNAKAKIS")
@@ -69,7 +65,6 @@ _WCOJ = Switch(True, "REPRO_WCOJ")
 _BATCH_SIZE = Switch(1024)
 
 fast_enabled, kernel_mode = _KERNELS.value, _KERNELS.scoped
-batch_enabled, batch_mode = _BATCH.value, _BATCH.scoped
 yannakakis_enabled, yannakakis_mode = _YANNAKAKIS.value, _YANNAKAKIS.scoped
 wcoj_enabled, wcoj_mode = _WCOJ.value, _WCOJ.scoped
 batch_size = _BATCH_SIZE.value

@@ -6,7 +6,9 @@ per-query override; unknown routes are rejected eagerly (constructor and
 submit) rather than failing inside a worker; the snapshot carries the
 per-route counts and per-instance backend books; storage mutations
 between queries trigger a generation-keyed resync; and repeated shapes
-reuse prepared statements via the plan fingerprint.
+reuse prepared statements, keyed by the executed tree — never by the
+plan fingerprint, which two differently-resulting implementing trees of
+a non-freely-reorderable graph share.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra import Comparison, Const, bag_equal, eq
+from repro.algebra.predicates import IsNull
 from repro.core import Restrict, jn, oj
 from repro.datagen import example1_storage
-from repro.engine import execute
-from repro.optimizer import PlanCache
+from repro.engine import Storage, execute
+from repro.optimizer import PlanCache, optimize_query
 from repro.service import QueryService
 
 P12 = eq("R1.k", "R2.k")
@@ -108,6 +111,27 @@ def test_repeated_shapes_reuse_prepared_statements(storage):
     assert books["statement_misses"] == 1
     assert books["statement_hits"] == 2
     assert books["hinted_queries"] == 3
+
+
+def test_trees_sharing_a_fingerprint_do_not_share_a_statement():
+    """``X -> (Y ⋈ Z)`` and ``(X -> Y) ⋈ Z`` under the non-strong
+    ``Y.b = Z.b OR Y.b IS NULL`` have one query graph (so one plan
+    fingerprint) but different results; each must run its own SQL."""
+    storage = Storage()
+    storage.create_table("X", ["X.a"], [{"X.a": 1}, {"X.a": 2}])
+    storage.create_table("Y", ["Y.a", "Y.b"], [{"Y.a": 1, "Y.b": 5}])
+    storage.create_table("Z", ["Z.b"], [{"Z.b": 6}])
+    pxy = eq("X.a", "Y.a")
+    pyz = eq("Y.b", "Z.b") | IsNull("Y.b")
+    queries = [oj("X", jn("Y", "Z", pyz), pxy), jn(oj("X", "Y", pxy), "Z", pyz)]
+    prints = {optimize_query(q, storage, use_cache=False).fingerprint for q in queries}
+    assert len(prints) == 1
+    with QueryService(storage) as service:
+        for q in queries:
+            outcome = service.execute(q, backend="sqlite")
+            assert bag_equal(outcome.require(), execute(q, storage).relation), q
+        books = service.snapshot()["backends"]["instances"]["sqlite"]
+    assert books["statement_hits"] == 0
 
 
 def test_close_closes_backend_instances(storage):

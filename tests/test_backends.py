@@ -1,12 +1,12 @@
 """Pluggable execution backends: registry, hints, SQLite, conformance tier.
 
 The backend layer's contract, bottom up: the registry knows its builtin
-names and declines unknown/unavailable ones loudly; the hint grammar
+name and declines unknown ones loudly; the hint grammar
 round-trips — parsing the emitted SQL's paren nesting recovers exactly
 the physical tree's join shape (the property that certifies the hint
 really pins the order); hinted and native SQLite execution are bag-equal
 to the algebra engine; data sync is generation-keyed and statements are
-reused across repeats; join-key indexes appear in ``sqlite_master``; the
+reused across repeats of one tree; join-key indexes appear in ``sqlite_master``; the
 ``backend:sqlite`` conformance tier cross-checks clean and declines
 leaf-only cases; the oracle recycles pooled connections; and with
 ``REPRO_BACKEND=local`` (the default route, set explicitly) the service
@@ -36,9 +36,7 @@ from repro.backends import (
     hinted_sql,
     join_shape,
     parse_join_shape,
-    registered_backends,
 )
-from repro.backends.duckdb_backend import duckdb_available
 from repro.backends.sqlite_backend import acquire_pooled, release_pooled
 from repro.conformance.check import cross_check
 from repro.conformance.sqlite_oracle import SQLiteOracle
@@ -54,25 +52,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_builtin_backends_are_registered():
-    names = registered_backends()
-    assert "local" in names and "sqlite" in names and "duckdb" in names
-
-
-def test_available_excludes_absent_duckdb():
-    names = available_backends()
-    assert "local" in names and "sqlite" in names
-    assert ("duckdb" in names) == duckdb_available()
+    # "local" is the service's in-process route, not a registered backend.
+    assert available_backends() == ("sqlite",)
 
 
 def test_create_unknown_backend_raises():
-    with pytest.raises(PlanningError):
-        create_backend("no-such-engine")
-
-
-@pytest.mark.skipif(duckdb_available(), reason="duckdb wheel is installed")
-def test_absent_duckdb_is_unavailable_not_broken():
     with pytest.raises(BackendUnavailableError):
-        create_backend("duckdb")
+        create_backend("no-such-engine")
+    assert issubclass(BackendUnavailableError, PlanningError)  # a tier skip
 
 
 def test_default_backend_name_reads_env(monkeypatch):
@@ -104,9 +91,8 @@ def _random_tree(rng, names):
     return Restrict(tree, TruePredicate()) if rng.random() < 0.2 else tree
 
 
-@pytest.mark.parametrize("dialect", ["sqlite", "duckdb"])
-def test_hint_round_trip_property(dialect):
-    """parse(emit(tree)) == shape(tree) over random trees, both dialects.
+def test_hint_round_trip_property():
+    """parse(emit(tree)) == shape(tree) over random trees.
 
     This is the certificate that the emitted SQL pins the join order:
     the paren nesting (and barrier subqueries) alone reconstruct the
@@ -117,7 +103,7 @@ def test_hint_round_trip_property(dialect):
     for _ in range(150):
         names = [f"T{i}" for i in range(rng.randint(2, 7))]
         tree = _random_tree(rng, names)
-        sql, _cols = hinted_sql(tree, _registry(names), dialect=dialect)
+        sql, _cols = hinted_sql(tree, _registry(names))
         assert parse_join_shape(sql) == join_shape(tree), sql
 
 
@@ -184,15 +170,18 @@ def test_sync_is_generation_keyed(query):
         backend.close()
 
 
-def test_statement_cache_is_fingerprint_keyed(query):
+def test_statement_cache_is_tree_keyed(query):
     db = _chain_db()
     backend = create_backend("sqlite")
     try:
         backend.load_database(db)
-        backend.execute(query, fingerprint="fp-1")
-        backend.execute(query, fingerprint="fp-1")
-        assert backend.counters["statement_misses"] == 1
+        backend.execute(query)
+        backend.execute(jn(oj("A", "B", eq("A.a", "B.a")), "C", eq("B.b", "C.b")))
+        assert backend.counters["statement_misses"] == 1  # equal trees share
         assert backend.counters["statement_hits"] == 1
+        backend.execute(query, hint=query)  # same tree, other mode: new SQL
+        backend.execute(oj("A", jn("B", "C", eq("B.b", "C.b")), eq("A.a", "B.a")))
+        assert backend.counters["statement_misses"] == 3
     finally:
         backend.close()
 
@@ -257,18 +246,6 @@ def test_backend_sqlite_tier_declines_leaf_only_cases():
     )
     assert report.ok, report.summary()
     assert "backend:sqlite" in report.skipped
-
-
-def test_backend_duckdb_tier_skips_when_wheel_absent():
-    if duckdb_available():
-        pytest.skip("duckdb wheel is installed")
-    db = _chain_db()
-    query = jn("A", "B", eq("A.a", "B.a"))
-    report = cross_check(
-        query, db, executors=("naive", "algebra", "backend:duckdb")
-    )
-    assert report.ok, report.summary()
-    assert "backend:duckdb" in report.skipped
 
 
 # -- the REPRO_BACKEND=local byte-identity proof -----------------------------

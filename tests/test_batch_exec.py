@@ -2,23 +2,20 @@
 
 Covers the edges the fuzzer is unlikely to pin down deterministically:
 empty batches, ``batch_size=1`` chunking, all-null key columns, zero-row
-selections, the full-outer batch joiner against the algebra kernel, and
-a subprocess proof that ``REPRO_BATCH=0`` is byte-identical to ``=1``.
+selections, and the full-outer batch joiner against the algebra kernel.
 """
 
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
+from repro.algebra.comparison import bag_equal
 from repro.algebra.kernels import full_outerjoin_counts, small_input_limit
 from repro.algebra.nulls import NULL
 from repro.algebra.predicates import Comparison, Const, eq, gt
 from repro.algebra.relation import Relation
 from repro.algebra.tuples import Row
+from repro.core.expressions import Project, Rel, Restrict, aj, jn, oj, sj
 from repro.engine.batch import (
     BatchHashJoiner,
     BuildSide,
@@ -31,9 +28,10 @@ from repro.engine.iterators import Filter, HashJoin, ProjectOp, SeqScan
 from repro.engine.metrics import Metrics
 from repro.engine.storage import Storage
 from repro.util.errors import PredicateError, SchemaError
-from repro.util.fastpath import batch_mode, batch_sized
+from repro.util.fastpath import batch_sized
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The algebra operator of each physical join type, for oracle trees.
+_JOIN_EXPR = {"inner": jn, "left_outer": oj, "semi": sj, "anti": aj}
 
 
 def _storage():
@@ -118,7 +116,20 @@ class TestColumnBatchBoundaries:
         assert [r["x"] for r in rows_from_batches([batch])] == [1, 3, 4]
 
 
+def _drain(plan, size):
+    """(rows, metrics) of ``plan.execute`` at one batch size."""
+    metrics = Metrics()
+    with batch_sized(size):
+        return list(plan.execute(metrics)), metrics
+
+
 class TestBatchSizeBoundaries:
+    """The reference row path is ``execute()`` at the default size 1024.
+
+    Every chunk size must replay its row sequence and ``Metrics``
+    exactly, and the rows must be bag-equal to the algebra evaluator.
+    """
+
     @pytest.mark.parametrize("size", [1, 2, 3, 1024])
     @pytest.mark.parametrize("join_type", ["inner", "left_outer", "semi", "anti"])
     def test_every_chunking_matches_row_path_exactly(self, size, join_type):
@@ -128,25 +139,25 @@ class TestBatchSizeBoundaries:
             ["L.a", "L.k"],
             dedup=True,
         )
-        with batch_mode(False):
-            row_metrics = Metrics()
-            expected = list(plan.execute(row_metrics))
-        with batch_mode(True), batch_sized(size):
-            batch_metrics = Metrics()
-            got = list(plan.execute(batch_metrics))
+        expected, reference = _drain(plan, 1024)
+        got, metrics = _drain(plan, size)
         assert got == expected  # same rows, same order
-        assert batch_metrics.tuples_retrieved == row_metrics.tuples_retrieved
-        assert batch_metrics.predicate_evaluations == row_metrics.predicate_evaluations
-        assert batch_metrics.rows_emitted == row_metrics.rows_emitted
+        assert metrics.tuples_retrieved == reference.tuples_retrieved
+        assert metrics.predicate_evaluations == reference.predicate_evaluations
+        assert metrics.rows_emitted == reference.rows_emitted
+        join = _JOIN_EXPR[join_type](Rel("L"), Rel("R"), eq("L.k", "R.k"))
+        query = Project(Restrict(join, gt("L.a", Const(5))), ["L.a", "L.k"], dedup=True)
+        oracle = query.eval(storage.to_database())
+        assert bag_equal(Relation(plan.schema, got), oracle)
 
     def test_residual_join_matches_row_path_at_size_one(self):
         storage = _storage()
         plan = _join_plan(storage, "inner", residual=gt("R.b", "L.a"))
-        with batch_mode(False):
-            expected = list(plan.execute(Metrics()))
-        with batch_mode(True), batch_sized(1):
-            got = list(plan.execute(Metrics()))
+        expected, _ = _drain(plan, 1024)
+        got, _ = _drain(plan, 1)
         assert got == expected
+        query = jn(Rel("L"), Rel("R"), eq("L.k", "R.k") & gt("R.b", "L.a"))
+        assert bag_equal(Relation(plan.schema, got), query.eval(storage.to_database()))
 
 
 class TestAllNullKeys:
@@ -239,24 +250,26 @@ class TestFilterKernel:
     def test_zero_row_result_drops_batches_downstream(self):
         storage = _storage()
         plan = Filter(SeqScan(storage["L"]), gt("L.a", Const(10**9)))
-        with batch_mode(True), batch_sized(2):
+        with batch_sized(2):
             assert list(plan.open_batches()) == []
 
     def test_type_error_matches_row_path_error(self):
+        """A vectorized comparison's TypeError surfaces as the algebra
+        evaluator's :class:`PredicateError`, message included."""
         storage = _storage()
         predicate = Comparison("L.a", "<", Const("not-a-number"))
         plan = Filter(SeqScan(storage["L"]), predicate)
-        with batch_mode(False), pytest.raises(PredicateError) as row_err:
+        with pytest.raises(PredicateError) as algebra_err:
+            Restrict(Rel("L"), predicate).eval(storage.to_database())
+        with batch_sized(2), pytest.raises(PredicateError) as batch_err:
             list(plan.execute(Metrics()))
-        with batch_mode(True), batch_sized(2), pytest.raises(PredicateError) as batch_err:
-            list(plan.execute(Metrics()))
-        assert str(batch_err.value) == str(row_err.value)
+        assert str(batch_err.value) == str(algebra_err.value)
 
 
 class TestBatchPull:
     def test_next_batch_drains_then_none(self):
         storage = _storage()
-        with batch_mode(True), batch_sized(2):
+        with batch_sized(2):
             cursor = SeqScan(storage["L"]).open_batches()
             sizes = []
             while (batch := cursor.next_batch()) is not None:
@@ -265,56 +278,3 @@ class TestBatchPull:
         assert cursor.next_batch() is None  # stays exhausted
         cursor.close()
 
-
-_TOGGLE_SCRIPT = """
-import json
-from repro.algebra.nulls import NULL
-from repro.algebra.predicates import Const, gt
-from repro.conformance.serialize import value_to_json
-from repro.engine.iterators import Filter, HashJoin, ProjectOp, SeqScan
-from repro.engine.metrics import Metrics
-from repro.engine.storage import Storage
-
-storage = Storage()
-storage.create_table(
-    "L", ["L.k", "L.a"],
-    [{"L.k": k if k % 7 else NULL, "L.a": k * 3 % 11} for k in range(60)],
-)
-storage.create_table(
-    "R", ["R.k", "R.b"],
-    [{"R.k": k % 20 if k % 5 else NULL, "R.b": k} for k in range(40)],
-)
-plan = ProjectOp(
-    Filter(
-        HashJoin(SeqScan(storage["L"]), SeqScan(storage["R"]), "L.k", "R.k",
-                 join_type="left_outer"),
-        gt("L.a", Const(2)),
-    ),
-    ["L.a", "L.k", "R.b"],
-)
-metrics = Metrics()
-for row in plan.execute(metrics):
-    print(json.dumps({a: value_to_json(row[a]) for a in sorted(row)}, sort_keys=True))
-print("retrieved", sorted(metrics.tuples_retrieved.items()))
-print("evaluated", metrics.predicate_evaluations)
-print("emitted", sorted(metrics.rows_emitted.items()))
-"""
-
-
-class TestRowModeToggle:
-    def test_repro_batch_0_is_byte_identical(self):
-        """REPRO_BATCH=0 and =1 agree byte-for-byte on rows, order, metrics."""
-        outputs = {}
-        for flag in ("0", "1"):
-            env = dict(os.environ, REPRO_BATCH=flag)
-            env["PYTHONPATH"] = str(REPO_ROOT / "src")
-            proc = subprocess.run(
-                [sys.executable, "-c", _TOGGLE_SCRIPT],
-                capture_output=True,
-                env=env,
-                cwd=REPO_ROOT,
-                check=True,
-            )
-            outputs[flag] = proc.stdout
-        assert outputs["0"] == outputs["1"]
-        assert outputs["0"].count(b"\n") > 3  # the workload produced rows

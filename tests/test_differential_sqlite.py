@@ -169,10 +169,9 @@ class TestCrossCheck:
         )
         assert result.ok, result.summary()
         # The wcoj tier owns cyclic join cores only; it declines this
-        # acyclic example by design.  backend:duckdb skips wherever the
-        # optional wheel is absent (it runs on the CI leg that installs
-        # it).  Every other tier must run — backend:sqlite included.
-        assert set(result.skipped) <= {"wcoj", "backend:duckdb"}
+        # acyclic example by design.  Every other tier must run —
+        # backend:sqlite included.
+        assert set(result.skipped) <= {"wcoj"}
         assert "backend:sqlite" not in result.skipped
 
     def test_engine_tiers_statically_skipped_for_foj(self, db):
@@ -180,7 +179,7 @@ class TestCrossCheck:
         result = cross_check(expr, db, executors=EXECUTOR_TIERS)
         assert result.ok, result.summary()
         assert "engine" not in result.results
-        assert "engine-merge" not in result.results
+        assert "batch" not in result.results
         assert "sqlite" in result.results
 
 

@@ -75,3 +75,12 @@ class TestSwitchTableMatchesSource:
         in_table = set(re.findall(r"^\| `(REPRO_[A-Z_]+)`", table, re.MULTILINE))
         assert in_table == in_source - self.INTERNAL
 
+
+class TestTierTableMatchesSource:
+    def test_conformance_doc_lists_exactly_the_executor_tiers(self):
+        from repro.conformance.check import EXECUTOR_TIERS
+
+        doc = (ROOT / "docs" / "CONFORMANCE.md").read_text()
+        table = doc.split("| tier | what runs | trusts |", 1)[1].split("\n\n", 1)[0]
+        in_table = re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)
+        assert in_table == list(EXECUTOR_TIERS)

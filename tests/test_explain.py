@@ -139,10 +139,7 @@ class TestBatchCounters:
         # Example 1: the single R1 tuple fits one column batch; the index
         # joins have no native batch path, so they carry no batch counter.
         storage, query, plan = setup
-        from repro.util.fastpath import batch_mode
-
-        with batch_mode(True):
-            node = explain_analyze(plan, storage, expr=query)
+        node = explain_analyze(plan, storage, expr=query)
         scan = node.find("SeqScan(R1)")
         assert scan is not None
         assert scan.details.get("batches_out") == 1
@@ -155,8 +152,6 @@ class TestBatchCounters:
     def test_hashjoin_batches_out_known_answer(self):
         # Example 2's written order on unindexed tables plans hash joins:
         # each operator's input fits one batch, so each emits exactly one.
-        from repro.util.fastpath import batch_mode
-
         storage = Storage()
         storage.create_table(
             "R1", ["R1.a", "R1.b"], [{"R1.a": 1, "R1.b": 10}, {"R1.a": 2, "R1.b": 20}]
@@ -165,24 +160,13 @@ class TestBatchCounters:
         storage.create_table("R3", ["R3.a", "R3.b"], [{"R3.a": 1, "R3.b": 5}])
         query = oj("R1", jn("R2", "R3", eq("R2.a", "R3.a")), eq("R1.a", "R2.a"))
         plan = Planner(storage).plan(query)
-        with batch_mode(True):
-            node = explain_analyze(plan, storage, expr=query)
+        node = explain_analyze(plan, storage, expr=query)
         root = node
         assert root.actual_rows == 2
         assert root.details.get("batches_out") == 1
         inner = node.find("R2.a = R3.a")
         assert inner is not None
         assert inner.details.get("batches_out") == 1
-
-    def test_row_mode_has_no_batch_counters(self, setup):
-        storage, query, plan = setup
-        from repro.util.fastpath import batch_mode
-
-        with batch_mode(False):
-            node = explain_analyze(plan, storage, expr=query)
-        scan = node.find("SeqScan(R1)")
-        assert scan is not None
-        assert "batches_out" not in scan.details
 
 
 def _canonical_bytes(relation) -> bytes:

@@ -88,7 +88,7 @@ def test_engine_goj_op_matches_both_kernel_modes(seed):
     result = cross_check(
         expr,
         db,
-        executors=("naive", "kernels", "engine", "engine-merge"),
+        executors=("naive", "kernels", "engine", "batch"),
         storage=storage,
         strict=True,
     )

@@ -1,18 +1,11 @@
-"""Tests for the merge join and the physical generalized outerjoin."""
+"""Tests for the physical generalized outerjoin operator."""
 
 import pytest
 
 from repro.algebra import NULL, bag_equal, eq, generalized_outerjoin
 from repro.core import goj, jn, oj
 from repro.datagen import random_databases
-from repro.engine import (
-    GeneralizedOuterJoinOp,
-    HashJoin,
-    MergeJoin,
-    SeqScan,
-    Storage,
-    execute,
-)
+from repro.engine import GeneralizedOuterJoinOp, SeqScan, Storage, execute
 from repro.util.errors import PlanningError
 
 
@@ -24,57 +17,6 @@ def storage():
     )
     st.create_table("Y", ["Y.k"], [{"Y.k": 0}, {"Y.k": 1}, {"Y.k": 1}, {"Y.k": NULL}])
     return st
-
-
-class TestMergeJoin:
-    @pytest.mark.parametrize("join_type", ["inner", "left_outer", "semi", "anti"])
-    def test_matches_hash_join(self, storage, join_type):
-        mj = MergeJoin(
-            SeqScan(storage["X"]), SeqScan(storage["Y"]), "X.k", "Y.k", join_type=join_type
-        ).run()
-        hj = HashJoin(
-            SeqScan(storage["X"]), SeqScan(storage["Y"]), "X.k", "Y.k", join_type=join_type
-        ).run()
-        assert bag_equal(mj, hj), join_type
-
-    def test_matches_algebra_oracle(self, storage):
-        oracle = oj("X", "Y", eq("X.k", "Y.k")).eval(storage.to_database())
-        mj = MergeJoin(
-            SeqScan(storage["X"]), SeqScan(storage["Y"]), "X.k", "Y.k",
-            join_type="left_outer",
-        ).run()
-        assert bag_equal(mj, oracle)
-
-    def test_null_keyed_left_rows(self):
-        st = Storage()
-        st.create_table("X", ["X.k"], [{"X.k": NULL}, {"X.k": 1}])
-        st.create_table("Y", ["Y.k"], [{"Y.k": 1}])
-        loj = MergeJoin(SeqScan(st["X"]), SeqScan(st["Y"]), "X.k", "Y.k",
-                        join_type="left_outer").run()
-        assert len(loj) == 2  # null row preserved, padded
-        anti = MergeJoin(SeqScan(st["X"]), SeqScan(st["Y"]), "X.k", "Y.k",
-                         join_type="anti").run()
-        assert len(anti) == 1  # only the null-keyed row
-
-    def test_randomized_differential(self):
-        schemas = {"X": ["X.k", "X.v"], "Y": ["Y.k", "Y.w"]}
-        for seed, db in enumerate(random_databases(schemas, 10, seed=66)):
-            st = Storage.from_database(db)
-            for join_type in ("inner", "left_outer"):
-                mj = MergeJoin(SeqScan(st["X"]), SeqScan(st["Y"]), "X.k", "Y.k",
-                               join_type=join_type).run()
-                hj = HashJoin(SeqScan(st["X"]), SeqScan(st["Y"]), "X.k", "Y.k",
-                              join_type=join_type).run()
-                assert bag_equal(mj, hj), (seed, join_type)
-
-    def test_describe(self, storage):
-        plan = MergeJoin(SeqScan(storage["X"]), SeqScan(storage["Y"]), "X.k", "Y.k")
-        assert "MergeJoin" in plan.describe()
-
-    def test_bad_join_type(self, storage):
-        with pytest.raises(PlanningError):
-            MergeJoin(SeqScan(storage["X"]), SeqScan(storage["Y"]), "X.k", "Y.k",
-                      join_type="full")
 
 
 class TestGeneralizedOuterJoinOp:

@@ -108,22 +108,15 @@ def test_self_time_shields_ancestors(tmp_path, monkeypatch):
 
     from repro.engine.iterators import SeqScan
 
-    # Plant the slowdown on both execution paths: a batch-native parent
-    # pulls `execute_batches` directly, never the row-dispatch `execute`.
-    real_rows = SeqScan._execute_rows
+    # A scan is batch-native: every consumer, row or batch, pulls
+    # `execute_batches`, so that is the one place to plant the slowdown.
     real_batches = SeqScan.execute_batches
-
-    def slow_rows(self, metrics):
-        if self.table.name == "C":
-            time.sleep(0.03)
-        yield from real_rows(self, metrics)
 
     def slow_batches(self, metrics):
         if self.table.name == "C":
             time.sleep(0.03)
         yield from real_batches(self, metrics)
 
-    monkeypatch.setattr(SeqScan, "_execute_rows", slow_rows)
     monkeypatch.setattr(SeqScan, "execute_batches", slow_batches)
     run(candidate)
 

@@ -64,57 +64,26 @@ class TestErrors:
         assert str(ParseError("oops")) == "oops"
 
 
-class TestPlannerMergeOption:
-    def test_merge_planner_matches_hash_planner(self):
-        from repro.algebra import bag_equal
-        from repro.datagen import random_databases
-        from repro.engine import Planner, Storage
-
-        schemas = {"X": ["X.k", "X.v"], "Y": ["Y.k", "Y.w"]}
-        query = oj("X", "Y", eq("X.k", "Y.k"))
-        for db in random_databases(schemas, 8, seed=31):
-            storage = Storage.from_database(db)
-            hash_result = Planner(storage, equi_join="hash").plan(query).run()
-            merge_result = Planner(storage, equi_join="merge").plan(query).run()
-            assert bag_equal(hash_result, merge_result)
-
-    def test_merge_planner_emits_merge_join(self):
-        from repro.engine import MergeJoin, Planner, Storage
-
-        storage = Storage()
-        storage.create_table("X", ["X.k"], [{"X.k": 1}])
-        storage.create_table("Y", ["Y.k"], [{"Y.k": 1}])
-        plan = Planner(storage, equi_join="merge").plan(jn("X", "Y", eq("X.k", "Y.k")))
-        assert isinstance(plan, MergeJoin)
-
-    def test_unknown_algorithm_rejected(self):
-        from repro.engine import Planner, Storage
-        from repro.util.errors import PlanningError
-
-        with pytest.raises(PlanningError):
-            Planner(Storage(), equi_join="quantum")
-
-
 class TestSwitchOverridesArePerThread:
     def test_overlapping_scopes_on_two_threads_each_read_their_own(self):
         from repro.util.fastpath import (
-            batch_enabled,
-            batch_mode,
             batch_size,
             batch_sized,
             fast_enabled,
             kernel_mode,
+            yannakakis_enabled,
+            yannakakis_mode,
         )
 
         def current():
-            return fast_enabled(), batch_enabled(), batch_size()
+            return fast_enabled(), yannakakis_enabled(), batch_size()
 
         default = current()
         barrier = threading.Barrier(2, timeout=10)
         seen = {}
 
         def hold(flag, size):
-            with kernel_mode(flag), batch_mode(not flag), batch_sized(size):
+            with kernel_mode(flag), yannakakis_mode(not flag), batch_sized(size):
                 barrier.wait()  # both scopes are open ...
                 seen[flag] = current()
                 barrier.wait()  # ... and both have read before either exits

@@ -1,12 +1,11 @@
 """End-to-end tests for the Yannakakis acyclic fast path.
 
 Covers the physical operator (full reducer + output-linear join against
-the naive oracle, outerjoin padding, null keys, chords, batch parity),
-the optimizer's strategy choice and plan-cache interplay, EXPLAIN
-ANALYZE surfacing of the reducer, the ``yannakakis`` conformance tier,
-and — mirroring the ``REPRO_BATCH`` pattern — a subprocess proof that
-``REPRO_YANNAKAKIS=0`` and ``=1`` agree, with cyclic graphs falling back
-to the DP plan byte-identically.
+the naive oracle, outerjoin padding, null keys, chords, batch-size
+parity), the optimizer's strategy choice and plan-cache interplay,
+EXPLAIN ANALYZE surfacing of the reducer, the ``yannakakis`` conformance
+tier, and a subprocess proof that ``REPRO_YANNAKAKIS=0`` and ``=1``
+agree, with cyclic graphs falling back to the DP plan byte-identically.
 """
 
 import os
@@ -39,7 +38,7 @@ from repro.engine.yannakakis import YannakakisOp, build_yannakakis_plan
 from repro.optimizer.pipeline import optimize_and_run, optimize_query
 from repro.optimizer.plancache import PlanCache
 from repro.util.errors import PlanningError
-from repro.util.fastpath import batch_mode, batch_sized, yannakakis_mode
+from repro.util.fastpath import batch_sized, yannakakis_mode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -117,16 +116,15 @@ class TestOperator:
         got = build_yannakakis_plan(tree, storage, {}).run()
         assert len(got) == 1  # only the 3 = 3 pair; NULL = NULL is unknown
 
-    def test_batch_and_row_modes_agree(self):
+    def test_batch_sizes_agree(self):
         scenario = star(4, oj_leaves=1)
         expr, db, storage, tree = scenario_case(scenario, 11, null_probability=0.2)
         plan = build_yannakakis_plan(tree, storage, {})
-        with batch_mode(False):
-            row_result = build_yannakakis_plan(tree, storage, {}).run()
-        with batch_mode(True), batch_sized(2):
-            batch_result = plan.run()
-        assert bag_equal(row_result, batch_result)
-        assert bag_equal(row_result, expr.eval(db))
+        default_result = build_yannakakis_plan(tree, storage, {}).run()
+        with batch_sized(2):
+            small_result = plan.run()
+        assert bag_equal(default_result, small_result)
+        assert bag_equal(default_result, expr.eval(db))
 
     def test_input_arity_is_validated(self):
         scenario = chain(3)
