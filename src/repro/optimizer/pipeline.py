@@ -13,8 +13,9 @@
    *any* implementing tree;
 5. **Optimize** (Section 6.1): DP over connected subgraphs, with
    cardinalities estimated against the *filtered* relations;
-6. **Execute**: the chosen tree runs on the engine with the pushed
-   filters reattached above the base scans.
+6. **Execute** (``optimize_and_run``, the one query path): the chosen
+   strategy runs — the DP tree with the pushed filters reattached above
+   the base scans, or a fast-path plan scanning under them.
 
 When a restriction stays parked above an outerjoin (a genuinely
 order-sensitive one, e.g. an ``IS NULL`` probe), the pipeline degrades
@@ -43,6 +44,7 @@ from repro.optimizer.cost import CostModel, CoutCostModel, RetrievalCostModel, a
 from repro.optimizer.dp import DPOptimizer
 from repro.optimizer.fingerprint import plan_cache_key
 from repro.optimizer.plancache import PlanCache, active_plan_cache
+from repro.util.cancel import CancelToken
 from repro.util.errors import GraphUndefinedError, SchemaError
 from repro.util.fastpath import wcoj_enabled, yannakakis_enabled
 
@@ -66,9 +68,11 @@ class PipelineResult:
     fingerprint: Optional[str] = None
     #: True when the chosen plan (or verdict) was replayed from the cache.
     cache_hit: bool = False
-    #: How ``optimize_and_run`` executes: the binary-tree DP plan ("dp"),
-    #: the acyclic semijoin-reduced fast path ("yannakakis"), or the
-    #: cyclic worst-case optimal Leapfrog Triejoin ("wcoj").
+    #: What ``optimize_and_run`` — and so every local query the service
+    #: serves — executes: the binary-tree DP plan ("dp"), the acyclic
+    #: semijoin-reduced fast path ("yannakakis"), or the cyclic
+    #: worst-case optimal Leapfrog Triejoin ("wcoj").  A fast path is set
+    #: only while its switch is on.
     strategy: str = "dp"
     #: The rooted join tree backing the acyclic fast path (None otherwise).
     join_tree: Optional[JoinTree] = None
@@ -313,10 +317,10 @@ def _acyclic_fast_path(
     Safety is :func:`~repro.core.gyo.join_tree_of`'s certificate (class
     hypergraph α-acyclic, every tree edge a real graph edge, outerjoins
     only under Theorem 1 with a core root and no chords).  The cost test
-    compares C_out of the DP's binary tree against the reducer's bill:
-    roughly three streaming passes over the (filtered) base relations
-    plus the output itself — both measured with the same estimator, so
-    the comparison is apples-to-apples.
+    compares C_out of the DP's binary tree against
+    :func:`_reducer_cost`, the bill of what :class:`YannakakisOp` runs —
+    both measured with the same estimator under one memo scope, so the
+    comparison is apples-to-apples.
     """
     with maybe_span("optimizer.yannakakis", category="optimizer") as span:
         tree = join_tree_of(graph, registry)
@@ -326,15 +330,46 @@ def _acyclic_fast_path(
             return None
         with estimator.memo_scope():
             dp_cost = CoutCostModel(estimator).plan_cost(dp_expr)
-            base_total = sum(estimator.base(n).cardinality for n in tree.order)
             output = estimator.estimate_expression(dp_expr).cardinality
-        yann_cost = base_total + output
+            yann_cost = _reducer_cost(tree, estimator, output, dp_cost)
         chosen = yann_cost < dp_cost
         if span is not None:
             span.set(acyclic=True, chosen=chosen)
             span.counters["dp_cost"] = int(dp_cost)
             span.counters["yannakakis_cost"] = int(yann_cost)
         return tree if chosen else None
+
+
+def _reducer_cost(
+    tree: JoinTree, estimator: CardinalityEstimator, output: float, dp_cost: float
+) -> float:
+    """What :class:`~repro.engine.yannakakis.YannakakisOp` does, phase by phase.
+
+    * materialize every input: Σ|R|;
+    * the bottom-up pass (join edges) and the top-down pass (every edge):
+      each semijoin builds on one side and probes the other, billed
+      |parent| + |child| at the unreduced sizes;
+    * the join phase: C_out of the preorder left-deep chain.  After full
+      reduction of a chord-free tree every prefix row reaches an output
+      row, so a prefix bills at most ``output``.  An outerjoin edge never
+      reduces its preserved side, so a tree with one bills its join
+      phase at no less than ``dp_cost``, the DP tree's C_out.
+    """
+    card = {name: estimator.base(name).cardinality for name in tree.order}
+    passes = sum(
+        (2 if edge.kind == "join" else 1) * (card[edge.parent] + card[edge.child])
+        for edge in tree.edges
+    )
+    cap = float("inf") if tree.chords else output
+    acc = estimator.base(tree.root)
+    join_phase = 0.0
+    for edge in tree.edges:
+        kind = "join" if edge.kind == "join" else "left_outer"
+        acc = estimator.combine(kind, edge.predicate, acc, estimator.base(edge.child))
+        join_phase += min(acc.cardinality, cap)
+    if any(edge.kind == "oj" for edge in tree.edges):
+        join_phase = max(join_phase, dp_cost)
+    return sum(card.values()) + passes + join_phase
 
 
 def _cyclic_fast_path(
@@ -380,36 +415,33 @@ def optimize_and_run(
     cost_model: str = "retrieval",
     cache: Optional[PlanCache] = None,
     use_cache: bool = True,
+    cancel: Optional[CancelToken] = None,
 ) -> tuple[PipelineResult, ExecutionResult]:
-    """Optimize, execute the chosen plan, return both records.
+    """Optimize, execute the strategy the optimizer chose, return both records.
 
+    The one query path (the service runs every local query through it).
     A "yannakakis" strategy builds the semijoin-reduced N-ary plan from
-    the cached join tree and leaf filters; a "wcoj" strategy builds the
-    Leapfrog Triejoin plan from the cached trie spec.  The switches are
-    re-checked here so ``REPRO_YANNAKAKIS=0`` / ``REPRO_WCOJ=0`` fall
-    back to the DP tree even on plans optimized (or cached) while the
-    fast paths were on.
+    the join tree and leaf filters; a "wcoj" strategy builds the
+    Leapfrog Triejoin plan from the trie spec; "dp" plans ``chosen``.
+    The fast-path switches were already applied by the optimizer, which
+    sets a strategy only while its switch is on.  ``cancel`` reaches the
+    drain loop and metrics sink of every branch.
     """
     result = optimize_query(
         query, storage, cost_model=cost_model, cache=cache, use_cache=use_cache
     )
-    if (
-        result.strategy == "yannakakis"
-        and result.join_tree is not None
-        and yannakakis_enabled()
-    ):
+    if cancel is not None:
+        cancel.check()
+    if result.strategy == "yannakakis":
         from repro.engine.yannakakis import build_yannakakis_plan
 
+        assert result.join_tree is not None
         plan = build_yannakakis_plan(result.join_tree, storage, result.leaf_filters)
-        return result, execute_plan(plan)
-    if (
-        result.strategy == "wcoj"
-        and result.wcoj_spec is not None
-        and wcoj_enabled()
-    ):
+        return result, execute_plan(plan, cancel=cancel)
+    if result.strategy == "wcoj":
         from repro.engine.wcoj import build_wcoj_plan
 
+        assert result.wcoj_spec is not None
         plan = build_wcoj_plan(result.wcoj_spec, storage, result.leaf_filters)
-        return result, execute_plan(plan)
-    execution = execute(result.chosen, storage)
-    return result, execution
+        return result, execute_plan(plan, cancel=cancel)
+    return result, execute(result.chosen, storage, cancel=cancel)

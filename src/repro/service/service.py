@@ -1,8 +1,8 @@
 """A concurrent query service over one storage: threads, deadlines, shedding.
 
-:class:`QueryService` turns the single-shot pipeline
-(:func:`repro.optimizer.optimize_query` + :func:`repro.engine.execute`)
-into a serving layer:
+:class:`QueryService` turns the single-shot query path
+(:func:`repro.optimizer.optimize_and_run`, which runs whichever strategy
+the optimizer chose) into a serving layer:
 
 * **Worker pool** — a fixed set of daemon threads drains a *bounded*
   admission queue.  Everything per-query (plan tree, metrics sink,
@@ -46,10 +46,10 @@ from repro.backends.base import (
 )
 from repro.backends.hints import HintError
 from repro.core.expressions import Expression
-from repro.engine.executor import ExecutionResult, execute
+from repro.engine.executor import ExecutionResult
 from repro.engine.storage import Storage
 from repro.observability.spans import maybe_span
-from repro.optimizer.pipeline import PipelineResult, optimize_query
+from repro.optimizer.pipeline import PipelineResult, optimize_and_run, optimize_query
 from repro.optimizer.plancache import PlanCache, active_plan_cache
 from repro.tools import instrumentation
 from repro.util.cancel import CancelToken
@@ -92,6 +92,11 @@ class QueryOutcome:
     def cache_hit(self) -> bool:
         """Did the optimizer replay a cached plan for this query?"""
         return self.pipeline is not None and self.pipeline.cache_hit
+
+    @property
+    def strategy(self) -> Optional[str]:
+        """Which strategy served the query ("dp", "yannakakis", "wcoj")."""
+        return self.pipeline.strategy if self.pipeline is not None else None
 
     def require(self) -> Relation:
         """The result relation, or the recorded failure re-raised."""
@@ -338,16 +343,13 @@ class QueryService:
                 if ticket.backend != "local":
                     outcome = self._run_backend(ticket)
                 else:
-                    pipeline = optimize_query(
+                    pipeline, execution = optimize_and_run(
                         ticket.query,
                         self.storage,
                         cost_model=self.cost_model,
                         cache=self.plan_cache,
                         use_cache=self.plan_cache is not None,
-                    )
-                    ticket.token.check()
-                    execution = execute(
-                        pipeline.chosen, self.storage, cancel=ticket.token
+                        cancel=ticket.token,
                     )
                     outcome = QueryOutcome(
                         status="ok",
@@ -366,7 +368,11 @@ class QueryService:
             outcome.elapsed_s = monotonic() - started
             outcome.queue_wait_s = queue_wait
             if span is not None:
-                span.set(status=outcome.status, cache_hit=outcome.cache_hit)
+                span.set(
+                    status=outcome.status,
+                    cache_hit=outcome.cache_hit,
+                    strategy=outcome.strategy,
+                )
                 span.counters["queue_wait_us"] += int(queue_wait * 1e6)
         self._count(outcome.status)
         ticket._resolve(outcome)

@@ -75,3 +75,44 @@ def xyz_random_dbs():
     """A reproducible batch of randomized X/Y/Z databases."""
     schemas = {"X": ["X.a", "X.b"], "Y": ["Y.a", "Y.b"], "Z": ["Z.a", "Z.b"]}
     return random_databases(schemas, count=25, seed=7)
+
+
+@pytest.fixture
+def serve_interrupted(monkeypatch):
+    """Serve one query and stop it right after its routed plan is built.
+
+    ``serve(query, storage, module, builder, how)`` wraps
+    ``module.builder`` (the plan builder ``optimize_and_run`` imports at
+    call time) so that once the plan exists the ticket is cancelled
+    (``how="cancel"``) or its one-second deadline runs out
+    (``how="timeout"``).  The plan has not drained a row yet, so only a
+    token that reached the plan's ``execute_plan`` can stop it.  Returns
+    the outcome and the plans the builder built.
+    """
+    import threading
+    import time
+
+    from repro.service import QueryService
+
+    def serve(query, storage, module, builder, how):
+        real = getattr(module, builder)
+        built, tickets, submitted = [], [], threading.Event()
+
+        def interrupting(*args, **kwargs):
+            plan = real(*args, **kwargs)
+            built.append(plan)
+            submitted.wait(10)
+            ticket = tickets[0]
+            if how == "cancel":
+                ticket.cancel()
+            else:
+                time.sleep(ticket.token.remaining_s())
+            return plan
+
+        monkeypatch.setattr(module, builder, interrupting)
+        with QueryService(storage, workers=1, use_cache=False) as service:
+            tickets.append(service.submit(query, timeout_s=1.0 if how == "timeout" else None))
+            submitted.set()
+            return tickets[0].result(timeout=60), built
+
+    return serve

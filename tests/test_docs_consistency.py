@@ -84,3 +84,15 @@ class TestTierTableMatchesSource:
         table = doc.split("| tier | what runs | trusts |", 1)[1].split("\n\n", 1)[0]
         in_table = re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)
         assert in_table == list(EXECUTOR_TIERS)
+
+
+class TestServiceDocNamesOneQueryPath:
+    #: Entry points that plan or run a query other than optimize_and_run.
+    OTHER_PATHS = re.compile(
+        r"\b(optimize_query|execute_plan|Planner)\b|repro\.engine(\.executor)?\.execute\b"
+    )
+
+    def test_service_doc_names_only_optimize_and_run(self):
+        doc = (ROOT / "docs" / "SERVICE.md").read_text()
+        assert "optimize_and_run" in doc
+        assert self.OTHER_PATHS.findall(doc) == []

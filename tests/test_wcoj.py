@@ -44,11 +44,13 @@ from repro.datagen.topologies import (
     square,
     triangle,
 )
+from repro.engine.executor import execute
 from repro.engine.explain import explain_analyze
 from repro.engine.storage import Storage
 from repro.engine.wcoj import LeapfrogTriejoinOp, build_wcoj_plan
 from repro.optimizer.pipeline import optimize_and_run, optimize_query
 from repro.optimizer.plancache import PlanCache
+from repro.service import QueryService
 from repro.util.errors import PlanningError
 from repro.util.fastpath import wcoj_mode
 
@@ -87,6 +89,29 @@ def triangle_db(edges):
             ),
         }
     )
+
+
+def spike_triangle(m=3, k=6):
+    """(query, storage): the AGM zero-spike triangle the cyclic gate routes.
+
+    ``k`` copies of ``(0, j)`` and ``(j, 0)`` for ``j in 1..m`` in all
+    three relations, plus three diagonal needles: every pairwise join
+    fans the spike out quadratically and only the needles survive.
+    """
+    pairs = [(0, j) for j in range(1, m + 1) for _ in range(k)]
+    pairs += [(b, a) for a, b in pairs]
+    pairs += [(m + 1 + t, m + 1 + t) for t in range(3)]
+    storage = Storage()
+    for name in ("T1", "T2", "T3"):
+        storage.create_table(
+            name, [f"{name}.a", f"{name}.b"], [{f"{name}.a": a, f"{name}.b": b} for a, b in pairs]
+        )
+    query = jn(
+        jn(rel("T1"), rel("T2"), eq("T1.a", "T2.a")),
+        rel("T3"),
+        eq("T2.b", "T3.a") & eq("T3.b", "T1.b"),
+    )
+    return query, storage
 
 
 def triangle_query():
@@ -326,6 +351,25 @@ class TestOptimizerDispatch:
         assert result.strategy == "dp"
 
 
+class TestServed:
+    def test_service_serves_the_leapfrog_plan(self):
+        expr, storage = spike_triangle()
+        with QueryService(storage, workers=1, use_cache=False) as service:
+            outcome = service.execute(expr)
+        assert outcome.ok and outcome.strategy == "wcoj"
+        assert isinstance(outcome.execution.plan, LeapfrogTriejoinOp)
+        assert bag_equal(outcome.relation, execute(outcome.pipeline.chosen, storage).relation)
+
+    @pytest.mark.parametrize("how", ["cancel", "timeout"])
+    def test_deadline_reaches_the_leapfrog_plan(self, serve_interrupted, how):
+        import repro.engine.wcoj as module
+
+        expr, storage = spike_triangle()
+        outcome, built = serve_interrupted(expr, storage, module, "build_wcoj_plan", how)
+        assert outcome.status == {"cancel": "cancelled", "timeout": "timeout"}[how]
+        assert [type(plan) for plan in built] == [LeapfrogTriejoinOp]
+
+
 class TestExplain:
     def test_explain_analyze_shows_leapfrog_metering(self):
         expr, scenario = triangle_query()
@@ -405,13 +449,31 @@ assert result.strategy != "wcoj", result.strategy
 dump("acyclic", execution.relation, ordered=True)
 print("retrieved", sorted(execution.metrics.tuples_retrieved.items()))
 print("evaluated", execution.metrics.predicate_evaluations)
+
+# one served spike triangle: the service runs Leapfrog with the switch
+# on, and exactly execute(chosen) -- rows, order, metrics -- with it off
+from repro.engine.executor import execute
+from repro.service import QueryService
+from repro.util.fastpath import wcoj_enabled
+from tests.test_wcoj import spike_triangle
+
+expr, storage = spike_triangle()
+with QueryService(storage, workers=1, use_cache=False) as service:
+    outcome = service.execute(expr)
+assert outcome.strategy == ("wcoj" if wcoj_enabled() else "dp")
+dump("served", outcome.relation, ordered=False)
+if not wcoj_enabled():
+    direct = execute(outcome.pipeline.chosen, storage)
+    assert list(outcome.relation) == list(direct.relation)
+    assert outcome.execution.metrics.summary() == direct.metrics.summary()
 """
 
 
 class TestFastPathToggle:
     def test_repro_wcoj_0_matches_1(self):
         """REPRO_WCOJ=0 and =1 agree on every cyclic workload as bags,
-        and are byte-identical (rows, order, metrics) off the path."""
+        and are byte-identical (rows, order, metrics) off the path,
+        a query served with the switch off included."""
         outputs = {}
         for flag in ("0", "1"):
             env = dict(os.environ, REPRO_WCOJ=flag)

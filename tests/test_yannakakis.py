@@ -32,11 +32,13 @@ from repro.datagen.topologies import (
     snowflake,
     star,
 )
+from repro.engine.executor import execute
 from repro.engine.explain import explain_analyze
 from repro.engine.storage import Storage
 from repro.engine.yannakakis import YannakakisOp, build_yannakakis_plan
 from repro.optimizer.pipeline import optimize_and_run, optimize_query
 from repro.optimizer.plancache import PlanCache
+from repro.service import QueryService
 from repro.util.errors import PlanningError
 from repro.util.fastpath import batch_sized, yannakakis_mode
 
@@ -51,6 +53,33 @@ def scenario_case(scenario, seed, **db_kwargs):
     storage = Storage.from_database(db)
     tree = join_tree_of(scenario.graph, scenario.registry)
     return expr, db, storage, tree
+
+
+def needle_chain():
+    """(query, storage): ``E1 - E2 - E3`` in the BENCH_PR7 needle construction.
+
+    E2's halves pair a key inside one endpoint's heavy window with a key
+    that matches nothing on the other end, so a binary plan fans half of
+    E2 out before the far end kills it; only three needle keys reach the
+    output.  E3's window is the heavier one, and the DP's tree joins it
+    first, so the reducer's bill comes out below the DP tree's C_out.
+    """
+    storage = Storage()
+    needles = (10_000, 10_001, 10_002)
+    windows = {"E1": ("k1", 60, 10), "E3": ("k2", 200, 2)}
+    for name, (col, heavy, window) in windows.items():
+        rows = [{f"{name}.{col}": i % window, f"{name}.p": i} for i in range(heavy)]
+        rows += [{f"{name}.{col}": k, f"{name}.p": heavy + j} for j, k in enumerate(needles)]
+        storage.create_table(name, [f"{name}.{col}", f"{name}.p"], rows)
+    rows = []
+    for i in range(200):
+        k1, k2 = i % windows["E1"][2], i % windows["E3"][2]
+        keys = (k1, 1000 + k2) if i % 2 else (1000 + k1, k2)
+        rows.append({"E2.k1": keys[0], "E2.k2": keys[1], "E2.p": i})
+    rows += [{"E2.k1": k, "E2.k2": k, "E2.p": 200 + j} for j, k in enumerate(needles)]
+    storage.create_table("E2", ["E2.k1", "E2.k2", "E2.p"], rows)
+    query = jn(jn(rel("E1"), rel("E2"), eq("E1.k1", "E2.k1")), rel("E3"), eq("E2.k2", "E3.k2"))
+    return query, storage
 
 
 class TestOperator:
@@ -157,8 +186,7 @@ class TestExplain:
 
 class TestOptimizerStrategy:
     def test_chain_chooses_yannakakis_and_matches_dp(self):
-        scenario = chain(4)
-        expr, db, storage, _tree = scenario_case(scenario, 21, max_rows=6)
+        expr, storage = needle_chain()
         with yannakakis_mode(True):
             result, execution = optimize_and_run(expr, storage, use_cache=False)
         assert result.strategy == "yannakakis"
@@ -167,7 +195,27 @@ class TestOptimizerStrategy:
             dp_result, dp_execution = optimize_and_run(expr, storage, use_cache=False)
         assert dp_result.strategy == "dp"
         assert bag_equal(execution.relation, dp_execution.relation)
-        assert bag_equal(execution.relation, expr.eval(db))
+        assert bag_equal(execution.relation, expr.eval(storage.to_database()))
+        assert len(execution.relation) == 3  # the needles
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [snowflake(3, arm_length=2, oj_arms=2), chain(4, ["join", "out", "out"])],
+        ids=lambda s: s.name,
+    )
+    def test_outerjoin_shapes_price_to_dp(self, scenario):
+        # The preserved side of an outerjoin edge is never reduced, so
+        # the reducer's join phase bills at least the DP tree's C_out and
+        # its semijoin passes come on top: eligible, but never cheaper.
+        assert join_tree_of(scenario.graph, scenario.registry) is not None
+        for seed in (0, 1, 2):
+            expr, _db, storage, _tree = scenario_case(
+                scenario, seed, min_rows=1000, max_rows=1000, domain=200,
+                null_probability=0.05,
+            )
+            with yannakakis_mode(True):
+                result = optimize_query(expr, storage, use_cache=False)
+            assert result.strategy == "dp", (scenario.name, seed)
 
     def test_cyclic_class_hypergraph_stays_on_dp(self):
         graph = QueryGraph.from_edges(
@@ -189,8 +237,7 @@ class TestOptimizerStrategy:
         assert bag_equal(execution.relation, expr.eval(db))
 
     def test_cached_plan_replays_the_join_tree(self):
-        scenario = chain(4)
-        expr, db, storage, _tree = scenario_case(scenario, 21, max_rows=6)
+        expr, storage = needle_chain()
         cache = PlanCache()
         with yannakakis_mode(True):
             first = optimize_query(expr, storage, cache=cache)
@@ -204,6 +251,25 @@ class TestOptimizerStrategy:
             third = optimize_query(expr, storage, cache=cache)
             assert third.cache_hit
             assert third.strategy == "dp"
+
+
+class TestServed:
+    def test_service_serves_the_reducer_plan(self):
+        expr, storage = needle_chain()
+        with QueryService(storage, workers=1, use_cache=False) as service:
+            outcome = service.execute(expr)
+        assert outcome.ok and outcome.strategy == "yannakakis"
+        assert isinstance(outcome.execution.plan, YannakakisOp)
+        assert bag_equal(outcome.relation, execute(outcome.pipeline.chosen, storage).relation)
+
+    @pytest.mark.parametrize("how", ["cancel", "timeout"])
+    def test_deadline_reaches_the_reducer_plan(self, serve_interrupted, how):
+        import repro.engine.yannakakis as module
+
+        expr, storage = needle_chain()
+        outcome, built = serve_interrupted(expr, storage, module, "build_yannakakis_plan", how)
+        assert outcome.status == {"cancel": "cancelled", "timeout": "timeout"}[how]
+        assert [type(plan) for plan in built] == [YannakakisOp]
 
 
 class TestConformanceTier:
@@ -302,13 +368,32 @@ assert result.strategy == "dp", result.strategy
 dump("cyclic", execution.relation, ordered=True)
 print("retrieved", sorted(execution.metrics.tuples_retrieved.items()))
 print("evaluated", execution.metrics.predicate_evaluations)
+
+# one served query the reducer wins: the service runs the reducer with
+# the switch on, and exactly execute(chosen) -- rows, order, metrics --
+# with it off
+from repro.engine.executor import execute
+from repro.service import QueryService
+from repro.util.fastpath import yannakakis_enabled
+from tests.test_yannakakis import needle_chain
+
+expr, storage = needle_chain()
+with QueryService(storage, workers=1, use_cache=False) as service:
+    outcome = service.execute(expr)
+assert outcome.strategy == ("yannakakis" if yannakakis_enabled() else "dp")
+dump("served", outcome.relation, ordered=False)
+if not yannakakis_enabled():
+    direct = execute(outcome.pipeline.chosen, storage)
+    assert list(outcome.relation) == list(direct.relation)
+    assert outcome.execution.metrics.summary() == direct.metrics.summary()
 """
 
 
 class TestFastPathToggle:
     def test_repro_yannakakis_0_matches_1(self):
         """REPRO_YANNAKAKIS=0 and =1 agree on every workload; the cyclic
-        fallback is byte-identical down to the DP plan's metrics."""
+        fallback is byte-identical down to the DP plan's metrics, and so
+        is a query served with the switch off."""
         outputs = {}
         for flag in ("0", "1"):
             env = dict(os.environ, REPRO_YANNAKAKIS=flag)
