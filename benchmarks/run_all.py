@@ -2,8 +2,7 @@
 """Run the whole benchmark suite and write BENCH_PR1.json.
 
 Thin CLI over :mod:`repro.tools.benchrunner`; see that module for the
-report format and flags (``--naive``, ``--smoke``, ``--seed``, ``--only``,
-``--output``).
+report format and flags (``--smoke``, ``--seed``, ``--only``, ``--output``).
 """
 
 import sys

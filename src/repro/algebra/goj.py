@@ -22,7 +22,7 @@ reorderable class, e.g. Example 2's ``X → (Y − Z)``; see
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from repro.algebra.operators import join
 from repro.algebra.predicates import Predicate
@@ -37,11 +37,13 @@ def generalized_outerjoin(
     right: Relation,
     predicate: Predicate,
     projection: Iterable[str],
+    join: Callable[[Relation, Relation, Predicate], Relation] = join,
 ) -> Relation:
     """``GOJ[S](R1, R2)`` per equation 14.
 
     ``projection`` is the attribute set ``S``; it must be contained in
-    ``sch(R1)``.
+    ``sch(R1)``.  ``join`` computes ``JN(R1, R2)``: the public join by
+    default, the nested loop when the oracle's operator table evaluates.
     """
     s_attrs = list(projection)
     s_schema = Schema(s_attrs)

@@ -21,12 +21,13 @@ replacing the quadratic scan with a build/probe hash join:
 A predicate with no usable equality conjunct (pure non-equi, or
 ``TRUE``) yields no key pairs and the caller falls back to the nested
 loop.  So do *micro inputs* (distinct-row product below
-``_SMALL_INPUT_LIMIT``): building key tuples and hash buckets costs more
-than a handful of nested-loop probes, and the brute-force enumeration
-workloads evaluate thousands of operators over 2–4 row relations.
-Decompositions are memoized per (predicate, schemes) because the same
-operator predicate is applied to thousands of randomized databases in a
-property-test run.
+:func:`~repro.util.fastpath.small_input_cutoff`, 32 unless a thread pins
+it with ``small_input_limit``): building key tuples and hash buckets
+costs more than a handful of nested-loop probes, and the brute-force
+enumeration workloads evaluate thousands of operators over 2–4 row
+relations.  Decompositions are memoized per (predicate, schemes) because
+the same operator predicate is applied to thousands of randomized
+databases in a property-test run.
 
 Correctness argument: a pair ``(t1, t2)`` satisfies the full conjunction
 iff every conjunct evaluates to True; the key conjuncts evaluate to True
@@ -39,13 +40,13 @@ naive operators over randomized null-bearing databases.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra.nulls import is_null
 from repro.algebra.predicates import AttrRef, Comparison, PairView, Predicate
 from repro.algebra.relation import Relation
 from repro.algebra.tuples import Row, null_row
+from repro.util.fastpath import small_input_cutoff
 
 #: Decomposition of a join predicate against a (left, right) scheme pair:
 #: parallel key-attribute tuples plus the residual conjuncts.
@@ -54,31 +55,9 @@ Decomposition = Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[Predicate, ...]]
 _DECOMP_CACHE: Dict[Tuple[Predicate, frozenset, frozenset], Decomposition] = {}
 _DECOMP_CACHE_LIMIT = 4096
 
-#: Below this distinct-row product the nested loop wins; the kernels
-#: decline and the caller falls back.  Tests force it to 0 to exercise
-#: the hash path on tiny randomized relations.
-_SMALL_INPUT_LIMIT = 32
-
 
 def _too_small(left: Relation, right: Relation) -> bool:
-    return len(left.counts()) * len(right.counts()) < _SMALL_INPUT_LIMIT
-
-
-@contextmanager
-def small_input_limit(limit: int):
-    """Temporarily override the small-input fallback threshold.
-
-    The conformance harness sets it to 0 so the ``kernels`` executor tier
-    really runs the hash kernels on tiny fuzz relations instead of
-    silently falling back to the nested loop.
-    """
-    global _SMALL_INPUT_LIMIT
-    previous = _SMALL_INPUT_LIMIT
-    _SMALL_INPUT_LIMIT = limit
-    try:
-        yield
-    finally:
-        _SMALL_INPUT_LIMIT = previous
+    return len(left.counts()) * len(right.counts()) < small_input_cutoff()
 
 
 def decompose_join_predicate(

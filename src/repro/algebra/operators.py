@@ -24,17 +24,24 @@ operand schemes are disjoint.
 
 Each join-like operator exists in two forms: the naive nested-loop
 transcription of the paper (``naive_join`` & co., the semantic oracle)
-and a hash-partitioned fast path (:mod:`repro.algebra.kernels`) that the
-public names dispatch to whenever the predicate has an equality conjunct
-across the schemes and :func:`repro.util.fastpath.fast_enabled` is on.
-The two are property-tested bag-equal on randomized null-bearing
-databases (``tests/test_kernel_equivalence.py``).
+and the public name, which runs a hash-partitioned kernel
+(:mod:`repro.algebra.kernels`) and falls back to the nested loop when
+the kernel declines (no equality conjunct across the schemes, or a
+micro input).  The two are property-tested bag-equal on randomized
+null-bearing databases (``tests/test_kernel_equivalence.py``).
+
+An :class:`OperatorTable` names one implementation of every operator an
+expression tree can hold; ``Expression.eval(db, ops=...)`` evaluates
+with it.  :data:`PUBLIC_OPS` (the default) binds the public names,
+:data:`ORACLE_OPS` the nested loops, so the oracle is an argument of the
+evaluation rather than a mode of the process.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 from repro.algebra import kernels
 from repro.algebra.predicates import PairView, Predicate
@@ -43,7 +50,6 @@ from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
 from repro.algebra.tuples import Row, null_row
 from repro.util.errors import SchemaError
-from repro.util.fastpath import fast_enabled
 
 
 def _require_disjoint(left: Relation, right: Relation, op: str) -> None:
@@ -99,10 +105,9 @@ def join(left: Relation, right: Relation, predicate: Predicate) -> Relation:
     predicate p" (Section 1.2).
     """
     _require_disjoint(left, right, "join")
-    if fast_enabled():
-        out = kernels.join_counts(left, right, predicate)
-        if out is not None:
-            return Relation.from_counts(_output_schema(left, right), out)
+    out = kernels.join_counts(left, right, predicate)
+    if out is not None:
+        return Relation.from_counts(_output_schema(left, right), out)
     return naive_join(left, right, predicate)
 
 
@@ -126,10 +131,9 @@ def outerjoin(left: Relation, right: Relation, predicate: Predicate) -> Relation
     ``right`` here.
     """
     _require_disjoint(left, right, "outerjoin")
-    if fast_enabled():
-        out = kernels.outerjoin_counts(left, right, predicate)
-        if out is not None:
-            return Relation.from_counts(_output_schema(left, right), out)
+    out = kernels.outerjoin_counts(left, right, predicate)
+    if out is not None:
+        return Relation.from_counts(_output_schema(left, right), out)
     return naive_outerjoin(left, right, predicate)
 
 
@@ -163,10 +167,9 @@ def full_outerjoin(left: Relation, right: Relation, predicate: Predicate) -> Rel
     ``JN(R1,R2) ∪ (unmatched R1 padded) ∪ (unmatched R2 padded)``.
     """
     _require_disjoint(left, right, "full_outerjoin")
-    if fast_enabled():
-        out = kernels.full_outerjoin_counts(left, right, predicate)
-        if out is not None:
-            return Relation.from_counts(_output_schema(left, right), out)
+    out = kernels.full_outerjoin_counts(left, right, predicate)
+    if out is not None:
+        return Relation.from_counts(_output_schema(left, right), out)
     return naive_full_outerjoin(left, right, predicate)
 
 
@@ -202,10 +205,9 @@ def antijoin(left: Relation, right: Relation, predicate: Predicate) -> Relation:
     The output scheme is ``sch(R1)``.
     """
     _require_disjoint(left, right, "antijoin")
-    if fast_enabled():
-        out = kernels.antijoin_counts(left, right, predicate)
-        if out is not None:
-            return Relation.from_counts(left.schema, out)
+    out = kernels.antijoin_counts(left, right, predicate)
+    if out is not None:
+        return Relation.from_counts(left.schema, out)
     return naive_antijoin(left, right, predicate)
 
 
@@ -225,10 +227,9 @@ def naive_antijoin(left: Relation, right: Relation, predicate: Predicate) -> Rel
 def semijoin(left: Relation, right: Relation, predicate: Predicate) -> Relation:
     """Semijoin: the tuples of ``R1`` that do have a match in ``R2``."""
     _require_disjoint(left, right, "semijoin")
-    if fast_enabled():
-        out = kernels.semijoin_counts(left, right, predicate)
-        if out is not None:
-            return Relation.from_counts(left.schema, out)
+    out = kernels.semijoin_counts(left, right, predicate)
+    if out is not None:
+        return Relation.from_counts(left.schema, out)
     return naive_semijoin(left, right, predicate)
 
 
@@ -291,3 +292,32 @@ def difference(left: Relation, right: Relation, bag: bool = False) -> Relation:
             if right.multiplicity(row) == 0:
                 out[row] += n
     return Relation.from_counts(left.schema, out)
+
+
+_Binary = Callable[[Relation, Relation, Predicate], Relation]
+
+
+@dataclass(frozen=True)
+class OperatorTable:
+    """The operators an expression tree evaluates with.
+
+    The generalized outerjoin has no entry of its own: it takes its inner
+    join from the table (:func:`repro.algebra.goj.generalized_outerjoin`).
+    """
+
+    join: _Binary
+    outerjoin: _Binary
+    full_outerjoin: _Binary
+    antijoin: _Binary
+    semijoin: _Binary
+    restrict: Callable[[Relation, Predicate], Relation] = restrict
+    project: Callable[..., Relation] = project
+    union_padded: Callable[[Relation, Relation], Relation] = union_padded
+
+
+#: The public operators: hash kernels, with the nested loop when one declines.
+PUBLIC_OPS = OperatorTable(join, outerjoin, full_outerjoin, antijoin, semijoin)
+#: The nested-loop transcription of the paper — the oracle the rest is checked against.
+ORACLE_OPS = OperatorTable(
+    naive_join, naive_outerjoin, naive_full_outerjoin, naive_antijoin, naive_semijoin
+)

@@ -6,9 +6,12 @@ this package makes equivalence checking a first-class subsystem with
 three independent oracle tiers:
 
 1. **naive algebra** (``executors="naive"``): the nested-loop operators
-   that transcribe the paper's definitions — the in-tree semantic truth;
-2. **engine tiers** (``"kernels"``, ``"engine"``): the hash kernels and
-   the iterator engine's plans — the code we actually want to trust;
+   that transcribe the paper's definitions, passed to the evaluator as
+   the oracle operator table — the in-tree semantic truth;
+2. **fast tiers** (``"kernels"``, ``"algebra"``, ``"engine"``, ...): the
+   public algebra operators (hash kernels, with the nested loop when a
+   kernel declines) and the engine's plans — the code we actually want
+   to trust;
 3. **SQLite** (``"sqlite"``): the stdlib ``sqlite3`` engine running a
    transpiled form of the same query — an oracle that shares *no code*
    with this library.

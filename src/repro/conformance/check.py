@@ -6,10 +6,12 @@ from an expression tree to a bag of rows:
 ======================  =====================================================
 tier                    route
 ======================  =====================================================
-``"naive"``             algebra operators with the fast kernels forced OFF —
-                        the nested-loop transcription of the paper (oracle)
-``"kernels"``           algebra operators with the fast kernels forced ON
-``"algebra"``           algebra operators in whatever mode is active
+``"naive"``             the oracle operator table — the nested-loop
+                        transcription of the paper
+``"kernels"``           the public algebra operators with the small-input
+                        cutoff at 0, so every equi-join runs a hash kernel
+``"algebra"``           the public algebra operators: hash kernels, with
+                        the nested loop when a kernel declines
 ``"engine"``            physical planner + iterators (hash equi-joins,
                         vectorized scan/filter/project/join) at the
                         default batch size
@@ -60,12 +62,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra.comparison import RelationDiff, bag_equal, explain_difference
+from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.relation import Database, Relation
 from repro.core.expressions import Expression, FullOuterJoin, Union
 from repro.observability.spans import maybe_span
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError, ReproError
-from repro.util.fastpath import kernel_mode
+from repro.util.fastpath import small_input_limit
 
 #: Every known tier, in oracle-first order (the first tier that runs
 #: becomes the comparison baseline, so the semantic oracle leads).
@@ -121,15 +124,12 @@ def run_executor(
     on demand otherwise.
     """
     if name == "naive":
-        with kernel_mode(False):
-            return expr.eval(db)
+        return expr.eval(db, ops=ORACLE_OPS)
     if name == "kernels":
-        from repro.algebra.kernels import small_input_limit
-
         # Zero the cutoff: on the tiny relations the fuzzer generates the
         # kernels would otherwise decline and fall back to the naive path,
         # making this tier a silent duplicate of "naive".
-        with kernel_mode(True), small_input_limit(0):
+        with small_input_limit(0):
             return expr.eval(db)
     if name == "algebra":
         return expr.eval(db)

@@ -10,7 +10,7 @@ implementing trees** of its graph, optimize both through one shared
 :class:`~repro.optimizer.plancache.PlanCache` (the second must hit), and
 demand the replayed plan's engine result is bag-equal to the *naive*
 algebra evaluation of the second tree — the slow transcription of the
-paper's definitions, evaluated with kernels off.
+paper's definitions, evaluated with the oracle operator table.
 
 Graphs that are not freely reorderable are exercised too, with one
 twist: two implementing trees of a *non-nice* graph are inequivalent
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.algebra.comparison import bag_equal
+from repro.algebra.operators import ORACLE_OPS
 from repro.conformance.check import supported_executors
 from repro.core.enumeration import count_implementing_trees, sample_implementing_tree
 from repro.core.reorderability import theorem1_applies
@@ -40,7 +41,6 @@ from repro.engine.storage import Storage
 from repro.optimizer.pipeline import optimize_query
 from repro.optimizer.plancache import PlanCache
 from repro.tools import instrumentation
-from repro.util.fastpath import kernel_mode
 from repro.util.rng import make_rng
 
 
@@ -130,8 +130,7 @@ def check_plan_cache(cases: int = 200, seed: int = 0) -> PlanCacheReport:
             report.hits += 1
 
         replayed = execute(r2.chosen, storage).relation
-        with kernel_mode(False):
-            oracle = second.eval(db)
+        oracle = second.eval(db, ops=ORACLE_OPS)
         if not bag_equal(replayed, oracle):
             instrumentation.bump("plancache_conformance_failures")
             report.mismatches.append(

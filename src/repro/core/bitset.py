@@ -1,10 +1,10 @@
 """Integer-bitset encoding of query-graph node sets.
 
 Connected-subset and cut enumeration (IT enumeration, the optimizer DP)
-are exponential walks over node subsets.  The naive code represents every
-subset as a ``frozenset[str]`` and re-runs a BFS per connectivity check;
-this module maps each node to one bit of a machine integer so the same
-walks run on ints:
+are exponential walks over node subsets.  Rather than a
+``frozenset[str]`` per subset and a BFS per connectivity check, this
+module maps each node to one bit of a machine integer so the walks run
+on ints:
 
 * subsets are masks; union/intersection/complement are single ops;
 * neighborhoods are precomputed per-node masks, OR-merged and memoized
@@ -15,10 +15,11 @@ walks run on ints:
   over precomputed endpoint masks, memoized per (mask, mask) pair.
 
 Node-to-bit assignment follows the sorted node order, so ascending local
-submasks of any subset correspond to ascending global masks — the fast
-enumerators can therefore yield partitions in *exactly* the order the
-naive code does, keeping plan tie-breaking and IT enumeration order
-byte-identical between the two paths.
+submasks of any subset correspond to ascending global masks — the
+enumerators therefore yield partitions in *exactly* the order of a
+brute-force frozenset loop over sorted nodes, which fixes plan
+tie-breaking and IT enumeration order (``tests/test_bitset_subgraphs.py``
+keeps that loop as the reference).
 
 Frozensets only appear at the API boundary (:meth:`BitsetIndex.set_of`),
 which is what keeps the public signatures unchanged.

@@ -28,48 +28,27 @@ basic transform), matching Section 3.2 where reversal is a transform
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.algebra.predicates import Predicate, conjunction
+from repro.algebra.predicates import Predicate
 from repro.core.expressions import Expression, Join, LeftOuterJoin, Rel, RightOuterJoin
 from repro.core.graph import QueryGraph
 from repro.tools import instrumentation
 from repro.util.errors import GraphUndefinedError
-from repro.util.fastpath import fast_enabled
 
 
-def _root_operator(
+def root_operator(
     graph: QueryGraph, side_a: FrozenSet[str], side_b: FrozenSet[str]
 ) -> Optional[Tuple[str, Predicate]]:
     """Which operator (if any) can sit on the cut (side_a | side_b)?
 
     Returns ``(kind, predicate)`` with kind in {"join", "loj", "roj"}, or
-    ``None`` when the cut supports no operator.
+    ``None`` when the cut supports no operator.  The optimizers use the
+    same cut-legality rule.
     """
-    if fast_enabled():
-        index = graph.bitset_index()
-        return index.cut_operator(index.mask_of(side_a), index.mask_of(side_b))
-    join_cut, oj_cut = graph.cut(side_a, side_b)
-    if oj_cut and join_cut:
-        return None
-    if len(oj_cut) > 1:
-        return None
-    if oj_cut:
-        (arrow, predicate) = oj_cut[0]
-        preserved, _null_supplied = arrow
-        kind = "loj" if preserved in side_a else "roj"
-        return kind, predicate
-    if join_cut:
-        predicate = conjunction([p for _pair, p in join_cut])
-        return "join", predicate
-    return None
-
-
-#: Public alias: the optimizer's DP uses the same cut-legality rule.
-def root_operator(graph, side_a, side_b):
-    """Public wrapper of the cut rule (see :func:`_root_operator`)."""
-    return _root_operator(graph, side_a, side_b)
+    index = graph.bitset_index()
+    return index.cut_operator(index.mask_of(side_a), index.mask_of(side_b))
 
 
 def _ordered_partitions(
@@ -77,25 +56,14 @@ def _ordered_partitions(
 ) -> Iterator[Tuple[FrozenSet[str], FrozenSet[str]]]:
     """All ordered partitions of ``nodes`` into two connected halves.
 
-    The bitset fast path yields the same pairs in the same order as the
-    naive bitmask loop (ascending submasks; bit order = sorted node
-    order), so enumeration results and tie-breaking downstream are
-    identical on both paths.
+    Pairs come in ascending submask order with bit order = sorted node
+    order, so IT enumeration order, uniform sampling and downstream
+    tie-breaking are deterministic.  ``tests/test_bitset_subgraphs.py``
+    checks the sequence against a brute-force frozenset enumerator.
     """
-    if fast_enabled():
-        index = graph.bitset_index()
-        for sub, complement in index.ordered_partitions(index.mask_of(nodes)):
-            yield index.set_of(sub), index.set_of(complement)
-        return
-    members = sorted(nodes)
-    n = len(members)
-    # Enumerate non-empty proper subsets by bitmask; each ordered pair
-    # (V1, V2) appears exactly once because masks cover both directions.
-    for mask in range(1, (1 << n) - 1):
-        side_a = frozenset(members[i] for i in range(n) if mask & (1 << i))
-        side_b = nodes - side_a
-        if graph.is_connected(side_a) and graph.is_connected(side_b):
-            yield side_a, side_b
+    index = graph.bitset_index()
+    for sub, complement in index.ordered_partitions(index.mask_of(nodes)):
+        yield index.set_of(sub), index.set_of(complement)
 
 
 def implementing_trees(graph: QueryGraph) -> Iterator[Expression]:
@@ -134,7 +102,7 @@ def _trees_for(
         return result
     result = []
     for side_a, side_b in _ordered_partitions(graph, nodes):
-        op = _root_operator(graph, side_a, side_b)
+        op = root_operator(graph, side_a, side_b)
         if op is None:
             continue
         kind, predicate = op
@@ -156,6 +124,11 @@ def count_implementing_trees(graph: QueryGraph) -> int:
         return 0
     if not graph.is_connected():
         return 0
+    return _tree_counter(graph)(graph.nodes)
+
+
+def _tree_counter(graph: QueryGraph) -> Callable[[FrozenSet[str]], int]:
+    """The IT count of a connected node set, memoized over node subsets."""
     counts: Dict[FrozenSet[str], int] = {}
 
     def count(nodes: FrozenSet[str]) -> int:
@@ -165,13 +138,13 @@ def count_implementing_trees(graph: QueryGraph) -> int:
             return counts[nodes]
         total = 0
         for side_a, side_b in _ordered_partitions(graph, nodes):
-            if _root_operator(graph, side_a, side_b) is None:
+            if root_operator(graph, side_a, side_b) is None:
                 continue
             total += count(side_a) * count(side_b)
         counts[nodes] = total
         return total
 
-    return count(graph.nodes)
+    return count
 
 
 def sample_implementing_tree(graph: QueryGraph, rng) -> Expression:
@@ -183,20 +156,7 @@ def sample_implementing_tree(graph: QueryGraph, rng) -> Expression:
     """
     if not graph.is_connected():
         raise GraphUndefinedError("cannot sample an IT of a disconnected graph")
-    counts: Dict[FrozenSet[str], int] = {}
-
-    def count(nodes: FrozenSet[str]) -> int:
-        if len(nodes) == 1:
-            return 1
-        if nodes in counts:
-            return counts[nodes]
-        total = 0
-        for side_a, side_b in _ordered_partitions(graph, nodes):
-            if _root_operator(graph, side_a, side_b) is None:
-                continue
-            total += count(side_a) * count(side_b)
-        counts[nodes] = total
-        return total
+    count = _tree_counter(graph)
 
     def sample(nodes: FrozenSet[str]) -> Expression:
         if len(nodes) == 1:
@@ -206,7 +166,7 @@ def sample_implementing_tree(graph: QueryGraph, rng) -> Expression:
             raise GraphUndefinedError(f"node set {sorted(nodes)} has no implementing trees")
         pick = rng.randrange(total)
         for side_a, side_b in _ordered_partitions(graph, nodes):
-            op = _root_operator(graph, side_a, side_b)
+            op = root_operator(graph, side_a, side_b)
             if op is None:
                 continue
             weight = count(side_a) * count(side_b)

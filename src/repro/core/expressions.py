@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import FrozenSet, Optional, Tuple
 
-from repro.algebra import operators as ops
 from repro.algebra.goj import generalized_outerjoin
+from repro.algebra.operators import PUBLIC_OPS, OperatorTable
 from repro.algebra.predicates import Predicate, conjunction
 from repro.algebra.relation import Database, Relation
 from repro.algebra.schema import Schema, SchemaRegistry
@@ -63,8 +63,13 @@ class Expression:
             "nor 'generic_visit'"
         )
 
-    def eval(self, db: Database) -> Relation:
-        """Bottom-up evaluation against a database of ground relations."""
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        """Bottom-up evaluation against a database of ground relations.
+
+        ``ops`` supplies the operator implementations: the public ones by
+        default, :data:`~repro.algebra.operators.ORACLE_OPS` for the
+        nested-loop oracle.
+        """
         raise NotImplementedError
 
     def relations(self) -> FrozenSet[str]:
@@ -116,7 +121,7 @@ class Rel(Expression):
     def __init__(self, name: str):
         self.name = name
 
-    def eval(self, db: Database) -> Relation:
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
         try:
             return db[self.name]
         except Exception as exc:  # SchemaError from Database lookup
@@ -199,8 +204,8 @@ class Join(BinaryOp):
     visit_method = "visit_join"
     symbol = "-"
 
-    def eval(self, db: Database) -> Relation:
-        return ops.join(self.left.eval(db), self.right.eval(db), self.predicate)
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.join(self.left.eval(db, ops), self.right.eval(db, ops), self.predicate)
 
 
 class LeftOuterJoin(BinaryOp):
@@ -210,8 +215,8 @@ class LeftOuterJoin(BinaryOp):
     visit_method = "visit_left_outer_join"
     symbol = "→"
 
-    def eval(self, db: Database) -> Relation:
-        return ops.outerjoin(self.left.eval(db), self.right.eval(db), self.predicate)
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.outerjoin(self.left.eval(db, ops), self.right.eval(db, ops), self.predicate)
 
     def preserved(self) -> Expression:
         return self.left
@@ -231,8 +236,8 @@ class RightOuterJoin(BinaryOp):
     symbol = "←"
     visit_method = "visit_right_outer_join"
 
-    def eval(self, db: Database) -> Relation:
-        return ops.outerjoin(self.right.eval(db), self.left.eval(db), self.predicate)
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.outerjoin(self.right.eval(db, ops), self.left.eval(db, ops), self.predicate)
 
     def preserved(self) -> Expression:
         return self.right
@@ -253,8 +258,8 @@ class FullOuterJoin(BinaryOp):
     symbol = "⟷"
     visit_method = "visit_full_outer_join"
 
-    def eval(self, db: Database) -> Relation:
-        return ops.full_outerjoin(self.left.eval(db), self.right.eval(db), self.predicate)
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.full_outerjoin(self.left.eval(db, ops), self.right.eval(db, ops), self.predicate)
 
 
 class Antijoin(BinaryOp):
@@ -264,8 +269,8 @@ class Antijoin(BinaryOp):
     symbol = "▷"
     visit_method = "visit_antijoin"
 
-    def eval(self, db: Database) -> Relation:
-        return ops.antijoin(self.left.eval(db), self.right.eval(db), self.predicate)
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.antijoin(self.left.eval(db, ops), self.right.eval(db, ops), self.predicate)
 
     def scheme(self, registry: SchemaRegistry) -> Schema:
         return self.left.scheme(registry)
@@ -278,8 +283,8 @@ class RightAntijoin(BinaryOp):
     symbol = "◁"
     visit_method = "visit_right_antijoin"
 
-    def eval(self, db: Database) -> Relation:
-        return ops.antijoin(self.right.eval(db), self.left.eval(db), self.predicate)
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.antijoin(self.right.eval(db, ops), self.left.eval(db, ops), self.predicate)
 
     def scheme(self, registry: SchemaRegistry) -> Schema:
         return self.right.scheme(registry)
@@ -292,8 +297,8 @@ class Semijoin(BinaryOp):
     symbol = "⋉"
     visit_method = "visit_semijoin"
 
-    def eval(self, db: Database) -> Relation:
-        return ops.semijoin(self.left.eval(db), self.right.eval(db), self.predicate)
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.semijoin(self.left.eval(db, ops), self.right.eval(db, ops), self.predicate)
 
     def scheme(self, registry: SchemaRegistry) -> Schema:
         return self.left.scheme(registry)
@@ -316,9 +321,13 @@ class GeneralizedOuterJoin(BinaryOp):
         super().__init__(left, right, predicate)
         self.projection = frozenset(projection)
 
-    def eval(self, db: Database) -> Relation:
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
         return generalized_outerjoin(
-            self.left.eval(db), self.right.eval(db), self.predicate, self.projection
+            self.left.eval(db, ops),
+            self.right.eval(db, ops),
+            self.predicate,
+            self.projection,
+            join=ops.join,
         )
 
     def with_parts(self, left, right, predicate=None):
@@ -371,8 +380,8 @@ class Restrict(UnaryOp):
         super().__init__(child)
         self.predicate = predicate
 
-    def eval(self, db: Database) -> Relation:
-        return ops.restrict(self.child.eval(db), self.predicate)
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.restrict(self.child.eval(db, ops), self.predicate)
 
     def scheme(self, registry: SchemaRegistry) -> Schema:
         return self.child.scheme(registry)
@@ -403,8 +412,8 @@ class Project(UnaryOp):
         self.attributes = frozenset(attributes)
         self.dedup = dedup
 
-    def eval(self, db: Database) -> Relation:
-        return ops.project(self.child.eval(db), sorted(self.attributes), dedup=self.dedup)
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.project(self.child.eval(db, ops), sorted(self.attributes), dedup=self.dedup)
 
     def scheme(self, registry: SchemaRegistry) -> Schema:
         return Schema(self.attributes)
@@ -440,8 +449,8 @@ class Union(Expression):
     def relations(self) -> FrozenSet[str]:
         return self.left.relations() | self.right.relations()
 
-    def eval(self, db: Database) -> Relation:
-        return ops.union_padded(self.left.eval(db), self.right.eval(db))
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return ops.union_padded(self.left.eval(db, ops), self.right.eval(db, ops))
 
     def scheme(self, registry: SchemaRegistry) -> Schema:
         return self.left.scheme(registry).union(self.right.scheme(registry))

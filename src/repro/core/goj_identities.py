@@ -23,7 +23,7 @@ from typing import List, Tuple
 
 from repro.algebra.comparison import RelationDiff, explain_difference
 from repro.algebra.goj import generalized_outerjoin
-from repro.algebra.operators import join, outerjoin
+from repro.algebra.operators import PUBLIC_OPS, OperatorTable, join, outerjoin
 from repro.algebra.predicates import Predicate
 from repro.algebra.relation import Database, Relation
 from repro.core.expressions import (
@@ -135,12 +135,16 @@ class _DeferredGoj(GeneralizedOuterJoin):
         super().__init__(left, right, predicate, frozenset())
         self.projection_source = projection_source
 
-    def eval(self, db: Database) -> Relation:
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
         attrs: set[str] = set()
         for name in self.projection_source.relations():
             attrs |= set(db[name].scheme)
         return generalized_outerjoin(
-            self.left.eval(db), self.right.eval(db), self.predicate, sorted(attrs)
+            self.left.eval(db, ops),
+            self.right.eval(db, ops),
+            self.predicate,
+            sorted(attrs),
+            join=ops.join,
         )
 
     def to_infix(self, show_predicates: bool = False) -> str:

@@ -5,8 +5,8 @@ cardinality estimate; with ``analyze=True`` (or via ``explain_analyze``)
 the plan is *executed under a forced tracer* and every operator is
 additionally annotated with what actually happened: rows out, wall time,
 hash-build timings, index probe hits, materialized row counts, and
-the planner's kernel-vs-naive dispatch decision.  This is the
-estimate-vs-actual view DBAs use to debug optimizer choices — and it is
+the planner's dispatch decision (hash, index or nested-loop join).
+This is the estimate-vs-actual view DBAs use to debug optimizer choices — and it is
 how this reproduction shows, per operator, where Example 1's tuple
 accounting comes from.
 
@@ -23,7 +23,6 @@ from repro.engine.iterators import PhysicalOp, SeqScan
 from repro.engine.storage import Storage
 from repro.observability.contract import memory_high_water
 from repro.observability.spans import Span, tracing
-from repro.util.fastpath import fast_enabled
 
 #: How the planner's operator choice reads in dispatch terms.
 _DISPATCH = {
@@ -188,8 +187,5 @@ def explain_analyze(
     op_spans = [s for s in root_span.children if s.category == "engine.op"]
     if op_spans:
         _attach_span(annotated, op_spans[0])
-    annotated.details.setdefault(
-        "kernels", "fast" if fast_enabled() else "naive"
-    )
     annotated.details.setdefault("mem_high_water_rows", memory_high_water(root_span))
     return annotated

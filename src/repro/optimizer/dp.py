@@ -24,7 +24,6 @@ from repro.optimizer.plans import Plan
 from repro.optimizer.subgraphs import combinable_pairs, connected_subsets
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError
-from repro.util.fastpath import fast_enabled
 
 _KIND_TO_ESTIMATOR = {"join": "join", "loj": "left_outer", "roj": "left_outer"}
 
@@ -41,14 +40,10 @@ class DPOptimizer:
         if not self.graph.is_connected():
             raise PlanningError("cannot optimize a disconnected query graph")
         estimator = self.cost_model.estimator
-        index = self.graph.bitset_index() if fast_enabled() else None
         with maybe_span(
-            "optimizer.dp",
-            category="optimizer",
-            relations=len(self.graph.nodes),
-            fast_kernels=fast_enabled(),
+            "optimizer.dp", category="optimizer", relations=len(self.graph.nodes)
         ) as span:
-            with estimator.memo_scope(index):
+            with estimator.memo_scope(self.graph.bitset_index()):
                 plan = self._optimize_table(estimator, span)
         instrumentation.bump("plans_optimized")
         return plan

@@ -20,7 +20,6 @@ from repro.optimizer.cost import CostModel
 from repro.optimizer.plans import Plan
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError
-from repro.util.fastpath import fast_enabled
 
 _KIND_TO_ESTIMATOR = {"join": "join", "loj": "left_outer", "roj": "left_outer"}
 
@@ -67,8 +66,7 @@ class GreedyOptimizer:
         if not self.graph.is_connected():
             raise PlanningError("cannot optimize a disconnected query graph")
         estimator = self.cost_model.estimator
-        index = self.graph.bitset_index() if fast_enabled() else None
-        with estimator.memo_scope(index):
+        with estimator.memo_scope(self.graph.bitset_index()):
             plan = self._optimize_merges(estimator)
         instrumentation.bump("plans_optimized")
         return plan

@@ -13,39 +13,19 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
-from repro.core.enumeration import root_operator
 from repro.core.graph import QueryGraph
-from repro.util.fastpath import fast_enabled
 
 
 def connected_subsets(graph: QueryGraph) -> List[FrozenSet[str]]:
     """All connected node subsets, ordered by size (smallest first).
 
-    Enumerated by BFS-expansion from each seed node; exponential in the
-    worst case.  The default bitset path enumerates masks on machine
-    ints (memoized on the graph's :class:`~repro.core.bitset.BitsetIndex`)
-    and converts to frozensets only here, at the API boundary.
+    Enumerated on machine-int masks (memoized on the graph's
+    :class:`~repro.core.bitset.BitsetIndex`) and converted to frozensets
+    only here, at the API boundary; exponential in the worst case.
     """
-    if fast_enabled():
-        index = graph.bitset_index()
-        subsets = [index.set_of(mask) for mask in index.connected_subset_masks()]
-        return sorted(subsets, key=lambda s: (len(s), sorted(s)))
-    found: set[FrozenSet[str]] = set()
-    frontier: List[FrozenSet[str]] = [frozenset({n}) for n in graph.nodes]
-    found.update(frontier)
-    while frontier:
-        new_frontier: List[FrozenSet[str]] = []
-        for subset in frontier:
-            neighborhood: set[str] = set()
-            for node in subset:
-                neighborhood |= graph.neighbors(node)
-            for nb in neighborhood - subset:
-                bigger = subset | {nb}
-                if bigger not in found:
-                    found.add(bigger)
-                    new_frontier.append(bigger)
-        frontier = new_frontier
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    index = graph.bitset_index()
+    subsets = [index.set_of(mask) for mask in index.connected_subset_masks()]
+    return sorted(subsets, key=lambda s: (len(s), sorted(s)))
 
 
 def combinable_pairs(
@@ -54,28 +34,15 @@ def combinable_pairs(
     """Ordered pairs of connected halves of ``nodes`` with their operator.
 
     Yields ``(side_a, side_b, kind, predicate)`` where ``kind`` is
-    ``"join"``/``"loj"``/``"roj"`` exactly as in IT enumeration.
+    ``"join"``/``"loj"``/``"roj"`` exactly as in IT enumeration
+    (:func:`~repro.core.enumeration.root_operator`).
     """
-    if fast_enabled():
-        index = graph.bitset_index()
-        for sub, complement in index.ordered_partitions(index.mask_of(nodes)):
-            op = index.cut_operator(sub, complement)
-            if op is None:
-                continue
-            yield index.set_of(sub), index.set_of(complement), op[0], op[1]
-        return
-    members = sorted(nodes)
-    n = len(members)
-    for mask in range(1, (1 << n) - 1):
-        side_a = frozenset(members[i] for i in range(n) if mask & (1 << i))
-        side_b = nodes - side_a
-        if not (graph.is_connected(side_a) and graph.is_connected(side_b)):
-            continue
-        op = root_operator(graph, side_a, side_b)
+    index = graph.bitset_index()
+    for sub, complement in index.ordered_partitions(index.mask_of(nodes)):
+        op = index.cut_operator(sub, complement)
         if op is None:
             continue
-        kind, predicate = op
-        yield side_a, side_b, kind, predicate
+        yield index.set_of(sub), index.set_of(complement), op[0], op[1]
 
 
 def count_dp_entries(graph: QueryGraph) -> Dict[int, int]:

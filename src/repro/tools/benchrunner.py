@@ -10,18 +10,9 @@
   retrieved from base tables, optimizer plans built, DP subsets filled,
   implementing trees enumerated.
 
-For the headline scenarios (planning scalability, Theorem 1 free
-reordering, optimizer comparison) the default mode *also* reruns with
-``REPRO_NAIVE_KERNELS=1`` — the pre-optimization operators and
-enumerators — and records per-test speedups, so the report doubles as the
-before/after evidence for the hash-kernel and bitset fast paths.
-
 Modes:
 
-* default        — all scenarios timed (fast path), naive reruns +
-                   comparisons for the headline scenarios;
-* ``--naive``    — run everything on the naive path instead (no
-                   comparisons); useful for an explicit before snapshot;
+* default        — all scenarios timed;
 * ``--smoke``    — headline scenarios only, single pass, timing disabled:
                    the CI health check;
 * ``--seed N``   — forwarded as ``--bench-seed`` to the suite (offsets
@@ -51,7 +42,7 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 BENCH_DIR = REPO_ROOT / "benchmarks"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PR1.json"
 
-#: Scenarios that get a naive-path rerun and a speedup comparison.
+#: The scenarios ``--smoke`` runs.
 HEADLINE = (
     "bench_planning_scalability.py",
     "bench_theorem1_free_reorder.py",
@@ -73,7 +64,6 @@ def discover_scenarios(bench_dir: Path = BENCH_DIR, only: Optional[str] = None) 
 def run_scenario(
     path: Path,
     *,
-    naive: bool = False,
     seed: int = 0,
     timings: bool = True,
 ) -> Dict[str, object]:
@@ -81,7 +71,6 @@ def run_scenario(
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    env["REPRO_NAIVE_KERNELS"] = "1" if naive else ""
 
     cmd = [sys.executable, "-m", "pytest", str(path), "-q", "-p", "no:cacheprovider"]
     cmd += ["--bench-seed", str(seed)]
@@ -101,7 +90,7 @@ def run_scenario(
 
         record: Dict[str, object] = {
             "scenario": path.name,
-            "mode": "naive" if naive else "fast",
+            "mode": "fast",
             "ok": proc.returncode == 0,
             "returncode": proc.returncode,
             "wall_clock_s": round(wall, 4),
@@ -120,36 +109,10 @@ def run_scenario(
     return record
 
 
-def compare_records(fast: Dict[str, object], naive: Dict[str, object]) -> Dict[str, object]:
-    """Per-test and wall-clock speedups of a fast/naive record pair."""
-    tests: Dict[str, Dict[str, float]] = {}
-    fast_t = fast.get("timings") or {}
-    naive_t = naive.get("timings") or {}
-    for name in sorted(set(fast_t) & set(naive_t)):
-        f, n = fast_t[name], naive_t[name]
-        tests[name] = {
-            "fast_s": f,
-            "naive_s": n,
-            "speedup": round(n / f, 2) if f > 0 else None,
-        }
-    return {
-        "tests": tests,
-        "wall_clock": {
-            "fast_s": fast["wall_clock_s"],
-            "naive_s": naive["wall_clock_s"],
-        },
-        "tuples_retrieved": {
-            "fast": fast.get("tuples_retrieved", 0),
-            "naive": naive.get("tuples_retrieved", 0),
-        },
-    }
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="run_all.py", description="Run the benchmark suite and write a JSON report."
     )
-    parser.add_argument("--naive", action="store_true", help="run on the naive kernels")
     parser.add_argument(
         "--smoke",
         action="store_true",
@@ -176,53 +139,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     timings = not args.smoke
     records: List[Dict[str, object]] = []
-    comparisons: Dict[str, object] = {}
     failures = 0
     for path in scenarios:
-        record = run_scenario(path, naive=args.naive, seed=args.seed, timings=timings)
+        record = run_scenario(path, seed=args.seed, timings=timings)
         records.append(record)
         status = "ok" if record["ok"] else "FAIL"
-        print(f"[{record['mode']}] {path.name:40s} {status}  {record['wall_clock_s']:.2f}s")
+        print(f"{path.name:40s} {status}  {record['wall_clock_s']:.2f}s")
         if not record["ok"]:
             failures += 1
             for line in record.get("tail", []):
                 print(f"    {line}")
-        elif not args.naive and not args.smoke and path.name in HEADLINE:
-            naive_record = run_scenario(path, naive=True, seed=args.seed, timings=True)
-            records.append(naive_record)
-            status = "ok" if naive_record["ok"] else "FAIL"
-            print(
-                f"[naive] {path.name:40s} {status}  {naive_record['wall_clock_s']:.2f}s"
-            )
-            if not naive_record["ok"]:
-                failures += 1
-            else:
-                comparisons[path.name] = compare_records(record, naive_record)
 
     report = {
         "meta": {
             "generated_by": "benchmarks/run_all.py",
             "seed": args.seed,
             "smoke": args.smoke,
-            "mode": "naive" if args.naive else "fast",
+            "mode": "fast",
             "python": sys.version.split()[0],
         },
         "scenarios": records,
-        "comparisons": comparisons,
+        # Required by the report schema; the committed BENCH_PR1.json fills it.
+        "comparisons": {},
     }
     from repro.tools.benchschema import validate_report
 
     validate_report(report)
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {args.output}")
-
-    for name, cmp in comparisons.items():
-        speedups = [t["speedup"] for t in cmp["tests"].values() if t["speedup"]]
-        if speedups:
-            print(
-                f"  {name}: per-test speedup min {min(speedups):.2f}x / "
-                f"max {max(speedups):.2f}x over naive"
-            )
     return 1 if failures else 0
 
 

@@ -1,8 +1,9 @@
 """The execution switches: one mechanism, instantiated once per choice.
 
-Several layers exist twice — a reference path (the naive transcription
-of the paper, the binary DP plan) and a fast path that must be bag-equal to it.  A :class:`Switch` picks between
-them: a process default read once from the environment at import, plus
+Some strategies exist beside a reference path (the binary DP plan) that
+they must be bag-equal to, and some paths carry a tuning knob.  A
+:class:`Switch` holds one such choice: a process default, read once from
+the environment at import when the switch names a variable, plus
 scoped overrides that are private to the thread that opened them, so a
 test or a service worker can pin a mode for its own query without
 another thread seeing it or restoring over it.  README's switch table
@@ -25,13 +26,12 @@ class Switch:
     """A process-wide default plus per-thread scoped overrides.
 
     ``env`` names the variable whose boolean spelling replaces
-    ``default`` (``negate`` for a variable that turns the switch *off*
-    when set); without ``env`` the switch just carries ``default``.
+    ``default``; without ``env`` the switch just carries ``default``.
     """
 
-    def __init__(self, default, env: str | None = None, negate: bool = False):
+    def __init__(self, default, env: str | None = None):
         flag = _FLAGS.get(os.environ.get(env, "").strip().lower()) if env else None
-        self.default = default if flag is None else flag != negate
+        self.default = default if flag is None else flag
         self._tls = threading.local()
 
     def value(self):
@@ -52,8 +52,6 @@ class Switch:
             stack.pop()
 
 
-#: Hash kernels and bitset enumeration versus the naive reference code.
-_KERNELS = Switch(True, "REPRO_NAIVE_KERNELS", negate=True)
 #: GYO + Yannakakis semijoin reduction, taken only when the cost gate and
 #: the Theorem 1 safety certificate allow; off is byte-identical DP.
 _YANNAKAKIS = Switch(True, "REPRO_YANNAKAKIS")
@@ -63,11 +61,15 @@ _WCOJ = Switch(True, "REPRO_WCOJ")
 #: Rows per :class:`~repro.engine.batch.ColumnBatch` pulled from a scan or
 #: produced by the row->batch shim (operators may emit larger batches).
 _BATCH_SIZE = Switch(1024)
+#: Distinct-row product below which an algebra hash kernel declines and
+#: the nested loop runs (:mod:`repro.algebra.kernels`); the ``kernels``
+#: conformance tier and the kernel tests pin it to 0.
+_SMALL_INPUT = Switch(32)
 
-fast_enabled, kernel_mode = _KERNELS.value, _KERNELS.scoped
 yannakakis_enabled, yannakakis_mode = _YANNAKAKIS.value, _YANNAKAKIS.scoped
 wcoj_enabled, wcoj_mode = _WCOJ.value, _WCOJ.scoped
 batch_size = _BATCH_SIZE.value
+small_input_cutoff, small_input_limit = _SMALL_INPUT.value, _SMALL_INPUT.scoped
 
 
 def batch_sized(size: int):

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from repro.algebra.comparison import bag_equal
-from repro.algebra.kernels import full_outerjoin_counts, small_input_limit
+from repro.algebra.kernels import full_outerjoin_counts
 from repro.algebra.nulls import NULL
 from repro.algebra.predicates import Comparison, Const, eq, gt
 from repro.algebra.relation import Relation
@@ -28,7 +28,7 @@ from repro.engine.iterators import Filter, HashJoin, ProjectOp, SeqScan
 from repro.engine.metrics import Metrics
 from repro.engine.storage import Storage
 from repro.util.errors import PredicateError, SchemaError
-from repro.util.fastpath import batch_sized
+from repro.util.fastpath import batch_sized, small_input_limit
 
 #: The algebra operator of each physical join type, for oracle trees.
 _JOIN_EXPR = {"inner": jn, "left_outer": oj, "semi": sj, "anti": aj}

@@ -144,7 +144,7 @@ def test_benchrunner_output_shape_matches_schema():
             "generated_by": "benchmarks/run_all.py",
             "seed": 7,
             "smoke": False,
-            "mode": "naive",
+            "mode": "fast",
             "python": "3.11.7",
         },
         "scenarios": [],

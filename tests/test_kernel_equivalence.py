@@ -36,18 +36,15 @@ from repro.algebra import (
     outerjoin,
     semijoin,
 )
-from repro.algebra import kernels
-from repro.util.fastpath import kernel_mode
+from repro.util.fastpath import small_input_limit
 
 
 @pytest.fixture(scope="module", autouse=True)
 def force_hash_path():
     """Drop the small-input gate so tiny randomized relations still
     exercise the hash kernels instead of falling back."""
-    old = kernels._SMALL_INPUT_LIMIT
-    kernels._SMALL_INPUT_LIMIT = 0
-    yield
-    kernels._SMALL_INPUT_LIMIT = old
+    with small_input_limit(0):
+        yield
 
 
 L_ATTRS = ("L.a", "L.b")
@@ -93,8 +90,7 @@ class TestKernelEquivalence:
     @given(left=lefts, right=rights, predicate=predicates)
     @settings(max_examples=120, deadline=None)
     def test_random_mix(self, fast_op, naive_op, left, right, predicate):
-        with kernel_mode(True):
-            fast = fast_op(left, right, predicate)
+        fast = fast_op(left, right, predicate)
         assert bag_equal(fast, naive_op(left, right, predicate))
 
     @given(left=lefts, right=rights)
@@ -108,8 +104,7 @@ class TestKernelEquivalence:
             nulled_counts[Row({"R.a": NULL, "R.b": r["R.b"]})] += n
         nulled = Relation.from_counts(list(R_ATTRS), nulled_counts)
         predicate = eq("L.a", "R.a")
-        with kernel_mode(True):
-            fast = fast_op(left, nulled, predicate)
+        fast = fast_op(left, nulled, predicate)
         assert bag_equal(fast, naive_op(left, nulled, predicate))
 
     @given(left=lefts, right=rights)
@@ -121,8 +116,7 @@ class TestKernelEquivalence:
             predicate, frozenset(L_ATTRS), frozenset(R_ATTRS)
         )
         assert not keys_l and not keys_r
-        with kernel_mode(True):
-            fast = fast_op(left, right, predicate)
+        fast = fast_op(left, right, predicate)
         assert bag_equal(fast, naive_op(left, right, predicate))
 
 

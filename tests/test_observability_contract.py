@@ -6,12 +6,10 @@ the query's result cardinality, every operator's ``rows_in`` equals the
 sum of its children's ``rows_out``, child spans nest inside their
 parents, and no timing or counter goes negative.  The property tests
 drive ≥ 200 randomized (scenario, database, query) cases through the
-engine *per kernel mode* and demand a clean contract report on each.
+engine and demand a clean contract report on each.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.datagen.queries import random_query, random_scenario
 from repro.datagen.random_db import random_database
@@ -25,14 +23,13 @@ from repro.observability import (
     validate_span_tree,
 )
 from repro.util.errors import ReproError
-from repro.util.fastpath import kernel_mode
 from repro.util.rng import make_rng
 
-#: How many successfully traced queries each kernel mode must check.
+#: How many successfully traced queries the contract test must check.
 TARGET_CASES = 200
 
 
-def _traced_cases(seed: int, fast: bool, target: int = TARGET_CASES):
+def _traced_cases(seed: int, target: int = TARGET_CASES):
     """Yield ``(query, result)`` for ``target`` traced executions.
 
     Queries the planner cannot lower (exotic decorations) are skipped and
@@ -55,7 +52,7 @@ def _traced_cases(seed: int, fast: bool, target: int = TARGET_CASES):
             # way.  The rng stream stays shared so cases remain reproducible.
             query = random_query(scenario, rng, extended="none")
             storage = Storage.from_database(db)
-            with kernel_mode(fast), tracing(enabled=True):
+            with tracing(enabled=True):
                 result = execute(query, storage)
         except ReproError:
             continue
@@ -63,10 +60,9 @@ def _traced_cases(seed: int, fast: bool, target: int = TARGET_CASES):
         yield query, result
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["kernels", "naive"])
-def test_contract_over_randomized_queries(fast):
+def test_contract_over_randomized_queries():
     checked = 0
-    for query, result in _traced_cases(seed=1990 + fast, fast=fast):
+    for query, result in _traced_cases(seed=1991):
         root = result.trace
         assert root is not None, "forced tracing must produce a trace"
         errors = validate_span_tree(root, result_rows=len(result.relation))
@@ -75,15 +71,14 @@ def test_contract_over_randomized_queries(fast):
     assert checked >= TARGET_CASES
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["kernels", "naive"])
-def test_row_conservation_spot_check(fast):
+def test_row_conservation_spot_check():
     """Beyond 'no violations': the invariant quantities really are wired.
 
     Every traced run must carry at least one operator span, and the root
     operator's ``rows_out`` must equal the result cardinality directly
     (not merely via the validator's internal bookkeeping).
     """
-    for _query, result in _traced_cases(seed=424242, fast=fast, target=25):
+    for _query, result in _traced_cases(seed=424242, target=25):
         ops = operator_spans([result.trace])
         assert ops, "traced execution recorded no operator spans"
         assert ops[0].counters.get("rows_out", 0) == len(result.relation)

@@ -69,21 +69,28 @@ class TestSwitchOverridesArePerThread:
         from repro.util.fastpath import (
             batch_size,
             batch_sized,
-            fast_enabled,
-            kernel_mode,
+            small_input_cutoff,
+            small_input_limit,
+            wcoj_enabled,
+            wcoj_mode,
             yannakakis_enabled,
             yannakakis_mode,
         )
 
         def current():
-            return fast_enabled(), yannakakis_enabled(), batch_size()
+            return wcoj_enabled(), yannakakis_enabled(), batch_size(), small_input_cutoff()
 
         default = current()
         barrier = threading.Barrier(2, timeout=10)
         seen = {}
 
         def hold(flag, size):
-            with kernel_mode(flag), yannakakis_mode(not flag), batch_sized(size):
+            with (
+                wcoj_mode(flag),
+                yannakakis_mode(not flag),
+                batch_sized(size),
+                small_input_limit(size * 10),
+            ):
                 barrier.wait()  # both scopes are open ...
                 seen[flag] = current()
                 barrier.wait()  # ... and both have read before either exits
@@ -99,8 +106,8 @@ class TestSwitchOverridesArePerThread:
         for thread in threads:
             thread.join(timeout=10)
             assert not thread.is_alive()
-        assert seen[True] == (True, False, 2)
-        assert seen[False] == (False, True, 3)
+        assert seen[True] == (True, False, 2, 20)
+        assert seen[False] == (False, True, 3, 30)
         assert seen[True, "after"] == seen[False, "after"] == default
         assert current() == default
 
