@@ -26,7 +26,7 @@ canonicalizable.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from typing import Any, FrozenSet, Tuple
+from typing import Any, FrozenSet, Optional, Tuple
 
 from repro.algebra.nulls import TruthValue, is_null, tv_and, tv_not, tv_or
 from repro.util.errors import PredicateError
@@ -266,7 +266,7 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
 class Comparison(Predicate):
     """``left op right`` with SQL null semantics (null operand -> unknown)."""
 
-    __slots__ = ("left", "op", "right")
+    __slots__ = ("left", "op", "right", "_hash")
 
     def __init__(self, left: Any, op: str, right: Any):
         if op not in _COMPARATORS:
@@ -274,6 +274,7 @@ class Comparison(Predicate):
         self.left = _as_term(left)
         self.op = op
         self.right = _as_term(right)
+        self._hash: Optional[int] = None
 
     def attributes(self) -> FrozenSet[str]:
         return self.left.attributes() | self.right.attributes()
@@ -314,7 +315,14 @@ class Comparison(Predicate):
         )
 
     def __hash__(self) -> int:
-        return hash(("Comparison", self.left, self.op, self.right))
+        # Cached: comparisons key every estimator and cut memo.  Never
+        # pickled (see __reduce__), since string hashes differ per process.
+        if self._hash is None:
+            self._hash = hash(("Comparison", self.left, self.op, self.right))
+        return self._hash
+
+    def __reduce__(self):
+        return Comparison, (self.left, self.op, self.right)
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -393,13 +401,14 @@ class Not(Predicate):
 class And(Predicate):
     """Kleene conjunction; the children are the query-graph conjuncts."""
 
-    __slots__ = ("children",)
+    __slots__ = ("children", "_hash")
 
     def __init__(self, children: Iterable[Predicate]):
         kids = tuple(children)
         if len(kids) < 2:
             raise PredicateError("And requires at least two children; use conjunction()")
         self.children = kids
+        self._hash: Optional[int] = None
 
     def attributes(self) -> FrozenSet[str]:
         out: FrozenSet[str] = frozenset()
@@ -438,7 +447,13 @@ class And(Predicate):
         return isinstance(other, And) and other.children == self.children
 
     def __hash__(self) -> int:
-        return hash(("And", self.children))
+        # Cached and never pickled, as for Comparison.
+        if self._hash is None:
+            self._hash = hash(("And", self.children))
+        return self._hash
+
+    def __reduce__(self):
+        return And, (self.children,)
 
     def __repr__(self) -> str:
         return "(" + " AND ".join(repr(c) for c in self.children) + ")"

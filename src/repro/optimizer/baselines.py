@@ -194,8 +194,5 @@ class _PlaceholderEstimator:
     def combine(self, kind, predicate, left, right):
         return self.inner.combine(kind, predicate, left, right)
 
-    def join_selectivity(self, predicate, left, right):
-        return self.inner.join_selectivity(predicate, left, right)
-
     def estimate_expression(self, expr):
         return self.inner.estimate_expression(expr)

@@ -27,11 +27,17 @@ OPAQUE_SELECTIVITY = 0.2
 
 @dataclass
 class EstimateInfo:
-    """Cardinality summary of a (sub)plan."""
+    """Cardinality summary of a (sub)plan.
+
+    ``join_cardinality`` is ``|L|·|R|·sel`` of the operator that produced
+    the estimate (before outerjoin padding), which the retrieval cost
+    model prices index probes with; None for leaves.
+    """
 
     nodes: FrozenSet[str]
     cardinality: float
     distinct: Dict[str, float] = field(default_factory=dict)
+    join_cardinality: Optional[float] = None
 
     def distinct_of(self, attribute: str) -> float:
         return max(1.0, min(self.distinct.get(attribute, self.cardinality), self.cardinality))
@@ -161,7 +167,10 @@ class CardinalityEstimator:
             for attr, v in source.distinct.items():
                 distinct[attr] = min(v, max(card, 1.0))
         info = EstimateInfo(
-            nodes=left.nodes | right.nodes, cardinality=card, distinct=distinct
+            nodes=left.nodes | right.nodes,
+            cardinality=card,
+            distinct=distinct,
+            join_cardinality=join_card,
         )
         if memo is not None:
             memo[key] = info

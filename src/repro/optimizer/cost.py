@@ -21,9 +21,10 @@ subgraphs is safe with either.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Mapping
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.algebra.predicates import Predicate
+from repro.algebra.schema import Schema
 from repro.core.expressions import Expression, Rel
 from repro.engine.planner import split_equijoin
 from repro.engine.storage import Storage
@@ -128,11 +129,15 @@ class RetrievalCostModel(CostModel):
       indexed pays only the expected matching tuples (the estimated join
       cardinality);
     * composite inputs were already paid for in their own subplans.
+
+    Only the plans' ``base`` and estimates are read, never their trees:
+    the DP calls this for every legal cut.
     """
 
     def __init__(self, estimator: CardinalityEstimator, storage: Storage):
         super().__init__(estimator)
         self.storage = storage
+        self._probe_keys: Dict[Tuple[Predicate, str], Optional[str]] = {}
 
     def leaf_cost(self, name: str) -> float:
         # Leaves cost nothing until they are consumed by an operator; the
@@ -140,27 +145,43 @@ class RetrievalCostModel(CostModel):
         return 0.0
 
     def _scan_cost(self, plan: Plan) -> float:
-        if isinstance(plan.expr, Rel):
-            return float(len(self.storage[plan.expr.name]))
+        if plan.base is not None:
+            return float(len(self.storage[plan.base]))
         return 0.0
 
+    def _probe_key(self, predicate: Predicate, inner: str) -> Optional[str]:
+        """The inner-side key of the equi-join conjunct the planner would
+        probe ``inner`` with, or None.
+
+        A cut predicate references only attributes of its two sides, and
+        schemes are disjoint, so "on the outer side" is "not in the inner
+        scheme": the outer side's tree is never needed.  The key depends
+        on the predicate and the inner scheme only and is memoized on
+        them; whether it is indexed is asked afresh on every call.
+        """
+        memo_key = (predicate, inner)
+        try:
+            return self._probe_keys[memo_key]
+        except KeyError:
+            pass
+        schema = self.storage[inner].schema
+        outer = Schema(predicate.attributes()).difference(schema)
+        split = split_equijoin(predicate, outer, schema)
+        key = split[1] if split is not None else None
+        self._probe_keys[memo_key] = key
+        return key
+
     def combine_cost(self, kind, predicate, left, right, estimate) -> float:
-        join_card = min(
-            estimate.cardinality,
-            left.cardinality * right.cardinality
-            * self.estimator.join_selectivity(predicate, left.estimate, right.estimate),
-        )
+        # ``estimate`` comes from ``estimator.combine``, which records it.
+        assert estimate.join_cardinality is not None
+        join_card = min(estimate.cardinality, estimate.join_cardinality)
         # Outer (preserved/probe) side: base relations are scanned.
         cost = self._scan_cost(left)
         # Inner side: index probes if possible, scan otherwise.
-        if isinstance(right.expr, Rel):
-            table = self.storage[right.expr.name]
-            split = split_equijoin(
-                predicate,
-                left.expr.scheme(self.storage.registry),
-                table.schema,
-            )
-            if split is not None and table.index_on(split[1]) is not None:
+        if right.base is not None:
+            table = self.storage[right.base]
+            key = self._probe_key(predicate, right.base)
+            if key is not None and table.index_on(key) is not None:
                 cost += max(join_card, 0.0)  # expected tuples fetched via the index
             else:
                 cost += float(len(table))

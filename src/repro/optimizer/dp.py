@@ -14,18 +14,17 @@ from optimizer-side case analysis.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.core.expressions import Join, LeftOuterJoin, Rel, RightOuterJoin
+from repro.algebra.predicates import Predicate
+from repro.core.expressions import Rel
 from repro.core.graph import QueryGraph
 from repro.observability.spans import maybe_span
+from repro.optimizer.cardinality import EstimateInfo
 from repro.optimizer.cost import CostModel
 from repro.optimizer.plans import Plan
-from repro.optimizer.subgraphs import combinable_pairs, connected_subsets
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError
-
-_KIND_TO_ESTIMATOR = {"join": "join", "loj": "left_outer", "roj": "left_outer"}
 
 
 class DPOptimizer:
@@ -49,44 +48,53 @@ class DPOptimizer:
         return plan
 
     def _optimize_table(self, estimator, span=None) -> Plan:
-        best: Dict[FrozenSet[str], Plan] = {}
-        for subset in connected_subsets(self.graph):
-            if len(subset) == 1:
-                name = next(iter(subset))
-                best[subset] = Plan(
-                    Rel(name), estimator.base(name), self.cost_model.leaf_cost(name)
-                )
+        index = self.graph.bitset_index()
+        names = index.nodes
+        cost_model = self.cost_model
+        cut_operator = index.cut_operator
+        best: Dict[int, Plan] = {}
+        # Ascending masks put every subset after all of its submasks.
+        for mask in index.connected_subset_masks():
+            if mask & (mask - 1) == 0:
+                name = names[mask.bit_length() - 1]
+                best[mask] = Plan(Rel(name), estimator.base(name), cost_model.leaf_cost(name))
                 continue
-            candidate: Optional[Plan] = None
-            for side_a, side_b, kind, predicate in combinable_pairs(self.graph, subset):
-                left = best.get(side_a)
-                right = best.get(side_b)
-                if left is None or right is None:
-                    continue
-                if kind == "join":
-                    expr = Join(left.expr, right.expr, predicate)
-                    est_left, est_right = left, right
-                elif kind == "loj":
-                    expr = LeftOuterJoin(left.expr, right.expr, predicate)
-                    est_left, est_right = left, right
-                else:  # "roj": the preserved side is side_b
-                    expr = RightOuterJoin(left.expr, right.expr, predicate)
-                    est_left, est_right = right, left
-                estimate = estimator.combine(
-                    _KIND_TO_ESTIMATOR[kind], predicate, est_left.estimate, est_right.estimate
-                )
-                extra = self.cost_model.combine_cost(
-                    _KIND_TO_ESTIMATOR[kind], predicate, est_left, est_right, estimate
-                )
-                cost = left.cost + right.cost + extra
-                if candidate is None or cost < candidate.cost:
-                    candidate = Plan(expr, estimate, cost)
-            if candidate is not None:
+            winner: Optional[Tuple[str, Plan, Plan, Predicate, EstimateInfo]] = None
+            winner_cost = 0.0
+            sub = mask & -mask  # ascending submasks: the tie-break order
+            while sub != mask:
+                rest = mask ^ sub
+                # ``best`` holds only connected subsets, so a miss on either
+                # half also covers the connectivity test.
+                left = best.get(sub)
+                right = best.get(rest)
+                if left is not None and right is not None:
+                    op = cut_operator(sub, rest)
+                    if op is not None:
+                        kind, predicate = op
+                        if kind == "join":
+                            est_kind, est_left, est_right = "join", left, right
+                        elif kind == "loj":
+                            est_kind, est_left, est_right = "left_outer", left, right
+                        else:  # "roj": the preserved side is ``rest``
+                            est_kind, est_left, est_right = "left_outer", right, left
+                        estimate = estimator.combine(
+                            est_kind, predicate, est_left.estimate, est_right.estimate
+                        )
+                        extra = cost_model.combine_cost(
+                            est_kind, predicate, est_left, est_right, estimate
+                        )
+                        cost = left.cost + right.cost + extra
+                        if winner is None or cost < winner_cost:
+                            winner = (kind, left, right, predicate, estimate)
+                            winner_cost = cost
+                sub = (sub - mask) & mask
+            if winner is not None:
                 # Subsets with no combinable partition simply never become
                 # building blocks (they implement nothing; e.g. part of an
                 # outerjoin cycle).
-                best[subset] = candidate
-        final = best.get(self.graph.nodes)
+                best[mask] = Plan.combined(*winner, winner_cost)
+        final = best.get(index.all_mask)
         if final is None:
             raise PlanningError(
                 "the query graph has no implementing trees (no legal cut "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.enumeration import root_operator
-from repro.core.expressions import Join, LeftOuterJoin, Rel, RightOuterJoin
+from repro.core.expressions import Rel
 from repro.core.graph import QueryGraph
 from repro.optimizer.cost import CostModel
 from repro.optimizer.plans import Plan
@@ -42,22 +42,17 @@ class GreedyOptimizer:
             if op is None:
                 continue
             kind, predicate = op
-            if kind == "join":
-                expr = Join(left.expr, right.expr, predicate)
-                est_left, est_right = left, right
-            elif kind == "loj":
-                expr = LeftOuterJoin(left.expr, right.expr, predicate)
-                est_left, est_right = left, right
-            else:
-                expr = RightOuterJoin(left.expr, right.expr, predicate)
-                est_left, est_right = right, left
+            # The estimator takes the preserved side first.
+            est_left, est_right = (right, left) if kind == "roj" else (left, right)
             estimate = estimator.combine(
                 _KIND_TO_ESTIMATOR[kind], predicate, est_left.estimate, est_right.estimate
             )
             extra = self.cost_model.combine_cost(
                 _KIND_TO_ESTIMATOR[kind], predicate, est_left, est_right, estimate
             )
-            plan = Plan(expr, estimate, left.cost + right.cost + extra)
+            plan = Plan.combined(
+                kind, left, right, predicate, estimate, left.cost + right.cost + extra
+            )
             if best is None or plan.cost < best.cost:
                 best = plan
         return best

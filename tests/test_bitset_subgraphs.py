@@ -8,9 +8,16 @@ read off :meth:`QueryGraph.cut`.  It shares nothing with the bitset
 index.  The checks are stronger than set equality: the sequences must
 match in order (bit order equals sorted node order, so ascending
 submasks match the bitmask loop), because that order is what fixes DP
-tie-breaking, IT enumeration order and uniform IT sampling.  The last
-three tests drive the library's own IT enumeration, sampler and DP with
-the reference enumerators patched in and demand identical output.
+tie-breaking, IT enumeration order and uniform IT sampling.  Two tests
+drive the library's own IT enumeration and sampler with the reference
+enumerators patched in and demand identical output.
+
+The DP no longer walks frozensets at all: it fills a table keyed by
+masks and builds one tree at the end.  :func:`reference_dp` keeps the
+loop it replaced (frozenset subsets from the reference enumerators, an
+expression tree for every candidate cut, costs read off those trees) and
+the DP must agree with it exactly: the same tree, the same float cost,
+the same table size.
 """
 
 from __future__ import annotations
@@ -21,24 +28,32 @@ from typing import FrozenSet, List
 import pytest
 
 import repro.core.enumeration as enumeration
-import repro.optimizer.dp as dp
-from repro.algebra import conjunction
+import repro.optimizer.baselines as baselines
+from repro.algebra import conjunction, eq
 from repro.core import (
     canonicalize,
     count_implementing_trees,
     implementing_trees,
+    jn,
+    oj,
     sample_implementing_tree,
 )
 from repro.core.enumeration import _ordered_partitions, root_operator
+from repro.core.expressions import Join, LeftOuterJoin, Rel, RightOuterJoin
 from repro.datagen import chain, random_databases, random_nice_graph, star
 from repro.engine import Storage
+from repro.engine.planner import split_equijoin
 from repro.optimizer import (
     CardinalityEstimator,
     CoutCostModel,
     DPOptimizer,
+    OuterjoinBarrierOptimizer,
+    Plan,
+    RetrievalCostModel,
     combinable_pairs,
     connected_subsets,
 )
+from repro.tools import instrumentation
 
 SCENARIOS = [
     chain(4, ["join", "out", "out"]),
@@ -99,12 +114,104 @@ def reference_combinable_pairs(graph, nodes):
 
 @pytest.fixture
 def reference_enumeration(monkeypatch):
-    """Route IT enumeration and the DP through the reference enumerators."""
+    """Route IT enumeration through the reference enumerators."""
     monkeypatch.setattr(enumeration, "_ordered_partitions", reference_partitions)
     monkeypatch.setattr(enumeration, "root_operator", reference_cut_operator)
-    monkeypatch.setattr(dp, "connected_subsets", reference_connected_subsets)
-    monkeypatch.setattr(dp, "combinable_pairs", reference_combinable_pairs)
     return monkeypatch
+
+
+# -- the reference DP ----------------------------------------------------------------
+
+_OPERATOR = {"join": Join, "loj": LeftOuterJoin, "roj": RightOuterJoin}
+
+
+def reference_dp(graph, cost_model):
+    """The DP loop before masks: frozenset keys, a tree per candidate cut.
+
+    Returns the plan and the number of filled table entries.
+    """
+    estimator = cost_model.estimator
+    best = {}
+    with estimator.memo_scope(graph.bitset_index()):
+        for subset in reference_connected_subsets(graph):
+            if len(subset) == 1:
+                name = next(iter(subset))
+                best[subset] = Plan(Rel(name), estimator.base(name), cost_model.leaf_cost(name))
+                continue
+            candidate = None
+            for side_a, side_b, kind, predicate in reference_combinable_pairs(graph, subset):
+                left, right = best.get(side_a), best.get(side_b)
+                if left is None or right is None:
+                    continue
+                expr = _OPERATOR[kind](left.expr, right.expr, predicate)
+                # The estimator takes the preserved side first.
+                est_left, est_right = (right, left) if kind == "roj" else (left, right)
+                est_kind = "join" if kind == "join" else "left_outer"
+                estimate = estimator.combine(
+                    est_kind, predicate, est_left.estimate, est_right.estimate
+                )
+                extra = cost_model.combine_cost(
+                    est_kind, predicate, est_left, est_right, estimate
+                )
+                cost = left.cost + right.cost + extra
+                if candidate is None or cost < candidate.cost:
+                    candidate = Plan(expr, estimate, cost)
+            if candidate is not None:
+                best[subset] = candidate
+    return best[graph.nodes], len(best)
+
+
+class TreeRetrievalCostModel(RetrievalCostModel):
+    """The retrieval model as it read plans before ``Plan.base``.
+
+    Access paths come from the subplans' trees and the outer side's
+    scheme; the join cardinality is recomputed from the selectivity.
+    ``probes`` counts the cuts priced as index probes.
+    """
+
+    probes = 0
+
+    def combine_cost(self, kind, predicate, left, right, estimate) -> float:
+        join_card = min(
+            estimate.cardinality,
+            left.cardinality
+            * right.cardinality
+            * self.estimator.join_selectivity(predicate, left.estimate, right.estimate),
+        )
+        cost = 0.0
+        if isinstance(left.expr, Rel):
+            cost += float(len(self.storage[left.expr.name]))
+        if isinstance(right.expr, Rel):
+            table = self.storage[right.expr.name]
+            split = split_equijoin(
+                predicate, left.expr.scheme(self.storage.registry), table.schema
+            )
+            if split is not None and table.index_on(split[1]) is not None:
+                self.probes += 1
+                cost += max(join_card, 0.0)
+            else:
+                cost += float(len(table))
+        return cost
+
+
+def indexed_storage(database, graph) -> Storage:
+    """The database as storage, with every edge attribute of every other
+    relation (in sorted order) indexed, so both access paths get priced."""
+    storage = Storage.from_database(database)
+    indexed = set(sorted(graph.nodes)[::2])
+    for predicate in [*graph.join_edges.values(), *graph.oj_edges.values()]:
+        for attribute in predicate.attributes():
+            owner = storage.registry.owner(attribute)
+            if owner in indexed:
+                storage[owner].create_index(attribute)
+    return storage
+
+
+def assert_same_plan(plan, reference):
+    assert plan.expr.to_infix(show_predicates=True) == reference.expr.to_infix(
+        show_predicates=True
+    )
+    assert plan.cost == reference.cost
 
 
 # -- the checks --------------------------------------------------------------------
@@ -163,11 +270,55 @@ class TestEnumerationIdentical:
         reference_enumeration.undo()
         assert draws() == reference
 
-    def test_dp_plan_identical(self, scenario, reference_enumeration):
+    def test_dp_plan_identical(self, scenario):
+        """Mask DP vs :func:`reference_dp`, under both cost models."""
         dbs = random_databases(scenario.schemas, 1, seed=3, max_rows=7, allow_empty=False)
-        model = CoutCostModel(CardinalityEstimator(Storage.from_database(dbs[0])))
-        reference = DPOptimizer(scenario.graph, model).optimize()
-        reference_enumeration.undo()
-        bitset = DPOptimizer(scenario.graph, model).optimize()
-        assert repr(bitset.expr) == repr(reference.expr)
-        assert bitset.cost == pytest.approx(reference.cost)
+        storage = indexed_storage(dbs[0], scenario.graph)
+        tree_model = TreeRetrievalCostModel(CardinalityEstimator(storage), storage)
+        for model, reference_model in (
+            (CoutCostModel(CardinalityEstimator(storage)), None),
+            (RetrievalCostModel(CardinalityEstimator(storage), storage), tree_model),
+        ):
+            reference, reference_subsets = reference_dp(
+                scenario.graph, reference_model or model
+            )
+            before = instrumentation.snapshot()
+            plan = DPOptimizer(scenario.graph, model).optimize()
+            assert instrumentation.delta(before).get("dp_subsets") == reference_subsets
+            assert_same_plan(plan, reference)
+        assert tree_model.probes > 0  # the index-probe branch was priced
+
+
+class ReferenceDPOptimizer:
+    """:func:`reference_dp` behind the :class:`DPOptimizer` interface."""
+
+    def __init__(self, graph, cost_model):
+        self.graph = graph
+        self.cost_model = cost_model
+
+    def optimize(self):
+        return reference_dp(self.graph, self.cost_model)[0]
+
+
+def test_dp_plan_identical_through_placeholders(monkeypatch):
+    """The barrier baseline plans join clusters whose leaves stand for
+    subtrees; its cost model resolves every subplan's tree, so this is the
+    path that forces the mask DP's deferred trees mid-search."""
+    storage = Storage()
+    storage.create_table("A", ["A.k", "A.d"], [{"A.k": i, "A.d": i % 3} for i in range(12)])
+    storage.create_table("B", ["B.k", "B.j"], [{"B.k": i % 6, "B.j": i % 4} for i in range(9)])
+    storage.create_table("C", ["C.j"], [{"C.j": i} for i in range(3)])
+    storage.create_table("D", ["D.d"], [{"D.d": i} for i in range(2)])
+    storage["B"].create_index("B.k")
+    storage["C"].create_index("C.j")
+    written = jn(
+        jn(oj("A", "D", eq("A.d", "D.d")), "B", eq("A.k", "B.k")), "C", eq("B.j", "C.j")
+    )
+    plans = {}
+    for label, model_class in (("mask", RetrievalCostModel), ("ref", TreeRetrievalCostModel)):
+        if label == "ref":
+            monkeypatch.setattr(baselines, "DPOptimizer", ReferenceDPOptimizer)
+        model = model_class(CardinalityEstimator(storage), storage)
+        plans[label] = OuterjoinBarrierOptimizer(storage.registry, model).optimize(written)
+    assert plans["mask"].expr != written  # the cluster was reordered
+    assert_same_plan(plans["mask"], plans["ref"])

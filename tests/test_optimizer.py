@@ -10,7 +10,14 @@ from repro.core import (
     jn,
     oj,
 )
-from repro.datagen import chain, example1_storage, figure2_graph, random_databases
+from repro.core.expressions import BinaryOp, Rel
+from repro.datagen import (
+    chain,
+    example1_storage,
+    figure2_graph,
+    random_databases,
+    random_nice_graph,
+)
 from repro.engine import Storage, execute
 from repro.optimizer import (
     CardinalityEstimator,
@@ -18,6 +25,7 @@ from repro.optimizer import (
     DPOptimizer,
     GreedyOptimizer,
     OuterjoinBarrierOptimizer,
+    Plan,
     RetrievalCostModel,
     connected_subsets,
     count_dp_entries,
@@ -125,6 +133,30 @@ class TestDPOptimizer:
             execute(best.expr, storage).relation, execute(written, storage).relation
         )
 
+    def test_builds_only_the_winning_tree(self, monkeypatch):
+        """Candidates are costed on the DP table; one tree is built, at the end.
+
+        A deterministic guard: building an operator per candidate cut (1,986
+        constructions on this graph) fails it without any timing.
+        """
+        scenario = random_nice_graph(6, 4, seed=2, extra_join_edges=2)
+        assert len(scenario.graph.nodes) == 10
+        dbs = random_databases(scenario.schemas, 1, seed=2, max_rows=6, allow_empty=False)
+        storage = Storage.from_database(dbs[0])
+        model = RetrievalCostModel(CardinalityEstimator(storage), storage)
+        built = []
+        original_init = BinaryOp.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BinaryOp, "__init__", counting_init)
+        plan = DPOptimizer(scenario.graph, model).optimize()
+        assert built == []
+        operators = sum(1 for _path, node in plan.expr.nodes() if isinstance(node, BinaryOp))
+        assert operators == len(built) == len(scenario.graph.nodes) - 1
+
     def test_disconnected_graph_rejected(self):
         from repro.core import QueryGraph
 
@@ -138,6 +170,26 @@ class TestDPOptimizer:
             DPOptimizer(g, model).optimize()
 
 
+class TestRetrievalCostModel:
+    def test_outerjoin_probe_pays_matches_not_padding(self):
+        """An indexed null-supplied leaf costs the matches (``join_cardinality``),
+        not the padded output."""
+        st = Storage()
+        st.create_table("P", ["P.k"], [{"P.k": i} for i in range(10)])
+        st.create_table("N", ["N.k"], [{"N.k": i} for i in range(2)])
+        st["N"].create_index("N.k")
+        model = RetrievalCostModel(CardinalityEstimator(st), st)
+        written = oj("P", "N", eq("P.k", "N.k"))
+        # Scan P (10) plus the expected matches fetched from N (10·2/10).
+        assert fixed_order_plan(written, model).cost == pytest.approx(12.0)
+        est = model.estimator
+        left, right = est.base("P"), est.base("N")
+        estimate = est.combine("left_outer", eq("P.k", "N.k"), left, right)
+        assert (estimate.cardinality, estimate.join_cardinality) == (10.0, 2.0)
+        plans = Plan(Rel("P"), left, 0.0), Plan(Rel("N"), right, 0.0)
+        assert model.combine_cost("left_outer", eq("P.k", "N.k"), *plans, estimate) == 12.0
+
+
 class TestGreedyAndBaselines:
     def test_greedy_matches_dp_on_example1(self, ex1):
         storage, _written, graph = ex1
@@ -149,8 +201,6 @@ class TestGreedyAndBaselines:
     def test_greedy_never_beats_dp(self):
         """DP is exact, so greedy's cost is an upper bound."""
         for seed in range(5):
-            from repro.datagen import random_nice_graph
-
             scenario = random_nice_graph(3, 2, seed=seed)
             dbs = random_databases(scenario.schemas, 1, seed=seed, max_rows=8,
                                    allow_empty=False)

@@ -136,6 +136,39 @@ class TestConjunction:
         assert isinstance(~eq("a", "b"), Not)
 
 
+class TestCachedHash:
+    """Comparison and And cache their hash; the cache never leaves the process."""
+
+    CASES = [
+        lambda: eq("R.a", "S.b"),
+        lambda: Comparison("R.a", ">", Const(3)),
+        lambda: conjunction([eq("R.a", "S.b"), lt("R.c", "S.d")]),
+        lambda: And((eq("a", "b"), And((eq("c", "d"), gt("e", Const(1)))))),
+    ]
+
+    @pytest.mark.parametrize("make", CASES)
+    def test_hash_agrees_with_fresh_equal_predicate(self, make):
+        cached = make()
+        first = hash(cached)
+        fresh = make()
+        assert fresh == cached and cached == fresh
+        assert hash(fresh) == first == hash(cached)
+        assert len({cached, fresh}) == 1
+
+    @pytest.mark.parametrize("make", CASES)
+    def test_pickle_round_trip_drops_the_cached_hash(self, make):
+        import copy
+        import pickle
+
+        original = make()
+        hash(original)
+        assert original._hash is not None
+        for clone in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert clone == original
+            assert clone._hash is None
+            assert hash(clone) == hash(original)
+
+
 class TestStrongness:
     """Section 2.1: p is strong wrt S iff null-on-S forces p(t) = False."""
 
