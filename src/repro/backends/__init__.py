@@ -1,48 +1,24 @@
-"""Pluggable execution backends (ROADMAP item 4, PostBOUND-style).
+"""SQLite as the native oracle and the ladder's yardstick.
 
 The conformance layer proved that transpiled SQL on a real engine agrees
-with the local evaluator; this package promotes that machinery from test
-harness to *execution backend*.  A backend is anything that can hold a
-copy of the data and answer expression trees; the one built in is the
-stdlib SQLite engine (:class:`~repro.backends.sqlite_backend.SQLiteBackend`).
-The service's ``local`` route is the in-process engine and does not go
-through this package.
+with the local evaluator; this package keeps that engine warm.  The one
+backend, :class:`~repro.backends.sqlite_backend.SQLiteBackend`, holds a
+copy of the data and lets SQLite's own planner answer expression trees:
 
-Two properties make the package an optimizer laboratory rather than a
-mere federation shim:
+* **generation-keyed sync** — ``sync`` pushes storage data only when the
+  storage :attr:`generation <repro.engine.storage.Storage.generation>`
+  changed, so repeated queries over unchanged data pay zero transfer cost;
+* **tree-keyed statements** — transpiled SQL is cached per expression
+  tree, so repeats reuse sqlite3's prepared statement;
+* **pooled connections** — the conformance ``sqlite`` tier borrows warm
+  backends through :class:`~repro.conformance.sqlite_oracle.SQLiteOracle`.
 
-* **generation-keyed sync** — :meth:`ExecutionBackend.sync` pushes
-  storage data only when the storage :attr:`generation
-  <repro.engine.storage.Storage.generation>` changed, so repeated
-  queries over unchanged data pay zero transfer cost;
-* **join-order hinting** — :func:`repro.backends.hints.hinted_sql`
-  renders a physical tree as explicitly nested/parenthesized JOIN SQL
-  that the backend's own optimizer must respect, so our DP/Yannakakis
-  dispatch decisions can be A/B-measured against the backend's native
-  planner on identical data.
+Served queries never run here: ``QueryService`` runs every query in
+process through :func:`repro.optimizer.optimize_and_run`, whose gates
+pick the strategy.  The ladder times this backend on the same data as
+the native yardstick.
 """
 
-from repro.backends.base import (
-    BACKEND_ENV,
-    BackendUnavailableError,
-    ExecutionBackend,
-    available_backends,
-    create_backend,
-    default_backend_name,
-    register_backend,
-)
-from repro.backends.hints import HintError, hinted_sql, join_shape, parse_join_shape
+from repro.backends.base import BackendUnavailableError, available_backends, create_backend
 
-__all__ = [
-    "BACKEND_ENV",
-    "BackendUnavailableError",
-    "ExecutionBackend",
-    "HintError",
-    "available_backends",
-    "create_backend",
-    "default_backend_name",
-    "hinted_sql",
-    "join_shape",
-    "parse_join_shape",
-    "register_backend",
-]
+__all__ = ["BackendUnavailableError", "available_backends", "create_backend"]

@@ -1,23 +1,17 @@
-"""SQLite as a first-class execution backend (promoted from the oracle).
+"""SQLite as a warm, persistent oracle engine (promoted from a per-use one).
 
-The conformance oracle opened a fresh ``:memory:`` connection per use and
-re-shipped every relation; this backend keeps one **persistent
+The conformance oracle used to open a fresh ``:memory:`` connection per
+use and re-ship every relation; this backend keeps one **persistent
 connection**, syncs data only when the storage *generation* changes,
 wraps loads in a single transaction with ``executemany`` **batched
-inserts**, builds **indexes on join keys** extracted from equi-join
-conjuncts, and caches transpiled SQL keyed by the expression tree so
+inserts**, and caches transpiled SQL keyed by the expression tree so
 sqlite3's internal statement cache can reuse the **prepared statement**
 across calls.
 
-Two execution modes share the connection:
-
-* **native** — the expression transpiles through the conformance
-  :class:`~repro.conformance.sqlite_oracle.SQLTranspiler` (nested
-  subqueries), and SQLite's own planner picks the join order;
-* **hinted** — a physical tree renders through
-  :func:`repro.backends.hints.hinted_sql` into nested
-  ``CROSS JOIN ... ON`` sources, which SQLite documents it will never
-  reorder — so the order our optimizer chose is the order SQLite runs.
+The expression transpiles through the conformance
+:class:`~repro.conformance.sqlite_oracle.SQLTranspiler` (nested
+subqueries), and SQLite's own planner picks the join order: this is the
+native engine the ladder measures the local one against.
 
 A small module-level pool (:func:`acquire_pooled`, :func:`release_pooled`)
 lets the oracle reuse warm connections across many per-case databases.
@@ -31,63 +25,32 @@ import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.nulls import NULL, is_null
-from repro.algebra.predicates import AttrRef, Comparison
 from repro.algebra.relation import Database, Relation
 from repro.algebra.schema import SchemaRegistry
 from repro.algebra.sqlrender import sql_identifier
 from repro.algebra.tuples import Row
-from repro.backends.base import ExecutionBackend, register_backend
-from repro.backends.hints import hinted_sql
-from repro.core.expressions import BinaryOp, Expression, Restrict
+from repro.core.expressions import Expression
 from repro.engine.storage import Storage
 from repro.tools import instrumentation
-from repro.util.errors import EvaluationError, SchemaError
+from repro.util.errors import EvaluationError
 
 #: Rows per INSERT batch.  executemany already loops in C; the batch
 #: bound just keeps peak argument-buffer memory flat on wide loads.
 INSERT_BATCH = 4096
 
-def _index_targets(expr: Expression, registry: SchemaRegistry) -> List[Tuple[str, str]]:
-    """(table, attribute) pairs worth indexing: attr-to-attr equi-join keys."""
-    out: List[Tuple[str, str]] = []
-    seen = set()
-    for _path, node in expr.nodes():
-        predicate = getattr(node, "predicate", None)
-        if predicate is None or not isinstance(node, (BinaryOp, Restrict)):
-            continue
-        for conjunct in predicate.conjuncts():
-            if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-                continue
-            if not (
-                isinstance(conjunct.left, AttrRef) and isinstance(conjunct.right, AttrRef)
-            ):
-                continue
-            for term in (conjunct.left, conjunct.right):
-                if term.name in seen:
-                    continue
-                try:
-                    owner = registry.owner(term.name)
-                except SchemaError:
-                    continue
-                seen.add(term.name)
-                out.append((owner, term.name))
-    return out
 
-
-class SQLiteBackend(ExecutionBackend):
-    """Persistent in-memory SQLite engine behind the backend interface."""
+class SQLiteBackend:
+    """Persistent in-memory SQLite engine: hold data, answer expression trees."""
 
     def __init__(self) -> None:
-        # check_same_thread=False + our lock: the service worker pool may
-        # route queries from several threads through one backend; all
-        # connection use is serialized below.
+        # check_same_thread=False + our lock: several threads may share
+        # one backend; all connection use is serialized below.
         self._conn = sqlite3.connect(":memory:", check_same_thread=False)
         self._lock = threading.RLock()
         self._registry: Optional[SchemaRegistry] = None
         self._generation: Optional[tuple] = None
         self._tables: Tuple[str, ...] = ()
-        self._sql_cache: Dict[object, Tuple[str, bool]] = {}
-        self._indexed: set = set()
+        self._sql_cache: Dict[Expression, str] = {}
         self._closed = False
         self.counters: Dict[str, int] = {
             "syncs": 0,
@@ -95,10 +58,8 @@ class SQLiteBackend(ExecutionBackend):
             "loads": 0,
             "rows_loaded": 0,
             "queries": 0,
-            "hinted_queries": 0,
             "statement_hits": 0,
             "statement_misses": 0,
-            "indexes_built": 0,
         }
 
     @property
@@ -136,7 +97,6 @@ class SQLiteBackend(ExecutionBackend):
     def _load(self, registry: SchemaRegistry, relations: Iterable[Tuple[str, Relation]]) -> None:
         self.counters["loads"] += 1
         self._sql_cache.clear()
-        self._indexed.clear()
         cur = self._conn
         for name in self._tables:
             cur.execute(f"DROP TABLE IF EXISTS {sql_identifier(name)}")
@@ -167,64 +127,33 @@ class SQLiteBackend(ExecutionBackend):
         self._tables = tuple(loaded)
         self._registry = registry
 
-    def ensure_join_indexes(self, expr: Expression) -> int:
-        """CREATE INDEX on every attr-to-attr equi-join key of ``expr``.
-
-        Idempotent per load: built keys are remembered until the next
-        data load invalidates them with the tables.
-        """
-        with self._lock:
-            built = 0
-            for table, attr in _index_targets(expr, self.registry):
-                if (table, attr) in self._indexed:
-                    continue
-                ix = f"ix_{table}_{attr}".replace(".", "_").replace(" ", "_")
-                self._conn.execute(
-                    f"CREATE INDEX IF NOT EXISTS {sql_identifier(ix)} "
-                    f"ON {sql_identifier(table)} ({sql_identifier(attr)})"
-                )
-                self._indexed.add((table, attr))
-                built += 1
-            self.counters["indexes_built"] += built
-            return built
-
     # -- execution -----------------------------------------------------------
 
-    def _statement(self, expr: Expression, hint: Optional[Expression]) -> str:
+    def _statement(self, expr: Expression) -> str:
         """Transpile (or replay) the SQL for one execution.
 
-        The cache key is the expression tree that is rendered (trees are
-        hashable).  Not the plan fingerprint: that identifies the query
-        *graph*, and when the graph is not freely reorderable, implementing
-        trees with different results share it.  A warm plan-cache hit
-        replays the same chosen tree, so repeated shapes still hit.
-        Identical SQL text then hits sqlite3's internal compiled-statement
-        cache, giving prepared-statement reuse without an explicit
-        prepare API.
+        The cache key is the expression tree (trees are hashable).  Not
+        the plan fingerprint: that identifies the query *graph*, and when
+        the graph is not freely reorderable, implementing trees with
+        different results share it.  Identical SQL text then hits
+        sqlite3's internal compiled-statement cache, giving
+        prepared-statement reuse without an explicit prepare API.
         """
-        mode = "hinted" if hint is not None else "native"
-        key = (mode, hint or expr)
-        hit = self._sql_cache.get(key)
-        if hit is not None:
+        sql = self._sql_cache.get(expr)
+        if sql is not None:
             self.counters["statement_hits"] += 1
-            return hit[0]
+            return sql
         self.counters["statement_misses"] += 1
-        if hint is not None:
-            sql, _cols = hinted_sql(hint, self.registry)
-        else:
-            from repro.conformance.sqlite_oracle import to_sqlite_sql
+        from repro.conformance.sqlite_oracle import to_sqlite_sql
 
-            sql = to_sqlite_sql(expr, self.registry)
-        self._sql_cache[key] = (sql, hint is not None)
+        sql = self._sql_cache[expr] = to_sqlite_sql(expr, self.registry)
         return sql
 
-    def execute(self, expr: Expression, hint: Optional[Expression] = None) -> Relation:
+    def execute(self, expr: Expression) -> Relation:
+        """Evaluate ``expr`` against the synced data with SQLite's planner."""
         with self._lock:
             self.counters["queries"] += 1
-            if hint is not None:
-                self.counters["hinted_queries"] += 1
-                self.ensure_join_indexes(hint)
-            sql = self._statement(expr, hint)
+            sql = self._statement(expr)
             instrumentation.bump("backend_sqlite_queries")
             cursor = self._conn.execute(sql)
             names = [d[0] for d in cursor.description]
@@ -251,7 +180,6 @@ class SQLiteBackend(ExecutionBackend):
             return {
                 "backend": "sqlite",
                 "tables": len(self._tables),
-                "indexes": len(self._indexed),
                 **self.counters,
             }
 
@@ -287,5 +215,3 @@ def release_pooled(backend: SQLiteBackend) -> None:
             return
     backend.close()
 
-
-register_backend("sqlite", SQLiteBackend)

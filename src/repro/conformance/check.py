@@ -37,15 +37,6 @@ tier                    route
                         Declines (skips) when no core is cyclic —
                         acyclic graphs belong to Yannakakis/DP, and
                         outerjoins never enter a cyclic core
-``"backend:sqlite"``    join-order *hinting* through the persistent
-                        :mod:`repro.backends` SQLite backend: every
-                        maximal hintable core (Rel/Restrict/Join/
-                        LOJ/ROJ trees) runs as explicitly nested
-                        ``CROSS JOIN`` SQL in the written order —
-                        independent of the ``sqlite`` tier, which
-                        lowers to nested subqueries that SQLite's
-                        optimizer reorders freely.  Declines when no
-                        multi-relation core is hintable
 ======================  =====================================================
 
 :func:`cross_check` runs a query through any subset of tiers and demands
@@ -81,7 +72,6 @@ EXECUTOR_TIERS: Tuple[str, ...] = (
     "batch",
     "yannakakis",
     "wcoj",
-    "backend:sqlite",
 )
 
 _ENGINE_TIERS = frozenset({"engine", "batch"})
@@ -168,8 +158,6 @@ def run_executor(
         if storage is None:
             storage = Storage.from_database(db)
         return _run_wcoj(expr, db, storage)
-    if name.startswith("backend:"):
-        return _run_backend_tier(name.split(":", 1)[1], expr, db)
     raise PlanningError(f"unknown executor tier {name!r}")
 
 
@@ -232,71 +220,6 @@ def _recurse_with_cores(tier: str, expr: Expression, db: Database, is_core, run_
         raise PlanningError(f"{tier} tier cannot evaluate {type(node).__name__}")
 
     return recurse(expr)
-
-
-#: Lazily-created persistent backends for the ``backend:<name>`` tier
-#: family: the whole point of the backend interface is connection
-#: reuse, so the tier exercises it.
-_TIER_BACKENDS: Dict[str, object] = {}
-
-
-def _tier_backend(name: str):
-    from repro.backends import create_backend
-
-    backend = _TIER_BACKENDS.get(name)
-    if backend is None or getattr(backend, "closed", False):
-        backend = create_backend(name)  # BackendUnavailableError -> skip
-        _TIER_BACKENDS[name] = backend
-    return backend
-
-
-def _run_backend_tier(backend_name: str, expr: Expression, db: Database) -> Relation:
-    """Evaluate through a :mod:`repro.backends` execution backend.
-
-    ``backend:sqlite`` *hints*: every maximal hintable core (trees of Rel/Restrict/Join/LeftOuterJoin/
-    RightOuterJoin) is rendered as explicitly nested ``CROSS JOIN`` SQL
-    pinning the written join order, so the order-forcing grammar itself
-    is what gets differentially fuzzed; wrapper operators (FOJ, union,
-    semi/anti, GOJ, dedup projections) evaluate via the algebra layer on
-    the recursed children.  Raises :class:`PlanningError` — a cross-check
-    *skip* — when no multi-relation core is hintable, so the tier never
-    silently duplicates the algebra tier.
-    """
-    from repro.backends.hints import HintError, join_shape
-    from repro.core.expressions import Join, LeftOuterJoin, Rel, Restrict, RightOuterJoin
-
-    backend = _tier_backend(backend_name)
-    backend.load_database(db)
-
-    took_fast_path = [False]
-
-    def structural(node: Expression) -> bool:
-        if isinstance(node, Rel):
-            return True
-        if isinstance(node, Restrict):
-            return structural(node.child)
-        if isinstance(node, (Join, LeftOuterJoin, RightOuterJoin)):
-            return structural(node.left) and structural(node.right)
-        return False
-
-    def is_core(node: Expression) -> bool:
-        return structural(node)
-
-    def run_core(node: Expression) -> Relation:
-        try:
-            relation = backend.execute(node, hint=node)
-        except HintError as exc:
-            # No SQL form (opaque predicate): decline the whole case,
-            # exactly like the sqlite oracle tier's TranspileError skip.
-            raise PlanningError(f"backend:sqlite tier declines: {exc}") from exc
-        if not isinstance(join_shape(node), str):
-            took_fast_path[0] = True
-        return relation
-
-    relation = _recurse_with_cores("backend:sqlite", expr, db, is_core, run_core)
-    if not took_fast_path[0]:
-        raise PlanningError("backend:sqlite tier declines: no multi-relation hintable core")
-    return relation
 
 
 def _run_yannakakis(expr: Expression, db: Database, storage) -> Relation:

@@ -46,7 +46,6 @@ from repro.optimizer.fingerprint import plan_cache_key
 from repro.optimizer.plancache import PlanCache, active_plan_cache
 from repro.util.cancel import CancelToken
 from repro.util.errors import GraphUndefinedError, SchemaError
-from repro.util.fastpath import wcoj_enabled, yannakakis_enabled
 
 
 @dataclass
@@ -68,11 +67,11 @@ class PipelineResult:
     fingerprint: Optional[str] = None
     #: True when the chosen plan (or verdict) was replayed from the cache.
     cache_hit: bool = False
-    #: What ``optimize_and_run`` — and so every local query the service
+    #: What ``optimize_and_run`` — and so every query the service
     #: serves — executes: the binary-tree DP plan ("dp"), the acyclic
     #: semijoin-reduced fast path ("yannakakis"), or the cyclic
-    #: worst-case optimal Leapfrog Triejoin ("wcoj").  A fast path is set
-    #: only while its switch is on.
+    #: worst-case optimal Leapfrog Triejoin ("wcoj"), as the cost gates
+    #: decided.
     strategy: str = "dp"
     #: The rooted join tree backing the acyclic fast path (None otherwise).
     join_tree: Optional[JoinTree] = None
@@ -246,20 +245,14 @@ def _optimize_query(
             # chosen tree; otherwise only the (graph-determined)
             # verdict, because non-nice trees are NOT interchangeable
             # and the written order must stand.  The cached join tree /
-            # WCOJ spec records the strategy *decision*; whether it is
-            # taken is re-checked against the live fast-path switches.
+            # WCOJ spec is the strategy the gates chose.
             verdict, chosen, join_tree, wcoj_spec = hit
             result.verdict = verdict
             result.cache_hit = True
             if chosen is not None:
                 result.chosen = chosen
                 result.reordered = True
-            if join_tree is not None and yannakakis_enabled():
-                result.join_tree = join_tree
-                result.strategy = "yannakakis"
-            elif wcoj_spec is not None and wcoj_enabled():
-                result.wcoj_spec = wcoj_spec
-                result.strategy = "wcoj"
+            _set_strategy(result, join_tree, wcoj_spec)
             return result
 
     with maybe_span("optimizer.niceness", category="optimizer") as span:
@@ -287,23 +280,28 @@ def _optimize_query(
     plan = DPOptimizer(graph, model).optimize()
     result.chosen = _reattach_filters(plan.expr, filters)
     result.reordered = True
-    join_tree: Optional[JoinTree] = None
-    if yannakakis_enabled():
-        join_tree = _acyclic_fast_path(graph, registry, estimator, plan.expr)
+    join_tree = _acyclic_fast_path(graph, registry, estimator, plan.expr)
     wcoj_spec: Optional[WcojSpec] = None
-    if join_tree is None and wcoj_enabled():
+    if join_tree is None:
         wcoj_spec = _cyclic_fast_path(graph, registry, estimator, plan.expr)
     if cache is not None:
         cache.store(
             result.fingerprint, generation, (verdict, result.chosen, join_tree, wcoj_spec)
         )
+    _set_strategy(result, join_tree, wcoj_spec)
+    return result
+
+
+def _set_strategy(
+    result: PipelineResult, join_tree: Optional[JoinTree], wcoj_spec: Optional[WcojSpec]
+) -> None:
+    """Record the fast path a gate chose (at most one is not None), else keep "dp"."""
     if join_tree is not None:
         result.join_tree = join_tree
         result.strategy = "yannakakis"
     elif wcoj_spec is not None:
         result.wcoj_spec = wcoj_spec
         result.strategy = "wcoj"
-    return result
 
 
 def _acyclic_fast_path(
@@ -419,13 +417,12 @@ def optimize_and_run(
 ) -> tuple[PipelineResult, ExecutionResult]:
     """Optimize, execute the strategy the optimizer chose, return both records.
 
-    The one query path (the service runs every local query through it).
+    The one query path (the service runs every query through it).
     A "yannakakis" strategy builds the semijoin-reduced N-ary plan from
     the join tree and leaf filters; a "wcoj" strategy builds the
     Leapfrog Triejoin plan from the trie spec; "dp" plans ``chosen``.
-    The fast-path switches were already applied by the optimizer, which
-    sets a strategy only while its switch is on.  ``cancel`` reaches the
-    drain loop and metrics sink of every branch.
+    The optimizer's cost gates alone set the strategy.  ``cancel``
+    reaches the drain loop and metrics sink of every branch.
     """
     result = optimize_query(
         query, storage, cost_model=cost_model, cache=cache, use_cache=use_cache

@@ -34,22 +34,17 @@ from __future__ import annotations
 
 import queue
 import threading
+import traceback
 from dataclasses import dataclass, field
 from time import monotonic
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.algebra.relation import Relation
-from repro.backends.base import (
-    ExecutionBackend,
-    available_backends,
-    default_backend_name,
-)
-from repro.backends.hints import HintError
 from repro.core.expressions import Expression
 from repro.engine.executor import ExecutionResult
 from repro.engine.storage import Storage
 from repro.observability.spans import maybe_span
-from repro.optimizer.pipeline import PipelineResult, optimize_and_run, optimize_query
+from repro.optimizer.pipeline import PipelineResult, optimize_and_run
 from repro.optimizer.plancache import PlanCache, active_plan_cache
 from repro.tools import instrumentation
 from repro.util.cancel import CancelToken
@@ -116,12 +111,9 @@ class QueryTicket:
     through :meth:`result`, as ``cancelled`` if the signal landed in time.
     """
 
-    def __init__(self, query: Expression, token: CancelToken, backend: str = "local"):
+    def __init__(self, query: Expression, token: CancelToken):
         self.query = query
         self.token = token
-        #: Route this query resolves on: "local" is the in-process engine;
-        #: any other name dispatches through :mod:`repro.backends`.
-        self.backend = backend
         self.submitted_at = monotonic()
         self._done = threading.Event()
         self._outcome: Optional[QueryOutcome] = None
@@ -154,6 +146,12 @@ class QueryTicket:
 _SENTINEL = object()
 
 
+def _raised_at(exc: BaseException) -> str:
+    """``file:line`` of the innermost traceback frame: where ``exc`` was raised."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{frame.filename}:{frame.lineno}"
+
+
 class QueryService:
     """A pool of worker threads serving queries against one storage.
 
@@ -177,26 +175,12 @@ class QueryService:
         use_cache: bool = True,
         default_timeout_s: Optional[float] = None,
         cost_model: str = "retrieval",
-        backend: Optional[str] = None,
     ):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         if queue_size < 1:
             raise ValueError(f"admission queue must hold at least one query, got {queue_size}")
         self.storage = storage
-        # Backend routing: the default route comes from the ``backend=``
-        # parameter, falling back to $REPRO_BACKEND, falling back to
-        # "local".  Names are validated eagerly (a typo'd route should not
-        # silently error every query); the backend itself is created
-        # lazily at first use.
-        self.default_backend = backend if backend is not None else default_backend_name()
-        if self.default_backend != "local" and self.default_backend not in available_backends():
-            raise ValueError(
-                f"unknown backend route {self.default_backend!r}; "
-                f"registered: {', '.join(available_backends())}"
-            )
-        self._backends: Dict[str, ExecutionBackend] = {}
-        self._route_counts: Dict[str, int] = {}
         self.cost_model = cost_model
         self.default_timeout_s = default_timeout_s
         if use_cache:
@@ -217,29 +201,14 @@ class QueryService:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(
-        self,
-        query: Expression,
-        timeout_s: Optional[float] = None,
-        backend: Optional[str] = None,
-    ) -> QueryTicket:
+    def submit(self, query: Expression, timeout_s: Optional[float] = None) -> QueryTicket:
         """Enqueue a query; never blocks.
 
         Returns a ticket that is either queued for a worker or — when the
         admission queue is full or the service is closed mid-call —
         already resolved as ``rejected`` (load shedding: the caller finds
         out immediately instead of waiting behind a saturated queue).
-
-        ``backend`` overrides the service's default route for this one
-        query (e.g. ``backend="sqlite"`` to run it hinted on SQLite while
-        everything else stays local).
         """
-        route = backend if backend is not None else self.default_backend
-        if route != "local" and route not in available_backends():
-            raise ValueError(
-                f"unknown backend route {route!r}; "
-                f"registered: {', '.join(available_backends())}"
-            )
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -248,7 +217,7 @@ class QueryService:
         token = CancelToken(
             timeout_s if timeout_s is not None else self.default_timeout_s
         )
-        ticket = QueryTicket(query, token, backend=route)
+        ticket = QueryTicket(query, token)
         try:
             self._queue.put_nowait(ticket)
         except queue.Full:
@@ -265,14 +234,9 @@ class QueryService:
         """
         return [self.submit(query, timeout_s=timeout_s) for query in queries]
 
-    def execute(
-        self,
-        query: Expression,
-        timeout_s: Optional[float] = None,
-        backend: Optional[str] = None,
-    ) -> QueryOutcome:
+    def execute(self, query: Expression, timeout_s: Optional[float] = None) -> QueryOutcome:
         """Synchronous convenience: submit and wait for the outcome."""
-        return self.submit(query, timeout_s=timeout_s, backend=backend).result()
+        return self.submit(query, timeout_s=timeout_s).result()
 
     def _shed(self, ticket: QueryTicket, error: Exception) -> None:
         instrumentation.bump("service_rejected")
@@ -291,47 +255,6 @@ class QueryService:
             finally:
                 self._queue.task_done()
 
-    def _backend_for(self, route: str) -> ExecutionBackend:
-        """Lazily create (and cache) the backend instance for ``route``."""
-        with self._lock:
-            backend = self._backends.get(route)
-            if backend is None:
-                from repro.backends.base import create_backend
-
-                backend = create_backend(route)
-                self._backends[route] = backend
-            return backend
-
-    def _run_backend(self, ticket: QueryTicket) -> QueryOutcome:
-        """Execute one ticket on a non-local backend route.
-
-        The optimizer still runs locally (planning is backend-agnostic);
-        its chosen tree becomes the join-order *hint* and keys the
-        backend's prepared-statement cache.  A backend that
-        cannot hint this shape (:class:`HintError`) falls back to native
-        execution of the original query — same bag, backend's own order.
-        """
-        route = ticket.backend
-        backend = self._backend_for(route)
-        backend.sync(self.storage)
-        ticket.token.check()
-        pipeline = optimize_query(
-            ticket.query,
-            self.storage,
-            cost_model=self.cost_model,
-            cache=self.plan_cache,
-            use_cache=self.plan_cache is not None,
-        )
-        ticket.token.check()
-        try:
-            relation = backend.execute(pipeline.chosen, hint=pipeline.chosen)
-        except HintError:
-            relation = backend.execute(ticket.query)
-        ticket.token.check()
-        with self._lock:
-            self._route_counts[route] = self._route_counts.get(route, 0) + 1
-        return QueryOutcome(status="ok", relation=relation, pipeline=pipeline)
-
     def _run(self, ticket: QueryTicket) -> None:
         started = monotonic()
         queue_wait = started - ticket.submitted_at
@@ -340,23 +263,20 @@ class QueryService:
                 # The deadline covers queue wait too: a query that aged out
                 # while queued stops here, before any work is spent on it.
                 ticket.token.check()
-                if ticket.backend != "local":
-                    outcome = self._run_backend(ticket)
-                else:
-                    pipeline, execution = optimize_and_run(
-                        ticket.query,
-                        self.storage,
-                        cost_model=self.cost_model,
-                        cache=self.plan_cache,
-                        use_cache=self.plan_cache is not None,
-                        cancel=ticket.token,
-                    )
-                    outcome = QueryOutcome(
-                        status="ok",
-                        relation=execution.relation,
-                        pipeline=pipeline,
-                        execution=execution,
-                    )
+                pipeline, execution = optimize_and_run(
+                    ticket.query,
+                    self.storage,
+                    cost_model=self.cost_model,
+                    cache=self.plan_cache,
+                    use_cache=self.plan_cache is not None,
+                    cancel=ticket.token,
+                )
+                outcome = QueryOutcome(
+                    status="ok",
+                    relation=execution.relation,
+                    pipeline=pipeline,
+                    execution=execution,
+                )
             except QueryCancelledError as exc:
                 instrumentation.bump("service_cancelled")
                 outcome = QueryOutcome(status="cancelled", error=exc)
@@ -365,6 +285,8 @@ class QueryService:
                 outcome = QueryOutcome(status="timeout", error=exc)
             except Exception as exc:  # noqa: BLE001 - outcome carries it
                 outcome = QueryOutcome(status="error", error=exc)
+                if span is not None:
+                    span.set(error_type=type(exc).__name__, error_at=_raised_at(exc))
             outcome.elapsed_s = monotonic() - started
             outcome.queue_wait_s = queue_wait
             if span is not None:
@@ -404,11 +326,6 @@ class QueryService:
         if wait:
             for thread in self._workers:
                 thread.join()
-        with self._lock:
-            backends = list(self._backends.values())
-            self._backends.clear()
-        for backend in backends:
-            backend.close()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -426,14 +343,6 @@ class QueryService:
                 "submitted": self._submitted,
                 "outcomes": dict(self._outcomes),
                 "closed": self._closed,
-                "backends": {
-                    "default": self.default_backend,
-                    "routes": dict(self._route_counts),
-                    "instances": {
-                        name: backend.snapshot()
-                        for name, backend in self._backends.items()
-                    },
-                },
             }
         if self.plan_cache is not None:
             out["plan_cache"] = self.plan_cache.snapshot()

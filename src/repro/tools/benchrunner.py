@@ -22,8 +22,8 @@ Modes:
 The per-strategy races that used to live here (batch vs row iterators,
 Yannakakis, Leapfrog Triejoin and the SQL backends vs the DP plan,
 tracing overhead) are superseded by the served-traffic ladder under
-``benchmarks/ladder/``; their last reports stay checked in as
-``BENCH_PR*.json``.
+``benchmarks/ladder/``, which times SQLite-native as its yardstick; their
+last reports stay checked in as ``BENCH_PR*.json``.
 """
 
 from __future__ import annotations

@@ -169,10 +169,8 @@ class TestCrossCheck:
         )
         assert result.ok, result.summary()
         # The wcoj tier owns cyclic join cores only; it declines this
-        # acyclic example by design.  Every other tier must run —
-        # backend:sqlite included.
+        # acyclic example by design.  Every other tier must run.
         assert set(result.skipped) <= {"wcoj"}
-        assert "backend:sqlite" not in result.skipped
 
     def test_engine_tiers_statically_skipped_for_foj(self, db):
         expr = foj(Rel("X"), Rel("Y"), P())

@@ -172,5 +172,26 @@ def test_constructor_validation(storage):
         QueryService(storage, queue_size=0)
 
 
+def test_error_records_its_type_and_where_it_was_raised(storage, monkeypatch):
+    import repro.service.service as module
+    from repro.observability.spans import default_tracer
+
+    def broken(*args, **kwargs):
+        raise KeyError("no such thing")
+
+    monkeypatch.delenv("REPRO_TRACE", raising=False)  # ambient phase spans on
+    monkeypatch.setattr(module, "optimize_and_run", broken)
+    with QueryService(storage, workers=1) as service:
+        outcome = service.execute(query())
+    assert outcome.status == "error"
+    assert isinstance(outcome.error, KeyError)
+    spans = [root for root in default_tracer().roots if root.name == "service.query"]
+    assert len(spans) == 1
+    assert spans[0].attrs["status"] == "error"
+    assert spans[0].attrs["error_type"] == "KeyError"
+    raised_at = f"{broken.__code__.co_filename}:{broken.__code__.co_firstlineno + 1}"
+    assert spans[0].attrs["error_at"] == raised_at
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))

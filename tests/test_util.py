@@ -71,44 +71,32 @@ class TestSwitchOverridesArePerThread:
             batch_sized,
             small_input_cutoff,
             small_input_limit,
-            wcoj_enabled,
-            wcoj_mode,
-            yannakakis_enabled,
-            yannakakis_mode,
         )
 
         def current():
-            return wcoj_enabled(), yannakakis_enabled(), batch_size(), small_input_cutoff()
+            return batch_size(), small_input_cutoff()
 
         default = current()
         barrier = threading.Barrier(2, timeout=10)
         seen = {}
 
-        def hold(flag, size):
-            with (
-                wcoj_mode(flag),
-                yannakakis_mode(not flag),
-                batch_sized(size),
-                small_input_limit(size * 10),
-            ):
+        def hold(size):
+            with batch_sized(size), small_input_limit(size * 10):
                 barrier.wait()  # both scopes are open ...
-                seen[flag] = current()
+                seen[size] = current()
                 barrier.wait()  # ... and both have read before either exits
             barrier.wait()
-            seen[flag, "after"] = current()
+            seen[size, "after"] = current()
 
-        threads = [
-            threading.Thread(target=hold, args=(True, 2)),
-            threading.Thread(target=hold, args=(False, 3)),
-        ]
+        threads = [threading.Thread(target=hold, args=(size,)) for size in (2, 3)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=10)
             assert not thread.is_alive()
-        assert seen[True] == (True, False, 2, 20)
-        assert seen[False] == (False, True, 3, 30)
-        assert seen[True, "after"] == seen[False, "after"] == default
+        assert seen[2] == (2, 20)
+        assert seen[3] == (3, 30)
+        assert seen[2, "after"] == seen[3, "after"] == default
         assert current() == default
 
     def test_batch_sized_rejects_sizes_below_one(self):

@@ -1,4 +1,4 @@
-"""The cyclic fast path end to end: operator, dispatch, tier, toggle.
+"""The cyclic fast path end to end: operator, dispatch, tier, DP parity.
 
 Four layers of assurance, mirroring test_yannakakis.py for the acyclic
 path:
@@ -11,23 +11,20 @@ path:
 * the optimizer's AGM cost gate (dispatches on cyclic cores with real
   data, declines acyclic graphs, outerjoins, and the collapsed-class
   ``cycle`` family);
-* a ``REPRO_WCOJ=0`` subprocess proving the DP fallback is
-  byte-identical when the path is off.
+* in-process checks that whatever strategy the gates pick is bag-equal
+  to the DP tree and to the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.algebra.comparison import bag_equal
 from repro.algebra.nulls import NULL, is_null
+from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.predicates import eq
 from repro.algebra.relation import Database, Relation
 from repro.conformance.check import EXECUTOR_TIERS, cross_check, run_executor
@@ -52,9 +49,6 @@ from repro.optimizer.pipeline import optimize_and_run, optimize_query
 from repro.optimizer.plancache import PlanCache
 from repro.service import QueryService
 from repro.util.errors import PlanningError
-from repro.util.fastpath import wcoj_mode
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 CYCLIC_SCENARIOS = [triangle(), square(), clique4(), cyclic_chord(4), cyclic_chord(5)]
 
@@ -279,12 +273,12 @@ class TestOptimizerDispatch:
         assert bag_equal(execution.relation, expr.eval(db))
 
     def test_toggle_off_is_bag_equal_dp(self):
+        # The DP fallback is the tree the pipeline keeps as ``chosen``;
+        # running it instead of the Leapfrog plan must give the same bag.
         expr, db, storage = self._triangle_storage()
-        with wcoj_mode(True):
-            _r1, on = optimize_and_run(expr, storage, use_cache=False)
-        with wcoj_mode(False):
-            r2, off = optimize_and_run(expr, storage, use_cache=False)
-        assert r2.strategy == "dp"
+        result, on = optimize_and_run(expr, storage, use_cache=False)
+        assert result.strategy == "wcoj"
+        off = execute(result.chosen, storage)
         assert bag_equal(on.relation, off.relation)
 
     def test_acyclic_graph_never_takes_wcoj(self):
@@ -359,6 +353,7 @@ class TestServed:
         assert outcome.ok and outcome.strategy == "wcoj"
         assert isinstance(outcome.execution.plan, LeapfrogTriejoinOp)
         assert bag_equal(outcome.relation, execute(outcome.pipeline.chosen, storage).relation)
+        assert bag_equal(outcome.relation, expr.eval(storage.to_database(), ops=ORACLE_OPS))
 
     @pytest.mark.parametrize("how", ["cancel", "timeout"])
     def test_deadline_reaches_the_leapfrog_plan(self, serve_interrupted, how):
@@ -409,82 +404,24 @@ class TestConformanceTier:
             run_executor("wcoj", expr, db)
 
 
-_TOGGLE_SCRIPT = """
-import json
-import random
-from repro.conformance.serialize import value_to_json
-from repro.core.enumeration import sample_implementing_tree
-from repro.core.expressions import jn, rel
-from repro.algebra.predicates import eq, conjunction
-from repro.datagen.random_db import random_database
-from repro.datagen.topologies import chain, clique4, cyclic_chord, square, triangle
-from repro.engine.storage import Storage
-from repro.optimizer.pipeline import optimize_and_run
-
-def dump(tag, relation, ordered):
-    lines = [
-        json.dumps({a: value_to_json(row[a]) for a in sorted(row)}, sort_keys=True)
-        for row in relation
-    ]
-    print(tag)
-    for line in lines if ordered else sorted(lines):
-        print(line)
-
-# cyclic workloads: rows must agree as bags under both toggle settings
-for scenario, seed in ((triangle(), 3), (square(), 4), (clique4(), 5), (cyclic_chord(4), 6)):
-    expr = sample_implementing_tree(scenario.graph, random.Random(seed))
-    db = random_database(
-        scenario.schemas, seed=seed, max_rows=10, domain=3, null_probability=0.1
-    )
-    result, execution = optimize_and_run(expr, Storage.from_database(db), use_cache=False)
-    dump(scenario.name, execution.relation, ordered=False)
-
-# an acyclic chain never touches the WCOJ path: both toggle settings run
-# the *same* plan, so rows, order, and metrics are byte-identical
-scenario = chain(3)
-expr = sample_implementing_tree(scenario.graph, random.Random(8))
-db = random_database(scenario.schemas, seed=8, max_rows=8, domain=2, null_probability=0.0)
-result, execution = optimize_and_run(expr, Storage.from_database(db), use_cache=False)
-assert result.strategy != "wcoj", result.strategy
-dump("acyclic", execution.relation, ordered=True)
-print("retrieved", sorted(execution.metrics.tuples_retrieved.items()))
-print("evaluated", execution.metrics.predicate_evaluations)
-
-# one served spike triangle: the service runs Leapfrog with the switch
-# on, and exactly execute(chosen) -- rows, order, metrics -- with it off
-from repro.engine.executor import execute
-from repro.service import QueryService
-from repro.util.fastpath import wcoj_enabled
-from tests.test_wcoj import spike_triangle
-
-expr, storage = spike_triangle()
-with QueryService(storage, workers=1, use_cache=False) as service:
-    outcome = service.execute(expr)
-assert outcome.strategy == ("wcoj" if wcoj_enabled() else "dp")
-dump("served", outcome.relation, ordered=False)
-if not wcoj_enabled():
-    direct = execute(outcome.pipeline.chosen, storage)
-    assert list(outcome.relation) == list(direct.relation)
-    assert outcome.execution.metrics.summary() == direct.metrics.summary()
-"""
-
-
-class TestFastPathToggle:
-    def test_repro_wcoj_0_matches_1(self):
-        """REPRO_WCOJ=0 and =1 agree on every cyclic workload as bags,
-        and are byte-identical (rows, order, metrics) off the path,
-        a query served with the switch off included."""
-        outputs = {}
-        for flag in ("0", "1"):
-            env = dict(os.environ, REPRO_WCOJ=flag)
-            env["PYTHONPATH"] = str(REPO_ROOT / "src")
-            proc = subprocess.run(
-                [sys.executable, "-c", _TOGGLE_SCRIPT],
-                capture_output=True,
-                env=env,
-                cwd=REPO_ROOT,
-                check=True,
+class TestFastPathVsDPTree:
+    def test_workloads_match_the_dp_tree_and_the_oracle(self):
+        """Whatever strategy the gates pick runs bag-equal to the DP tree
+        (``execute(result.chosen)``) and to the oracle, on the cyclic
+        topologies and on an acyclic chain Leapfrog must never take."""
+        cases = [
+            (scenario, seed, dict(max_rows=10, domain=3, null_probability=0.1))
+            for scenario, seed in (
+                (triangle(), 3), (square(), 4), (clique4(), 5), (cyclic_chord(4), 6)
             )
-            outputs[flag] = proc.stdout
-        assert outputs["0"] == outputs["1"]
-        assert outputs["0"].count(b"\n") > 5  # the workloads produced rows
+        ]
+        cases.append((chain(3), 8, dict(max_rows=8, domain=2, null_probability=0.0)))
+        for scenario, seed, db_kwargs in cases:
+            expr = sample_implementing_tree(scenario.graph, random.Random(seed))
+            db = random_database(scenario.schemas, seed=seed, **db_kwargs)
+            storage = Storage.from_database(db)
+            result, execution = optimize_and_run(expr, storage, use_cache=False)
+            dp = execute(result.chosen, storage).relation
+            assert bag_equal(execution.relation, dp), (scenario.name, result.strategy)
+            assert bag_equal(execution.relation, expr.eval(db, ops=ORACLE_OPS)), scenario.name
+        assert result.strategy != "wcoj"  # the acyclic chain

@@ -4,20 +4,17 @@ Covers the physical operator (full reducer + output-linear join against
 the naive oracle, outerjoin padding, null keys, chords, batch-size
 parity), the optimizer's strategy choice and plan-cache interplay,
 EXPLAIN ANALYZE surfacing of the reducer, the ``yannakakis`` conformance
-tier, and a subprocess proof that ``REPRO_YANNAKAKIS=0`` and ``=1``
-agree, with cyclic graphs falling back to the DP plan byte-identically.
+tier, and in-process checks that whatever strategy the gates pick is
+bag-equal to the DP tree and to the oracle.
 """
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.algebra.comparison import bag_equal
 from repro.algebra.nulls import NULL, is_null
+from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.predicates import eq
 from repro.conformance.check import EXECUTOR_TIERS, cross_check, run_executor
 from repro.core.enumeration import sample_implementing_tree
@@ -40,9 +37,7 @@ from repro.optimizer.pipeline import optimize_and_run, optimize_query
 from repro.optimizer.plancache import PlanCache
 from repro.service import QueryService
 from repro.util.errors import PlanningError
-from repro.util.fastpath import batch_sized, yannakakis_mode
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.util.fastpath import batch_sized
 
 
 def scenario_case(scenario, seed, **db_kwargs):
@@ -187,14 +182,10 @@ class TestExplain:
 class TestOptimizerStrategy:
     def test_chain_chooses_yannakakis_and_matches_dp(self):
         expr, storage = needle_chain()
-        with yannakakis_mode(True):
-            result, execution = optimize_and_run(expr, storage, use_cache=False)
+        result, execution = optimize_and_run(expr, storage, use_cache=False)
         assert result.strategy == "yannakakis"
         assert result.join_tree is not None
-        with yannakakis_mode(False):
-            dp_result, dp_execution = optimize_and_run(expr, storage, use_cache=False)
-        assert dp_result.strategy == "dp"
-        assert bag_equal(execution.relation, dp_execution.relation)
+        assert bag_equal(execution.relation, execute(result.chosen, storage).relation)
         assert bag_equal(execution.relation, expr.eval(storage.to_database()))
         assert len(execution.relation) == 3  # the needles
 
@@ -213,8 +204,7 @@ class TestOptimizerStrategy:
                 scenario, seed, min_rows=1000, max_rows=1000, domain=200,
                 null_probability=0.05,
             )
-            with yannakakis_mode(True):
-                result = optimize_query(expr, storage, use_cache=False)
+            result = optimize_query(expr, storage, use_cache=False)
             assert result.strategy == "dp", (scenario.name, seed)
 
     def test_cyclic_class_hypergraph_stays_on_dp(self):
@@ -231,26 +221,19 @@ class TestOptimizerStrategy:
         db = random_database(schemas, seed=31)
         storage = Storage.from_database(db)
         assert join_tree_of(graph, db.registry) is None
-        with yannakakis_mode(True):
-            result, execution = optimize_and_run(expr, storage, use_cache=False)
+        result, execution = optimize_and_run(expr, storage, use_cache=False)
         assert result.strategy == "dp"
         assert bag_equal(execution.relation, expr.eval(db))
 
     def test_cached_plan_replays_the_join_tree(self):
         expr, storage = needle_chain()
         cache = PlanCache()
-        with yannakakis_mode(True):
-            first = optimize_query(expr, storage, cache=cache)
-            assert first.strategy == "yannakakis" and not first.cache_hit
-            second = optimize_query(expr, storage, cache=cache)
-            assert second.cache_hit
-            assert second.strategy == "yannakakis"
-            assert second.join_tree == first.join_tree
-        # the live switch wins over the cached payload
-        with yannakakis_mode(False):
-            third = optimize_query(expr, storage, cache=cache)
-            assert third.cache_hit
-            assert third.strategy == "dp"
+        first = optimize_query(expr, storage, cache=cache)
+        assert first.strategy == "yannakakis" and not first.cache_hit
+        second = optimize_query(expr, storage, cache=cache)
+        assert second.cache_hit
+        assert second.strategy == "yannakakis"
+        assert second.join_tree == first.join_tree
 
 
 class TestServed:
@@ -261,6 +244,7 @@ class TestServed:
         assert outcome.ok and outcome.strategy == "yannakakis"
         assert isinstance(outcome.execution.plan, YannakakisOp)
         assert bag_equal(outcome.relation, execute(outcome.pipeline.chosen, storage).relation)
+        assert bag_equal(outcome.relation, expr.eval(storage.to_database(), ops=ORACLE_OPS))
 
     @pytest.mark.parametrize("how", ["cancel", "timeout"])
     def test_deadline_reaches_the_reducer_plan(self, serve_interrupted, how):
@@ -319,92 +303,32 @@ class TestConformanceTier:
         assert "yannakakis" in result.results
 
 
-_TOGGLE_SCRIPT = """
-import json
-import random
-from repro.conformance.serialize import value_to_json
-from repro.core.enumeration import sample_implementing_tree
-from repro.core.expressions import jn, rel
-from repro.algebra.predicates import eq, conjunction
-from repro.datagen.random_db import random_database
-from repro.datagen.topologies import chain, star
-from repro.engine.storage import Storage
-from repro.optimizer.pipeline import optimize_and_run
-from repro.util.fastpath import wcoj_mode
+class TestFastPathVsDPTree:
+    def test_workloads_match_the_dp_tree_and_the_oracle(self):
+        """Whatever strategy the gates pick runs bag-equal to the DP tree
+        (``execute(result.chosen)``) and to the oracle, on two acyclic
+        workloads and a cyclic class hypergraph the reducer must leave
+        to the other strategies."""
+        from repro.algebra.predicates import conjunction
 
-def dump(tag, relation, ordered):
-    lines = [
-        json.dumps({a: value_to_json(row[a]) for a in sorted(row)}, sort_keys=True)
-        for row in relation
-    ]
-    print(tag)
-    for line in lines if ordered else sorted(lines):
-        print(line)
-
-# two acyclic workloads: rows must agree as bags (sorted lines)
-for scenario, seed in ((chain(4), 5), (star(4, oj_leaves=1), 6)):
-    expr = sample_implementing_tree(scenario.graph, random.Random(seed))
-    db = random_database(
-        scenario.schemas, seed=seed, max_rows=8, domain=2, null_probability=0.0
-    )
-    result, execution = optimize_and_run(expr, Storage.from_database(db), use_cache=False)
-    dump(scenario.name, execution.relation, ordered=False)
-
-# a cyclic class hypergraph: both toggle settings must run the *same* DP
-# plan, so rows, iteration order, and metrics are byte-identical.  The
-# WCOJ fast path (which owns cyclic cores since PR 8, and has its own
-# toggle test in test_wcoj.py) is pinned off so the yannakakis toggle is
-# the only variable.
-schemas = {n: [f"{n}.a", f"{n}.b"] for n in ("R1", "R2", "R3")}
-expr = jn(
-    jn(rel("R1"), rel("R2"), eq("R1.a", "R2.a")),
-    rel("R3"),
-    conjunction([eq("R2.b", "R3.b"), eq("R3.a", "R1.b")]),
-)
-db = random_database(schemas, seed=7, max_rows=8, domain=2, null_probability=0.0)
-with wcoj_mode(False):
-    result, execution = optimize_and_run(expr, Storage.from_database(db), use_cache=False)
-assert result.strategy == "dp", result.strategy
-dump("cyclic", execution.relation, ordered=True)
-print("retrieved", sorted(execution.metrics.tuples_retrieved.items()))
-print("evaluated", execution.metrics.predicate_evaluations)
-
-# one served query the reducer wins: the service runs the reducer with
-# the switch on, and exactly execute(chosen) -- rows, order, metrics --
-# with it off
-from repro.engine.executor import execute
-from repro.service import QueryService
-from repro.util.fastpath import yannakakis_enabled
-from tests.test_yannakakis import needle_chain
-
-expr, storage = needle_chain()
-with QueryService(storage, workers=1, use_cache=False) as service:
-    outcome = service.execute(expr)
-assert outcome.strategy == ("yannakakis" if yannakakis_enabled() else "dp")
-dump("served", outcome.relation, ordered=False)
-if not yannakakis_enabled():
-    direct = execute(outcome.pipeline.chosen, storage)
-    assert list(outcome.relation) == list(direct.relation)
-    assert outcome.execution.metrics.summary() == direct.metrics.summary()
-"""
-
-
-class TestFastPathToggle:
-    def test_repro_yannakakis_0_matches_1(self):
-        """REPRO_YANNAKAKIS=0 and =1 agree on every workload; the cyclic
-        fallback is byte-identical down to the DP plan's metrics, and so
-        is a query served with the switch off."""
-        outputs = {}
-        for flag in ("0", "1"):
-            env = dict(os.environ, REPRO_YANNAKAKIS=flag)
-            env["PYTHONPATH"] = str(REPO_ROOT / "src")
-            proc = subprocess.run(
-                [sys.executable, "-c", _TOGGLE_SCRIPT],
-                capture_output=True,
-                env=env,
-                cwd=REPO_ROOT,
-                check=True,
+        schemas = {n: [f"{n}.a", f"{n}.b"] for n in ("R1", "R2", "R3")}
+        cyclic = jn(
+            jn(rel("R1"), rel("R2"), eq("R1.a", "R2.a")),
+            rel("R3"),
+            conjunction([eq("R2.b", "R3.b"), eq("R3.a", "R1.b")]),
+        )
+        cases = [
+            (sample_implementing_tree(scenario.graph, random.Random(seed)), scenario.schemas, seed)
+            for scenario, seed in ((chain(4), 5), (star(4, oj_leaves=1), 6))
+        ]
+        cases.append((cyclic, schemas, 7))
+        for expr, case_schemas, seed in cases:
+            db = random_database(
+                case_schemas, seed=seed, max_rows=8, domain=2, null_probability=0.0
             )
-            outputs[flag] = proc.stdout
-        assert outputs["0"] == outputs["1"]
-        assert outputs["0"].count(b"\n") > 5  # the workloads produced rows
+            storage = Storage.from_database(db)
+            result, execution = optimize_and_run(expr, storage, use_cache=False)
+            dp = execute(result.chosen, storage).relation
+            assert bag_equal(execution.relation, dp), (seed, result.strategy)
+            assert bag_equal(execution.relation, expr.eval(db, ops=ORACLE_OPS)), seed
+        assert result.strategy != "yannakakis"  # the cyclic case
