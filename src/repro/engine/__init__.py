@@ -6,7 +6,6 @@ from repro.engine.iterators import (
     Filter,
     HashJoin,
     IndexNestedLoopJoin,
-    Materialize,
     NestedLoopJoin,
     PhysicalOp,
     ProjectOp,
@@ -27,7 +26,6 @@ __all__ = [
     "HashIndex",
     "HashJoin",
     "IndexNestedLoopJoin",
-    "Materialize",
     "Metrics",
     "NestedLoopJoin",
     "PhysicalOp",

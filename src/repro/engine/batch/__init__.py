@@ -1,16 +1,19 @@
 """Vectorized columnar batch execution (MonetDB/X100 style).
 
-The engine's hot path — scan, filter, project, hash join — executes
+Every physical operator — scan, filter, project, the hash, index
+nested-loop and nested-loop joins, GOJ, and the n-ary joins — executes
 batch-at-a-time over :class:`ColumnBatch` chunks instead of one
 ``Row``-dict at a time, amortizing Python interpreter overhead across
 hundreds of tuples per operator call.  It is the only implementation of
-those operators; row consumers see the batches flattened.
+every operator; row consumers see the batches flattened.
 
 Layout:
 
 * :mod:`~repro.engine.batch.columns` — the :class:`ColumnBatch`
   representation (per-column lists, selection vectors, cached null
-  masks) plus the row<->batch shims.
+  masks), the batch->row flattening behind ``PhysicalOp.execute`` and
+  the row chunking that the row-internal n-ary joins (Leapfrog,
+  Yannakakis) emit through.
 * :mod:`~repro.engine.batch.kernels` — compiled filter kernels and the
   batch hash-join build/probe for every variant.
 

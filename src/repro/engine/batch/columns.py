@@ -5,8 +5,8 @@ fixed scheme, one Python list per attribute holding the column's values
 (with :data:`~repro.algebra.nulls.NULL` marking nulls in place), and an
 optional *selection vector* — a list of row positions that are logically
 alive.  Filters produce selections instead of copying columns; gathering
-operators (projection output, join output, the row-compat shim) resolve
-the selection when they materialize.
+operators (join output, the batch->row flattening) resolve the selection
+when they materialize.
 
 Null handling is the 3VL contract of :mod:`repro.algebra.nulls`, stated
 columnar:
@@ -87,7 +87,7 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, schema: Schema | Iterable[str], rows: Sequence[Row]) -> "ColumnBatch":
-        """Columnarize a chunk of rows (the row->batch shim's workhorse)."""
+        """Columnarize a chunk of rows."""
         attrs = _attrs_of(schema)
         columns: Dict[str, List[Any]] = {}
         for attr in attrs:
@@ -185,10 +185,10 @@ def _attrs_of(schema: Schema | Iterable[str]) -> Tuple[str, ...]:
 def batches_from_rows(
     rows: Iterable[Row], schema: Schema | Iterable[str], size: int
 ) -> Iterator[ColumnBatch]:
-    """Chunk a row stream into column batches (the row->batch shim).
+    """Chunk a row stream into column batches.
 
-    Operators without a native batch implementation fall back to this —
-    correctness is free, only the vectorized speedup is forfeited.
+    The n-ary joins whose algorithms are row-internal (Leapfrog
+    Triejoin, Yannakakis) emit their output through this.
     """
     attrs = _attrs_of(schema)
     chunk: List[Row] = []
@@ -204,6 +204,6 @@ def batches_from_rows(
 
 
 def rows_from_batches(batches: Iterable[ColumnBatch]) -> Iterator[Row]:
-    """Flatten a batch stream back into rows (the batch->row adapter)."""
+    """Flatten a batch stream into rows (``PhysicalOp.execute``)."""
     for batch in batches:
         yield from batch.iter_rows()

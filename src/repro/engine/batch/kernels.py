@@ -315,10 +315,10 @@ class BuildSide:
 class BatchHashJoiner:
     """Probe-side driver for one hash join over a finished build side.
 
-    ``metrics`` accounting matches the row operators' (nested-loop,
-    index nested-loop): one predicate evaluation per candidate (bucket) pair — with the semi
-    join's short circuit after the first satisfied pair — and one emitted
-    row per output row under ``label``.
+    ``metrics`` accounting matches the other joins' (nested-loop, index
+    nested-loop): one predicate evaluation per candidate (bucket) pair —
+    with the semi join's short circuit after the first satisfied pair —
+    and one emitted row per output row under ``label``.
     """
 
     __slots__ = (
@@ -439,12 +439,9 @@ class BatchHashJoiner:
             columns = {a: [col[i] for i in out_l] for a, col in lcols.items()}
             for a, col in rcols.items():
                 columns[a] = [col[j] if j >= 0 else NULL for j in out_r]
+            out = ColumnBatch(tuple(sorted(columns)), columns, len(out_l))
         else:
-            columns = {a: [col[i] for i in out_l] for a, col in lcols.items()}
-            for a, col in rcols.items():
-                columns[a] = [col[j] for j in out_r]
-        attrs = tuple(sorted(columns))
-        out = ColumnBatch(attrs, columns, len(out_l))
+            out = gather_pairs(lcols, out_l, rcols, out_r)
         self.metrics.emitted(self.label, len(out_l))
         return out
 
@@ -522,6 +519,20 @@ class BatchHashJoiner:
         out = ColumnBatch(attrs, columns, len(tail))
         self.metrics.emitted(self.label, len(tail))
         return out
+
+
+def gather_pairs(
+    lcols: Dict[str, List[Any]],
+    out_l: Sequence[int],
+    rcols: Dict[str, List[Any]],
+    out_r: Sequence[int],
+) -> ColumnBatch:
+    """The batch of joined pairs: left columns gathered at ``out_l``, right
+    columns at the parallel ``out_r`` (one comprehension per column)."""
+    columns = {a: [col[i] for i in out_l] for a, col in lcols.items()}
+    for a, col in rcols.items():
+        columns[a] = [col[j] for j in out_r]
+    return ColumnBatch(tuple(sorted(columns)), columns, len(out_l))
 
 
 def _interleave_pads(

@@ -65,7 +65,8 @@ def _drain(rows: Iterator[Row], cancel: Optional[CancelToken]) -> Iterator[Row]:
     Cancellation is cooperative: the raise unwinds through the operator
     generators' ``finally`` blocks, so traced spans still finish and no
     operator is left mid-step.  Build-heavy phases that emit no rows for
-    a long time are covered by the denser poll in ``Metrics.evaluated``.
+    a long time are covered by the polls in ``Metrics.retrieved`` (every
+    scan and index-join batch) and ``Metrics.evaluated``.
     """
     if cancel is None:
         yield from rows

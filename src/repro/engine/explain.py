@@ -35,8 +35,8 @@ _DISPATCH = {
 }
 
 #: Per-operator span counters surfaced in the rendered tree, in order.
-#: ``batches_out`` is the number of column batches a batch-native
-#: operator emitted (absent on shim-only operators).
+#: ``batches_out`` is the number of non-empty column batches an operator
+#: emitted (absent on an operator that emitted none).
 _DETAIL_COUNTERS = (
     "index_probes",
     "index_hits",

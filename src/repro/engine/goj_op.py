@@ -18,7 +18,7 @@ from repro.algebra.nulls import NULL, satisfied
 from repro.algebra.predicates import Predicate, TruePredicate
 from repro.algebra.schema import Schema
 from repro.engine.batch.columns import ColumnBatch, _fast_row
-from repro.engine.batch.kernels import BuildSide, PairColsView
+from repro.engine.batch.kernels import BuildSide, PairColsView, gather_pairs
 from repro.engine.iterators import PhysicalOp
 from repro.engine.metrics import Metrics
 
@@ -26,8 +26,6 @@ from repro.engine.metrics import Metrics
 class GeneralizedOuterJoinOp(PhysicalOp):
     """Hash-based GOJ: join results plus one padded row per unmatched
     S-projection of the left input."""
-
-    batch_native = True
 
     def __init__(
         self,
@@ -122,12 +120,8 @@ class GeneralizedOuterJoinOp(PhysicalOp):
                                 out_l.append(i)
                                 out_r.append(j)
             if out_l:
-                columns = {a: [col[i] for i in out_l] for a, col in lcols.items()}
-                for a, col in rcols.items():
-                    columns[a] = [col[j] for j in out_r]
-                out = ColumnBatch(tuple(sorted(columns)), columns, len(out_l))
                 metrics.emitted(label, len(out_l))
-                yield self._emit_batch(out)
+                yield self._emit_batch(gather_pairs(lcols, out_l, rcols, out_r))
 
         unmatched = seen - matched
         if unmatched:

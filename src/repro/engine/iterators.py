@@ -21,36 +21,38 @@ internals (hash-build time, index hits, materialized row counts) through
 ``self._span``, which the wrapper assigns; untraced runs leave ``_span``
 None and skip all accounting.
 
-Vectorized execution: scan, filter, project and hash join
-(``batch_native = True``) are implemented only as
-``execute_batches(metrics)`` yielding
-:class:`~repro.engine.batch.ColumnBatch` chunks; ``execute()`` on them
-flattens those batches back to rows, which keeps the iterator interface
-— and everything built on it (EXPLAIN ANALYZE, span tracing, the
-executor, conformance tiers) — working unchanged.  Row-only operators
-implement ``_execute_rows`` and inherit a row->batch shim so a batch
-consumer can pull from any child.
+One protocol: every operator implements only
+``execute_batches(metrics)``, yielding
+:class:`~repro.engine.batch.ColumnBatch` chunks, and consumes its
+children the same way.  Rows appear only where a consumer asks for
+them: ``execute()``, defined once on :class:`PhysicalOp`, flattens the
+batches of whatever operator it is called on (the executor drains the
+plan root this way).
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from collections.abc import Iterator
-from typing import List, Optional, Tuple
+from collections.abc import Iterable, Iterator
+from itertools import repeat
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.observability.spans import Span
 
-from repro.algebra.nulls import satisfied
+from repro.algebra.nulls import NULL, satisfied
 from repro.algebra.predicates import PairView, Predicate, TruePredicate
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
 from repro.algebra.tuples import Row, null_row
-from repro.engine.batch.columns import (
-    ColumnBatch,
-    batches_from_rows,
-    rows_from_batches,
+from repro.engine.batch.columns import ColumnBatch, batches_from_rows, rows_from_batches
+from repro.engine.batch.kernels import (
+    BatchHashJoiner,
+    BuildSide,
+    ColsRowView,
+    PairColsView,
+    compile_filter,
+    gather_pairs,
 )
-from repro.engine.batch.kernels import BatchHashJoiner, BuildSide, compile_filter
 from repro.engine.indexes import HashIndex
 from repro.engine.metrics import Metrics
 from repro.engine.storage import Table
@@ -71,35 +73,14 @@ class PhysicalOp:
     #: (build timings, index hits, materialized rows); None when untraced.
     _span: Optional[Span] = None
 
-    #: True on operators whose ``execute`` drains ``execute_batches``;
-    #: row-only operators implement ``_execute_rows`` instead.
-    batch_native: bool = False
-
     def execute(self, metrics: Metrics) -> Iterator[Row]:
-        """Row iterator over the operator's output.
-
-        Batch-native operators flatten their batches through the
-        row-compat adapter.
-        """
-        if self.batch_native:
-            return rows_from_batches(self.execute_batches(metrics))
-        return self._execute_rows(metrics)
-
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
-        """The row-at-a-time implementation of a non-native operator."""
-        raise NotImplementedError
+        """Row iterator over the operator's output: its batches, flattened."""
+        return rows_from_batches(self.execute_batches(metrics))
 
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
-        """Batch iterator over the operator's output.
-
-        The default is the row->batch shim: correctness for free, no
-        vectorized speedup.  Native operators override this.
-        """
-        return batches_from_rows(self.execute(metrics), self.schema, batch_size())
-
-    def open_batches(self, metrics: Optional[Metrics] = None) -> "BatchPull":
-        """A pull-style batch cursor (``next_batch()``) over this operator."""
-        return BatchPull(self.execute_batches(metrics or Metrics()))
+        """Batch iterator over the operator's output (every operator's one
+        implementation)."""
+        raise NotImplementedError
 
     def _emit_batch(self, batch: ColumnBatch) -> ColumnBatch:
         """Account one emitted batch (instrumentation + span counters)."""
@@ -108,6 +89,11 @@ class PhysicalOp:
         if self._span is not None:
             self._span.counters["batches_out"] += 1
         return batch
+
+    def _emit_rows(self, rows: Iterable[Row]) -> Iterator[ColumnBatch]:
+        """Chunk a row-internal algorithm's output into emitted batches."""
+        for batch in batches_from_rows(rows, self.schema, batch_size()):
+            yield self._emit_batch(batch)
 
     def span_label(self) -> str:
         """One-line operator label used for spans and EXPLAIN output."""
@@ -126,32 +112,6 @@ class PhysicalOp:
         return Relation(self.schema, self.execute(metrics))
 
 
-class BatchPull:
-    """Thin batch-pull adapter: ``next_batch()`` until None.
-
-    The demand-driven face of ``execute_batches`` for consumers that want
-    explicit cursor control (tests)
-    rather than a ``for`` loop over the generator.
-    """
-
-    __slots__ = ("_it",)
-
-    def __init__(self, batches: Iterator[ColumnBatch]):
-        self._it = batches
-
-    def next_batch(self) -> Optional[ColumnBatch]:
-        """The next non-exhausted batch, or None at end of stream."""
-        return next(self._it, None)
-
-    def __iter__(self) -> Iterator[ColumnBatch]:
-        return self._it
-
-    def close(self) -> None:
-        close = getattr(self._it, "close", None)
-        if close is not None:
-            close()
-
-
 def _check_join_type(join_type: str) -> None:
     if join_type not in JOIN_TYPES:
         raise PlanningError(f"unknown join type {join_type!r}; expected one of {JOIN_TYPES}")
@@ -159,8 +119,6 @@ def _check_join_type(join_type: str) -> None:
 
 class SeqScan(PhysicalOp):
     """Full scan of a base table; every row is a metered retrieval."""
-
-    batch_native = True
 
     def __init__(self, table: Table):
         self.table = table
@@ -186,8 +144,6 @@ class SeqScan(PhysicalOp):
 
 class Filter(PhysicalOp):
     """Selection on top of any child operator."""
-
-    batch_native = True
 
     def __init__(self, child: PhysicalOp, predicate: Predicate):
         self.child = child
@@ -219,8 +175,6 @@ class Filter(PhysicalOp):
 
 class ProjectOp(PhysicalOp):
     """Projection; optional duplicate elimination."""
-
-    batch_native = True
 
     def __init__(self, child: PhysicalOp, attributes, dedup: bool = False):
         self.child = child
@@ -265,35 +219,14 @@ class ProjectOp(PhysicalOp):
         return f"{pad}Project[{self.attributes}]\n{self.child.describe(indent + 2)}"
 
 
-class Materialize(PhysicalOp):
-    """Buffer a child's output; re-iteration does not re-pay retrievals."""
-
-    def __init__(self, child: PhysicalOp):
-        self.child = child
-        self.schema = child.schema
-        self._cache: Optional[List[Row]] = None
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
-        if self._cache is None:
-            self._cache = list(self.child.execute(metrics))
-            if self._span is not None:
-                self._span.counters["mem_rows"] = len(self._cache)
-        return iter(self._cache)
-
-    def describe(self, indent: int = 0) -> str:
-        pad = " " * indent
-        return f"{pad}Materialize\n{self.child.describe(indent + 2)}"
-
-
 class NestedLoopJoin(PhysicalOp):
     """Left-preserving nested-loop join over arbitrary predicates.
 
-    The right input is materialized once (intermediate results are memory
-    resident, per the module-level accounting rules), so base retrievals
-    are paid exactly once per input.
+    The right input is collected into columns once (intermediate results
+    are memory resident, per the module-level accounting rules), so base
+    retrievals are paid exactly once per input.  Every (left row, right
+    row) pair is one predicate evaluation, except that a semi join stops
+    at a left row's first satisfied pair.
     """
 
     def __init__(
@@ -312,32 +245,65 @@ class NestedLoopJoin(PhysicalOp):
     def children(self) -> tuple[PhysicalOp, ...]:
         return (self.left, self.right)
 
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
-        inner_rows = list(self.right.execute(metrics))
+    def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
+        """Evaluate the predicate per pair through one reused column view.
+
+        Semi/anti narrow the left batch's selection; inner/left outer
+        gather their pairs, a left-outer pad pointing at a trailing
+        all-NULL slot of the right columns.
+        """
+        rcols: Dict[str, List[Any]] = {a: [] for a in self.right.schema.attributes}
+        n_right = 0
+        for batch in self.right.execute_batches(metrics):
+            batch = batch.compact()
+            for attr, col in rcols.items():
+                col.extend(batch.columns[attr])
+            n_right += batch.length
         if self._span is not None:
-            self._span.counters["mem_rows"] = len(inner_rows)
-        padding = null_row(self.right.schema)
-        label = f"NLJ[{self.join_type}]"
-        for outer_row in self.left.execute(metrics):
-            matched = False
-            for inner_row in inner_rows:
-                metrics.evaluated()
-                if satisfied(self.predicate.evaluate(PairView(outer_row, inner_row))):
-                    matched = True
-                    if self.join_type == "semi":
-                        break
-                    if self.join_type in ("inner", "left_outer"):
-                        metrics.emitted(label)
-                        yield outer_row.concat(inner_row)
-            if self.join_type == "left_outer" and not matched:
-                metrics.emitted(label)
-                yield outer_row.concat(padding)
-            elif self.join_type == "semi" and matched:
-                metrics.emitted(label)
-                yield outer_row
-            elif self.join_type == "anti" and not matched:
-                metrics.emitted(label)
-                yield outer_row
+            self._span.counters["mem_rows"] = n_right
+        join_type = self.join_type
+        pairs = join_type in ("inner", "left_outer")
+        pad = join_type == "left_outer"
+        want = join_type == "semi"
+        if pad:
+            for col in rcols.values():
+                col.append(NULL)
+        evaluate = self.predicate.evaluate
+        label = f"NLJ[{join_type}]"
+        inner = range(n_right)
+        for batch in self.left.execute_batches(metrics):
+            view = PairColsView(batch.columns, rcols)
+            out_l: List[int] = []
+            out_r: List[int] = []
+            keep: List[int] = []
+            for i in batch.indices():
+                view.li = i
+                matched = False
+                evaluated = 0
+                for j in inner:
+                    evaluated += 1
+                    view.ri = j
+                    if satisfied(evaluate(view)):
+                        matched = True
+                        if want:
+                            break
+                        if pairs:
+                            out_l.append(i)
+                            out_r.append(j)
+                if evaluated:
+                    metrics.evaluated(evaluated)
+                if pairs:
+                    if pad and not matched:
+                        out_l.append(i)
+                        out_r.append(n_right)
+                elif matched is want:
+                    keep.append(i)
+            if out_l:
+                metrics.emitted(label, len(out_l))
+                yield self._emit_batch(gather_pairs(batch.columns, out_l, rcols, out_r))
+            elif keep:
+                metrics.emitted(label, len(keep))
+                yield self._emit_batch(batch.with_selection(keep))
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
@@ -352,7 +318,9 @@ class IndexNestedLoopJoin(PhysicalOp):
 
     This is Example 1's fast path: joining a one-row outer against an
     indexed ten-million-row table retrieves one tuple instead of ten
-    million.  Only the rows the index returns are metered as retrieved.
+    million.  Only the inner rows the join examines are metered as
+    retrieved (all of a probe's matches, or up to the first satisfied
+    one for a semi join), each also counting one predicate evaluation.
     """
 
     def __init__(
@@ -379,36 +347,82 @@ class IndexNestedLoopJoin(PhysicalOp):
     def children(self) -> tuple[PhysicalOp, ...]:
         return (self.left,)
 
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
+    def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
+        """One index lookup per live probe row; one output batch per probe batch.
+
+        Inner/left outer gather the matched inner rows' values by
+        position (a pad is an all-NULL row); semi/anti narrow the probe
+        batch's selection.  Metering is bumped once per batch.
+        """
+        join_type = self.join_type
+        pairs = join_type in ("inner", "left_outer")
+        pad = join_type == "left_outer"
+        want = join_type == "semi"
+        residual = None if isinstance(self.residual, TruePredicate) else self.residual
+        lookup = self.index.lookup
         padding = null_row(self.table.schema)
-        label = f"INLJ[{self.join_type}]"
+        right_attrs = tuple(self.table.schema.attributes)
+        label = f"INLJ[{join_type}]"
         span = self._span
-        for outer_row in self.left.execute(metrics):
-            metrics.probed(self.index.name)
-            matches = self.index.lookup(outer_row[self.outer_key])
+        for batch in self.left.execute_batches(metrics):
+            live = batch.indices()
+            key_col = batch.columns[self.outer_key]
+            if residual is not None:
+                outer = ColsRowView(batch.columns)
+                view = PairView(outer, padding)
+                evaluate = residual.evaluate
+            out_l: List[int] = []
+            out_r: List[Row] = []
+            keep: List[int] = []
+            examined = hits = 0
+            for i in live:
+                matches = lookup(key_col[i])
+                hits += len(matches)
+                if residual is None:
+                    # Every match satisfies, so a semi join examines one.
+                    matched = bool(matches)
+                    if want:
+                        examined += matched
+                    else:
+                        examined += len(matches)
+                        if pairs:
+                            out_l.extend(repeat(i, len(matches)))
+                            out_r.extend(matches)
+                else:
+                    matched = False
+                    outer.i = i
+                    for inner_row in matches:
+                        examined += 1
+                        view.second = inner_row
+                        if satisfied(evaluate(view)):
+                            matched = True
+                            if want:
+                                break
+                            if pairs:
+                                out_l.append(i)
+                                out_r.append(inner_row)
+                if pairs:
+                    if pad and not matched:
+                        out_l.append(i)
+                        out_r.append(padding)
+                elif matched is want:
+                    keep.append(i)
+            metrics.probed(self.index.name, len(live))
+            if examined:
+                metrics.retrieved(self.table.name, examined)
+                metrics.evaluated(examined)
             if span is not None:
-                span.counters["index_probes"] += 1
-                span.counters["index_hits"] += len(matches)
-            matched = False
-            for inner_row in matches:
-                metrics.retrieved(self.table.name)
-                metrics.evaluated()
-                if satisfied(self.residual.evaluate(PairView(outer_row, inner_row))):
-                    matched = True
-                    if self.join_type == "semi":
-                        break
-                    if self.join_type in ("inner", "left_outer"):
-                        metrics.emitted(label)
-                        yield outer_row.concat(inner_row)
-            if self.join_type == "left_outer" and not matched:
-                metrics.emitted(label)
-                yield outer_row.concat(padding)
-            elif self.join_type == "semi" and matched:
-                metrics.emitted(label)
-                yield outer_row
-            elif self.join_type == "anti" and not matched:
-                metrics.emitted(label)
-                yield outer_row
+                span.counters["index_probes"] += len(live)
+                span.counters["index_hits"] += hits
+            if out_l:
+                columns = {a: [col[i] for i in out_l] for a, col in batch.columns.items()}
+                for a in right_attrs:
+                    columns[a] = [row._values[a] for row in out_r]
+                metrics.emitted(label, len(out_l))
+                yield self._emit_batch(ColumnBatch(tuple(sorted(columns)), columns, len(out_l)))
+            elif keep:
+                metrics.emitted(label, len(keep))
+                yield self._emit_batch(batch.with_selection(keep))
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
@@ -425,8 +439,6 @@ class HashJoin(PhysicalOp):
     conjuncts go into ``residual``.  Null keys never match, as in the
     algebra layer.
     """
-
-    batch_native = True
 
     def __init__(
         self,
@@ -455,8 +467,7 @@ class HashJoin(PhysicalOp):
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
         """Vectorized build/probe; one output batch per probe batch.
 
-        Both children are consumed batch-at-a-time (non-native children
-        arrive through the shim).  Null keys never enter or probe the
+        Both children are consumed batch-at-a-time.  Null keys never enter or probe the
         build side.  Span counters: ``build_ns``, ``mem_rows`` (bucketed
         build rows), ``build_buckets``.
         """
@@ -517,7 +528,7 @@ class TracedOp(PhysicalOp):
         self.parent_span = parent_span
         self.schema = inner.schema
         self.child_wrappers: List["TracedOp"] = []
-        #: Still-open generators (row or batch) handed to consumers.
+        #: Still-open batch generators handed to consumers.
         self._live: List[Iterator] = []
 
     def children(self) -> tuple[PhysicalOp, ...]:
@@ -529,39 +540,17 @@ class TracedOp(PhysicalOp):
     def span_label(self) -> str:
         return self.inner.span_label()
 
-    def execute(self, metrics: Metrics) -> Iterator[Row]:
-        gen = self._meter(metrics)
-        self._live.append(gen)
-        return gen
-
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
         """Meter the inner operator's batch stream.
 
         Row accounting (``rows_out``/``rows_in``) is bumped per batch
-        with the batch's row count — same totals as the per-row metering,
-        two orders of magnitude fewer counter touches.  Batch-level
+        with the batch's row count.  Batch-level
         counters (``batches_out``) belong to the *inner* operator's
         ``_emit_batch`` on the shared span, so nothing double-counts.
         """
         gen = self._meter_batches(metrics)
         self._live.append(gen)
         return gen
-
-    def _meter(self, metrics: Metrics) -> Iterator[Row]:
-        span = self.span
-        span.begin()
-        rows = 0
-        try:
-            for row in self.inner.execute(metrics):
-                rows += 1
-                yield row
-        finally:
-            for wrapper in self.child_wrappers:
-                wrapper.close_live()
-            span.counters["rows_out"] += rows
-            if self.parent_span is not None:
-                self.parent_span.counters["rows_in"] += rows
-            span.finish()
 
     def _meter_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
         span = self.span

@@ -29,9 +29,11 @@ from repro.tools import instrumentation
 from repro.util.cancel import CancelToken
 
 #: Poll the cancel token once per this many predicate evaluations — the
-#: densest per-row code path, so deadlines fire inside long operator
-#: builds (hash build, nested-loop inner sweeps), not just between rows
-#: at the plan root.  A power of two keeps the check a cheap mask.
+#: densest per-row code path, so deadlines fire inside long nested-loop
+#: sweeps, not just between rows at the plan root.  (Retrievals poll on
+#: every call instead: scans and index joins report them once per batch,
+#: so a hash build or a probe that emits nothing still passes a poll.)
+#: A power of two keeps the check a cheap mask.
 CANCEL_EVAL_MASK = 0x3FF  # every 1024 evaluations
 
 
@@ -55,9 +57,15 @@ class Metrics:
     cancel: Optional[CancelToken] = None
 
     def retrieved(self, table: str, count: int = 1) -> None:
-        """Record base-table tuples handed to the query (Example 1's metric)."""
+        """Record base-table tuples handed to the query (Example 1's metric).
+
+        Callers report once per batch, so this also polls the cancel token
+        on every call.
+        """
         self.tuples_retrieved[table] += count
         instrumentation.bump("tuples_retrieved", count)
+        if self.cancel is not None:
+            self.cancel.check()
 
     def probed(self, index: str, count: int = 1) -> None:
         self.index_probes[index] += count

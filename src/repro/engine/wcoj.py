@@ -45,13 +45,12 @@ from repro.algebra.nulls import is_null, satisfied
 from repro.algebra.predicates import Predicate, conjunction
 from repro.algebra.tuples import Row
 from repro.core.wcoj_order import WcojSpec
-from repro.engine.batch.columns import ColumnBatch, batches_from_rows
+from repro.engine.batch.columns import ColumnBatch
 from repro.engine.iterators import Filter, PhysicalOp, SeqScan, TracedOp
 from repro.engine.metrics import Metrics
 from repro.engine.storage import Storage, Table
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError
-from repro.util.fastpath import batch_size
 
 #: One trie key level: ``(variable, attributes)`` — the attributes of a
 #: single relation that the query places in the class ``variable``.
@@ -262,8 +261,6 @@ class LeapfrogTriejoinOp(PhysicalOp):
     post-filtered by the spec's residual non-equality conjuncts.
     """
 
-    batch_native = True
-
     def __init__(self, spec: WcojSpec, inputs: Tuple[PhysicalOp, ...]):
         if len(inputs) != len(spec.order):
             raise PlanningError(
@@ -292,7 +289,8 @@ class LeapfrogTriejoinOp(PhysicalOp):
     def children(self) -> tuple[PhysicalOp, ...]:
         return self.inputs
 
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
+    def _rows(self, metrics: Metrics) -> Iterator[Row]:
+        """The row-at-a-time join itself; ``execute_batches`` chunks it."""
         tries: List[TrieIndex] = []
         total = 0
         builds = 0
@@ -378,11 +376,7 @@ class LeapfrogTriejoinOp(PhysicalOp):
                 self._span.counters["wcoj_ties"] += ties
 
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
-        """Chunk the joined output; inputs already ran their native paths."""
-        for batch in batches_from_rows(
-            self._execute_rows(metrics), self.schema, batch_size()
-        ):
-            yield self._emit_batch(batch)
+        return self._emit_rows(self._rows(metrics))
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent

@@ -37,12 +37,11 @@ from repro.algebra.nulls import is_null, satisfied
 from repro.algebra.predicates import PairView, Predicate, conjunction
 from repro.algebra.tuples import Row, null_row
 from repro.core.gyo import JoinTree, JoinTreeEdge
-from repro.engine.batch.columns import ColumnBatch, batches_from_rows
+from repro.engine.batch.columns import ColumnBatch
 from repro.engine.iterators import Filter, PhysicalOp, SeqScan
 from repro.engine.metrics import Metrics
 from repro.engine.storage import Storage
 from repro.util.errors import PlanningError
-from repro.util.fastpath import batch_size
 
 
 def _key_of(row: Row, keys: Tuple[str, ...]):
@@ -64,8 +63,6 @@ class YannakakisOp(PhysicalOp):
     full reducer, then emits the preorder left-deep join — see the module
     docstring for phase semantics.
     """
-
-    batch_native = True
 
     def __init__(self, tree: JoinTree, inputs: Tuple[PhysicalOp, ...]):
         if len(inputs) != len(tree.order):
@@ -164,7 +161,8 @@ class YannakakisOp(PhysicalOp):
 
     # -- join phase ------------------------------------------------------------
 
-    def _execute_rows(self, metrics: Metrics) -> Iterator[Row]:
+    def _rows(self, metrics: Metrics) -> Iterator[Row]:
+        """The row-at-a-time join itself; ``execute_batches`` chunks it."""
         rows: Dict[str, List[Row]] = {}
         total = 0
         for node, op in zip(self.tree.order, self.inputs):
@@ -220,11 +218,7 @@ class YannakakisOp(PhysicalOp):
             yield row
 
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
-        """Chunk the joined output; inputs already ran their native paths."""
-        for batch in batches_from_rows(
-            self._execute_rows(metrics), self.schema, batch_size()
-        ):
-            yield self._emit_batch(batch)
+        return self._emit_rows(self._rows(metrics))
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent

@@ -94,8 +94,8 @@ def validate_trace_document(doc: dict, result_rows: Optional[int] = None) -> Lis
 def memory_high_water(root: Span) -> int:
     """Largest number of rows any single operator held materialized.
 
-    An estimate in *rows*, not bytes: hash builds, sort buffers, NLJ
-    inner materializations and Materialize caches each report their
+    An estimate in *rows*, not bytes: hash builds, NLJ inner
+    materializations and the n-ary joins' buffered inputs each report their
     ``mem_rows``; the high-water mark is the maximum across operators
     (buffers coexist, but per-operator peaks are what the paper's
     accounting needs to compare access paths).

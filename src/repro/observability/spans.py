@@ -91,8 +91,8 @@ class Span:
         return self
 
     def finish(self, ts: Optional[int] = None) -> "Span":
-        """Record the end time (last call wins; spans may be re-opened by
-        re-iteration, e.g. under a Materialize)."""
+        """Record the end time (last call wins; a span is re-opened when
+        its operator is iterated again)."""
         self.end_ns = perf_counter_ns() if ts is None else ts
         return self
 

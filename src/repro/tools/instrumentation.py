@@ -49,7 +49,7 @@ from typing import Dict
 #: ``service_rejected``        (queries shed at admission),
 #: ``service_timeouts``        (queries cancelled by deadline),
 #: ``service_cancelled``       (queries cancelled by the caller),
-#: ``batches_emitted``         (column batches emitted by batch-native ops),
+#: ``batches_emitted``         (column batches emitted by operators),
 #: ``batch_rows``              (rows carried by those batches),
 #: ``predicate_vectorized``    (filter-kernel applications with >=1
 #:                             vectorized conjunct pass),

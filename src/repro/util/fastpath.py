@@ -42,7 +42,7 @@ class Switch:
 
 
 #: Rows per :class:`~repro.engine.batch.ColumnBatch` pulled from a scan or
-#: produced by the row->batch shim (operators may emit larger batches).
+#: chunked from an n-ary join's row output (joins may emit larger batches).
 _BATCH_SIZE = Switch(1024)
 #: Distinct-row product below which an algebra hash kernel declines and
 #: the nested loop runs (:mod:`repro.algebra.kernels`); the ``kernels``

@@ -251,7 +251,7 @@ class TestFilterKernel:
         storage = _storage()
         plan = Filter(SeqScan(storage["L"]), gt("L.a", Const(10**9)))
         with batch_sized(2):
-            assert list(plan.open_batches()) == []
+            assert list(plan.execute_batches(Metrics())) == []
 
     def test_type_error_matches_row_path_error(self):
         """A vectorized comparison's TypeError surfaces as the algebra
@@ -264,17 +264,3 @@ class TestFilterKernel:
         with batch_sized(2), pytest.raises(PredicateError) as batch_err:
             list(plan.execute(Metrics()))
         assert str(batch_err.value) == str(algebra_err.value)
-
-
-class TestBatchPull:
-    def test_next_batch_drains_then_none(self):
-        storage = _storage()
-        with batch_sized(2):
-            cursor = SeqScan(storage["L"]).open_batches()
-            sizes = []
-            while (batch := cursor.next_batch()) is not None:
-                sizes.append(batch.num_rows)
-        assert sizes == [2, 2, 1]  # 5 rows at batch_size=2
-        assert cursor.next_batch() is None  # stays exhausted
-        cursor.close()
-

@@ -136,8 +136,8 @@ class TestBatchCounters:
     """Batch-native operators surface per-operator batch counts."""
 
     def test_seqscan_batches_out_known_answer(self, setup):
-        # Example 1: the single R1 tuple fits one column batch; the index
-        # joins have no native batch path, so they carry no batch counter.
+        # Example 1: the single R1 tuple fits one column batch, and each
+        # index join emits one batch per probe batch.
         storage, query, plan = setup
         node = explain_analyze(plan, storage, expr=query)
         scan = node.find("SeqScan(R1)")
@@ -146,7 +146,7 @@ class TestBatchCounters:
         for fragment in ("R2(R2.k)", "R3(R3.j)"):
             join_node = node.find(fragment)
             assert join_node is not None
-            assert "batches_out" not in join_node.details
+            assert join_node.details.get("batches_out") == 1
         assert "batches_out=1" in node.render()
 
     def test_hashjoin_batches_out_known_answer(self):

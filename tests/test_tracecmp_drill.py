@@ -44,13 +44,13 @@ def test_injected_regression_flagged_on_exactly_one_operator(tmp_path, monkeypat
     _trace_to(baseline)
 
     # No indexes on A/B, so the planner picks a HashJoin; plant ~40ms there.
-    real_execute = HashJoin.execute
+    real_execute = HashJoin.execute_batches
 
     def slow_execute(self, metrics):
         time.sleep(0.04)
         yield from real_execute(self, metrics)
 
-    monkeypatch.setattr(HashJoin, "execute", slow_execute)
+    monkeypatch.setattr(HashJoin, "execute_batches", slow_execute)
     _trace_to(candidate)
 
     # 5ms absolute floor: scan spans jitter by ~1ms under load, and the
@@ -70,13 +70,13 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     candidate = tmp_path / "candidate.json"
     _trace_to(baseline)
 
-    real_execute = HashJoin.execute
+    real_execute = HashJoin.execute_batches
 
     def slow_execute(self, metrics):
         time.sleep(0.04)
         yield from real_execute(self, metrics)
 
-    monkeypatch.setattr(HashJoin, "execute", slow_execute)
+    monkeypatch.setattr(HashJoin, "execute_batches", slow_execute)
     _trace_to(candidate)
 
     # Identical inputs: clean diff, exit 0.
