@@ -11,12 +11,17 @@ replacing the quadratic scan with a build/probe hash join:
   ``a = b`` with ``a`` an attribute of the left scheme and ``b`` one of
   the right scheme — plus a *residual* of all remaining conjuncts;
 * the right relation is partitioned once into a hash table keyed by its
-  key values.  Rows with a null in any key column go to a separate
-  never-matching pool (SQL 3VL: ``NULL = x`` is unknown, and unknown does
-  not satisfy), so they fall through to padding / anti output exactly as
-  in the nested loop;
+  key values.  Rows with a null in any key column never enter it (SQL
+  3VL: ``NULL = x`` is unknown, and unknown does not satisfy), so they
+  fall through to padding / anti output exactly as in the nested loop;
 * each left row with non-null keys probes its bucket and evaluates only
   the residual conjuncts; a left row with a null key matches nothing.
+
+One loop, :func:`_hash_counts`, serves all five operators (join,
+one- and two-sided outerjoin, semijoin, antijoin); the public
+``*_counts`` functions name its variants.  The engine has its own probe
+loop (:class:`~repro.engine.batch.kernels.BatchHashJoiner`): it joins
+columns, while this one joins distinct rows weighted by multiplicity.
 
 A predicate with no usable equality conjunct (pure non-equi, or
 ``TRUE``) yields no key pairs and the caller falls back to the nested
@@ -101,21 +106,18 @@ def decompose_join_predicate(
     return result
 
 
-#: A build-side hash table: key values -> [(row, multiplicity), ...], plus
-#: the rows whose key contains a null (they can never match).
-_BuildTable = Tuple[Dict[Tuple, List[Tuple[Row, int]]], List[Tuple[Row, int]]]
+#: A build-side hash table: key values -> [(row, multiplicity), ...].  Rows
+#: whose key contains a null never enter it (they can never match).
+_BuildTable = Dict[Tuple, List[Tuple[Row, int]]]
 
 
 def _build(right: Relation, right_keys: Tuple[str, ...]) -> _BuildTable:
-    table: Dict[Tuple, List[Tuple[Row, int]]] = {}
-    never_match: List[Tuple[Row, int]] = []
+    table: _BuildTable = {}
     for r2, n2 in right.counts().items():
         key = tuple(r2[a] for a in right_keys)
-        if any(is_null(v) for v in key):
-            never_match.append((r2, n2))
-        else:
+        if not any(is_null(v) for v in key):
             table.setdefault(key, []).append((r2, n2))
-    return table, never_match
+    return table
 
 
 def _residual_true(residual: Tuple[Predicate, ...], view: PairView) -> bool:
@@ -131,10 +133,20 @@ def _probe_key(row: Row, left_keys: Tuple[str, ...]) -> Optional[Tuple]:
     return key
 
 
-def join_counts(
-    left: Relation, right: Relation, predicate: Predicate
+def _hash_counts(
+    left: Relation, right: Relation, predicate: Predicate, variant: str
 ) -> Optional[Counter]:
-    """Hash-join output multiplicities, or None when not applicable."""
+    """Output multiplicities of one join-like operator, or None when the
+    hash kernel does not apply.
+
+    ``variant`` is ``inner``, ``left_outer``, ``full_outer``, ``semi`` or
+    ``anti``.  The one build/probe loop: each distinct left row probes its
+    bucket, the residual decides each candidate pair, and the variant
+    decides what a left row emits — its pairs (plus its pad when it has
+    none and the variant pads), or itself when its match status is the
+    one the semi/anti join keeps.  A semi/anti probe stops at the first
+    satisfied pair.
+    """
     if _too_small(left, right):
         return None
     left_keys, right_keys, residual = decompose_join_predicate(
@@ -142,119 +154,67 @@ def join_counts(
     )
     if not left_keys:
         return None
-    table, _ = _build(right, right_keys)
+    table = _build(right, right_keys)
+    pairs = variant in ("inner", "left_outer", "full_outer")
+    keep_matched = variant == "semi"
+    padding = null_row(right.schema) if variant in ("left_outer", "full_outer") else None
+    matched_right: Optional[set[Row]] = set() if variant == "full_outer" else None
     out: Counter[Row] = Counter()
     for r1, n1 in left.counts().items():
         key = _probe_key(r1, left_keys)
-        if key is None:
-            continue
-        for r2, n2 in table.get(key, ()):
-            if not residual or _residual_true(residual, PairView(r1, r2)):
-                out[r1.concat(r2)] += n1 * n2
+        matched = False
+        for r2, n2 in table.get(key, ()) if key is not None else ():
+            if residual and not _residual_true(residual, PairView(r1, r2)):
+                continue
+            matched = True
+            if not pairs:
+                break
+            out[r1.concat(r2)] += n1 * n2
+            if matched_right is not None:
+                matched_right.add(r2)
+        if pairs:
+            if padding is not None and not matched:
+                out[r1.concat(padding)] += n1
+        elif matched is keep_matched:
+            out[r1] += n1
+    if matched_right is not None:
+        right_padding = null_row(left.schema)
+        for r2, n2 in right.counts().items():
+            if r2 not in matched_right:
+                out[right_padding.concat(r2)] += n2
     return out
+
+
+def join_counts(
+    left: Relation, right: Relation, predicate: Predicate
+) -> Optional[Counter]:
+    """Hash-join output multiplicities, or None when not applicable."""
+    return _hash_counts(left, right, predicate, "inner")
 
 
 def outerjoin_counts(
     left: Relation, right: Relation, predicate: Predicate
 ) -> Optional[Counter]:
     """One-sided outerjoin multiplicities (left preserved), or None."""
-    if _too_small(left, right):
-        return None
-    left_keys, right_keys, residual = decompose_join_predicate(
-        predicate, left.scheme, right.scheme
-    )
-    if not left_keys:
-        return None
-    table, _ = _build(right, right_keys)
-    padding = null_row(right.schema)
-    out: Counter[Row] = Counter()
-    for r1, n1 in left.counts().items():
-        key = _probe_key(r1, left_keys)
-        matched = False
-        if key is not None:
-            for r2, n2 in table.get(key, ()):
-                if not residual or _residual_true(residual, PairView(r1, r2)):
-                    matched = True
-                    out[r1.concat(r2)] += n1 * n2
-        if not matched:
-            out[r1.concat(padding)] += n1
-    return out
+    return _hash_counts(left, right, predicate, "left_outer")
 
 
 def full_outerjoin_counts(
     left: Relation, right: Relation, predicate: Predicate
 ) -> Optional[Counter]:
     """Two-sided outerjoin multiplicities, or None when not applicable."""
-    if _too_small(left, right):
-        return None
-    left_keys, right_keys, residual = decompose_join_predicate(
-        predicate, left.scheme, right.scheme
-    )
-    if not left_keys:
-        return None
-    table, _ = _build(right, right_keys)
-    left_padding = null_row(right.schema)
-    right_padding = null_row(left.schema)
-    out: Counter[Row] = Counter()
-    matched_right: set[Row] = set()
-    for r1, n1 in left.counts().items():
-        key = _probe_key(r1, left_keys)
-        matched = False
-        if key is not None:
-            for r2, n2 in table.get(key, ()):
-                if not residual or _residual_true(residual, PairView(r1, r2)):
-                    matched = True
-                    matched_right.add(r2)
-                    out[r1.concat(r2)] += n1 * n2
-        if not matched:
-            out[r1.concat(left_padding)] += n1
-    for r2, n2 in right.counts().items():
-        if r2 not in matched_right:
-            out[right_padding.concat(r2)] += n2
-    return out
-
-
-def _semi_anti_counts(
-    left: Relation, right: Relation, predicate: Predicate, want_match: bool
-) -> Optional[Counter]:
-    if _too_small(left, right):
-        return None
-    left_keys, right_keys, residual = decompose_join_predicate(
-        predicate, left.scheme, right.scheme
-    )
-    if not left_keys:
-        return None
-    table, _ = _build(right, right_keys)
-    out: Counter[Row] = Counter()
-    if not residual:
-        # Pure equi-join: membership in the table decides the match.
-        for r1, n1 in left.counts().items():
-            key = _probe_key(r1, left_keys)
-            if (key is not None and key in table) is want_match:
-                out[r1] += n1
-        return out
-    for r1, n1 in left.counts().items():
-        key = _probe_key(r1, left_keys)
-        matched = False
-        if key is not None:
-            for r2, _n2 in table.get(key, ()):
-                if _residual_true(residual, PairView(r1, r2)):
-                    matched = True
-                    break
-        if matched is want_match:
-            out[r1] += n1
-    return out
+    return _hash_counts(left, right, predicate, "full_outer")
 
 
 def semijoin_counts(
     left: Relation, right: Relation, predicate: Predicate
 ) -> Optional[Counter]:
     """Hash semijoin multiplicities, or None when not applicable."""
-    return _semi_anti_counts(left, right, predicate, want_match=True)
+    return _hash_counts(left, right, predicate, "semi")
 
 
 def antijoin_counts(
     left: Relation, right: Relation, predicate: Predicate
 ) -> Optional[Counter]:
     """Hash antijoin multiplicities, or None when not applicable."""
-    return _semi_anti_counts(left, right, predicate, want_match=False)
+    return _hash_counts(left, right, predicate, "anti")

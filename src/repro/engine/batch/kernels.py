@@ -18,12 +18,17 @@ message) is the algebra evaluator's.
 **Hash join.**  :class:`BuildSide` accumulates build batches into
 columnar storage plus a key-value -> row-index bucket dict (null keys go
 to a never-matching pool, exactly as in :mod:`repro.algebra.kernels`);
-:class:`BatchHashJoiner` probes left batches against it for every
+a build with no key puts every row in one bucket.
+:class:`BatchHashJoiner` is the engine's one probe loop.  It serves every
 variant — ``inner``, ``left_outer``, ``full_outer``, ``semi``, ``anti``
-— in probe order (matches in bucket order, pads inline, full-outer
-right pads at the end), with ``Metrics`` accounting of one predicate
-evaluation per candidate pair, including the semi join's first-match
-short circuit.
+— for the hash join, for the nested-loop join (a one-bucket build whose
+whole predicate is the residual) and for the generalized outerjoin
+(the inner match plus its own witness tail).  Output is in probe order:
+matches in bucket order, then full-outer right pads at the end.  A
+padding variant appends one all-NULL row to the build columns, the pad
+slot, and an unmatched probe row is paired with it inline.  ``Metrics``
+accounting is one predicate evaluation per candidate pair, including
+the semi join's first-match short circuit.
 
 The probe loop batches its bookkeeping: match lists are extended with
 C-level ``list.extend`` / ``itertools.repeat`` instead of per-pair
@@ -276,12 +281,14 @@ class BuildSide:
 
     Rows whose key is null are kept in the columns (a full outerjoin must
     pad them out at the end) but never enter a bucket, so they can never
-    match — the same null-key fate the algebra kernels realize.
+    match — the same null-key fate the algebra kernels realize.  With
+    ``key=None`` there is no key: every row enters the one bucket ``()``,
+    so each probe row's candidates are the whole build side.
     """
 
     __slots__ = ("key", "attrs", "columns", "buckets", "null_indices", "rows")
 
-    def __init__(self, key: str, attrs: Sequence[str]):
+    def __init__(self, key: Optional[str], attrs: Sequence[str]):
         self.key = key
         self.attrs = tuple(attrs)
         self.columns: Dict[str, List[Any]] = {a: [] for a in self.attrs}
@@ -295,6 +302,10 @@ class BuildSide:
         base = self.rows
         for attr in self.attrs:
             self.columns[attr].extend(batch.columns[attr])
+        self.rows = base + batch.length
+        if self.key is None:
+            self.buckets.setdefault((), []).extend(range(base, self.rows))
+            return
         setdefault = self.buckets.setdefault
         null_append = self.null_indices.append
         i = base
@@ -304,7 +315,6 @@ class BuildSide:
             else:
                 setdefault(v, []).append(i)
             i += 1
-        self.rows = i
 
     @property
     def bucketed_rows(self) -> int:
@@ -313,10 +323,10 @@ class BuildSide:
 
 
 class BatchHashJoiner:
-    """Probe-side driver for one hash join over a finished build side.
+    """The probe side of one join over a finished build side.
 
-    ``metrics`` accounting matches the other joins' (nested-loop, index
-    nested-loop): one predicate evaluation per candidate (bucket) pair —
+    ``left_key`` is None exactly when the build has no key.  ``metrics``
+    accounting: one predicate evaluation per candidate (bucket) pair —
     with the semi join's short circuit after the first satisfied pair —
     and one emitted row per output row under ``label``.
     """
@@ -328,6 +338,7 @@ class BatchHashJoiner:
         "residual",
         "metrics",
         "label",
+        "pad",
         "matched_build",
         "finished",
     )
@@ -335,7 +346,7 @@ class BatchHashJoiner:
     def __init__(
         self,
         build: BuildSide,
-        left_key: str,
+        left_key: Optional[str],
         variant: str,
         residual: Optional[Predicate],
         metrics,
@@ -354,6 +365,14 @@ class BatchHashJoiner:
             self.residual = residual
         self.metrics = metrics
         self.label = label
+        #: The pad slot: index of the all-NULL build row an unmatched
+        #: probe row pairs with (padding variants only).  It sits past
+        #: ``build.rows``, so neither ``rows`` nor the buckets see it.
+        self.pad: Optional[int] = None
+        if variant in ("left_outer", "full_outer"):
+            for col in build.columns.values():
+                col.append(NULL)
+            self.pad = build.rows
         self.matched_build: set[int] = set()
         self.finished = False
 
@@ -363,29 +382,36 @@ class BatchHashJoiner:
         """Join one probe batch; None when it produces no output rows."""
         if self.variant in ("semi", "anti"):
             return self._probe_semi_anti(batch)
-        return self._probe_join(batch)
+        return self.emit_pairs(batch, *self.match_pairs(batch))
 
-    def _match_pairs(
-        self, batch: ColumnBatch
-    ) -> Tuple[List[int], List[int], List[int]]:
-        """(probe_positions, build_indices, unmatched_probe_positions).
+    def _key_column(self, batch: ColumnBatch) -> List[Any]:
+        """The probe keys of ``batch``: one ``()`` per row for a keyless build."""
+        if self.left_key is None:
+            return [()] * batch.length
+        return batch.columns[self.left_key]
 
-        ``probe_positions``/``build_indices`` are parallel lists, in probe
-        order with each bucket's matches in insertion order — the hash
-        join's emission order.
+    def match_pairs(self, batch: ColumnBatch) -> Tuple[List[int], List[int]]:
+        """(probe_positions, build_indices): the pairs ``batch`` joins into.
+
+        The two lists are parallel, in probe order with each bucket's
+        matches in insertion order — the join's emission order.  When the
+        variant pads, a probe row with no satisfied pair appears once,
+        paired with the pad slot.
         """
         metrics = self.metrics
         buckets_get = self.build.buckets.get
-        key_col = batch.columns[self.left_key]
+        key_col = self._key_column(batch)
         residual = self.residual
+        pad = self.pad
         out_l: List[int] = []
         out_r: List[int] = []
-        unmatched: List[int] = []
-        extend_l = out_l.extend
-        extend_r = out_r.extend
+        append_l = out_l.append
+        append_r = out_r.append
         track_full = self.variant == "full_outer"
         matched_build = self.matched_build
         if residual is None:
+            extend_l = out_l.extend
+            extend_r = out_r.extend
             evaluated = 0
             for i in batch.indices():
                 key = key_col[i]
@@ -397,15 +423,14 @@ class BatchHashJoiner:
                     extend_l(repeat(i, n))
                     if track_full:
                         matched_build.update(bucket)
-                else:
-                    unmatched.append(i)
+                elif pad is not None:
+                    append_l(i)
+                    append_r(pad)
             if evaluated:
                 metrics.evaluated(evaluated)
         else:
             view = PairColsView(batch.columns, self.build.columns)
             evaluate = residual.evaluate
-            append_l = out_l.append
-            append_r = out_r.append
             for i in batch.indices():
                 key = key_col[i]
                 bucket = None if key is NULL else buckets_get(key)
@@ -421,34 +446,24 @@ class BatchHashJoiner:
                             append_r(j)
                             if track_full:
                                 matched_build.add(j)
-                if not matched:
-                    unmatched.append(i)
-        return out_l, out_r, unmatched
+                if not matched and pad is not None:
+                    append_l(i)
+                    append_r(pad)
+        return out_l, out_r
 
-    def _probe_join(self, batch: ColumnBatch) -> Optional[ColumnBatch]:
-        out_l, out_r, unmatched = self._match_pairs(batch)
-        pad = self.variant in ("left_outer", "full_outer")
-        if not out_l and not (pad and unmatched):
+    def emit_pairs(
+        self, batch: ColumnBatch, out_l: List[int], out_r: List[int]
+    ) -> Optional[ColumnBatch]:
+        """Gather and account the pairs of :meth:`match_pairs`; None if empty."""
+        if not out_l:
             return None
-        lcols = batch.columns
-        rcols = self.build.columns
-        if pad and unmatched:
-            # Re-interleave pads into probe order (matches first per row,
-            # pad rows where no pair satisfied).
-            out_l, out_r = _interleave_pads(out_l, out_r, unmatched)
-            columns = {a: [col[i] for i in out_l] for a, col in lcols.items()}
-            for a, col in rcols.items():
-                columns[a] = [col[j] if j >= 0 else NULL for j in out_r]
-            out = ColumnBatch(tuple(sorted(columns)), columns, len(out_l))
-        else:
-            out = gather_pairs(lcols, out_l, rcols, out_r)
         self.metrics.emitted(self.label, len(out_l))
-        return out
+        return gather_pairs(batch.columns, out_l, self.build.columns, out_r)
 
     def _probe_semi_anti(self, batch: ColumnBatch) -> Optional[ColumnBatch]:
         metrics = self.metrics
         buckets_get = self.build.buckets.get
-        key_col = batch.columns[self.left_key]
+        key_col = self._key_column(batch)
         residual = self.residual
         want = self.variant == "semi"
         sel: List[int] = []
@@ -533,27 +548,3 @@ def gather_pairs(
     for a, col in rcols.items():
         columns[a] = [col[j] for j in out_r]
     return ColumnBatch(tuple(sorted(columns)), columns, len(out_l))
-
-
-def _interleave_pads(
-    out_l: List[int], out_r: List[int], unmatched: List[int]
-) -> Tuple[List[int], List[int]]:
-    """Merge matched pairs and pad positions back into probe order.
-
-    Both inputs are ascending in probe position (``out_l`` may repeat a
-    position across its matches); a pad is marked by build index ``-1``.
-    """
-    merged_l: List[int] = []
-    merged_r: List[int] = []
-    mi, un = 0, 0
-    n_m, n_u = len(out_l), len(unmatched)
-    while mi < n_m or un < n_u:
-        if un >= n_u or (mi < n_m and out_l[mi] <= unmatched[un]):
-            merged_l.append(out_l[mi])
-            merged_r.append(out_r[mi])
-            mi += 1
-        else:
-            merged_l.append(unmatched[un])
-            merged_r.append(-1)
-            un += 1
-    return merged_l, merged_r

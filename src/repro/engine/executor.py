@@ -109,6 +109,15 @@ def execute_plan(plan: PhysicalOp, cancel: Optional[CancelToken] = None) -> Exec
     return ExecutionResult(relation=relation, metrics=metrics, plan=plan, trace=root)
 
 
+def plan_expression(expr: Expression, storage: Storage) -> PhysicalOp:
+    """The physical plan of a logical expression (under a ``query.plan`` span)."""
+    with maybe_span("query.plan", category="engine") as span:
+        plan = Planner(storage).plan(expr)
+        if span is not None:
+            span.set(plan=plan.span_label())
+    return plan
+
+
 def execute(
     expr: Expression, storage: Storage, cancel: Optional[CancelToken] = None
 ) -> ExecutionResult:
@@ -119,11 +128,7 @@ def execute(
     sink, so concurrent ``execute`` calls over one storage share no
     mutable state — the property :mod:`repro.service` builds on.
     """
-    with maybe_span("query.plan", category="engine") as span:
-        plan = Planner(storage).plan(expr)
-        if span is not None:
-            span.set(plan=plan.span_label())
-    return execute_plan(plan, cancel=cancel)
+    return execute_plan(plan_expression(expr, storage), cancel=cancel)
 
 
 def verify_against_algebra(expr: Expression, storage: Storage) -> bool:

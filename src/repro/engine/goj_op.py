@@ -1,24 +1,24 @@
 """Physical operator for the generalized outerjoin (Section 6.2).
 
 The paper: "As with Generalized-Join, GOJ can be computed by a slightly
-modified join algorithm."  This operator is that modification over the
-hash-join skeleton: build on the right, probe with the left, track which
-S-projections of the left input found a match, and emit one null-padded
-witness per unmatched projection at the end.
+modified join algorithm."  This operator is that modification of the
+hash join: build on the right, probe with the left through the
+:class:`~repro.engine.batch.kernels.BatchHashJoiner`'s inner match, track
+which S-projections of the left input found a match, and emit one
+null-padded witness per unmatched projection at the end (the witness
+tail).  Only the projection sets and the tail are GOJ-specific.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import repeat
-from time import perf_counter_ns
 from typing import List, Optional
 
-from repro.algebra.nulls import NULL, satisfied
+from repro.algebra.nulls import NULL
 from repro.algebra.predicates import Predicate, TruePredicate
 from repro.algebra.schema import Schema
 from repro.engine.batch.columns import ColumnBatch, _fast_row
-from repro.engine.batch.kernels import BuildSide, PairColsView, gather_pairs
+from repro.engine.batch.kernels import BatchHashJoiner
 from repro.engine.iterators import PhysicalOp
 from repro.engine.metrics import Metrics
 
@@ -59,69 +59,21 @@ class GeneralizedOuterJoinOp(PhysicalOp):
         witnesses are rebuilt as rows and sorted by ``repr`` so the tail
         batch has a deterministic order.
         """
-        span = self._span
-        build_started = perf_counter_ns() if span is not None else 0
-        build = BuildSide(
-            self.right_key, tuple(sorted(self.right.schema.attributes))
+        build = self._hash_build(self.right, self.right_key, metrics)
+        joiner = BatchHashJoiner(
+            build, self.left_key, "inner", self.residual, metrics, "GOJ"
         )
-        for batch in self.right.execute_batches(metrics):
-            build.add_batch(batch)
-        if span is not None:
-            span.counters["build_ns"] = perf_counter_ns() - build_started
-            span.counters["mem_rows"] = build.bucketed_rows
-            span.counters["build_buckets"] = len(build.buckets)
-
-        label = "GOJ"
         proj_attrs = tuple(self.projection)
-        residual = (
-            None if isinstance(self.residual, TruePredicate) else self.residual
-        )
-        rcols = build.columns
-        buckets_get = build.buckets.get
         seen: set = set()
         matched: set = set()
         for batch in self.left.execute_batches(metrics):
-            lcols = batch.columns
-            key_col = lcols[self.left_key]
-            pcols = [lcols[a] for a in proj_attrs]
-            out_l: List[int] = []
-            out_r: List[int] = []
-            if residual is None:
-                extend_l = out_l.extend
-                extend_r = out_r.extend
-                evaluated = 0
-                for i in batch.indices():
-                    seen.add(tuple(col[i] for col in pcols))
-                    key = key_col[i]
-                    bucket = None if key is NULL else buckets_get(key)
-                    if bucket:
-                        n = len(bucket)
-                        evaluated += n
-                        extend_r(bucket)
-                        extend_l(repeat(i, n))
-                        matched.add(tuple(col[i] for col in pcols))
-                if evaluated:
-                    metrics.evaluated(evaluated)
-            else:
-                view = PairColsView(lcols, rcols)
-                evaluate = residual.evaluate
-                for i in batch.indices():
-                    proj_key = tuple(col[i] for col in pcols)
-                    seen.add(proj_key)
-                    key = key_col[i]
-                    bucket = None if key is NULL else buckets_get(key)
-                    if bucket:
-                        metrics.evaluated(len(bucket))
-                        view.li = i
-                        for j in bucket:
-                            view.ri = j
-                            if satisfied(evaluate(view)):
-                                matched.add(proj_key)
-                                out_l.append(i)
-                                out_r.append(j)
-            if out_l:
-                metrics.emitted(label, len(out_l))
-                yield self._emit_batch(gather_pairs(lcols, out_l, rcols, out_r))
+            pcols = [batch.columns[a] for a in proj_attrs]
+            seen.update(tuple(col[i] for col in pcols) for i in batch.indices())
+            out_l, out_r = joiner.match_pairs(batch)
+            matched.update(tuple(col[i] for col in pcols) for i in set(out_l))
+            out = joiner.emit_pairs(batch, out_l, out_r)
+            if out is not None:
+                yield self._emit_batch(out)
 
         unmatched = seen - matched
         if unmatched:
@@ -139,7 +91,7 @@ class GeneralizedOuterJoinOp(PhysicalOp):
             for a in pad_attrs:
                 columns[a] = [NULL] * tail
             out = ColumnBatch(tuple(sorted(columns)), columns, tail)
-            metrics.emitted(label, tail)
+            metrics.emitted("GOJ", tail)
             yield self._emit_batch(out)
 
     def describe(self, indent: int = 0) -> str:

@@ -35,11 +35,11 @@ from __future__ import annotations
 from time import perf_counter_ns
 from collections.abc import Iterable, Iterator
 from itertools import repeat
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.observability.spans import Span
 
-from repro.algebra.nulls import NULL, satisfied
+from repro.algebra.nulls import satisfied
 from repro.algebra.predicates import PairView, Predicate, TruePredicate
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
@@ -49,9 +49,7 @@ from repro.engine.batch.kernels import (
     BatchHashJoiner,
     BuildSide,
     ColsRowView,
-    PairColsView,
     compile_filter,
-    gather_pairs,
 )
 from repro.engine.indexes import HashIndex
 from repro.engine.metrics import Metrics
@@ -94,6 +92,23 @@ class PhysicalOp:
         """Chunk a row-internal algorithm's output into emitted batches."""
         for batch in batches_from_rows(rows, self.schema, batch_size()):
             yield self._emit_batch(batch)
+
+    def _hash_build(self, right: "PhysicalOp", key: str, metrics: Metrics) -> BuildSide:
+        """Drain ``right`` into a build side keyed on ``key``.
+
+        Span counters: ``build_ns``, ``mem_rows`` (bucketed build rows),
+        ``build_buckets``.
+        """
+        span = self._span
+        build_started = perf_counter_ns() if span is not None else 0
+        build = BuildSide(key, tuple(sorted(right.schema.attributes)))
+        for batch in right.execute_batches(metrics):
+            build.add_batch(batch)
+        if span is not None:
+            span.counters["build_ns"] = perf_counter_ns() - build_started
+            span.counters["mem_rows"] = build.bucketed_rows
+            span.counters["build_buckets"] = len(build.buckets)
+        return build
 
     def span_label(self) -> str:
         """One-line operator label used for spans and EXPLAIN output."""
@@ -222,11 +237,14 @@ class ProjectOp(PhysicalOp):
 class NestedLoopJoin(PhysicalOp):
     """Left-preserving nested-loop join over arbitrary predicates.
 
-    The right input is collected into columns once (intermediate results
-    are memory resident, per the module-level accounting rules), so base
-    retrievals are paid exactly once per input.  Every (left row, right
-    row) pair is one predicate evaluation, except that a semi join stops
-    at a left row's first satisfied pair.
+    A one-bucket build of the hash joiner: the right input is collected
+    into a :class:`~repro.engine.batch.kernels.BuildSide` with no key, so
+    every right row is a candidate for every left row, and the whole
+    predicate is the joiner's residual.  Intermediate results are memory
+    resident (per the module-level accounting rules), so base retrievals
+    are paid exactly once per input.  Every (left row, right row) pair is
+    one predicate evaluation, except that a semi join stops at a left
+    row's first satisfied pair.
     """
 
     def __init__(
@@ -246,64 +264,22 @@ class NestedLoopJoin(PhysicalOp):
         return (self.left, self.right)
 
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
-        """Evaluate the predicate per pair through one reused column view.
+        """Build the right input into one bucket, probe it with the left.
 
-        Semi/anti narrow the left batch's selection; inner/left outer
-        gather their pairs, a left-outer pad pointing at a trailing
-        all-NULL slot of the right columns.
+        Span counter: ``mem_rows`` (every right row).
         """
-        rcols: Dict[str, List[Any]] = {a: [] for a in self.right.schema.attributes}
-        n_right = 0
+        build = BuildSide(None, tuple(sorted(self.right.schema.attributes)))
         for batch in self.right.execute_batches(metrics):
-            batch = batch.compact()
-            for attr, col in rcols.items():
-                col.extend(batch.columns[attr])
-            n_right += batch.length
+            build.add_batch(batch)
         if self._span is not None:
-            self._span.counters["mem_rows"] = n_right
-        join_type = self.join_type
-        pairs = join_type in ("inner", "left_outer")
-        pad = join_type == "left_outer"
-        want = join_type == "semi"
-        if pad:
-            for col in rcols.values():
-                col.append(NULL)
-        evaluate = self.predicate.evaluate
-        label = f"NLJ[{join_type}]"
-        inner = range(n_right)
+            self._span.counters["mem_rows"] = build.rows
+        joiner = BatchHashJoiner(
+            build, None, self.join_type, self.predicate, metrics, f"NLJ[{self.join_type}]"
+        )
         for batch in self.left.execute_batches(metrics):
-            view = PairColsView(batch.columns, rcols)
-            out_l: List[int] = []
-            out_r: List[int] = []
-            keep: List[int] = []
-            for i in batch.indices():
-                view.li = i
-                matched = False
-                evaluated = 0
-                for j in inner:
-                    evaluated += 1
-                    view.ri = j
-                    if satisfied(evaluate(view)):
-                        matched = True
-                        if want:
-                            break
-                        if pairs:
-                            out_l.append(i)
-                            out_r.append(j)
-                if evaluated:
-                    metrics.evaluated(evaluated)
-                if pairs:
-                    if pad and not matched:
-                        out_l.append(i)
-                        out_r.append(n_right)
-                elif matched is want:
-                    keep.append(i)
-            if out_l:
-                metrics.emitted(label, len(out_l))
-                yield self._emit_batch(gather_pairs(batch.columns, out_l, rcols, out_r))
-            elif keep:
-                metrics.emitted(label, len(keep))
-                yield self._emit_batch(batch.with_selection(keep))
+            out = joiner.probe(batch)
+            if out is not None:
+                yield self._emit_batch(out)
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
@@ -471,17 +447,7 @@ class HashJoin(PhysicalOp):
         build side.  Span counters: ``build_ns``, ``mem_rows`` (bucketed
         build rows), ``build_buckets``.
         """
-        span = self._span
-        build_started = perf_counter_ns() if span is not None else 0
-        build = BuildSide(
-            self.right_key, tuple(sorted(self.right.schema.attributes))
-        )
-        for batch in self.right.execute_batches(metrics):
-            build.add_batch(batch)
-        if span is not None:
-            span.counters["build_ns"] = perf_counter_ns() - build_started
-            span.counters["mem_rows"] = build.bucketed_rows
-            span.counters["build_buckets"] = len(build.buckets)
+        build = self._hash_build(self.right, self.right_key, metrics)
         joiner = BatchHashJoiner(
             build,
             self.left_key,

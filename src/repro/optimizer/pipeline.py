@@ -36,7 +36,8 @@ from repro.core.pushdown import push_restrictions
 from repro.core.reorderability import ReorderabilityVerdict, theorem1_applies
 from repro.core.simplify import simplify_outerjoins
 from repro.core.wcoj_order import WcojSpec, wcoj_spec_of
-from repro.engine.executor import ExecutionResult, execute, execute_plan
+from repro.engine.executor import ExecutionResult, execute_plan, plan_expression
+from repro.engine.iterators import PhysicalOp
 from repro.engine.storage import Storage, Table
 from repro.observability.spans import maybe_span
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -417,28 +418,36 @@ def optimize_and_run(
 ) -> tuple[PipelineResult, ExecutionResult]:
     """Optimize, execute the strategy the optimizer chose, return both records.
 
-    The one query path (the service runs every query through it).
-    A "yannakakis" strategy builds the semijoin-reduced N-ary plan from
-    the join tree and leaf filters; a "wcoj" strategy builds the
-    Leapfrog Triejoin plan from the trie spec; "dp" plans ``chosen``.
-    The optimizer's cost gates alone set the strategy.  ``cancel``
-    reaches the drain loop and metrics sink of every branch.
+    The one query path (the service runs every query through it); the
+    plan comes from :func:`physical_plan`.  The optimizer's cost gates
+    alone set the strategy.  ``cancel`` reaches the drain loop and
+    metrics sink of every strategy's plan.
     """
     result = optimize_query(
         query, storage, cost_model=cost_model, cache=cache, use_cache=use_cache
     )
     if cancel is not None:
         cancel.check()
+    return result, execute_plan(physical_plan(result, storage), cancel=cancel)
+
+
+def physical_plan(result: PipelineResult, storage: Storage) -> PhysicalOp:
+    """The physical plan of the strategy the optimizer chose.
+
+    A "yannakakis" strategy builds the semijoin-reduced N-ary plan from
+    the join tree and leaf filters; a "wcoj" strategy builds the
+    Leapfrog Triejoin plan from the trie spec; "dp" plans ``chosen``.
+    Every caller that runs an optimized query (``optimize_and_run``, the
+    plan-cache conformance check) gets its plan here.
+    """
     if result.strategy == "yannakakis":
         from repro.engine.yannakakis import build_yannakakis_plan
 
         assert result.join_tree is not None
-        plan = build_yannakakis_plan(result.join_tree, storage, result.leaf_filters)
-        return result, execute_plan(plan, cancel=cancel)
+        return build_yannakakis_plan(result.join_tree, storage, result.leaf_filters)
     if result.strategy == "wcoj":
         from repro.engine.wcoj import build_wcoj_plan
 
         assert result.wcoj_spec is not None
-        plan = build_wcoj_plan(result.wcoj_spec, storage, result.leaf_filters)
-        return result, execute_plan(plan, cancel=cancel)
-    return result, execute(result.chosen, storage, cancel=cancel)
+        return build_wcoj_plan(result.wcoj_spec, storage, result.leaf_filters)
+    return plan_expression(result.chosen, storage)

@@ -209,18 +209,24 @@ class QueryService:
         already resolved as ``rejected`` (load shedding: the caller finds
         out immediately instead of waiting behind a saturated queue).
         """
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("service is closed")
-            self._submitted += 1
-        instrumentation.bump("service_queries")
         token = CancelToken(
             timeout_s if timeout_s is not None else self.default_timeout_s
         )
         ticket = QueryTicket(query, token)
-        try:
-            self._queue.put_nowait(ticket)
-        except queue.Full:
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError("service is closed")
+            self._submitted += 1
+            # Enqueue under the lock ``close()`` flips ``_closed`` under:
+            # a ticket then lands ahead of every shutdown sentinel or is
+            # never admitted.  ``put_nowait`` never blocks.
+            try:
+                self._queue.put_nowait(ticket)
+                full = False
+            except queue.Full:
+                full = True
+        instrumentation.bump("service_queries")
+        if full:
             self._shed(ticket, ServiceOverloadedError("admission queue full; query shed"))
         return ticket
 

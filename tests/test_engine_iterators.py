@@ -4,13 +4,14 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.algebra import NULL, Comparison, eq, gt
+from repro.algebra import NULL, Comparison, TruePredicate, eq, gt
 from repro.algebra.comparison import bag_equal
 from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.relation import Relation
 from repro.core.expressions import Rel, aj, jn, oj, sj
 from repro.engine import (
     Filter,
+    GeneralizedOuterJoinOp,
     HashJoin,
     IndexNestedLoopJoin,
     Metrics,
@@ -20,6 +21,8 @@ from repro.engine import (
     Storage,
     execute,
 )
+from repro.engine.iterators import trace_plan, untrace_plan
+from repro.observability.spans import Span
 from repro.util.cancel import CancelToken
 from repro.util.errors import PlanningError
 from repro.util.fastpath import batch_size, batch_sized
@@ -103,6 +106,11 @@ def _parity_case(plan, st, join_type, residual, size):
     return metrics
 
 
+#: Batch sizes every order/accounting test runs at (None: the default).
+_SIZES = (1, 2, None)
+_over_sizes = pytest.mark.parametrize("size", _SIZES, ids=["b1", "b2", "default"])
+
+
 def _parametrize_parity(expected):
     """Parametrize a parity test over batch size, residual and join type."""
 
@@ -112,9 +120,48 @@ def _parametrize_parity(expected):
             "join_type,residual,counts", cases,
             ids=[f"{jt}-{'residual' if res else 'plain'}" for jt, res, _ in cases],
         )(test)
-        return pytest.mark.parametrize("size", [1, 2, None], ids=["b1", "b2", "default"])(test)
+        return _over_sizes(test)
 
     return wrap
+
+
+def _pinned_storage():
+    """``_parity_storage`` plus the small R/S pair and an empty table E."""
+    st = _parity_storage()
+    st.create_table("P", ["P.a", "P.b"], [{"P.a": i, "P.b": i % 2} for i in range(4)])
+    st.create_table("Q", ["Q.a"], [{"Q.a": 0}, {"Q.a": 1}, {"Q.a": 1}])
+    st.create_table("E", ["E.a"], [])
+    return st
+
+
+def _assert_pinned(plan, size, pinned):
+    """Drain ``plan`` traced at one batch size and compare it with literals
+    recorded from the pair loops each join operator used to own.
+
+    ``pinned`` is ``(rows, evaluations, emitted, counters, batches_out)``:
+    the exact output sequence (value tuples in sorted attribute order),
+    ``Metrics.predicate_evaluations``, ``Metrics.rows_emitted``, the
+    operator's size-independent span counters, and its ``batches_out``
+    at batch sizes 1, 2 and the default.
+    """
+    rows, evaluations, emitted, counters, batches_out = pinned
+    metrics = Metrics()
+    root = Span("pinned")
+    wrapped, undo = trace_plan(plan, root)
+    try:
+        with nullcontext() if size is None else batch_sized(size):
+            got = list(wrapped.execute(metrics))
+    finally:
+        untrace_plan(undo)
+    attrs = sorted(plan.schema.attributes)
+    assert [tuple(r[a] for a in attrs) for r in got] == rows
+    assert metrics.predicate_evaluations == evaluations
+    assert dict(metrics.rows_emitted) == emitted
+    expected = dict(counters)
+    if batches_out[_SIZES.index(size)]:
+        expected["batches_out"] = batches_out[_SIZES.index(size)]
+    span = root.children[0].counters
+    assert {k: span[k] for k in ("mem_rows", "build_buckets", "batches_out") if k in span} == expected
 
 
 class TestNestedLoopJoin:
@@ -187,6 +234,59 @@ class TestNestedLoopJoin:
     def test_bad_join_type(self, storage):
         with pytest.raises(PlanningError):
             NestedLoopJoin(SeqScan(storage["R"]), SeqScan(storage["S"]), eq("R.a", "S.a"), "full")
+
+    _TRUE_PAIRS = [
+        (0, 0, 0), (0, 0, 1), (0, 0, 1), (1, 1, 0), (1, 1, 1), (1, 1, 1),
+        (2, 0, 0), (2, 0, 1), (2, 0, 1), (3, 1, 0), (3, 1, 1), (3, 1, 1),
+    ]
+    _P_ROWS = [(0, 0), (1, 1), (2, 0), (3, 1)]
+
+    #: (join type, case) -> pinned drain (see ``_assert_pinned``).  Cases:
+    #: ``true`` joins P x Q under TRUE, ``empty`` joins P with the empty E,
+    #: ``residual`` joins L and R under ``L.k = R.k AND R.b > L.a``.
+    PINNED = {
+        ("inner", "true"): (_TRUE_PAIRS, 12, {"NLJ[inner]": 12}, {"mem_rows": 3}, (4, 2, 1)),
+        ("inner", "empty"): ([], 0, {}, {"mem_rows": 0}, (0, 0, 0)),
+        ("inner", "residual"): (
+            [(1, 1, 7, 1), (2, 2, 3, 2), (2, 2, 5, 2), (4, 2, 5, 2), (6, 1, 7, 1)],
+            49, {"NLJ[inner]": 5}, {"mem_rows": 7}, (4, 3, 1),
+        ),
+        ("left_outer", "true"): (
+            _TRUE_PAIRS, 12, {"NLJ[left_outer]": 12}, {"mem_rows": 3}, (4, 2, 1),
+        ),
+        ("left_outer", "empty"): (
+            [(NULL, 0, 0), (NULL, 1, 1), (NULL, 2, 0), (NULL, 3, 1)],
+            0, {"NLJ[left_outer]": 4}, {"mem_rows": 0}, (4, 2, 1),
+        ),
+        ("left_outer", "residual"): (
+            [(1, 1, 7, 1), (2, 2, 3, 2), (2, 2, 5, 2), (3, NULL, NULL, NULL),
+             (4, 2, 5, 2), (5, 5, NULL, NULL), (6, 1, 7, 1), (9, 2, NULL, NULL)],
+            49, {"NLJ[left_outer]": 8}, {"mem_rows": 7}, (7, 4, 1),
+        ),
+        ("semi", "true"): (_P_ROWS, 4, {"NLJ[semi]": 4}, {"mem_rows": 3}, (4, 2, 1)),
+        ("semi", "empty"): ([], 0, {}, {"mem_rows": 0}, (0, 0, 0)),
+        ("semi", "residual"): (
+            [(1, 1), (2, 2), (4, 2), (6, 1)], 41, {"NLJ[semi]": 4}, {"mem_rows": 7}, (4, 3, 1),
+        ),
+        ("anti", "true"): ([], 12, {}, {"mem_rows": 3}, (0, 0, 0)),
+        ("anti", "empty"): (_P_ROWS, 0, {"NLJ[anti]": 4}, {"mem_rows": 0}, (4, 2, 1)),
+        ("anti", "residual"): (
+            [(3, NULL), (5, 5), (9, 2)], 49, {"NLJ[anti]": 3}, {"mem_rows": 7}, (3, 3, 1),
+        ),
+    }
+
+    @_over_sizes
+    @pytest.mark.parametrize("join_type,case", list(PINNED), ids=[f"{jt}-{c}" for jt, c in PINNED])
+    def test_pinned_order_and_accounting(self, join_type, case, size):
+        st = _pinned_storage()
+        if case == "true":
+            left, right, predicate = "P", "Q", TruePredicate()
+        elif case == "empty":
+            left, right, predicate = "P", "E", eq("P.a", "E.a")
+        else:
+            left, right, predicate = "L", "R", _join_predicate(True)
+        plan = NestedLoopJoin(SeqScan(st[left]), SeqScan(st[right]), predicate, join_type)
+        _assert_pinned(plan, size, self.PINNED[join_type, case])
 
 
 class TestIndexNestedLoopJoin:
@@ -317,6 +417,62 @@ class TestHashJoin:
         )
         text = plan.describe()
         assert "HashJoin" in text and "SeqScan(R)" in text
+
+    #: residual? -> pinned drain of ``HashJoin[left_outer]`` over L and R
+    #: (null keys on both sides; see ``_assert_pinned``).
+    PINNED_LEFT_OUTER = {
+        False: (
+            [(1, 1, 0, 1), (1, 1, 7, 1), (2, 2, 3, 2), (2, 2, 1, 2), (2, 2, 5, 2),
+             (3, NULL, NULL, NULL), (4, 2, 3, 2), (4, 2, 1, 2), (4, 2, 5, 2),
+             (5, 5, NULL, NULL), (6, 1, 0, 1), (6, 1, 7, 1), (9, 2, 3, 2),
+             (9, 2, 1, 2), (9, 2, 5, 2)],
+            13, {"HashJoin[left_outer]": 15}, {"mem_rows": 6, "build_buckets": 3}, (7, 4, 1),
+        ),
+        True: (
+            [(1, 1, 7, 1), (2, 2, 3, 2), (2, 2, 5, 2), (3, NULL, NULL, NULL),
+             (4, 2, 5, 2), (5, 5, NULL, NULL), (6, 1, 7, 1), (9, 2, NULL, NULL)],
+            13, {"HashJoin[left_outer]": 8}, {"mem_rows": 6, "build_buckets": 3}, (7, 4, 1),
+        ),
+    }
+
+    @_over_sizes
+    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+    def test_left_outer_pinned_order_and_accounting(self, residual, size):
+        st = _parity_storage()
+        plan = HashJoin(
+            SeqScan(st["L"]), SeqScan(st["R"]), "L.k", "R.k",
+            residual=_RESIDUAL if residual else None, join_type="left_outer",
+        )
+        _assert_pinned(plan, size, self.PINNED_LEFT_OUTER[residual])
+
+
+class TestGeneralizedOuterJoin:
+    #: residual? -> pinned drain of GOJ[S={L.k}] over L and R: the join
+    #: pairs in probe order, then the witnesses of unmatched projections.
+    PINNED = {
+        False: (
+            [(1, 1, 0, 1), (1, 1, 7, 1), (2, 2, 3, 2), (2, 2, 1, 2), (2, 2, 5, 2),
+             (4, 2, 3, 2), (4, 2, 1, 2), (4, 2, 5, 2), (6, 1, 0, 1), (6, 1, 7, 1),
+             (9, 2, 3, 2), (9, 2, 1, 2), (9, 2, 5, 2), (NULL, 5, NULL, NULL),
+             (NULL, NULL, NULL, NULL)],
+            13, {"GOJ": 15}, {"mem_rows": 6, "build_buckets": 3}, (6, 5, 2),
+        ),
+        True: (
+            [(1, 1, 7, 1), (2, 2, 3, 2), (2, 2, 5, 2), (4, 2, 5, 2), (6, 1, 7, 1),
+             (NULL, 5, NULL, NULL), (NULL, NULL, NULL, NULL)],
+            13, {"GOJ": 7}, {"mem_rows": 6, "build_buckets": 3}, (5, 4, 2),
+        ),
+    }
+
+    @_over_sizes
+    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+    def test_pinned_order_and_accounting(self, residual, size):
+        st = _parity_storage()
+        plan = GeneralizedOuterJoinOp(
+            SeqScan(st["L"]), SeqScan(st["R"]), "L.k", "R.k", ["L.k"],
+            residual=_RESIDUAL if residual else None,
+        )
+        _assert_pinned(plan, size, self.PINNED[residual])
 
 
 class _CountingToken(CancelToken):

@@ -119,6 +119,24 @@ def test_close_drains_queued_queries_then_rejects_new_ones(storage):
     service.close()  # idempotent
 
 
+def test_ticket_submitted_while_close_runs_resolves(storage, monkeypatch):
+    """close() running inside submit() (here: at its ``service_queries``
+    bump) must not strand the ticket behind the shutdown sentinels."""
+    service = QueryService(storage, workers=2, queue_size=32)
+    bump = instrumentation.bump
+
+    def close_mid_submit(key, count=1):
+        bump(key, count)
+        if key == "service_queries":
+            service.close()
+
+    monkeypatch.setattr(instrumentation, "bump", close_mid_submit)
+    ticket = service.submit(query())
+    monkeypatch.setattr(instrumentation, "bump", bump)
+    assert ticket.result(timeout=30).ok
+    assert service.snapshot()["queue_depth"] == 0
+
+
 def test_result_wait_timeout_is_independent_of_query_deadline(storage):
     with QueryService(storage, workers=1) as service:
         ticket = service.submit(query())
