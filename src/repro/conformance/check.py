@@ -19,15 +19,6 @@ tier                    route
 ``"batch"``             the ``engine`` tier with the batch size pinned
                         to 2 (:mod:`repro.engine.batch`), so small
                         inputs still cross chunk boundaries
-``"yannakakis"``        the acyclic fast path: every maximal
-                        join/outerjoin subtree runs as a GYO join tree
-                        through the full semijoin reducer
-                        (:mod:`repro.engine.yannakakis`); wrapper
-                        operators (restrict/project/union/FOJ/semi/
-                        anti/GOJ) evaluate via the algebra layer.
-                        Declines (skips) when a core subtree has no
-                        safe join tree — cyclic class hypergraph, or an
-                        outerjoin graph outside Theorem 1
 ``"wcoj"``              the cyclic fast path: every maximal *pure-join*
                         subtree with a genuinely cyclic class
                         hypergraph runs as a Leapfrog Triejoin over
@@ -35,7 +26,7 @@ tier                    route
                         wrapper/outerjoin operators evaluate via the
                         algebra layer on the recursed children.
                         Declines (skips) when no core is cyclic —
-                        acyclic graphs belong to Yannakakis/DP, and
+                        acyclic graphs belong to the DP tree, and
                         outerjoins never enter a cyclic core
 ======================  =====================================================
 
@@ -70,7 +61,6 @@ EXECUTOR_TIERS: Tuple[str, ...] = (
     "engine",
     "sqlite",
     "batch",
-    "yannakakis",
     "wcoj",
 )
 
@@ -78,7 +68,7 @@ _ENGINE_TIERS = frozenset({"engine", "batch"})
 
 #: Tiers that evaluate through :class:`~repro.engine.storage.Storage`
 #: (and hence benefit from a shared instance across many checks).
-_STORAGE_TIERS = _ENGINE_TIERS | {"yannakakis", "wcoj"}
+_STORAGE_TIERS = _ENGINE_TIERS | {"wcoj"}
 
 
 def supported_executors(
@@ -146,12 +136,6 @@ def run_executor(
             return oracle.evaluate(expr)
         with SQLiteOracle(db) as own:
             return own.evaluate(expr)
-    if name == "yannakakis":
-        from repro.engine.storage import Storage
-
-        if storage is None:
-            storage = Storage.from_database(db)
-        return _run_yannakakis(expr, db, storage)
     if name == "wcoj":
         from repro.engine.storage import Storage
 
@@ -161,13 +145,22 @@ def run_executor(
     raise PlanningError(f"unknown executor tier {name!r}")
 
 
-def _recurse_with_cores(tier: str, expr: Expression, db: Database, is_core, run_core):
-    """Shared wrapper recursion of the fast-path tiers.
+def _run_wcoj(expr: Expression, db: Database, storage) -> Relation:
+    """Evaluate with every maximal cyclic join core on the WCOJ fast path.
 
-    Maximal subtrees satisfying ``is_core`` evaluate through the tier's
-    fast path (``run_core``); every other operator evaluates via the
-    algebra layer on the recursed children, so a tier only ever vouches
-    for the fragment its fast path actually ran.
+    A *core* here is a pure tree of Rel/Join — outerjoins never enter a
+    cyclic core (Theorem 1 certifies reordering them only on the
+    implementing-tree side).  Each maximal core whose attribute-class
+    hypergraph is genuinely cyclic runs as a Leapfrog Triejoin over
+    sorted tries; every other operator evaluates via the algebra layer
+    on the recursed children, so the tier only ever vouches for the
+    fragment Leapfrog actually ran.  Raises :class:`PlanningError` — a
+    cross-check *skip* — when no core is WCOJ-eligible, so the tier
+    never silently duplicates the algebra tier.  Note the existing
+    ``cycle``/``random`` fuzz topologies join every edge on ``.a = .a``,
+    collapsing all attributes into one class; their class hypergraphs
+    are acyclic and this tier declines on them by design — only the
+    alternating-attribute cyclic topologies actually run here.
     """
     from repro.algebra import operators as ops
     from repro.algebra.goj import generalized_outerjoin
@@ -183,12 +176,33 @@ def _recurse_with_cores(tier: str, expr: Expression, db: Database, is_core, run_
         RightOuterJoin,
         Semijoin,
     )
+    from repro.core.graph import graph_of
+    from repro.core.wcoj_order import wcoj_spec_of
+    from repro.engine.executor import execute_plan
+    from repro.engine.wcoj import build_wcoj_plan
+
+    registry = storage.registry
+    took_fast_path = False
+
+    def is_core(node: Expression) -> bool:
+        if isinstance(node, Rel):
+            return True
+        if isinstance(node, Join):
+            return is_core(node.left) and is_core(node.right)
+        return False
 
     def recurse(node: Expression) -> Relation:
+        nonlocal took_fast_path
         if isinstance(node, Rel):
             return node.eval(db)
         if is_core(node):
-            return run_core(node)
+            spec = wcoj_spec_of(graph_of(node, registry), registry)
+            if spec is None:
+                raise PlanningError(
+                    f"wcoj tier declines: join core is not cyclic for {node!r}"
+                )
+            took_fast_path = True
+            return execute_plan(build_wcoj_plan(spec, storage, {})).relation
         if isinstance(node, Join):
             return ops.join(recurse(node.left), recurse(node.right), node.predicate)
         if isinstance(node, LeftOuterJoin):
@@ -217,98 +231,10 @@ def _recurse_with_cores(tier: str, expr: Expression, db: Database, is_core, run_
             )
         if isinstance(node, Union):
             return ops.union_padded(recurse(node.left), recurse(node.right))
-        raise PlanningError(f"{tier} tier cannot evaluate {type(node).__name__}")
+        raise PlanningError(f"wcoj tier cannot evaluate {type(node).__name__}")
 
-    return recurse(expr)
-
-
-def _run_yannakakis(expr: Expression, db: Database, storage) -> Relation:
-    """Evaluate with every maximal join core on the acyclic fast path.
-
-    A *core* subtree is a pure tree of Rel/Join/LeftOuterJoin/
-    RightOuterJoin — exactly the fragment :func:`~repro.core.graph.graph_of`
-    abstracts into a query graph.  Each maximal core runs as a GYO join
-    tree through :class:`~repro.engine.yannakakis.YannakakisOp`; wrapper and extended operators evaluate via the algebra
-    layer on the recursed children.  Raises :class:`PlanningError` — a
-    cross-check *skip* — when no core yields a safe join tree, so the
-    tier never silently duplicates the algebra tier.
-    """
-    from repro.core.expressions import Join, LeftOuterJoin, Rel, RightOuterJoin
-    from repro.core.graph import graph_of
-    from repro.core.gyo import join_tree_of
-    from repro.engine.executor import execute_plan
-    from repro.engine.yannakakis import build_yannakakis_plan
-
-    registry = storage.registry
-    took_fast_path = [False]
-
-    def is_core(node: Expression) -> bool:
-        if isinstance(node, Rel):
-            return True
-        if isinstance(node, (Join, LeftOuterJoin, RightOuterJoin)):
-            return is_core(node.left) and is_core(node.right)
-        return False
-
-    def run_core(node: Expression) -> Relation:
-        graph = graph_of(node, registry)
-        tree = join_tree_of(graph, registry)
-        if tree is None:
-            raise PlanningError(
-                f"yannakakis tier declines: no safe join tree for {node!r}"
-            )
-        took_fast_path[0] = True
-        return execute_plan(build_yannakakis_plan(tree, storage, {})).relation
-
-    relation = _recurse_with_cores("yannakakis", expr, db, is_core, run_core)
-    if not took_fast_path[0]:
-        raise PlanningError("yannakakis tier declines: no multi-relation join core")
-    return relation
-
-
-def _run_wcoj(expr: Expression, db: Database, storage) -> Relation:
-    """Evaluate with every maximal cyclic join core on the WCOJ fast path.
-
-    A *core* here is a pure tree of Rel/Join — outerjoins never enter a
-    cyclic core (Theorem 1 certifies reordering them only on the
-    implementing-tree side), so unlike the yannakakis tier they are
-    handled as wrappers via the algebra layer.  Each maximal core whose
-    attribute-class hypergraph is genuinely cyclic runs as a Leapfrog
-    Triejoin over sorted tries.  Raises :class:`PlanningError` — a
-    cross-check *skip* — when no core is WCOJ-eligible, so the tier
-    never silently duplicates the algebra tier.  Note the existing
-    ``cycle``/``random`` fuzz topologies join every edge on ``.a = .a``,
-    collapsing all attributes into one class; their class hypergraphs
-    are acyclic and this tier declines on them by design — only the
-    alternating-attribute cyclic topologies actually run here.
-    """
-    from repro.core.expressions import Join, Rel
-    from repro.core.graph import graph_of
-    from repro.core.wcoj_order import wcoj_spec_of
-    from repro.engine.executor import execute_plan
-    from repro.engine.wcoj import build_wcoj_plan
-
-    registry = storage.registry
-    took_fast_path = [False]
-
-    def is_core(node: Expression) -> bool:
-        if isinstance(node, Rel):
-            return True
-        if isinstance(node, Join):
-            return is_core(node.left) and is_core(node.right)
-        return False
-
-    def run_core(node: Expression) -> Relation:
-        graph = graph_of(node, registry)
-        spec = wcoj_spec_of(graph, registry)
-        if spec is None:
-            raise PlanningError(
-                f"wcoj tier declines: join core is not cyclic for {node!r}"
-            )
-        took_fast_path[0] = True
-        return execute_plan(build_wcoj_plan(spec, storage, {})).relation
-
-    relation = _recurse_with_cores("wcoj", expr, db, is_core, run_core)
-    if not took_fast_path[0]:
+    relation = recurse(expr)
+    if not took_fast_path:
         raise PlanningError("wcoj tier declines: no cyclic join core")
     return relation
 

@@ -12,8 +12,8 @@ demand the replayed plan's engine result is bag-equal to the *naive*
 algebra evaluation of the second tree — the slow transcription of the
 paper's definitions, evaluated with the oracle operator table.  The
 replayed plan is the one the service would serve: the physical plan of
-the strategy the second optimization chose (DP tree, Yannakakis or
-Leapfrog Triejoin).
+the strategy the second optimization chose (DP tree or Leapfrog
+Triejoin).
 
 Graphs that are not freely reorderable are exercised too, with one
 twist: two implementing trees of a *non-nice* graph are inequivalent

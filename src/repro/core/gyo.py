@@ -16,13 +16,17 @@ from the hash-decomposable equality keys of every edge predicate, decides
 acyclicity with GYO, materializes the tree as a maximum-weight spanning
 tree of the intersection graph (Maier's characterization, breaking ties
 toward query-graph edges so every tree edge carries a real predicate),
-classifies leftover graph edges as *chords*, and roots the tree.  Outerjoin graphs take the fast path only under the paper's own
+classifies leftover graph edges as *chords*, and roots the tree.
+Outerjoin graphs get a tree only under the paper's own
 safety certificate: Theorem 1 must hold (nice + strong), the tree must
 use every graph edge (no chords), and the root must lie in the join core
 so each outerjoin edge is oriented preserved-parent → null-supplied-child
 — exactly the orientation under which the full reducer's semijoins are
 legal (a preserved side is never reduced by its null-supplied child).
-Anything else returns ``None`` and the optimizer keeps its DP plan.
+Anything else returns ``None``.  The tree's one consumer is the
+semijoin-reducer operator (:mod:`repro.engine.yannakakis`), which the
+optimizer does not serve: it is kept until the benchmark ladder drops
+its import.
 """
 
 from __future__ import annotations
@@ -246,7 +250,7 @@ def _graph_edge(
 def join_tree_of(
     graph: QueryGraph, registry: SchemaRegistry
 ) -> Optional[JoinTree]:
-    """Build a rooted join tree for the graph, or ``None`` for DP fallback.
+    """Build a rooted join tree for the graph, or ``None`` when none is safe.
 
     The acyclicity *decision* is :func:`gyo_reduce` on the class
     hypergraph; the tree itself comes from Maier's characterization — a

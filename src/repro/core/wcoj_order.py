@@ -11,7 +11,7 @@ module does the *planning* half of that story, staying in the core layer
   query graph whose every edge carries at least one hash-decomposable
   equality conjunct and whose attribute-class hypergraph is genuinely
   *cyclic* (GYO gets stuck).  Acyclic graphs return ``None``: the
-  Yannakakis fast path and the binary-tree DP already own them, and the
+  binary-tree DP already owns them, and the
   paper's outerjoin theory (Theorem 1) never certifies reordering an
   outerjoin into the middle of a cyclic core, so graphs with outerjoin
   edges return ``None`` too.
@@ -23,8 +23,7 @@ module does the *planning* half of that story, staying in the core layer
   must run as post-filters over assembled rows.
 
 The spec is a frozen value object so the plan cache can replay it under
-its generation-keyed invalidation, exactly like the Yannakakis join
-tree.
+its generation-keyed invalidation.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ def wcoj_spec_of(
 ) -> Optional[WcojSpec]:
     """Build the WCOJ spec for a cyclic pure-join graph, or ``None``.
 
-    Returns ``None`` — the caller keeps its binary/Yannakakis plan —
+    Returns ``None`` — the caller keeps its DP plan —
     when the graph has outerjoin edges, is empty or disconnected, has an
     edge without an equality key (no trie key to intersect on), or when
     the attribute-class hypergraph is α-acyclic (GYO succeeds): the
@@ -127,7 +126,7 @@ def wcoj_spec_of(
 
     hyper = {node: frozenset(rel_classes[node]) for node in graph.nodes}
     if gyo_reduce(hyper) is not None:
-        return None  # α-acyclic: Yannakakis / DP territory
+        return None  # α-acyclic: DP territory
 
     degree: Dict[str, int] = {}
     for verts in hyper.values():

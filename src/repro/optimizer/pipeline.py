@@ -31,7 +31,6 @@ from typing import Dict, List, Optional
 from repro.algebra.predicates import Predicate, conjunction
 from repro.core.expressions import Expression, Rel, Restrict
 from repro.core.graph import QueryGraph, graph_of
-from repro.core.gyo import JoinTree, join_tree_of
 from repro.core.pushdown import push_restrictions
 from repro.core.reorderability import ReorderabilityVerdict, theorem1_applies
 from repro.core.simplify import simplify_outerjoins
@@ -69,18 +68,15 @@ class PipelineResult:
     #: True when the chosen plan (or verdict) was replayed from the cache.
     cache_hit: bool = False
     #: What ``optimize_and_run`` — and so every query the service
-    #: serves — executes: the binary-tree DP plan ("dp"), the acyclic
-    #: semijoin-reduced fast path ("yannakakis"), or the cyclic
-    #: worst-case optimal Leapfrog Triejoin ("wcoj"), as the cost gates
+    #: serves — executes: the binary-tree DP plan ("dp") or the cyclic
+    #: worst-case optimal Leapfrog Triejoin ("wcoj"), as the cost gate
     #: decided.
     strategy: str = "dp"
-    #: The rooted join tree backing the acyclic fast path (None otherwise).
-    join_tree: Optional[JoinTree] = None
     #: The trie layout + variable order backing the cyclic fast path
     #: (None unless the strategy is "wcoj").
     wcoj_spec: Optional[WcojSpec] = None
     #: Pushed leaf filters (relation -> conjuncts); what
-    #: ``_reattach_filters`` re-applies and the Yannakakis builder scans
+    #: ``_reattach_filters`` re-applies and the Leapfrog builder scans
     #: under.  Empty when the query never reached the graph stage.
     leaf_filters: Dict[str, List[Predicate]] = field(default_factory=dict)
 
@@ -100,6 +96,12 @@ class PipelineResult:
                 + ("freely reorderable" if self.verdict.freely_reorderable else "NOT freely reorderable")
             )
         lines.append(f"chosen:     {self.chosen.to_infix()}")
+        strategy = self.strategy
+        if self.wcoj_spec is not None:
+            strategy += f" (Leapfrog over {', '.join(self.wcoj_spec.variables)})"
+        if self.cache_hit:
+            strategy += ", replayed from the plan cache"
+        lines.append(f"strategy:   {strategy}")
         return "\n".join(lines)
 
 
@@ -245,15 +247,15 @@ def _optimize_query(
             # freely-reorderable graph the cached entry carries the
             # chosen tree; otherwise only the (graph-determined)
             # verdict, because non-nice trees are NOT interchangeable
-            # and the written order must stand.  The cached join tree /
-            # WCOJ spec is the strategy the gates chose.
-            verdict, chosen, join_tree, wcoj_spec = hit
+            # and the written order must stand.  A cached WCOJ spec is
+            # the strategy the gate chose.
+            verdict, chosen, wcoj_spec = hit
             result.verdict = verdict
             result.cache_hit = True
             if chosen is not None:
                 result.chosen = chosen
                 result.reordered = True
-            _set_strategy(result, join_tree, wcoj_spec)
+            _set_strategy(result, wcoj_spec)
             return result
 
     with maybe_span("optimizer.niceness", category="optimizer") as span:
@@ -266,7 +268,7 @@ def _optimize_query(
     result.verdict = verdict
     if not verdict.freely_reorderable:
         if cache is not None:
-            cache.store(result.fingerprint, generation, (verdict, None, None, None))
+            cache.store(result.fingerprint, generation, (verdict, None, None))
         return result
 
     stats_view = _filtered_storage(storage, filters)
@@ -281,94 +283,18 @@ def _optimize_query(
     plan = DPOptimizer(graph, model).optimize()
     result.chosen = _reattach_filters(plan.expr, filters)
     result.reordered = True
-    join_tree = _acyclic_fast_path(graph, registry, estimator, plan.expr)
-    wcoj_spec: Optional[WcojSpec] = None
-    if join_tree is None:
-        wcoj_spec = _cyclic_fast_path(graph, registry, estimator, plan.expr)
+    wcoj_spec = _cyclic_fast_path(graph, registry, estimator, plan.expr)
     if cache is not None:
-        cache.store(
-            result.fingerprint, generation, (verdict, result.chosen, join_tree, wcoj_spec)
-        )
-    _set_strategy(result, join_tree, wcoj_spec)
+        cache.store(result.fingerprint, generation, (verdict, result.chosen, wcoj_spec))
+    _set_strategy(result, wcoj_spec)
     return result
 
 
-def _set_strategy(
-    result: PipelineResult, join_tree: Optional[JoinTree], wcoj_spec: Optional[WcojSpec]
-) -> None:
-    """Record the fast path a gate chose (at most one is not None), else keep "dp"."""
-    if join_tree is not None:
-        result.join_tree = join_tree
-        result.strategy = "yannakakis"
-    elif wcoj_spec is not None:
+def _set_strategy(result: PipelineResult, wcoj_spec: Optional[WcojSpec]) -> None:
+    """Record the Leapfrog plan when the gate chose it, else keep "dp"."""
+    if wcoj_spec is not None:
         result.wcoj_spec = wcoj_spec
         result.strategy = "wcoj"
-
-
-def _acyclic_fast_path(
-    graph: QueryGraph,
-    registry,
-    estimator: CardinalityEstimator,
-    dp_expr: Expression,
-) -> Optional[JoinTree]:
-    """Take the Yannakakis fast path when it is safe *and* cheaper.
-
-    Safety is :func:`~repro.core.gyo.join_tree_of`'s certificate (class
-    hypergraph α-acyclic, every tree edge a real graph edge, outerjoins
-    only under Theorem 1 with a core root and no chords).  The cost test
-    compares C_out of the DP's binary tree against
-    :func:`_reducer_cost`, the bill of what :class:`YannakakisOp` runs —
-    both measured with the same estimator under one memo scope, so the
-    comparison is apples-to-apples.
-    """
-    with maybe_span("optimizer.yannakakis", category="optimizer") as span:
-        tree = join_tree_of(graph, registry)
-        if tree is None:
-            if span is not None:
-                span.set(acyclic=False, chosen=False)
-            return None
-        with estimator.memo_scope():
-            dp_cost = CoutCostModel(estimator).plan_cost(dp_expr)
-            output = estimator.estimate_expression(dp_expr).cardinality
-            yann_cost = _reducer_cost(tree, estimator, output, dp_cost)
-        chosen = yann_cost < dp_cost
-        if span is not None:
-            span.set(acyclic=True, chosen=chosen)
-            span.counters["dp_cost"] = int(dp_cost)
-            span.counters["yannakakis_cost"] = int(yann_cost)
-        return tree if chosen else None
-
-
-def _reducer_cost(
-    tree: JoinTree, estimator: CardinalityEstimator, output: float, dp_cost: float
-) -> float:
-    """What :class:`~repro.engine.yannakakis.YannakakisOp` does, phase by phase.
-
-    * materialize every input: Σ|R|;
-    * the bottom-up pass (join edges) and the top-down pass (every edge):
-      each semijoin builds on one side and probes the other, billed
-      |parent| + |child| at the unreduced sizes;
-    * the join phase: C_out of the preorder left-deep chain.  After full
-      reduction of a chord-free tree every prefix row reaches an output
-      row, so a prefix bills at most ``output``.  An outerjoin edge never
-      reduces its preserved side, so a tree with one bills its join
-      phase at no less than ``dp_cost``, the DP tree's C_out.
-    """
-    card = {name: estimator.base(name).cardinality for name in tree.order}
-    passes = sum(
-        (2 if edge.kind == "join" else 1) * (card[edge.parent] + card[edge.child])
-        for edge in tree.edges
-    )
-    cap = float("inf") if tree.chords else output
-    acc = estimator.base(tree.root)
-    join_phase = 0.0
-    for edge in tree.edges:
-        kind = "join" if edge.kind == "join" else "left_outer"
-        acc = estimator.combine(kind, edge.predicate, acc, estimator.base(edge.child))
-        join_phase += min(acc.cardinality, cap)
-    if any(edge.kind == "oj" for edge in tree.edges):
-        join_phase = max(join_phase, dp_cost)
-    return sum(card.values()) + passes + join_phase
 
 
 def _cyclic_fast_path(
@@ -387,8 +313,8 @@ def _cyclic_fast_path(
     one pass over the (filtered) base relations to build/drain the tries
     plus the AGM fractional-cover bound on the output — the worst case
     the algorithm is guaranteed never to exceed.  Both sides use the
-    same estimator under one memo scope, so the gate is apples-to-apples
-    with the Yannakakis gate above.
+    same estimator under one memo scope, so the comparison is
+    apples-to-apples.
     """
     with maybe_span("optimizer.wcoj", category="optimizer") as span:
         spec = wcoj_spec_of(graph, registry)
@@ -419,8 +345,8 @@ def optimize_and_run(
     """Optimize, execute the strategy the optimizer chose, return both records.
 
     The one query path (the service runs every query through it); the
-    plan comes from :func:`physical_plan`.  The optimizer's cost gates
-    alone set the strategy.  ``cancel`` reaches the drain loop and
+    plan comes from :func:`physical_plan`.  The optimizer's cost gate
+    alone sets the strategy.  ``cancel`` reaches the drain loop and
     metrics sink of every strategy's plan.
     """
     result = optimize_query(
@@ -434,17 +360,11 @@ def optimize_and_run(
 def physical_plan(result: PipelineResult, storage: Storage) -> PhysicalOp:
     """The physical plan of the strategy the optimizer chose.
 
-    A "yannakakis" strategy builds the semijoin-reduced N-ary plan from
-    the join tree and leaf filters; a "wcoj" strategy builds the
-    Leapfrog Triejoin plan from the trie spec; "dp" plans ``chosen``.
+    A "wcoj" strategy builds the Leapfrog Triejoin plan from the trie
+    spec and leaf filters; "dp" plans ``chosen``.
     Every caller that runs an optimized query (``optimize_and_run``, the
     plan-cache conformance check) gets its plan here.
     """
-    if result.strategy == "yannakakis":
-        from repro.engine.yannakakis import build_yannakakis_plan
-
-        assert result.join_tree is not None
-        return build_yannakakis_plan(result.join_tree, storage, result.leaf_filters)
     if result.strategy == "wcoj":
         from repro.engine.wcoj import build_wcoj_plan
 

@@ -90,7 +90,7 @@ class QueryOutcome:
 
     @property
     def strategy(self) -> Optional[str]:
-        """Which strategy served the query ("dp", "yannakakis", "wcoj")."""
+        """Which strategy served the query: the DP tree ("dp") or Leapfrog ("wcoj")."""
         return self.pipeline.strategy if self.pipeline is not None else None
 
     def require(self) -> Relation:

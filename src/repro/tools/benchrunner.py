@@ -20,8 +20,8 @@ Modes:
 * ``--only S``   — filter scenarios by substring.
 
 The per-strategy races that used to live here (batch vs row iterators,
-Yannakakis, Leapfrog Triejoin and the SQL backends vs the DP plan,
-tracing overhead) are superseded by the served-traffic ladder under
+the retired semijoin reducer, Leapfrog Triejoin and the SQL backends vs
+the DP plan, tracing overhead) are superseded by the served-traffic ladder under
 ``benchmarks/ladder/``, which times SQLite-native as its yardstick; their
 last reports stay checked in as ``BENCH_PR*.json``.
 """

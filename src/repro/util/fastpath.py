@@ -3,8 +3,8 @@
 A :class:`Switch` holds a process default plus scoped overrides that are
 private to the thread that opened them, so a test or a conformance tier
 can pin a value for its own query without another thread seeing it or
-restoring over it.  None chooses a strategy: the optimizer's cost gates
-decide which plan runs.
+restoring over it.  None chooses a strategy: the optimizer's cost gate
+decides which plan runs.
 
 The module lives under ``util`` so the algebra can consult it without
 importing the engine.

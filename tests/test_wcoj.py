@@ -1,7 +1,6 @@
 """The cyclic fast path end to end: operator, dispatch, tier, DP parity.
 
-Four layers of assurance, mirroring test_yannakakis.py for the acyclic
-path:
+Four layers of assurance:
 
 * known-answer pattern counts (triangle, 4-clique) against an
   independent brute-force recomputation, the SQLite oracle, and the
@@ -287,7 +286,7 @@ class TestOptimizerDispatch:
         expr = sample_implementing_tree(scenario.graph, rng)
         db = random_database(scenario.schemas, seed=3, max_rows=20)
         result = optimize_query(expr, Storage.from_database(db), use_cache=False)
-        assert result.strategy in ("dp", "yannakakis")
+        assert result.strategy == "dp"
         assert result.wcoj_spec is None
 
     def test_collapsed_class_cycle_stays_off_wcoj(self):
@@ -333,6 +332,17 @@ class TestOptimizerDispatch:
         assert not first.cache_hit and second.cache_hit
         assert second.wcoj_spec == first.wcoj_spec
         assert bag_equal(run1.relation, run2.relation)
+
+    def test_explain_names_the_leapfrog_plan_that_runs(self):
+        expr, _db, storage = self._triangle_storage()
+        cache = PlanCache()
+        cold = optimize_query(expr, storage, cache=cache)
+        warm = optimize_query(expr, storage, cache=cache)
+        order = ", ".join(cold.wcoj_spec.variables)
+        assert cold.explain().splitlines()[-1] == f"strategy:   wcoj (Leapfrog over {order})"
+        assert warm.explain().splitlines()[-1] == (
+            f"strategy:   wcoj (Leapfrog over {order}), replayed from the plan cache"
+        )
 
     def test_small_data_keeps_the_dp_plan(self):
         # One row per relation: the AGM bound cannot beat C_out's tiny

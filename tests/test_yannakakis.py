@@ -1,11 +1,11 @@
-"""End-to-end tests for the Yannakakis acyclic fast path.
+"""The Yannakakis semijoin-reducer operator, and acyclic graphs on the served path.
 
 Covers the physical operator (full reducer + output-linear join against
 the naive oracle, outerjoin padding, null keys, chords, batch-size
-parity), the optimizer's strategy choice and plan-cache interplay,
-EXPLAIN ANALYZE surfacing of the reducer, the ``yannakakis`` conformance
-tier, and in-process checks that whatever strategy the gates pick is
-bag-equal to the DP tree and to the oracle.
+parity) and EXPLAIN ANALYZE surfacing of the reducer.  The optimizer
+does not serve the reducer: acyclic graphs, the needle chain included,
+run as DP trees, and whatever the Leapfrog gate picks stays bag-equal to
+the DP tree and to the oracle.
 """
 
 import random
@@ -16,10 +16,9 @@ from repro.algebra.comparison import bag_equal
 from repro.algebra.nulls import NULL, is_null
 from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.predicates import eq
-from repro.conformance.check import EXECUTOR_TIERS, cross_check, run_executor
 from repro.core.enumeration import sample_implementing_tree
-from repro.core.expressions import Project, Restrict, jn, rel
-from repro.core.graph import QueryGraph, graph_of
+from repro.core.expressions import jn, rel
+from repro.core.graph import QueryGraph
 from repro.core.gyo import join_tree_of
 from repro.datagen.random_db import random_database
 from repro.datagen.topologies import (
@@ -56,8 +55,8 @@ def needle_chain():
     E2's halves pair a key inside one endpoint's heavy window with a key
     that matches nothing on the other end, so a binary plan fans half of
     E2 out before the far end kills it; only three needle keys reach the
-    output.  E3's window is the heavier one, and the DP's tree joins it
-    first, so the reducer's bill comes out below the DP tree's C_out.
+    output.  It is the one input on record where the reducer's bill came
+    out below the DP tree's C_out; the optimizer serves it as a DP tree.
     """
     storage = Storage()
     needles = (10_000, 10_001, 10_002)
@@ -181,31 +180,15 @@ class TestExplain:
 
 class TestOptimizerStrategy:
     def test_chain_chooses_yannakakis_and_matches_dp(self):
+        # The needle chain is the one input on record where the reducer
+        # priced below the DP tree; the optimizer no longer serves the
+        # reducer, so it now chooses the DP tree.
         expr, storage = needle_chain()
         result, execution = optimize_and_run(expr, storage, use_cache=False)
-        assert result.strategy == "yannakakis"
-        assert result.join_tree is not None
+        assert result.strategy == "dp"
         assert bag_equal(execution.relation, execute(result.chosen, storage).relation)
-        assert bag_equal(execution.relation, expr.eval(storage.to_database()))
+        assert bag_equal(execution.relation, expr.eval(storage.to_database(), ops=ORACLE_OPS))
         assert len(execution.relation) == 3  # the needles
-
-    @pytest.mark.parametrize(
-        "scenario",
-        [snowflake(3, arm_length=2, oj_arms=2), chain(4, ["join", "out", "out"])],
-        ids=lambda s: s.name,
-    )
-    def test_outerjoin_shapes_price_to_dp(self, scenario):
-        # The preserved side of an outerjoin edge is never reduced, so
-        # the reducer's join phase bills at least the DP tree's C_out and
-        # its semijoin passes come on top: eligible, but never cheaper.
-        assert join_tree_of(scenario.graph, scenario.registry) is not None
-        for seed in (0, 1, 2):
-            expr, _db, storage, _tree = scenario_case(
-                scenario, seed, min_rows=1000, max_rows=1000, domain=200,
-                null_probability=0.05,
-            )
-            result = optimize_query(expr, storage, use_cache=False)
-            assert result.strategy == "dp", (scenario.name, seed)
 
     def test_cyclic_class_hypergraph_stays_on_dp(self):
         graph = QueryGraph.from_edges(
@@ -226,89 +209,41 @@ class TestOptimizerStrategy:
         assert bag_equal(execution.relation, expr.eval(db))
 
     def test_cached_plan_replays_the_join_tree(self):
+        # A cache hit replays the cold run's strategy and plan: for the
+        # needle chain, the DP tree.
         expr, storage = needle_chain()
         cache = PlanCache()
         first = optimize_query(expr, storage, cache=cache)
-        assert first.strategy == "yannakakis" and not first.cache_hit
+        assert first.strategy == "dp" and not first.cache_hit
         second = optimize_query(expr, storage, cache=cache)
         assert second.cache_hit
-        assert second.strategy == "yannakakis"
-        assert second.join_tree == first.join_tree
+        assert second.strategy == "dp"
+        assert second.chosen == first.chosen
 
 
 class TestServed:
     def test_service_serves_the_reducer_plan(self):
+        # The served needle chain runs as a DP tree, cold and from the
+        # plan cache, and both answers match the oracle.
         expr, storage = needle_chain()
-        with QueryService(storage, workers=1, use_cache=False) as service:
-            outcome = service.execute(expr)
-        assert outcome.ok and outcome.strategy == "yannakakis"
-        assert isinstance(outcome.execution.plan, YannakakisOp)
-        assert bag_equal(outcome.relation, execute(outcome.pipeline.chosen, storage).relation)
-        assert bag_equal(outcome.relation, expr.eval(storage.to_database(), ops=ORACLE_OPS))
-
-    @pytest.mark.parametrize("how", ["cancel", "timeout"])
-    def test_deadline_reaches_the_reducer_plan(self, serve_interrupted, how):
-        import repro.engine.yannakakis as module
-
-        expr, storage = needle_chain()
-        outcome, built = serve_interrupted(expr, storage, module, "build_yannakakis_plan", how)
-        assert outcome.status == {"cancel": "cancelled", "timeout": "timeout"}[how]
-        assert [type(plan) for plan in built] == [YannakakisOp]
-
-
-class TestConformanceTier:
-    def test_tier_is_registered(self):
-        assert "yannakakis" in EXECUTOR_TIERS
-
-    def test_agrees_with_naive_on_acyclic_topologies(self):
-        for scenario in (chain(4, ["join", "out", "out"]), star(4, oj_leaves=1),
-                         snowflake(2, arm_length=2)):
-            expr, db, _storage, _tree = scenario_case(scenario, 8, null_probability=0.25)
-            got = run_executor("yannakakis", expr, db)
-            assert bag_equal(got, run_executor("naive", expr, db)), scenario.name
-
-    def test_wrapped_core_still_takes_the_fast_path(self):
-        scenario = chain(3)
-        expr, db, _storage, _tree = scenario_case(scenario, 9)
-        wrapped = Project(
-            Restrict(expr, eq("R1.a", "R2.a")), frozenset(["R1.a", "R3.a"]), dedup=False
-        )
-        got = run_executor("yannakakis", wrapped, db)
-        assert bag_equal(got, wrapped.eval(db))
-
-    def test_declines_on_cyclic_core(self):
-        schemas = {n: [f"{n}.a", f"{n}.b"] for n in ("R1", "R2", "R3")}
-        from repro.algebra.predicates import conjunction
-
-        # the R3.a=R1.b conjunct makes the *class* hypergraph a triangle
-        expr = jn(
-            jn(rel("R1"), rel("R2"), eq("R1.a", "R2.a")),
-            rel("R3"),
-            conjunction([eq("R2.b", "R3.b"), eq("R3.a", "R1.b")]),
-        )
-        db = random_database(schemas, seed=12)
-        with pytest.raises(PlanningError):
-            run_executor("yannakakis", expr, db)
-
-    def test_declines_without_a_join_core(self):
-        db = random_database({"R1": ["R1.a", "R1.b"]}, seed=13)
-        with pytest.raises(PlanningError):
-            run_executor("yannakakis", Restrict(rel("R1"), eq("R1.a", "R1.b")), db)
-
-    def test_cross_check_runs_the_tier(self):
-        scenario = snowflake(3, arm_length=1, oj_arms=1)
-        expr, db, _storage, _tree = scenario_case(scenario, 14)
-        result = cross_check(expr, db)
-        assert result.ok, result.summary()
-        assert "yannakakis" in result.results
+        oracle = expr.eval(storage.to_database(), ops=ORACLE_OPS)
+        with QueryService(storage, workers=1, plan_cache=PlanCache()) as service:
+            cold = service.execute(expr)
+            warm = service.execute(expr)
+        assert cold.ok and cold.strategy == "dp" and not cold.cache_hit
+        assert not isinstance(cold.execution.plan, YannakakisOp)
+        assert bag_equal(cold.relation, execute(cold.pipeline.chosen, storage).relation)
+        assert bag_equal(cold.relation, oracle)
+        assert len(cold.relation) == 3  # the needles
+        assert warm.ok and warm.strategy == "dp" and warm.cache_hit
+        assert bag_equal(warm.relation, oracle)
 
 
 class TestFastPathVsDPTree:
     def test_workloads_match_the_dp_tree_and_the_oracle(self):
-        """Whatever strategy the gates pick runs bag-equal to the DP tree
-        (``execute(result.chosen)``) and to the oracle, on two acyclic
-        workloads and a cyclic class hypergraph the reducer must leave
-        to the other strategies."""
+        """Whatever strategy the Leapfrog gate picks runs bag-equal to the
+        DP tree (``execute(result.chosen)``) and to the oracle, on two
+        acyclic workloads and a cyclic class hypergraph."""
         from repro.algebra.predicates import conjunction
 
         schemas = {n: [f"{n}.a", f"{n}.b"] for n in ("R1", "R2", "R3")}
@@ -331,4 +266,3 @@ class TestFastPathVsDPTree:
             dp = execute(result.chosen, storage).relation
             assert bag_equal(execution.relation, dp), (seed, result.strategy)
             assert bag_equal(execution.relation, expr.eval(db, ops=ORACLE_OPS)), seed
-        assert result.strategy != "yannakakis"  # the cyclic case
