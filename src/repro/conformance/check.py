@@ -23,19 +23,19 @@ tier                    route
                         subtree with a genuinely cyclic class
                         hypergraph runs as a Leapfrog Triejoin over
                         sorted tries (:mod:`repro.engine.wcoj`);
-                        wrapper/outerjoin operators evaluate via the
-                        algebra layer on the recursed children.
-                        Declines (skips) when no core is cyclic —
-                        acyclic graphs belong to the DP tree, and
-                        outerjoins never enter a cyclic core
+                        every other operator is planned by the engine
+                        planner.  Declines (skips) when no core is
+                        cyclic — acyclic graphs belong to the DP tree,
+                        and outerjoins never enter a cyclic core
 ======================  =====================================================
 
 :func:`cross_check` runs a query through any subset of tiers and demands
 pairwise bag-equality of the results (pairwise equality is checked
-against the first tier that ran; equality is transitive).  Tiers that
-*cannot* run a query — the planner has no physical operator for
-``FullOuterJoin``/``Union``, the transpiler refuses opaque predicates —
-are recorded as skipped rather than failed, unless ``strict=True``.
+against the first tier that ran; equality is transitive).  Every tier
+is tried on every query; a tier that *declines* one — ``wcoj`` finds no
+cyclic core, the transpiler refuses an opaque predicate — raises a
+:class:`ReproError` and is recorded as skipped rather than failed,
+unless ``strict=True``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.algebra.comparison import RelationDiff, bag_equal, explain_difference
 from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.relation import Database, Relation
-from repro.core.expressions import Expression, FullOuterJoin, Union
+from repro.core.expressions import Expression
 from repro.observability.spans import maybe_span
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError, ReproError
@@ -64,29 +64,9 @@ EXECUTOR_TIERS: Tuple[str, ...] = (
     "wcoj",
 )
 
-_ENGINE_TIERS = frozenset({"engine", "batch"})
-
 #: Tiers that evaluate through :class:`~repro.engine.storage.Storage`
 #: (and hence benefit from a shared instance across many checks).
-_STORAGE_TIERS = _ENGINE_TIERS | {"wcoj"}
-
-
-def supported_executors(
-    expr: Expression, executors: Tuple[str, ...] = EXECUTOR_TIERS
-) -> Tuple[str, ...]:
-    """Drop tiers that statically cannot run this expression.
-
-    The physical planner has no operator for the two-sided outerjoin or
-    the padded union, so the engine tiers are excluded when either
-    appears.  (GOJ *is* plannable, but only with an equi-join conjunct;
-    that case is caught dynamically and reported as a skip.)
-    """
-    has_unplannable = any(
-        isinstance(node, (FullOuterJoin, Union)) for _path, node in expr.nodes()
-    )
-    if not has_unplannable:
-        return tuple(executors)
-    return tuple(e for e in executors if e not in _ENGINE_TIERS)
+_STORAGE_TIERS = frozenset({"engine", "batch", "wcoj"})
 
 
 def run_executor(
@@ -113,7 +93,7 @@ def run_executor(
             return expr.eval(db)
     if name == "algebra":
         return expr.eval(db)
-    if name in _ENGINE_TIERS:
+    if name in _STORAGE_TIERS:
         from repro.engine.executor import execute_plan
         from repro.engine.planner import Planner
         from repro.engine.storage import Storage
@@ -121,7 +101,7 @@ def run_executor(
 
         if storage is None:
             storage = Storage.from_database(db)
-        plan = Planner(storage).plan(expr)
+        plan = _wcoj_plan(expr, storage) if name == "wcoj" else Planner(storage).plan(expr)
         if name == "batch":
             # Batch size 2 on purpose: the fuzzer's tiny relations then
             # still span several batches, exercising chunk boundaries,
@@ -136,107 +116,50 @@ def run_executor(
             return oracle.evaluate(expr)
         with SQLiteOracle(db) as own:
             return own.evaluate(expr)
-    if name == "wcoj":
-        from repro.engine.storage import Storage
-
-        if storage is None:
-            storage = Storage.from_database(db)
-        return _run_wcoj(expr, db, storage)
     raise PlanningError(f"unknown executor tier {name!r}")
 
 
-def _run_wcoj(expr: Expression, db: Database, storage) -> Relation:
-    """Evaluate with every maximal cyclic join core on the WCOJ fast path.
+def _wcoj_plan(expr: Expression, storage):
+    """The engine plan of ``expr`` with each maximal cyclic join core on
+    the WCOJ fast path.
 
-    A *core* here is a pure tree of Rel/Join — outerjoins never enter a
-    cyclic core (Theorem 1 certifies reordering them only on the
-    implementing-tree side).  Each maximal core whose attribute-class
-    hypergraph is genuinely cyclic runs as a Leapfrog Triejoin over
-    sorted tries; every other operator evaluates via the algebra layer
-    on the recursed children, so the tier only ever vouches for the
-    fragment Leapfrog actually ran.  Raises :class:`PlanningError` — a
-    cross-check *skip* — when no core is WCOJ-eligible, so the tier
-    never silently duplicates the algebra tier.  Note the existing
-    ``cycle``/``random`` fuzz topologies join every edge on ``.a = .a``,
-    collapsing all attributes into one class; their class hypergraphs
-    are acyclic and this tier declines on them by design — only the
-    alternating-attribute cyclic topologies actually run here.
+    A *core* is a pure tree of Rel/Join; outerjoins never enter one
+    (Theorem 1 certifies reordering them only on the implementing-tree
+    side).  Each maximal core whose attribute-class hypergraph is
+    genuinely cyclic plans as a Leapfrog Triejoin over sorted tries;
+    everything else — acyclic cores included — is the engine planner's.
+    Raises :class:`PlanningError` (a cross-check *skip*) when no core is
+    cyclic, so the tier never silently duplicates ``engine``.
     """
-    from repro.algebra import operators as ops
-    from repro.algebra.goj import generalized_outerjoin
-    from repro.core.expressions import (
-        Antijoin,
-        GeneralizedOuterJoin,
-        Join,
-        LeftOuterJoin,
-        Project,
-        Rel,
-        Restrict,
-        RightAntijoin,
-        RightOuterJoin,
-        Semijoin,
-    )
+    from repro.core.expressions import Join, Rel
     from repro.core.graph import graph_of
     from repro.core.wcoj_order import wcoj_spec_of
-    from repro.engine.executor import execute_plan
+    from repro.engine.planner import Planner
     from repro.engine.wcoj import build_wcoj_plan
 
-    registry = storage.registry
-    took_fast_path = False
-
     def is_core(node: Expression) -> bool:
-        if isinstance(node, Rel):
-            return True
-        if isinstance(node, Join):
-            return is_core(node.left) and is_core(node.right)
-        return False
+        return isinstance(node, Rel) or (
+            isinstance(node, Join) and is_core(node.left) and is_core(node.right)
+        )
 
-    def recurse(node: Expression) -> Relation:
-        nonlocal took_fast_path
-        if isinstance(node, Rel):
-            return node.eval(db)
-        if is_core(node):
-            spec = wcoj_spec_of(graph_of(node, registry), registry)
-            if spec is None:
-                raise PlanningError(
-                    f"wcoj tier declines: join core is not cyclic for {node!r}"
-                )
-            took_fast_path = True
-            return execute_plan(build_wcoj_plan(spec, storage, {})).relation
-        if isinstance(node, Join):
-            return ops.join(recurse(node.left), recurse(node.right), node.predicate)
-        if isinstance(node, LeftOuterJoin):
-            return ops.outerjoin(recurse(node.left), recurse(node.right), node.predicate)
-        if isinstance(node, RightOuterJoin):
-            return ops.outerjoin(recurse(node.right), recurse(node.left), node.predicate)
-        if isinstance(node, FullOuterJoin):
-            return ops.full_outerjoin(
-                recurse(node.left), recurse(node.right), node.predicate
-            )
-        if isinstance(node, Semijoin):
-            return ops.semijoin(recurse(node.left), recurse(node.right), node.predicate)
-        if isinstance(node, Antijoin):
-            return ops.antijoin(recurse(node.left), recurse(node.right), node.predicate)
-        if isinstance(node, RightAntijoin):
-            return ops.antijoin(recurse(node.right), recurse(node.left), node.predicate)
-        if isinstance(node, GeneralizedOuterJoin):
-            return generalized_outerjoin(
-                recurse(node.left), recurse(node.right), node.predicate, node.projection
-            )
-        if isinstance(node, Restrict):
-            return ops.restrict(recurse(node.child), node.predicate)
-        if isinstance(node, Project):
-            return ops.project(
-                recurse(node.child), sorted(node.attributes), dedup=node.dedup
-            )
-        if isinstance(node, Union):
-            return ops.union_padded(recurse(node.left), recurse(node.right))
-        raise PlanningError(f"wcoj tier cannot evaluate {type(node).__name__}")
+    class WcojPlanner(Planner):
+        leapfrogs = 0
 
-    relation = recurse(expr)
-    if not took_fast_path:
+        def plan(self, node: Expression):
+            if isinstance(node, Join) and is_core(node):
+                registry = self.storage.registry
+                spec = wcoj_spec_of(graph_of(node, registry), registry)
+                if spec is None:
+                    return Planner(self.storage).plan(node)
+                self.leapfrogs += 1
+                return build_wcoj_plan(spec, self.storage, {})
+            return super().plan(node)
+
+    planner = WcojPlanner(storage)
+    plan = planner.plan(expr)
+    if not planner.leapfrogs:
         raise PlanningError("wcoj tier declines: no cyclic join core")
-    return relation
+    return plan
 
 
 @dataclass

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from repro.algebra.comparison import RelationDiff, bag_equal, explain_difference
 from repro.algebra.relation import Database, Relation
-from repro.conformance.check import CheckResult, cross_check, supported_executors
+from repro.conformance.check import CheckResult, cross_check
 from repro.conformance.sqlite_oracle import SQLiteOracle
 from repro.core.enumeration import count_implementing_trees, implementing_trees
 from repro.core.expressions import Expression
@@ -138,7 +138,7 @@ def check_plan_space(
         result = cross_check(
             expr,
             db,
-            executors=supported_executors(expr, executors),
+            executors=executors,
             storage=storage,
             oracle=oracle,
         )
@@ -159,7 +159,7 @@ def check_plan_space(
                 report.cross_check_result = cross_check(
                     tree,
                     db,
-                    executors=supported_executors(tree, executors),
+                    executors=executors,
                     storage=storage,
                     oracle=oracle,
                 )

@@ -37,12 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.relation import Database
-from repro.conformance.check import (
-    EXECUTOR_TIERS,
-    CheckResult,
-    cross_check,
-    supported_executors,
-)
+from repro.conformance.check import EXECUTOR_TIERS, CheckResult, cross_check
 from repro.conformance.serialize import case_dumps, case_from_json, case_to_json
 from repro.conformance.shrink import shrink_case
 from repro.core.enumeration import count_implementing_trees
@@ -142,7 +137,7 @@ def generate_case(
     return FuzzCase(
         seed=seed,
         description=f"{scenario.name} op={extended}",
-        executors=supported_executors(expr, executors),
+        executors=tuple(executors),
         database=db,
         expression=expr,
     )
@@ -262,7 +257,7 @@ def _corpus_load(path: str, executors: Tuple[str, ...]) -> Optional[Tuple[List[F
     except (OSError, ValueError, KeyError, TypeError):
         return None
     for case in cases:
-        case.executors = supported_executors(case.expression, executors)
+        case.executors = tuple(executors)
     return cases, coverage
 
 

@@ -34,7 +34,6 @@ from typing import List
 
 from repro.algebra.comparison import bag_equal
 from repro.algebra.operators import ORACLE_OPS
-from repro.conformance.check import supported_executors
 from repro.core.enumeration import count_implementing_trees, sample_implementing_tree
 from repro.core.reorderability import theorem1_applies
 from repro.datagen.queries import random_scenario
@@ -107,8 +106,6 @@ def check_plan_cache(cases: int = 200, seed: int = 0) -> PlanCacheReport:
             if verdict.freely_reorderable
             else first
         )
-        if "naive" not in supported_executors(second, ("naive",)):
-            continue
         storage = Storage.from_database(db)
         report.cases += 1
         instrumentation.bump("plancache_conformance_cases")

@@ -455,6 +455,10 @@ class Union(Expression):
     def scheme(self, registry: SchemaRegistry) -> Schema:
         return self.left.scheme(registry).union(self.right.scheme(registry))
 
+    def with_parts(self, left: Expression, right: Expression, predicate=None) -> "Union":
+        """Rebuild with new operands (a union has no predicate)."""
+        return Union(left, right)
+
     def to_infix(self, show_predicates: bool = False) -> str:
         return f"({self.left.to_infix(show_predicates)} ∪ {self.right.to_infix(show_predicates)})"
 

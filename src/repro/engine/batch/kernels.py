@@ -340,7 +340,6 @@ class BatchHashJoiner:
         "label",
         "pad",
         "matched_build",
-        "finished",
     )
 
     def __init__(
@@ -374,7 +373,6 @@ class BatchHashJoiner:
                 col.append(NULL)
             self.pad = build.rows
         self.matched_build: set[int] = set()
-        self.finished = False
 
     # -- probe ----------------------------------------------------------------
 
@@ -518,7 +516,6 @@ class BatchHashJoiner:
 
     def finish(self, left_attrs: Sequence[str]) -> Optional[ColumnBatch]:
         """Unmatched build rows, null-padded on the left (full outer only)."""
-        self.finished = True
         if self.variant != "full_outer":
             return None
         matched = self.matched_build

@@ -6,7 +6,9 @@ hash join: build on the right, probe with the left through the
 :class:`~repro.engine.batch.kernels.BatchHashJoiner`'s inner match, track
 which S-projections of the left input found a match, and emit one
 null-padded witness per unmatched projection at the end (the witness
-tail).  Only the projection sets and the tail are GOJ-specific.
+tail).  Only the projection sets and the tail are GOJ-specific.  With
+no equi conjunct the build is keyless, as in the nested-loop join: every
+right row is a candidate and the whole predicate is the residual.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ class GeneralizedOuterJoinOp(PhysicalOp):
         self,
         left: PhysicalOp,
         right: PhysicalOp,
-        left_key: str,
-        right_key: str,
+        left_key: Optional[str],
+        right_key: Optional[str],
         projection: List[str],
         residual: Optional[Predicate] = None,
     ):
@@ -96,8 +98,11 @@ class GeneralizedOuterJoinOp(PhysicalOp):
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
+        if self.left_key is None:
+            condition = repr(self.residual)
+        else:
+            condition = f"{self.left_key} = {self.right_key}"
         return (
-            f"{pad}GeneralizedOuterJoin[S={self.projection}, "
-            f"{self.left_key} = {self.right_key}]\n"
+            f"{pad}GeneralizedOuterJoin[S={self.projection}, {condition}]\n"
             f"{self.left.describe(indent + 2)}\n{self.right.describe(indent + 2)}"
         )

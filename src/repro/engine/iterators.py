@@ -2,9 +2,10 @@
 
 Every operator exposes ``execute(metrics)`` returning an iterator of rows
 and a ``schema`` describing its output.  Join operators preserve their
-*left* input for the outer/semi/anti variants; the planner performs any
-operand swapping (e.g. a ``RightOuterJoin`` logical node runs as a
-left-preserving physical join with swapped children).
+*left* input for the outer/semi/anti variants (``full_outer`` preserves
+both, emitting the unmatched right rows after the probe loop); the
+planner performs any operand swapping (e.g. a ``RightOuterJoin`` logical
+node runs as a left-preserving physical join with swapped children).
 
 Retrieval metering follows Example 1's accounting:
 
@@ -39,7 +40,7 @@ from typing import List, Optional, Tuple
 
 from repro.observability.spans import Span
 
-from repro.algebra.nulls import satisfied
+from repro.algebra.nulls import NULL, satisfied
 from repro.algebra.predicates import PairView, Predicate, TruePredicate
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
@@ -59,7 +60,7 @@ from repro.util.errors import PlanningError
 from repro.util.fastpath import batch_size
 
 #: Join variants supported by the physical operators.
-JOIN_TYPES = ("inner", "left_outer", "semi", "anti")
+JOIN_TYPES = ("inner", "left_outer", "full_outer", "semi", "anti")
 
 
 class PhysicalOp:
@@ -109,6 +110,17 @@ class PhysicalOp:
             span.counters["mem_rows"] = build.bucketed_rows
             span.counters["build_buckets"] = len(build.buckets)
         return build
+
+    def _probe_all(self, joiner: BatchHashJoiner, metrics: Metrics) -> Iterator[ColumnBatch]:
+        """Probe ``joiner`` with every batch of ``self.left``, then emit its
+        full-outer tail (the unmatched build rows, left-padded)."""
+        for batch in self.left.execute_batches(metrics):
+            out = joiner.probe(batch)
+            if out is not None:
+                yield self._emit_batch(out)
+        tail = joiner.finish(sorted(self.left.schema.attributes))
+        if tail is not None:
+            yield self._emit_batch(tail)
 
     def span_label(self) -> str:
         """One-line operator label used for spans and EXPLAIN output."""
@@ -235,7 +247,7 @@ class ProjectOp(PhysicalOp):
 
 
 class NestedLoopJoin(PhysicalOp):
-    """Left-preserving nested-loop join over arbitrary predicates.
+    """Nested-loop join over arbitrary predicates.
 
     A one-bucket build of the hash joiner: the right input is collected
     into a :class:`~repro.engine.batch.kernels.BuildSide` with no key, so
@@ -276,10 +288,7 @@ class NestedLoopJoin(PhysicalOp):
         joiner = BatchHashJoiner(
             build, None, self.join_type, self.predicate, metrics, f"NLJ[{self.join_type}]"
         )
-        for batch in self.left.execute_batches(metrics):
-            out = joiner.probe(batch)
-            if out is not None:
-                yield self._emit_batch(out)
+        yield from self._probe_all(joiner, metrics)
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
@@ -297,6 +306,8 @@ class IndexNestedLoopJoin(PhysicalOp):
     million.  Only the inner rows the join examines are metered as
     retrieved (all of a probe's matches, or up to the first satisfied
     one for a semi join), each also counting one predicate evaluation.
+    That is also why it has no ``full_outer`` variant: the inner rows no
+    probe returned are never seen.
     """
 
     def __init__(
@@ -309,6 +320,8 @@ class IndexNestedLoopJoin(PhysicalOp):
         join_type: str = "inner",
     ):
         _check_join_type(join_type)
+        if join_type == "full_outer":
+            raise PlanningError("an index nested-loop join cannot emit unmatched inner rows")
         self.left = left
         self.table = table
         self.index = index
@@ -456,15 +469,48 @@ class HashJoin(PhysicalOp):
             metrics,
             f"HashJoin[{self.join_type}]",
         )
-        for batch in self.left.execute_batches(metrics):
-            out = joiner.probe(batch)
-            if out is not None:
-                yield self._emit_batch(out)
+        yield from self._probe_all(joiner, metrics)
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
         return (
             f"{pad}HashJoin[{self.join_type}, {self.left_key} = {self.right_key}]\n"
+            f"{self.left.describe(indent + 2)}\n{self.right.describe(indent + 2)}"
+        )
+
+
+class PaddedUnion(PhysicalOp):
+    """Bag union under the Section 2.1 padding convention.
+
+    Each side's batches pass through with an all-NULL column for every
+    attribute only the other side has; multiplicities add, as in
+    :func:`repro.algebra.operators.union_padded`.
+    """
+
+    def __init__(self, left: PhysicalOp, right: PhysicalOp):
+        self.left = left
+        self.right = right
+        self.schema = left.schema.union(right.schema)
+
+    def children(self) -> tuple[PhysicalOp, ...]:
+        return (self.left, self.right)
+
+    def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
+        attrs = tuple(sorted(self.schema.attributes))
+        for side in (self.left, self.right):
+            missing = [a for a in attrs if a not in side.schema]
+            for batch in side.execute_batches(metrics):
+                columns = dict(batch.columns)
+                for a in missing:
+                    columns[a] = [NULL] * batch.length
+                yield self._emit_batch(
+                    ColumnBatch(attrs, columns, batch.length, batch.selection)
+                )
+
+    def describe(self, indent: int = 0) -> str:
+        pad = " " * indent
+        return (
+            f"{pad}PaddedUnion\n"
             f"{self.left.describe(indent + 2)}\n{self.right.describe(indent + 2)}"
         )
 

@@ -10,8 +10,18 @@ methods is the planner's.  Per node it picks, in order of preference:
 3. **Nested-loop join** otherwise (e.g. Example 1b's ``R1.A > R2.B``).
 
 Outerjoins plan as left-preserved physical joins; a ``RightOuterJoin``
-swaps operands first.  Preserved-side semantics never change — only the
-access path does.
+swaps operands first.  A ``FullOuterJoin`` plans as the ``full_outer``
+hash or nested-loop join, whose probe loop ends with the unmatched build
+rows, left-padded; it never takes the index nested loop, because an
+index probe never sees the inner rows nothing matched.  Preserved-side
+semantics never change — only the access path does.
+
+The §6.2 generalized outerjoin plans as the modified hash join, or as a
+keyless build (every right row a candidate, the whole predicate the
+residual) when no equi conjunct exists.  The §2.1 padded ``Union`` plans
+as :class:`~repro.engine.iterators.PaddedUnion`.  So every operator the
+algebra defines has a plan; :class:`PlanningError` means an expression
+type the planner does not know.
 """
 
 from __future__ import annotations
@@ -23,6 +33,8 @@ from repro.algebra.schema import Schema
 from repro.core.expressions import (
     Antijoin,
     Expression,
+    FullOuterJoin,
+    GeneralizedOuterJoin,
     Join,
     LeftOuterJoin,
     Project,
@@ -31,12 +43,15 @@ from repro.core.expressions import (
     RightAntijoin,
     RightOuterJoin,
     Semijoin,
+    Union,
 )
+from repro.engine.goj_op import GeneralizedOuterJoinOp
 from repro.engine.iterators import (
     Filter,
     HashJoin,
     IndexNestedLoopJoin,
     NestedLoopJoin,
+    PaddedUnion,
     PhysicalOp,
     ProjectOp,
     SeqScan,
@@ -84,6 +99,7 @@ _JOIN_KINDS = {
     Join: ("inner", False),
     LeftOuterJoin: ("left_outer", False),
     RightOuterJoin: ("left_outer", True),
+    FullOuterJoin: ("full_outer", False),
     Antijoin: ("anti", False),
     RightAntijoin: ("anti", True),
     Semijoin: ("semi", False),
@@ -103,8 +119,8 @@ class Planner:
             return Filter(self.plan(expr.child), expr.predicate)
         if isinstance(expr, Project):
             return ProjectOp(self.plan(expr.child), expr.attributes, dedup=expr.dedup)
-        from repro.core.expressions import GeneralizedOuterJoin
-
+        if isinstance(expr, Union):
+            return PaddedUnion(self.plan(expr.left), self.plan(expr.right))
         if type(expr) is GeneralizedOuterJoin:
             return self._plan_goj(expr)
         kind = _JOIN_KINDS.get(type(expr))
@@ -127,7 +143,7 @@ class Planner:
         split = split_equijoin(predicate, left_schema, right_schema)
 
         # Preference 1: index nested loop against an indexed base table.
-        if split is not None and isinstance(right_expr, Rel):
+        if split is not None and isinstance(right_expr, Rel) and join_type != "full_outer":
             left_key, right_key, residual = split
             table = self.storage[right_expr.name]
             index = table.index_on(right_key)
@@ -145,19 +161,13 @@ class Planner:
         # Fallback: nested loops with the full predicate.
         return NestedLoopJoin(left_plan, right_plan, predicate, join_type)
 
-    def _plan_goj(self, expr) -> PhysicalOp:
-        """Plan a generalized outerjoin via the modified hash join."""
-        from repro.engine.goj_op import GeneralizedOuterJoinOp
-
+    def _plan_goj(self, expr: GeneralizedOuterJoin) -> PhysicalOp:
+        """Plan a generalized outerjoin via the modified hash join (keyless
+        when no equi conjunct exists, as the nested-loop join is)."""
         left_plan = self.plan(expr.left)
         right_plan = self.plan(expr.right)
         split = split_equijoin(expr.predicate, left_plan.schema, right_plan.schema)
-        if split is None:
-            raise PlanningError(
-                "the GOJ physical operator needs an equi-join conjunct "
-                "(the paper's 'slightly modified join algorithm' is hash-based)"
-            )
-        left_key, right_key, residual = split
+        left_key, right_key, residual = split or (None, None, expr.predicate)
         return GeneralizedOuterJoinOp(
             left_plan, right_plan, left_key, right_key, sorted(expr.projection), residual
         )

@@ -12,10 +12,11 @@ import pytest
 from repro.algebra.comparison import bag_equal
 from repro.algebra.kernels import full_outerjoin_counts
 from repro.algebra.nulls import NULL
+from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.predicates import Comparison, Const, eq, gt
 from repro.algebra.relation import Relation
 from repro.algebra.tuples import Row
-from repro.core.expressions import Project, Rel, Restrict, aj, jn, oj, sj
+from repro.core.expressions import Project, Rel, Restrict, aj, foj, jn, oj, sj
 from repro.engine.batch import (
     BatchHashJoiner,
     BuildSide,
@@ -24,8 +25,9 @@ from repro.engine.batch import (
     compile_filter,
     rows_from_batches,
 )
-from repro.engine.iterators import Filter, HashJoin, ProjectOp, SeqScan
+from repro.engine.iterators import Filter, HashJoin, NestedLoopJoin, ProjectOp, SeqScan
 from repro.engine.metrics import Metrics
+from repro.engine.planner import Planner
 from repro.engine.storage import Storage
 from repro.util.errors import PredicateError, SchemaError
 from repro.util.fastpath import batch_sized, small_input_limit
@@ -239,6 +241,21 @@ class TestFullOuterJoinerParity:
         if tail is not None:
             got.extend(tail.to_rows())
         assert Counter(got) == expected
+
+    @pytest.mark.parametrize("size", [1, 2, 1024])
+    @pytest.mark.parametrize(
+        "op, predicate",
+        [(HashJoin, eq("L.k", "R.k")), (NestedLoopJoin, gt("L.k", "R.k"))],
+        ids=["hash", "nested_loop"],
+    )
+    def test_planned_operator_matches_oracle(self, op, predicate, size):
+        storage = _storage()
+        query = foj("L", "R", predicate)
+        plan = Planner(storage).plan(query)
+        assert type(plan) is op and plan.join_type == "full_outer"
+        with batch_sized(size):
+            got = plan.run()
+        assert bag_equal(got, query.eval(storage.to_database(), ops=ORACLE_OPS))
 
 
 class TestFilterKernel:

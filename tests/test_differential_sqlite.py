@@ -173,12 +173,12 @@ class TestCrossCheck:
         assert set(result.skipped) <= {"wcoj"}
 
     def test_engine_tiers_statically_skipped_for_foj(self, db):
+        # Kept under its old name: engine, batch and sqlite all run the FOJ and agree.
         expr = foj(Rel("X"), Rel("Y"), P())
         result = cross_check(expr, db, executors=EXECUTOR_TIERS)
         assert result.ok, result.summary()
-        assert "engine" not in result.results
-        assert "batch" not in result.results
-        assert "sqlite" in result.results
+        assert {"engine", "batch", "sqlite"} <= set(result.results)
+        assert set(result.skipped) == {"wcoj"}
 
 
 class TestFuzzSmoke:
@@ -191,6 +191,11 @@ class TestFuzzSmoke:
             assert report.coverage.get(f"op:{op}", 0) > 0, report.summary()
         for topo in ("chain", "star", "cycle", "nice", "random"):
             assert report.coverage.get(f"topology:{topo}", 0) > 0
+
+    def test_engine_tiers_run_every_case(self):
+        report = run_campaign(cases=200, seed=0)
+        assert report.ok, report.summary()
+        assert not {"engine", "batch"} & set(report.skipped_tiers), report.summary()
 
     def test_single_generated_case_runs(self):
         case = generate_case(42)

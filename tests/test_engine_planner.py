@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra import And, Comparison, Schema, eq, gt
-from repro.core import aj, jn, oj, rel, roj, sj
+from repro.core import aj, foj, jn, oj, rel, roj, sj
 from repro.core.expressions import Project, Restrict
 from repro.engine import (
     HashJoin,
@@ -94,8 +94,26 @@ class TestPlannerChoices:
         plan = Planner(storage).plan(oj("R", "S", eq("R.a", "S.a")))
         assert plan.join_type == "left_outer"
 
+    def test_full_outerjoin_skips_the_index(self, storage):
+        # An index probe never sees the inner rows no outer row matched.
+        plan = Planner(storage).plan(foj("R", "S", eq("R.a", "S.a")))
+        assert isinstance(plan, HashJoin)
+        assert plan.join_type == "full_outer"
+        with pytest.raises(PlanningError):
+            IndexNestedLoopJoin(
+                SeqScan(storage["R"]), storage["S"], storage["S"].index_on("S.a"),
+                "R.a", join_type="full_outer",
+            )
+
     def test_unplannable_node(self, storage):
-        from repro.core.expressions import Union
+        # Kept under its old name: a padded Union plans; only an unknown Expression type raises.
+        from repro.core.expressions import Expression, Union
+        from repro.engine.iterators import PaddedUnion
+
+        assert isinstance(Planner(storage).plan(Union(rel("R"), rel("S"))), PaddedUnion)
+
+        class Unknown(Expression):
+            pass
 
         with pytest.raises(PlanningError):
-            Planner(storage).plan(Union(rel("R"), rel("S")))
+            Planner(storage).plan(Unknown())

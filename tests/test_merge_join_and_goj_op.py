@@ -43,11 +43,18 @@ class TestGeneralizedOuterJoinOp:
             )
 
     def test_non_equi_goj_rejected_by_planner(self, storage):
+        # Kept under its old name: a non-equi GOJ plans keyless, bag-equal to the oracle.
         from repro.algebra import gt
+        from repro.algebra.operators import ORACLE_OPS
+        from repro.util.fastpath import batch_sized
 
         q = goj("X", "Y", gt("X.k", "Y.k"), ["X.k"])
-        with pytest.raises(PlanningError):
-            execute(q, storage)
+        expected = q.eval(storage.to_database(), ops=ORACLE_OPS)
+        for size in (1, 2, 1024):
+            with batch_sized(size):
+                result = execute(q, storage)
+            assert bag_equal(result.relation, expected), size
+        assert "None" not in result.plan.describe()
 
     def test_randomized_differential(self):
         schemas = {"X": ["X.k", "X.v"], "Y": ["Y.k", "Y.w"]}

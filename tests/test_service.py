@@ -190,6 +190,33 @@ def test_constructor_validation(storage):
         QueryService(storage, queue_size=0)
 
 
+def test_full_outerjoin_padded_union_and_non_equi_goj_are_served():
+    from repro.algebra import NULL, gt
+    from repro.algebra.operators import ORACLE_OPS
+    from repro.core import foj, goj
+    from repro.core.expressions import Rel, Union
+    from repro.engine import Storage
+
+    storage = Storage()
+    storage.create_table(
+        "X", ["X.k", "X.a"], [{"X.k": k, "X.a": i} for i, k in enumerate([1, 2, 2, NULL])]
+    )
+    storage.create_table(
+        "Y", ["Y.k", "Y.b"], [{"Y.k": k, "Y.b": i} for i, k in enumerate([2, 3, NULL])]
+    )
+    db = storage.to_database()
+    queries = [
+        foj("X", "Y", eq("X.k", "Y.k")),
+        Restrict(Union(Rel("X"), Rel("Y")), gt("X.k", 1)),
+        goj("X", "Y", gt("X.k", "Y.k"), ["X.k"]),
+    ]
+    with QueryService(storage, workers=1, plan_cache=PlanCache(16)) as service:
+        for q in queries:
+            outcome = service.execute(q)
+            assert outcome.status == "ok", (q, outcome.error)
+            assert bag_equal(outcome.require(), q.eval(db, ops=ORACLE_OPS)), q
+
+
 def test_error_records_its_type_and_where_it_was_raised(storage, monkeypatch):
     import repro.service.service as module
     from repro.observability.spans import default_tracer
