@@ -18,7 +18,10 @@ tier                    route
 ``"sqlite"``            transpiled SQL on stdlib sqlite3 (external oracle)
 ``"batch"``             the ``engine`` tier with the batch size pinned
                         to 2 (:mod:`repro.engine.batch`), so small
-                        inputs still cross chunk boundaries
+                        inputs still cross chunk boundaries, over its
+                        own storage with a hash index on every
+                        attribute, so base inners of equi-joins run as
+                        index nested-loop joins
 ``"wcoj"``              the cyclic fast path: every maximal *pure-join*
                         subtree with a genuinely cyclic class
                         hypergraph runs as a Leapfrog Triejoin over
@@ -64,8 +67,8 @@ EXECUTOR_TIERS: Tuple[str, ...] = (
     "wcoj",
 )
 
-#: Tiers that evaluate through :class:`~repro.engine.storage.Storage`
-#: (and hence benefit from a shared instance across many checks).
+#: Tiers that evaluate through :class:`~repro.engine.storage.Storage`;
+#: all but ``batch`` (which indexes its own) share an unindexed instance.
 _STORAGE_TIERS = frozenset({"engine", "batch", "wcoj"})
 
 
@@ -78,7 +81,8 @@ def run_executor(
 ) -> Relation:
     """Evaluate ``expr`` on one tier.
 
-    ``storage`` (for the engine tiers) and ``oracle`` (a live
+    ``storage`` (for the ``engine`` and ``wcoj`` tiers; ``batch``
+    indexes its own) and ``oracle`` (a live
     :class:`~repro.conformance.sqlite_oracle.SQLiteOracle`) may be passed
     in to amortize setup across many calls; both are derived from ``db``
     on demand otherwise.
@@ -99,7 +103,12 @@ def run_executor(
         from repro.engine.storage import Storage
         from repro.util.fastpath import batch_sized
 
-        if storage is None:
+        if name == "batch":
+            storage = Storage.from_database(db)
+            for table in storage.values():
+                for attribute in table.schema:
+                    table.create_index(attribute)
+        elif storage is None:
             storage = Storage.from_database(db)
         plan = _wcoj_plan(expr, storage) if name == "wcoj" else Planner(storage).plan(expr)
         if name == "batch":

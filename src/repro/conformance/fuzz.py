@@ -14,22 +14,10 @@ feature grid instead of oversampling the default shapes.  The steering
 is deterministic — one master seed fixes the entire case sequence,
 including every steered choice — which the seed-determinism tests
 assert byte-for-byte.
-
-Corpus caching: because generation is deterministic, a campaign's whole
-case list is a pure function of (seed, cases, topologies, the datagen
-source code).  ``run_campaign(corpus_dir=...)`` persists the generated
-cases under a key derived from exactly those inputs and replays them on
-later runs, skipping regeneration; CI keys an ``actions/cache`` entry on
-the same source hash so the eight fuzz jobs stop regenerating identical
-inputs.  Only *inputs* are cached — every case is still executed and
-cross-checked in full, and the per-case executor list is recomputed at
-load time so a cached corpus never masks a tier added since it was
-written.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import Counter
@@ -38,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.relation import Database
 from repro.conformance.check import EXECUTOR_TIERS, CheckResult, cross_check
-from repro.conformance.serialize import case_dumps, case_from_json, case_to_json
+from repro.conformance.serialize import case_dumps, case_from_json
 from repro.conformance.shrink import shrink_case
 from repro.core.enumeration import count_implementing_trees
 from repro.core.expressions import Expression
@@ -174,9 +162,6 @@ class CampaignReport:
     failures: List[CampaignFailure] = field(default_factory=list)
     coverage: Dict[str, int] = field(default_factory=dict)
     skipped_tiers: Dict[str, int] = field(default_factory=dict)
-    #: "hit" / "miss" when a corpus cache was consulted, else None.
-    corpus: Optional[str] = None
-    corpus_path: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -186,8 +171,6 @@ class CampaignReport:
         lines = [
             f"fuzz campaign: {self.cases} cases, {len(self.failures)} disagreement(s)"
         ]
-        if self.corpus is not None:
-            lines.append(f"  corpus cache: {self.corpus} ({self.corpus_path})")
         for key in sorted(self.coverage):
             lines.append(f"  coverage {key}: {self.coverage[key]}")
         for key in sorted(self.skipped_tiers):
@@ -195,85 +178,6 @@ class CampaignReport:
         for failure in self.failures:
             lines.append(f"  FAIL {failure.summary()}")
         return "\n".join(lines)
-
-
-#: Bumped when the corpus file layout changes; part of the cache key.
-CORPUS_VERSION = 1
-
-
-def datagen_source_hash() -> str:
-    """SHA-256 over the datagen package sources (and the serializer).
-
-    Any edit to case generation or to the serialization format changes
-    the hash, invalidating cached corpora — the same file set CI's
-    ``actions/cache`` key hashes, so local and CI invalidation agree.
-    """
-    import repro.conformance.serialize as serialize_mod
-    import repro.datagen as datagen_pkg
-
-    files: List[str] = [serialize_mod.__file__]
-    for directory in datagen_pkg.__path__:
-        for entry in sorted(os.listdir(directory)):
-            if entry.endswith(".py"):
-                files.append(os.path.join(directory, entry))
-    digest = hashlib.sha256()
-    for path in sorted(files):
-        with open(path, "rb") as fh:
-            digest.update(os.path.basename(path).encode())
-            digest.update(fh.read())
-    return digest.hexdigest()
-
-
-def corpus_cache_key(
-    cases: int, seed: int, topologies: Optional[Sequence[str]]
-) -> str:
-    """The deterministic identity of one campaign's generated inputs."""
-    material = json.dumps(
-        {
-            "version": CORPUS_VERSION,
-            "cases": cases,
-            "seed": seed,
-            "topologies": sorted(topologies) if topologies else None,
-            "datagen": datagen_source_hash(),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(material.encode()).hexdigest()[:24]
-
-
-def _corpus_load(path: str, executors: Tuple[str, ...]) -> Optional[Tuple[List[FuzzCase], Dict[str, int]]]:
-    """Load a corpus file; None on any structural problem (treat as miss).
-
-    Per-case executor lists are *recomputed* against the live tier set:
-    a corpus written before a tier existed must not silently exclude it.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("version") != CORPUS_VERSION:
-            return None
-        cases = [case_from_json(d) for d in doc["cases"]]
-        coverage = dict(doc.get("coverage", {}))
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    for case in cases:
-        case.executors = tuple(executors)
-    return cases, coverage
-
-
-def _corpus_save(
-    path: str, cases: List[FuzzCase], coverage: Dict[str, int]
-) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    doc = {
-        "version": CORPUS_VERSION,
-        "cases": [case_to_json(c) for c in cases],
-        "coverage": coverage,
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    os.replace(tmp, path)
 
 
 def save_artifact(case: FuzzCase, directory: str) -> str:
@@ -292,44 +196,19 @@ def run_campaign(
     artifacts_dir: Optional[str] = None,
     shrink: bool = True,
     topologies: Optional[Sequence[str]] = None,
-    corpus_dir: Optional[str] = None,
 ) -> CampaignReport:
     """Run a fixed-seed campaign of ``cases`` differential checks.
 
     On each disagreement the case is shrunk to a minimal reproducer and,
     when ``artifacts_dir`` is given, persisted there as JSON.  The
     report's ``ok`` property is the campaign verdict.  ``topologies``
-    narrows the graph families the generator draws from.  With
-    ``corpus_dir``, generated inputs are cached on disk keyed by
-    (seed, cases, topologies, datagen sources) and replayed on later
-    runs — execution always happens in full; only generation is skipped.
+    narrows the graph families the generator draws from.
     """
-    case_list: Optional[List[FuzzCase]] = None
     coverage: Counter = Counter()
     report = CampaignReport()
-    if corpus_dir is not None:
-        key = corpus_cache_key(cases, seed, topologies)
-        report.corpus_path = os.path.join(corpus_dir, f"corpus-{key}.json")
-        loaded = _corpus_load(report.corpus_path, executors)
-        if loaded is not None and len(loaded[0]) == cases:
-            case_list, stored_coverage = loaded
-            coverage.update(stored_coverage)
-            report.corpus = "hit"
-            instrumentation.bump("fuzz_corpus_hits")
-        else:
-            report.corpus = "miss"
-            instrumentation.bump("fuzz_corpus_misses")
-    if case_list is None:
-        master = make_rng(seed)
-        case_list = [
-            generate_case(
-                master.randrange(2**32), coverage, executors, topologies=topologies
-            )
-            for _ in range(cases)
-        ]
-        if report.corpus == "miss" and report.corpus_path is not None:
-            _corpus_save(report.corpus_path, case_list, dict(coverage))
-    for case in case_list:
+    master = make_rng(seed)
+    for _ in range(cases):
+        case = generate_case(master.randrange(2**32), coverage, executors, topologies=topologies)
         result = run_case(case)
         report.cases += 1
         for tier in result.skipped:

@@ -15,10 +15,9 @@ from repro.engine.explain import ExplainNode, explain, explain_analyze
 from repro.engine.goj_op import GeneralizedOuterJoinOp
 from repro.engine.metrics import Metrics
 from repro.engine.planner import Planner, split_equijoin
-from repro.engine.storage import ColumnStats, Storage, Table
+from repro.engine.storage import Storage, Table
 
 __all__ = [
-    "ColumnStats",
     "ExecutionResult",
     "ExplainNode",
     "Filter",

@@ -415,8 +415,9 @@ class IndexNestedLoopJoin(PhysicalOp):
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
+        residual = "" if isinstance(self.residual, TruePredicate) else f", {self.residual!r}"
         return (
-            f"{pad}IndexNLJ[{self.join_type}, {self.outer_key} -> {self.index.name}]\n"
+            f"{pad}IndexNLJ[{self.join_type}, {self.outer_key} -> {self.index.name}{residual}]\n"
             f"{self.left.describe(indent + 2)}"
         )
 

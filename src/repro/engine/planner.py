@@ -4,8 +4,9 @@ The planner respects the logical join order exactly — choosing a join
 *order* is the optimizer's job (:mod:`repro.optimizer`); choosing access
 methods is the planner's.  Per node it picks, in order of preference:
 
-1. **Index nested-loop join** when the inner operand is a base table with
-   a hash index on its side of an equi-join conjunct (Example 1's setup);
+1. **Index nested-loop join** when the inner operand is a base table
+   (bare, or under a pushed filter, which joins the residual) with a hash
+   index on its side of an equi-join conjunct (Example 1's setup);
 2. **Hash join** for any equi-join conjunct;
 3. **Nested-loop join** otherwise (e.g. Example 1b's ``R1.A > R2.B``).
 
@@ -142,12 +143,18 @@ class Planner:
         right_schema = self._schema_of(right_expr)
         split = split_equijoin(predicate, left_schema, right_schema)
 
-        # Preference 1: index nested loop against an indexed base table.
-        if split is not None and isinstance(right_expr, Rel) and join_type != "full_outer":
+        # Preference 1: index nested loop against an indexed base table,
+        # whose pushed filter (if any) joins the residual.
+        inner, inner_filter = right_expr, None
+        if isinstance(inner, Restrict) and isinstance(inner.child, Rel):
+            inner, inner_filter = inner.child, inner.predicate
+        if split is not None and isinstance(inner, Rel) and join_type != "full_outer":
             left_key, right_key, residual = split
-            table = self.storage[right_expr.name]
+            table = self.storage[inner.name]
             index = table.index_on(right_key)
             if index is not None:
+                if inner_filter is not None:
+                    residual = conjunction(p for p in (residual, inner_filter) if p is not None)
                 return IndexNestedLoopJoin(
                     left_plan, table, index, left_key, residual, join_type
                 )

@@ -1,9 +1,10 @@
 """Base-table storage with simple statistics.
 
 A deliberately small storage layer: heap tables of :class:`Row` objects,
-per-attribute statistics (cardinality, distinct count, min/max) feeding the
-optimizer's cardinality model, and named hash indexes
-(:mod:`repro.engine.indexes`).  Access always flows through the physical
+per-attribute distinct counts feeding the optimizer's cardinality model,
+and named hash indexes (:mod:`repro.engine.indexes`).  Everything computed
+from a table's rows lives in that table's one version-keyed cache
+(:meth:`Table.derived`).  Access always flows through the physical
 operators so that every base-tuple retrieval is metered.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 import itertools
 import threading
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.algebra.nulls import is_null
@@ -23,14 +23,15 @@ from repro.engine.indexes import HashIndex
 from repro.util.errors import PlanningError, SchemaError
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    """Summary statistics for one attribute of a table."""
-
-    distinct: int
-    nulls: int
-    minimum: Optional[Any]
-    maximum: Optional[Any]
+def distinct_counts(rows: Iterable[Row], attributes: Iterable[str]) -> Dict[str, int]:
+    """Per-attribute count of distinct non-null values over ``rows``."""
+    seen: Dict[str, set] = {attr: set() for attr in attributes}
+    for row in rows:
+        for attr, values in seen.items():
+            value = row[attr]
+            if not is_null(value):
+                values.add(value)
+    return {attr: len(values) for attr, values in seen.items()}
 
 
 class Table:
@@ -41,7 +42,6 @@ class Table:
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
         self._rows: List[Row] = []
         self._indexes: Dict[str, HashIndex] = {}
-        self._stats: Optional[Dict[str, ColumnStats]] = None
         self._version = 0
         self._derived: Dict[Any, Tuple[int, Any]] = {}
         self._derived_lock = threading.Lock()
@@ -52,8 +52,8 @@ class Table:
     def version(self) -> int:
         """Monotonic data-modification counter (bumped by every insert).
 
-        Derived snapshots — :meth:`Storage.to_database`'s cached oracle
-        view in particular — key their validity on it.
+        Every slot of :meth:`derived` — statistics, relation view,
+        tries — keys its validity on it.
         """
         return self._version
 
@@ -66,7 +66,6 @@ class Table:
         self._rows.append(row)
         for index in self._indexes.values():
             index.insert(row)
-        self._stats = None
         self._version += 1
 
     @property
@@ -102,27 +101,9 @@ class Table:
 
     # -- statistics ------------------------------------------------------------
 
-    def stats(self) -> Dict[str, ColumnStats]:
-        """Per-column statistics, computed lazily and cached.
-
-        The computation takes no lock: concurrent first callers may both
-        compute, but they compute identical immutable dicts and the
-        single attribute store is atomic, so readers always see either
-        None (and compute) or a complete result — never a partial one.
-        """
-        if self._stats is None:
-            out: Dict[str, ColumnStats] = {}
-            for attr in self.schema:
-                values = [r[attr] for r in self._rows]
-                non_null = [v for v in values if not is_null(v)]
-                out[attr] = ColumnStats(
-                    distinct=len(set(non_null)),
-                    nulls=len(values) - len(non_null),
-                    minimum=min(non_null, default=None),
-                    maximum=max(non_null, default=None),
-                )
-            self._stats = out
-        return self._stats
+    def stats(self) -> Dict[str, int]:
+        """Distinct non-null values per attribute, cached until the next insert."""
+        return self.derived("stats", lambda: distinct_counts(self._rows, self.schema))
 
     def to_relation(self) -> Relation:
         return Relation(self.schema, self._rows)
@@ -134,17 +115,20 @@ class Table:
 
         ``build()`` runs (under the table's derived-structure lock) when
         the slot is empty or the table has been modified since the slot
-        was filled — the same generation-keyed invalidation that backs
-        :meth:`Storage.to_database`.  Callers must treat the returned
-        structure as immutable; the trie indexes of the WCOJ fast path
-        are the primary tenant.
+        was filled.  The tenants are the statistics (:meth:`stats`), the
+        relation view (:meth:`Storage.to_database`) and the WCOJ fast
+        path's trie indexes.  Callers must treat the returned structure
+        as immutable.
         """
         with self._derived_lock:
+            version = self._version
             hit = self._derived.get(key)
-            if hit is not None and hit[0] == self._version:
+            if hit is not None and hit[0] == version:
                 return hit[1]
             value = build()
-            self._derived[key] = (self._version, value)
+            # Stamped with the version read before the build, so an insert
+            # racing the build invalidates the slot instead of hiding in it.
+            self._derived[key] = (version, value)
             return value
 
 
@@ -160,9 +144,6 @@ class Storage(Mapping[str, Table]):
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
         self._registry = SchemaRegistry()
-        self._db_cache: Optional[Database] = None
-        self._db_cache_key: Optional[tuple] = None
-        self._db_cache_lock = threading.Lock()
         self._storage_id = next(_storage_ids)
 
     @classmethod
@@ -221,22 +202,13 @@ class Storage(Mapping[str, Table]):
     def to_database(self) -> Database:
         """View the storage as an algebra-level database (for oracles).
 
-        The view is rebuilt only when the storage generation changes —
-        the cache key is the (name, version) vector of all tables — so
-        repeated oracle checks against unchanged data (the conformance
-        harness runs many per storage) do not re-materialize every
-        relation.  Relations are immutable; callers share the snapshot
-        and must not ``add`` to it.  The rebuild is lock-guarded so
-        concurrent queries over one storage share a single snapshot.
+        Each relation is its table's cached ``"relation"`` slot, so an
+        insert rebuilds only the relation of the table it touched.
+        Relations are immutable; callers must not ``add`` to the view.
         """
-        key = tuple((name, table.version) for name, table in sorted(self._tables.items()))
-        with self._db_cache_lock:
-            if self._db_cache is None or key != self._db_cache_key:
-                from repro.tools import instrumentation
-
-                instrumentation.bump("storage_to_database_builds")
-                self._db_cache = Database(
-                    {name: table.to_relation() for name, table in self._tables.items()}
-                )
-                self._db_cache_key = key
-            return self._db_cache
+        return Database(
+            {
+                name: table.derived("relation", table.to_relation)
+                for name, table in self._tables.items()
+            }
+        )

@@ -10,7 +10,6 @@ from repro.optimizer.pipeline import PipelineResult, optimize_and_run, optimize_
 from repro.optimizer.plancache import (
     CacheStats,
     PlanCache,
-    active_plan_cache,
     default_plan_cache,
     reset_default_plan_cache,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "RewriteOptimizer",
     "RewriteResult",
     "RetrievalCostModel",
-    "active_plan_cache",
     "combinable_pairs",
     "connected_subsets",
     "count_dp_entries",

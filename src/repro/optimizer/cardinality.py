@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, List, Mapping, Optional
 
-from repro.algebra.predicates import AttrRef, Comparison, Predicate
+from repro.algebra.nulls import satisfied
+from repro.algebra.predicates import AttrRef, Comparison, Predicate, conjunction
 from repro.core.expressions import Expression
-from repro.engine.storage import Storage
+from repro.engine.storage import Storage, distinct_counts
 
 #: Default selectivity for non-equality comparisons (System R's 1/3).
 INEQUALITY_SELECTIVITY = 1.0 / 3.0
@@ -44,7 +45,13 @@ class EstimateInfo:
 
 
 class CardinalityEstimator:
-    """Estimates over the statistics of a :class:`Storage`.
+    """Estimates over the statistics of a :class:`Storage`'s live tables.
+
+    ``filters`` maps a relation to the conjuncts pushed onto its leaf
+    (the pipeline's leaf filters).  A leaf without one reads its table's
+    cached :meth:`~repro.engine.storage.Table.stats`; a filtered leaf is
+    counted once per estimator from the rows that satisfy its filter, and
+    is never cached on the table, because filters are query-specific.
 
     Within a :meth:`memo_scope`, :meth:`base` and :meth:`combine` results
     are memoized — keyed by the operand subsets' *bitset masks* when the
@@ -55,8 +62,12 @@ class CardinalityEstimator:
     one optimizer run instead of living on the estimator.
     """
 
-    def __init__(self, storage: Storage):
+    def __init__(
+        self, storage: Storage, filters: Optional[Mapping[str, List[Predicate]]] = None
+    ):
         self.storage = storage
+        self.filters = filters or {}
+        self._filtered: Dict[str, EstimateInfo] = {}
         self._memo: Optional[Dict[tuple, EstimateInfo]] = None
         self._memo_index = None
 
@@ -89,15 +100,28 @@ class CardinalityEstimator:
             hit = memo.get(key)
             if hit is not None:
                 return hit
-        table = self.storage[name]
-        stats = table.stats()
-        distinct = {attr: float(max(1, cs.distinct)) for attr, cs in stats.items()}
-        info = EstimateInfo(
-            nodes=frozenset({name}), cardinality=float(len(table)), distinct=distinct
-        )
+        info = self._filtered.get(name)
+        if info is None:
+            table = self.storage[name]
+            preds = self.filters.get(name)
+            if preds:
+                predicate = conjunction(preds)
+                rows = [r for r in table.rows if satisfied(predicate.evaluate(r))]
+                info = self._leaf(name, len(rows), distinct_counts(rows, table.schema))
+                self._filtered[name] = info
+            else:
+                info = self._leaf(name, len(table), table.stats())
         if memo is not None:
             memo[key] = info
         return info
+
+    @staticmethod
+    def _leaf(name: str, rows: int, distinct: Dict[str, int]) -> EstimateInfo:
+        return EstimateInfo(
+            nodes=frozenset({name}),
+            cardinality=float(rows),
+            distinct={attr: float(max(1, n)) for attr, n in distinct.items()},
+        )
 
     # -- selectivities -----------------------------------------------------------
 

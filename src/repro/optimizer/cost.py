@@ -144,10 +144,10 @@ class RetrievalCostModel(CostModel):
         # access path decides the price.
         return 0.0
 
-    def _scan_cost(self, plan: Plan) -> float:
-        if plan.base is not None:
-            return float(len(self.storage[plan.base]))
-        return 0.0
+    @staticmethod
+    def _scan_cost(plan: Plan) -> float:
+        # A leaf's estimate is its (filtered) relation's size.
+        return plan.cardinality if plan.base is not None else 0.0
 
     def _probe_key(self, predicate: Predicate, inner: str) -> Optional[str]:
         """The inner-side key of the equi-join conjunct the planner would
@@ -184,5 +184,5 @@ class RetrievalCostModel(CostModel):
             if key is not None and table.index_on(key) is not None:
                 cost += max(join_card, 0.0)  # expected tuples fetched via the index
             else:
-                cost += float(len(table))
+                cost += right.cardinality
         return cost

@@ -37,13 +37,13 @@ from repro.core.simplify import simplify_outerjoins
 from repro.core.wcoj_order import WcojSpec, wcoj_spec_of
 from repro.engine.executor import ExecutionResult, execute_plan, plan_expression
 from repro.engine.iterators import PhysicalOp
-from repro.engine.storage import Storage, Table
+from repro.engine.storage import Storage
 from repro.observability.spans import maybe_span
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CoutCostModel, RetrievalCostModel, agm_bound
 from repro.optimizer.dp import DPOptimizer
 from repro.optimizer.fingerprint import plan_cache_key
-from repro.optimizer.plancache import PlanCache, active_plan_cache
+from repro.optimizer.plancache import PlanCache, default_plan_cache
 from repro.util.cancel import CancelToken
 from repro.util.errors import GraphUndefinedError, SchemaError
 
@@ -142,29 +142,6 @@ def _reattach_filters(expr: Expression, filters: Dict[str, List[Predicate]]) -> 
     return walk(expr)
 
 
-def _filtered_storage(storage: Storage, filters: Dict[str, List[Predicate]]) -> Storage:
-    """A statistics view of the storage with leaf filters applied.
-
-    Used only for cardinality estimation and index metadata, never for
-    execution — the real plan filters above the original scans.
-    """
-    from repro.algebra.operators import restrict
-
-    view = Storage()
-    for name in storage:
-        table = storage[name]
-        preds = filters.get(name)
-        if preds:
-            filtered = restrict(table.to_relation(), conjunction(preds))
-            new_table = Table(name, table.schema, list(filtered))
-        else:
-            new_table = Table(name, table.schema, list(table.rows))
-        for attr in table.indexed_attributes:
-            new_table.create_index(attr)
-        view.add_table(new_table)
-    return view
-
-
 def optimize_query(
     query: Expression,
     storage: Storage,
@@ -178,13 +155,13 @@ def optimize_query(
     known, their canonical fingerprint is looked up in ``cache`` (the
     process default when None; pass ``use_cache=False`` to bypass
     entirely).  A hit stamped with the storage's current generation
-    skips the niceness certificate, the statistics view, and the DP —
+    skips the niceness certificate, the leaf statistics, and the DP —
     replaying the cached implementing tree, which Theorem 1 makes
     interchangeable with any other valid tree of the same (nice, strong)
     graph.  A generation mismatch invalidates the entry instead.
     """
     if use_cache and cache is None:
-        cache = active_plan_cache()
+        cache = default_plan_cache()
     with maybe_span("optimizer.pipeline", category="optimizer", cost_model=cost_model) as span:
         result = _optimize_query(query, storage, cost_model, cache if use_cache else None)
         if span is not None and result.fingerprint is not None:
@@ -271,11 +248,10 @@ def _optimize_query(
             cache.store(result.fingerprint, generation, (verdict, None, None))
         return result
 
-    stats_view = _filtered_storage(storage, filters)
-    estimator = CardinalityEstimator(stats_view)
+    estimator = CardinalityEstimator(storage, filters)
     model: CostModel
     if cost_model == "retrieval":
-        model = RetrievalCostModel(estimator, stats_view)
+        model = RetrievalCostModel(estimator, storage)
     elif cost_model == "cout":
         model = CoutCostModel(estimator)
     else:

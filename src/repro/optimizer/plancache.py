@@ -25,7 +25,6 @@ and spans can report cache effectiveness without holding the cache.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -33,15 +32,8 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.tools import instrumentation
 
-#: Environment switch: ``0``/``off`` disables the default cache, any other
-#: integer sets its capacity (``REPRO_PLAN_CACHE=512``).  Unset keeps the
-#: default capacity below.
-PLAN_CACHE_ENV = "REPRO_PLAN_CACHE"
-
 #: Default entry capacity of the process-wide cache.
 DEFAULT_CAPACITY = 256
-
-_OFF = ("0", "false", "no", "off")
 
 
 @dataclass
@@ -177,38 +169,14 @@ _default: Optional[PlanCache] = None
 _default_lock = threading.Lock()
 
 
-def cache_enabled() -> bool:
-    """Is plan caching enabled by the environment?  Unset means *on*."""
-    raw = os.environ.get(PLAN_CACHE_ENV)
-    return raw is None or raw.lower() not in _OFF
-
-
-def _env_capacity() -> int:
-    raw = os.environ.get(PLAN_CACHE_ENV)
-    if raw is None:
-        return DEFAULT_CAPACITY
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_CAPACITY
-    return value if value >= 1 else DEFAULT_CAPACITY
-
-
 def default_plan_cache() -> PlanCache:
-    """The lazily-created process-wide cache (ignores the on/off switch)."""
+    """The lazily-created process-wide cache."""
     global _default
     if _default is None:
         with _default_lock:
             if _default is None:
-                _default = PlanCache(capacity=_env_capacity())
+                _default = PlanCache(capacity=DEFAULT_CAPACITY)
     return _default
-
-
-def active_plan_cache() -> Optional[PlanCache]:
-    """The cache the optimizer should consult, or None when disabled."""
-    if not cache_enabled():
-        return None
-    return default_plan_cache()
 
 
 def reset_default_plan_cache() -> None:

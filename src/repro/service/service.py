@@ -45,7 +45,7 @@ from repro.engine.executor import ExecutionResult
 from repro.engine.storage import Storage
 from repro.observability.spans import maybe_span
 from repro.optimizer.pipeline import PipelineResult, optimize_and_run
-from repro.optimizer.plancache import PlanCache, active_plan_cache
+from repro.optimizer.plancache import PlanCache, default_plan_cache
 from repro.tools import instrumentation
 from repro.util.cancel import CancelToken
 from repro.util.errors import (
@@ -155,9 +155,7 @@ def _raised_at(exc: BaseException) -> str:
 class QueryService:
     """A pool of worker threads serving queries against one storage.
 
-    ``plan_cache`` defaults to the process-wide cache (or none when the
-    environment disables it, see :data:`repro.optimizer.plancache.PLAN_CACHE_ENV`);
-    pass an explicit :class:`PlanCache` to isolate the service, or
+    ``plan_cache`` defaults to the process-wide cache; pass an explicit :class:`PlanCache` to isolate the service, or
     ``plan_cache=None`` with ``use_cache=False`` to serve cold always.
 
     ``default_timeout_s`` arms every query's deadline unless ``submit``
@@ -184,7 +182,7 @@ class QueryService:
         self.cost_model = cost_model
         self.default_timeout_s = default_timeout_s
         if use_cache:
-            self.plan_cache = plan_cache if plan_cache is not None else active_plan_cache()
+            self.plan_cache = plan_cache if plan_cache is not None else default_plan_cache()
         else:
             self.plan_cache = None
         self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_size)

@@ -96,7 +96,6 @@ def cmd_fuzz(args: argparse.Namespace, out) -> int:
         artifacts_dir=args.artifacts,
         shrink=not args.no_shrink,
         topologies=_parse_topologies(args.topologies),
-        corpus_dir=args.corpus_cache,
     )
     print(report.summary(), file=out)
     if args.stats:
@@ -167,16 +166,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         help=(
             "comma-separated topology families to draw from "
             f"(default all: {','.join(TOPOLOGY_KINDS)})"
-        ),
-    )
-    fuzz.add_argument(
-        "--corpus-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "cache generated case corpora under DIR, keyed on "
-            "(seed, cases, topologies, datagen sources); replays inputs on "
-            "hit but always re-executes every check"
         ),
     )
     fuzz.add_argument("--no-shrink", action="store_true", help="keep raw counterexamples")

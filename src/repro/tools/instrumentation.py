@@ -40,7 +40,6 @@ from typing import Dict
 #: ``shrink_runs``             (counterexample minimizations),
 #: ``planspace_checks``        (plan-space equivalence sweeps),
 #: ``planspace_mismatches``    (non-equivalent trees found),
-#: ``storage_to_database_builds`` (oracle-view cache misses),
 #: ``plan_cache_hits``         (optimizer plan-cache hits),
 #: ``plan_cache_misses``       (optimizer plan-cache misses),
 #: ``plan_cache_invalidations`` (entries dropped on generation change),

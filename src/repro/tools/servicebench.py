@@ -9,7 +9,7 @@ Produces the PR-4 benchmark artifact (``BENCH_PR4.json`` by default)::
 Three sections, one claim each:
 
 * ``plan_cache`` — per-query optimization latency with a cold cache
-  (every query pays simplify + push + certify + statistics view + DP)
+  (every query pays simplify + push + certify + leaf statistics + DP)
   versus a warm one (repeated shapes replay the cached tree).  The
   headline is the speedup ratio; the acceptance bar is >= 3x.
 * ``concurrency`` — a :class:`~repro.service.QueryService` at 1, 2, 4,

@@ -8,7 +8,8 @@ caught even though no single number is "correct".
 
 import pytest
 
-from repro.algebra import eq, gt
+from repro.algebra import Comparison, IsNull, Not, conjunction, eq, gt, is_null
+from repro.algebra.operators import restrict
 from repro.core import jn, oj
 from repro.datagen import example1_storage, random_databases
 from repro.engine import Storage, execute
@@ -60,6 +61,23 @@ class TestBoundedError:
         estimate = est.estimate_expression(q).cardinality
         actual = len(execute(q, storage).relation)
         assert q_error(estimate, actual) < 12, (estimate, actual)
+
+        # Pushed leaf filters: a filtered leaf's statistics are exactly
+        # those of the restricted relation, NULL outcomes discarded.
+        filters = {
+            "X": [Comparison("X.b", "<", seed % 5 + 2)],
+            "Y": [Comparison("Y.a", "<>", seed % 3), Not(IsNull("Y.b"))],
+        }
+        filtered = CardinalityEstimator(storage, filters)
+        for name, preds in filters.items():
+            truth = restrict(storage[name].to_relation(), conjunction(preds))
+            info = filtered.base(name)
+            assert info.cardinality == len(truth)
+            assert info.distinct == {
+                a: float(max(1, len({r[a] for r in truth if not is_null(r[a])})))
+                for a in truth.schema
+            }
+        assert filtered.base("Z") == est.base("Z")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_join_pipeline_q_error(self, seed):

@@ -8,7 +8,8 @@ from repro.algebra import NULL, Comparison, TruePredicate, eq, gt
 from repro.algebra.comparison import bag_equal
 from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.relation import Relation
-from repro.core.expressions import Rel, aj, jn, oj, sj
+from repro.algebra.tuples import Row
+from repro.core.expressions import Rel, Restrict, RightOuterJoin, aj, jn, oj, sj
 from repro.engine import (
     Filter,
     GeneralizedOuterJoinOp,
@@ -16,6 +17,7 @@ from repro.engine import (
     IndexNestedLoopJoin,
     Metrics,
     NestedLoopJoin,
+    Planner,
     ProjectOp,
     SeqScan,
     Storage,
@@ -70,6 +72,10 @@ _JOIN_EXPR = {"inner": jn, "left_outer": oj, "semi": sj, "anti": aj}
 #: semi join with it stops at the first, second or third match.
 _RESIDUAL = gt("R.b", "L.a")
 
+#: The pushed filter of the "filtered" parity cases (which also carry
+#: ``_RESIDUAL``); their extra R row (2, NULL) makes it UNKNOWN on a key match.
+_FILTER = Comparison("R.b", "<", 6)
+
 
 def _parity_storage():
     """Probe side L and indexed side R, with duplicate and null keys on both."""
@@ -94,13 +100,17 @@ def _join_predicate(residual):
     return eq("L.k", "R.k") & _RESIDUAL if residual else eq("L.k", "R.k")
 
 
+def _parity_inner(residual):
+    return Restrict(Rel("R"), _FILTER) if residual == "filtered" else Rel("R")
+
+
 def _parity_case(plan, st, join_type, residual, size):
     """Drain ``plan`` at one batch size, check it against the nested-loop
     oracle, and return its Metrics."""
     metrics = Metrics()
     with nullcontext() if size is None else batch_sized(size):
         rows = list(plan.execute(metrics))
-    expr = _JOIN_EXPR[join_type](Rel("L"), Rel("R"), _join_predicate(residual))
+    expr = _JOIN_EXPR[join_type](Rel("L"), _parity_inner(residual), _join_predicate(residual))
     oracle = expr.eval(st.to_database(), ops=ORACLE_OPS)
     assert bag_equal(Relation(plan.schema, rows), oracle)
     return metrics
@@ -118,7 +128,8 @@ def _parametrize_parity(expected):
         cases = [(jt, res, counts) for (jt, res), counts in expected.items()]
         test = pytest.mark.parametrize(
             "join_type,residual,counts", cases,
-            ids=[f"{jt}-{'residual' if res else 'plain'}" for jt, res, _ in cases],
+            ids=[f"{jt}-{res if isinstance(res, str) else 'residual' if res else 'plain'}"
+                 for jt, res, _ in cases],
         )(test)
         return _over_sizes(test)
 
@@ -302,19 +313,34 @@ class TestIndexNestedLoopJoin:
         ("semi", True): (11, 4),
         ("anti", False): (13, 2),
         ("anti", True): (13, 3),
+        # A filtered inner σ(R) plans as this join with the filter conjoined
+        # into the residual: every key match is examined, one more per k=2.
+        ("inner", "filtered"): (16, 3),
+        ("left_outer", "filtered"): (16, 8),
+        ("semi", "filtered"): (12, 2),
+        ("anti", "filtered"): (16, 5),
     }
 
     @_parametrize_parity(PARITY)
     def test_parity_with_oracle_and_recorded_metrics(self, join_type, residual, counts, size):
         st = _parity_storage()
-        plan = IndexNestedLoopJoin(
-            SeqScan(st["L"]),
-            st["R"],
-            st["R"].index_on("R.k"),
-            "L.k",
-            residual=_RESIDUAL if residual else None,
-            join_type=join_type,
-        )
+        if residual == "filtered":
+            st["R"].insert(Row({"R.k": 2, "R.b": NULL}))
+            inner, predicate = _parity_inner(residual), _join_predicate(residual)
+            plan = Planner(st).plan(_JOIN_EXPR[join_type](Rel("L"), inner, predicate))
+            assert isinstance(plan, IndexNestedLoopJoin)
+            if join_type == "left_outer":
+                swapped = Planner(st).plan(RightOuterJoin(inner, Rel("L"), predicate))
+                assert swapped.describe() == plan.describe()
+        else:
+            plan = IndexNestedLoopJoin(
+                SeqScan(st["L"]),
+                st["R"],
+                st["R"].index_on("R.k"),
+                "L.k",
+                residual=_RESIDUAL if residual else None,
+                join_type=join_type,
+            )
         metrics = _parity_case(plan, st, join_type, residual, size)
         examined, emitted = counts
         assert dict(metrics.tuples_retrieved) == {"L": 7, "R": examined}

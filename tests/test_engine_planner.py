@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.algebra import And, Comparison, Schema, eq, gt
+from repro.algebra import And, Comparison, Schema, bag_equal, eq, gt
+from repro.algebra.operators import ORACLE_OPS
 from repro.core import aj, foj, jn, oj, rel, roj, sj
 from repro.core.expressions import Project, Restrict
+from repro.datagen import example1_storage
 from repro.engine import (
     HashJoin,
     IndexNestedLoopJoin,
@@ -61,6 +63,24 @@ class TestPlannerChoices:
     def test_indexed_inner_uses_inlj(self, storage):
         plan = Planner(storage).plan(jn("R", "S", eq("R.a", "S.a")))
         assert isinstance(plan, IndexNestedLoopJoin)
+
+    def test_filtered_indexed_inner_keeps_the_index(self):
+        # Example 1 with R2.j < 1000 pushed onto R2: the optimizer prices
+        # ((R1 - σ(R2)) → R3) at 3 retrievals, so the filter must ride the
+        # index probe as residual rather than force a scan of R2.
+        from repro.optimizer.pipeline import optimize_and_run
+
+        storage = example1_storage(2000)
+        query = Restrict(
+            jn("R1", oj("R2", "R3", eq("R2.j", "R3.j")), eq("R1.k", "R2.k")),
+            Comparison("R2.j", "<", 1000),
+        )
+        result, run = optimize_and_run(query, storage, use_cache=False)
+        assert result.chosen.to_infix() == "((R1 - σ(R2)) → R3)"
+        assert run.tuples_retrieved == 3
+        assert bag_equal(run.relation, query.eval(storage.to_database(), ops=ORACLE_OPS))
+        plan = Planner(storage).plan(result.chosen)
+        assert "IndexNLJ[inner, R1.k -> R2(R2.k), (R2.j < 1000)]" in plan.describe()
 
     def test_unindexed_equi_uses_hash_join(self, storage):
         plan = Planner(storage).plan(jn("S", "R", eq("S.b", "R.b")))

@@ -24,16 +24,27 @@ class TestTable:
             ["T.a"],
             [Row({"T.a": 1}), Row({"T.a": 1}), Row({"T.a": 3}), Row({"T.a": NULL})],
         )
-        s = t.stats()["T.a"]
-        assert s.distinct == 2
-        assert s.nulls == 1
-        assert s.minimum == 1 and s.maximum == 3
+        # Statistics are the distinct non-null count per attribute only:
+        # null counts and min/max went because nothing read them.
+        assert t.stats() == {"T.a": 2}
 
     def test_stats_cache_invalidated_on_insert(self):
         t = Table("T", ["T.a"], [Row({"T.a": 1})])
-        assert t.stats()["T.a"].distinct == 1
+        first = t.stats()
+        assert first == {"T.a": 1}
+        assert t.stats() is first
         t.insert(Row({"T.a": 2}))
-        assert t.stats()["T.a"].distinct == 2
+        assert t.stats() == {"T.a": 2}
+
+    def test_insert_during_a_derived_build_invalidates_the_slot(self):
+        t = Table("T", ["T.a"], [Row({"T.a": 1})])
+
+        def racing_build():
+            t.insert(Row({"T.a": 2}))  # lands while the slot is being built
+            return "built before the insert"
+
+        assert t.derived("k", racing_build) == "built before the insert"
+        assert t.derived("k", lambda: "rebuilt") == "rebuilt"
 
     def test_to_relation(self):
         t = Table("T", ["T.a"], [Row({"T.a": 1}), Row({"T.a": 1})])
@@ -79,6 +90,18 @@ class TestStorage:
         storage = Storage.from_database(db)
         back = storage.to_database()
         assert back["R"] == db["R"]
+
+    def test_insert_rebuilds_only_the_touched_relation(self):
+        storage = Storage()
+        a = storage.create_table("A", ["A.x"], [{"A.x": 1}])
+        storage.create_table("B", ["B.y"], [{"B.y": 1}])
+        before = storage.to_database()
+        assert a.stats() == {"A.x": 1}
+        a.insert(Row({"A.x": 2}))
+        after = storage.to_database()
+        assert a.stats() == {"A.x": 2}
+        assert len(before["A"]) == 1 and len(after["A"]) == 2
+        assert after["B"] is before["B"]
 
     def test_disjoint_schemes_enforced(self):
         storage = Storage()

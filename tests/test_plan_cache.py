@@ -3,8 +3,8 @@
 The cache's correctness story is layered: the fingerprint pins the query
 shape (tested in ``test_fingerprint.py``), Theorem 1 makes replay safe
 (tested end to end by the plancache conformance mode), and *this* file
-pins the machinery — eviction order, generation stamps, the environment
-switch, and exactly what the pipeline stores for reorderable versus
+pins the machinery — eviction order, generation stamps, the default
+cache, and exactly what the pipeline stores for reorderable versus
 order-sensitive queries.
 """
 
@@ -18,8 +18,7 @@ from repro.datagen import example1_storage
 from repro.engine import execute
 from repro.optimizer import PlanCache, optimize_query
 from repro.optimizer.plancache import (
-    PLAN_CACHE_ENV,
-    active_plan_cache,
+    DEFAULT_CAPACITY,
     default_plan_cache,
     reset_default_plan_cache,
 )
@@ -107,22 +106,26 @@ def test_capacity_must_be_positive():
         PlanCache(capacity=0)
 
 
-# -- environment switch -------------------------------------------------------
+# -- the default cache (no environment switch) --------------------------------
 
 
 def test_env_zero_disables_active_cache(monkeypatch):
-    monkeypatch.setenv(PLAN_CACHE_ENV, "0")
+    # The REPRO_PLAN_CACHE switch is gone: setting it changes nothing, and
+    # the per-call opt-out is use_cache=False.
+    monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
     reset_default_plan_cache()
-    assert active_plan_cache() is None
-    monkeypatch.setenv(PLAN_CACHE_ENV, "off")
-    assert active_plan_cache() is None
+    storage = example1_storage(20)
+    optimize_query(reorderable_query(), storage)
+    assert optimize_query(reorderable_query(), storage).cache_hit
+    assert not optimize_query(reorderable_query(), storage, use_cache=False).cache_hit
 
 
 def test_env_integer_sets_default_capacity(monkeypatch):
-    monkeypatch.setenv(PLAN_CACHE_ENV, "7")
+    # Setting the retired variable changes nothing: the default cache
+    # always has DEFAULT_CAPACITY entries.
+    monkeypatch.setenv("REPRO_PLAN_CACHE", "7")
     reset_default_plan_cache()
-    cache = active_plan_cache()
-    assert cache is not None and cache.capacity == 7
+    assert default_plan_cache().capacity == DEFAULT_CAPACITY
     # The autouse fixture resets the default afterwards.
 
 

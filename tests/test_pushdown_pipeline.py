@@ -130,6 +130,26 @@ class TestPipeline:
         assert result.reordered
         assert run.tuples_retrieved == 3
 
+    def test_filtered_optimize_builds_no_table(self, monkeypatch):
+        # Leaf statistics come from the live tables: no filtered copy.
+        from repro.engine.storage import Table
+
+        storage = example1_storage(200)
+        built = []
+        init = Table.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Table, "__init__", spy)
+        for cost_model in ("retrieval", "cout"):
+            result = optimize_query(
+                self._example1_query(), storage, cost_model=cost_model, use_cache=False
+            )
+            assert result.reordered and result.leaf_filters
+        assert built == []
+
     def test_pipeline_cout_model(self):
         storage = example1_storage(200)
         result = optimize_query(self._example1_query(), storage, cost_model="cout")
