@@ -46,6 +46,14 @@ class Relation:
         return rel
 
     @classmethod
+    def adopt(cls, schema: Schema, bag: Counter[Row]) -> "Relation":
+        """Take ownership of a bag whose rows the caller has already checked
+        against ``schema`` (no copy, no per-row check)."""
+        rel = cls(schema)
+        rel._bag = bag
+        return rel
+
+    @classmethod
     def from_dicts(
         cls, schema: Schema | Iterable[str], dicts: Iterable[Mapping[str, Any]]
     ) -> "Relation":

@@ -11,7 +11,8 @@ Layout:
 
 * :mod:`~repro.engine.batch.columns` — the :class:`ColumnBatch`
   representation (per-column lists, selection vectors, cached null
-  masks), the batch->row flattening behind ``PhysicalOp.execute`` and
+  masks), the one batch->row builder (``row_of``) behind
+  ``PhysicalOp.execute`` and the executor's result materializer, and
   the row chunking that the row-internal n-ary joins (Leapfrog,
   Yannakakis) emit through.
 * :mod:`~repro.engine.batch.kernels` — compiled filter kernels and the

@@ -26,27 +26,33 @@ emits is its row sequence, independent of the chunk size
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.algebra.nulls import NULL
+from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
 from repro.algebra.tuples import Row
+from repro.util.cancel import CancelToken
 from repro.util.errors import SchemaError
 
 
-def _fast_row(values: Dict[str, Any]) -> Row:
-    """A Row over a pre-built values dict, filling slots directly.
+def row_of(attrs: Sequence[str], values: Iterable[Any]) -> Row:
+    """The Row assigning ``values`` to ``attrs`` pairwise: the one way the
+    engine turns column values back into a row.
 
-    Bit-identical to ``Row(values)`` minus the attribute-name validation
-    (batch columns only ever hold values that arrived through validated
-    rows): same ``_values`` dict, same ``hash(frozenset(items))``
-    contract, so rows from this path hash and compare interchangeably
-    with rows from ``Row.concat``.
+    Bit-identical to ``Row(dict(zip(attrs, values)))`` minus the
+    attribute-name validation (batch columns only ever hold values that
+    arrived through validated rows): same ``_values`` dict, same
+    ``hash(frozenset(items))`` contract, so rows from this path hash and
+    compare interchangeably with rows from ``Row.concat``.
     """
+    d = dict(zip(attrs, values))
     row = Row.__new__(Row)
-    object.__setattr__(row, "_values", values)
-    object.__setattr__(row, "_hash", hash(frozenset(values.items())))
+    object.__setattr__(row, "_values", d)
+    object.__setattr__(row, "_hash", hash(frozenset(d.items())))
     return row
 
 
@@ -158,12 +164,25 @@ class ColumnBatch:
 
     # -- row compatibility ----------------------------------------------------
 
+    def value_tuples(self) -> Iterator[Tuple[Any, ...]]:
+        """The alive rows as value tuples in ``attrs`` order, in order.
+
+        Two tuples are equal (and hash alike) exactly when the rows built
+        from them by :func:`row_of` are, so counting tuples counts rows.
+        """
+        cols: List[Iterable[Any]] = [self.columns[a] for a in self.attrs]
+        if not cols:
+            return repeat((), self.num_rows)
+        sel = self.selection
+        if sel is not None:
+            cols = [map(col.__getitem__, sel) for col in cols]
+        return zip(*cols)
+
     def iter_rows(self) -> Iterator[Row]:
         """Yield the alive rows as :class:`Row` objects, in order."""
         attrs = self.attrs
-        cols = [self.columns[a] for a in attrs]
-        for i in self.indices():
-            yield _fast_row({a: col[i] for a, col in zip(attrs, cols)})
+        for values in self.value_tuples():
+            yield row_of(attrs, values)
 
     def to_rows(self) -> List[Row]:
         return list(self.iter_rows())
@@ -207,3 +226,45 @@ def rows_from_batches(batches: Iterable[ColumnBatch]) -> Iterator[Row]:
     """Flatten a batch stream into rows (``PhysicalOp.execute``)."""
     for batch in batches:
         yield from batch.iter_rows()
+
+
+def materialize(
+    schema: Schema, batches: Iterator[ColumnBatch], cancel: Optional[CancelToken] = None
+) -> Relation:
+    """Drain a batch stream into the bag it denotes.
+
+    Per batch: the scheme is checked once (``batch.attrs`` against the
+    sorted attributes of ``schema``), the alive value tuples are counted
+    at C level, and one :class:`Row` is made per distinct tuple and its
+    count added into the bag.  The bag equals ``Relation(schema, rows)``
+    over the flattened rows: the same first-seen representative per
+    key, the same key order, the same multiplicities.  Counting per
+    batch means no result-sized list of tuples is ever held.
+
+    ``cancel`` is polled before the drain, after every batch and at the
+    end.  A raise closes the stream first, so the operators' ``finally``
+    blocks (and traced spans) finish before it propagates, and no
+    partial relation escapes.
+    """
+    attrs = _attrs_of(schema)
+    bag: Counter[Row] = Counter()
+    try:
+        if cancel is not None:
+            cancel.check()
+        for batch in batches:
+            if batch.attrs != attrs:
+                raise SchemaError(
+                    f"batch scheme {list(batch.attrs)} does not match relation scheme "
+                    f"{list(attrs)}"
+                )
+            for values, n in Counter(batch.value_tuples()).items():
+                bag[row_of(attrs, values)] += n
+            if cancel is not None:
+                cancel.check()
+    finally:
+        close = getattr(batches, "close", None)
+        if close is not None:
+            close()
+    if cancel is not None:
+        cancel.check()
+    return Relation.adopt(schema, bag)

@@ -6,6 +6,15 @@ drained, and returned together with the metered costs — which is exactly
 how the Example-1 benchmark compares ``R1 − (R2 → R3)`` against
 ``(R1 − R2) → R3``.
 
+The drain is one batch materializer
+(:func:`~repro.engine.batch.columns.materialize`): the plan root's
+column batches go straight into the result bag, with one scheme check
+per batch, value tuples counted per batch and one ``Row`` made per
+distinct tuple.  The bag is exactly the one a row-at-a-time drain
+builds (same representatives, key order and multiplicities), and it is
+complete when :func:`execute_plan` returns.  The cancel token is polled
+once per root batch.
+
 When tracing is active (see :mod:`repro.observability`), every execution
 produces a ``query.execute`` span carrying the query's metric totals; at
 *full* detail (``REPRO_TRACE=1`` or a forced tracer, e.g. EXPLAIN
@@ -20,23 +29,18 @@ bit-identical with tracing off (``REPRO_TRACE=0``), which
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.algebra.relation import Relation
-from repro.algebra.tuples import Row
 from repro.core.expressions import Expression
+from repro.engine.batch.columns import materialize
 from repro.engine.iterators import PhysicalOp, trace_plan, untrace_plan
 from repro.engine.metrics import Metrics
 from repro.engine.planner import Planner
 from repro.engine.storage import Storage
 from repro.observability.spans import Span, current_tracer, maybe_span
 from repro.util.cancel import CancelToken
-
-#: Poll the cancel token once per this many rows drained at the plan root
-#: (in addition to the denser evaluation-count polling inside Metrics).
-CANCEL_ROW_MASK = 0x3F  # every 64 rows
 
 
 @dataclass
@@ -59,51 +63,30 @@ class ExecutionResult:
         )
 
 
-def _drain(rows: Iterator[Row], cancel: Optional[CancelToken]) -> Iterator[Row]:
-    """Pass rows through, polling the cancel token every few rows.
-
-    Cancellation is cooperative: the raise unwinds through the operator
-    generators' ``finally`` blocks, so traced spans still finish and no
-    operator is left mid-step.  Build-heavy phases that emit no rows for
-    a long time are covered by the polls in ``Metrics.retrieved`` (every
-    scan and index-join batch) and ``Metrics.evaluated``.
-    """
-    if cancel is None:
-        yield from rows
-        return
-    cancel.check()
-    n = 0
-    for row in rows:
-        n += 1
-        if not (n & CANCEL_ROW_MASK):
-            cancel.check()
-        yield row
-    cancel.check()
-
-
 def execute_plan(plan: PhysicalOp, cancel: Optional[CancelToken] = None) -> ExecutionResult:
     """Drain a physical plan with a fresh metrics sink.
 
-    Traced when a tracer is active: the plan tree is transparently
-    wrapped for per-operator metering and restored afterwards.  When a
-    ``cancel`` token is given, the drain loop (and the per-query metrics
-    sink) polls it and raises its ``CancellationError`` cooperatively.
+    The root's batches go straight into the result bag
+    (:func:`~repro.engine.batch.columns.materialize`); the relation is
+    complete when this returns.  Traced when a tracer is active: the plan
+    tree is transparently wrapped for per-operator metering and restored
+    afterwards.  When a ``cancel`` token is given, the materializer polls
+    it once per root batch (and the per-query metrics sink polls it
+    inside operator builds), raising its ``CancellationError``
+    cooperatively.
     """
     metrics = Metrics(cancel=cancel)
     tracer = current_tracer()
     if tracer is None:
-        relation = Relation(plan.schema, _drain(plan.execute(metrics), cancel))
+        relation = materialize(plan.schema, plan.execute_batches(metrics), cancel)
         return ExecutionResult(relation=relation, metrics=metrics, plan=plan)
 
     with tracer.span("query.execute", category="engine") as root:
-        if tracer.trace_operators:
-            wrapped, undo = trace_plan(plan, root)
-            try:
-                relation = Relation(plan.schema, _drain(wrapped.execute(metrics), cancel))
-            finally:
-                untrace_plan(undo)
-        else:
-            relation = Relation(plan.schema, _drain(plan.execute(metrics), cancel))
+        wrapped, undo = trace_plan(plan, root) if tracer.trace_operators else (plan, [])
+        try:
+            relation = materialize(plan.schema, wrapped.execute_batches(metrics), cancel)
+        finally:
+            untrace_plan(undo)
         metrics.flush_to_span(root)
         root.set(rows=len(relation))
     return ExecutionResult(relation=relation, metrics=metrics, plan=plan, trace=root)

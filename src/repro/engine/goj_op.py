@@ -19,7 +19,7 @@ from typing import List, Optional
 from repro.algebra.nulls import NULL
 from repro.algebra.predicates import Predicate, TruePredicate
 from repro.algebra.schema import Schema
-from repro.engine.batch.columns import ColumnBatch, _fast_row
+from repro.engine.batch.columns import ColumnBatch, row_of
 from repro.engine.batch.kernels import BatchHashJoiner
 from repro.engine.iterators import PhysicalOp
 from repro.engine.metrics import Metrics
@@ -83,7 +83,7 @@ class GeneralizedOuterJoinOp(PhysicalOp):
                 sorted(self.schema.difference(Schema(self.projection)).attributes)
             )
             witnesses = sorted(
-                (_fast_row(dict(zip(proj_attrs, values))) for values in unmatched),
+                (row_of(proj_attrs, values) for values in unmatched),
                 key=repr,
             )
             tail = len(witnesses)

@@ -27,8 +27,9 @@ One protocol: every operator implements only
 :class:`~repro.engine.batch.ColumnBatch` chunks, and consumes its
 children the same way.  Rows appear only where a consumer asks for
 them: ``execute()``, defined once on :class:`PhysicalOp`, flattens the
-batches of whatever operator it is called on (the executor drains the
-plan root this way).
+batches of whatever operator it is called on, and the executor (like
+``run()``) counts the root's batches straight into the result bag
+(:func:`~repro.engine.batch.columns.materialize`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,12 @@ from repro.algebra.predicates import PairView, Predicate, TruePredicate
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
 from repro.algebra.tuples import Row, null_row
-from repro.engine.batch.columns import ColumnBatch, batches_from_rows, rows_from_batches
+from repro.engine.batch.columns import (
+    ColumnBatch,
+    batches_from_rows,
+    materialize,
+    rows_from_batches,
+)
 from repro.engine.batch.kernels import (
     BatchHashJoiner,
     BuildSide,
@@ -136,7 +142,7 @@ class PhysicalOp:
     def run(self, metrics: Optional[Metrics] = None) -> Relation:
         """Drain the operator into a relation (convenience for tests)."""
         metrics = metrics or Metrics()
-        return Relation(self.schema, self.execute(metrics))
+        return materialize(self.schema, self.execute_batches(metrics))
 
 
 def _check_join_type(join_type: str) -> None:

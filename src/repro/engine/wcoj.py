@@ -45,7 +45,7 @@ from repro.algebra.nulls import is_null, satisfied
 from repro.algebra.predicates import Predicate, conjunction
 from repro.algebra.tuples import Row
 from repro.core.wcoj_order import WcojSpec
-from repro.engine.batch.columns import ColumnBatch
+from repro.engine.batch.columns import ColumnBatch, rows_from_batches
 from repro.engine.iterators import Filter, PhysicalOp, SeqScan, TracedOp
 from repro.engine.metrics import Metrics
 from repro.engine.storage import Storage, Table
@@ -295,17 +295,20 @@ class LeapfrogTriejoinOp(PhysicalOp):
         total = 0
         builds = 0
         for name, op in zip(self.spec.order, self.inputs):
-            # Drain through execute() even when the trie is cached so the
+            # Every input is drained, even when its trie is cached, so the
             # retrieval/filter metering matches the other executors.
-            rows = list(op.execute(metrics))
-            total += len(rows)
+            batches = op.execute_batches(metrics)
             groups = self.spec.keys_for(name)
             inner = op
             while isinstance(inner, TracedOp):
                 inner = inner.inner
             if isinstance(inner, SeqScan):
+                # The table's own trie indexes it; the batches only meter.
+                total += sum(batch.num_rows for batch in batches)
                 trie, built = trie_for(inner.table, groups)
             else:
+                rows = list(rows_from_batches(batches))
+                total += len(rows)
                 trie = TrieIndex.build(rows, groups)
                 built = True
                 instrumentation.bump("trie_builds")

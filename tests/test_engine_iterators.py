@@ -9,7 +9,10 @@ from repro.algebra.comparison import bag_equal
 from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.relation import Relation
 from repro.algebra.tuples import Row
+from repro.algebra.schema import Schema
 from repro.core.expressions import Rel, Restrict, RightOuterJoin, aj, jn, oj, sj
+from repro.core.wcoj_order import wcoj_spec_of
+from repro.datagen.topologies import triangle
 from repro.engine import (
     Filter,
     GeneralizedOuterJoinOp,
@@ -17,16 +20,20 @@ from repro.engine import (
     IndexNestedLoopJoin,
     Metrics,
     NestedLoopJoin,
+    PhysicalOp,
     Planner,
     ProjectOp,
     SeqScan,
     Storage,
     execute,
+    execute_plan,
 )
-from repro.engine.iterators import trace_plan, untrace_plan
+from repro.engine.batch import ColumnBatch
+from repro.engine.iterators import PaddedUnion, trace_plan, untrace_plan
+from repro.engine.wcoj import build_wcoj_plan
 from repro.observability.spans import Span
 from repro.util.cancel import CancelToken
-from repro.util.errors import PlanningError
+from repro.util.errors import PlanningError, QueryCancelledError, SchemaError
 from repro.util.fastpath import batch_size, batch_sized
 
 
@@ -526,3 +533,161 @@ def test_scan_batches_poll_the_cancel_token():
     result = execute(jn(Rel("A"), Rel("B"), eq("A.k", "B.k")), st, cancel=token)
     assert len(result.relation) == 0
     assert token.checks >= 2 * n // batch_size()
+
+
+class _CancelOnFirstBatch(PhysicalOp):
+    """A root that drains its child up front, then hands the batches over
+    one per pull, firing ``token`` as it hands over the first.  The child
+    is done before the cancel, so only the consumer can see it.  Records
+    how many batches were pulled and whether the stream was closed."""
+
+    def __init__(self, child: PhysicalOp, token: CancelToken):
+        self.child = child
+        self.token = token
+        self.schema = child.schema
+        self.pulled = 0
+        self.closed = False
+
+    def execute_batches(self, metrics):
+        batches = list(self.child.execute_batches(metrics))
+        try:
+            for batch in batches:
+                self.pulled += 1
+                self.token.cancel()
+                yield batch
+        finally:
+            self.closed = True
+
+    def describe(self, indent: int = 0) -> str:
+        return " " * indent + "CancelOnFirstBatch"
+
+
+def test_root_batches_poll_the_cancel_token():
+    """A cancel that fires mid-result at the root is seen right after that
+    batch: the drain stops, closes the plan and returns no relation."""
+    st = Storage()
+    st.create_table("A", ["A.k"], [{"A.k": i % 3} for i in range(10)])
+    token = CancelToken()
+    with batch_sized(2):
+        plan = _CancelOnFirstBatch(Planner(st).plan(Rel("A")), token)
+        with pytest.raises(QueryCancelledError) as raised:
+            execute_plan(plan, cancel=token)
+        assert plan.pulled == 1
+        # Closed by the drain itself: ``raised`` still holds the traceback,
+        # whose frames would otherwise keep the stream open.
+        assert plan.closed and raised.traceback
+        # Without the cancel the same plan yields the whole result.
+        whole = _CancelOnFirstBatch(Planner(st).plan(Rel("A")), CancelToken())
+        assert len(execute_plan(whole).relation) == 10
+        assert whole.pulled == 5
+
+
+def _materializer_storage():
+    """L and R with NULLs in key and non-key columns, duplicates several
+    rows apart (so they straddle batch boundaries at sizes 1 and 2), and
+    ``1``/``1.0``/``True`` in one column; triangle tables R1-R3 for a
+    Leapfrog plan with the same mix."""
+    st = Storage()
+    st.create_table(
+        "L",
+        ["L.k", "L.v"],
+        [{"L.k": k, "L.v": v} for k, v in
+         [(1, "a"), (2, NULL), (1.0, "a"), (NULL, "b"), (True, "a"), (2, NULL),
+          (3, 1), (NULL, "b"), (2, NULL), (3, 1.0), (3, True), (4, "c"), (1, "a")]],
+    )
+    st.create_table(
+        "R",
+        ["R.k", "R.w"],
+        [{"R.k": k, "R.w": w} for k, w in
+         [(1, "x"), (True, NULL), (2, "y"), (NULL, "z"), (2, "y"), (1.0, "x"), (5, NULL)]],
+    )
+    pairs = [(1, 2), (2, 1), (1.0, 2), (True, 1), (2, 2), (NULL, 1), (1, 2), (2, True)]
+    for name in ("R1", "R2", "R3"):
+        st.create_table(
+            name, [f"{name}.a", f"{name}.b"],
+            [{f"{name}.a": a, f"{name}.b": b} for a, b in pairs],
+        )
+    return st
+
+
+def _materializer_plans(st):
+    """Name -> physical plan covering every root the executor drains."""
+    small_k = Comparison("L.k", "<", 4)
+
+    def scan(name):
+        return SeqScan(st[name])
+
+    plans = {
+        f"hash-{jt}": HashJoin(Filter(scan("L"), small_k), scan("R"), "L.k", "R.k",
+                                join_type=jt)
+        for jt in ("inner", "left_outer", "full_outer", "semi", "anti")
+    }
+    plans["filter"] = Filter(scan("L"), small_k)
+    plans["project-none"] = ProjectOp(Filter(scan("L"), small_k), [])
+    plans["padded-union"] = PaddedUnion(Filter(scan("L"), small_k), scan("R"))
+    plans["goj"] = GeneralizedOuterJoinOp(scan("L"), scan("R"), "L.k", "R.k", ["L.k"])
+    scenario = triangle()
+    spec = wcoj_spec_of(scenario.graph, scenario.registry)
+    plans["leapfrog"] = build_wcoj_plan(spec, st, {"R1": [Comparison("R1.b", "<", 3)]})
+    return plans
+
+
+def _items(relation):
+    """The bag's (repr(row), count) pairs in iteration order: equal only if
+    the representatives (``1`` vs ``1.0`` vs ``True``) and the order agree."""
+    return [(repr(row), n) for row, n in relation.counts().items()]
+
+
+class TestResultMaterialization:
+    """The executor's batch materializer builds exactly the bag that
+    ``Relation(schema, rows)`` builds over the flattened root rows."""
+
+    PLANS = sorted(_materializer_plans(_materializer_storage()))
+
+    @pytest.mark.parametrize("size", [1, 2, 1024])
+    @pytest.mark.parametrize("name", PLANS)
+    def test_bag_and_order_match_the_row_drain(self, name, size):
+        st = _materializer_storage()
+        plan = _materializer_plans(st)[name]
+        with batch_sized(size):
+            got = execute_plan(plan).relation
+            expected = Relation(plan.schema, plan.execute(Metrics()))
+        assert got == expected
+        assert _items(got) == _items(expected)
+        assert got.schema == plan.schema
+        assert not got.is_empty()
+
+    def test_inputs_exercise_duplicates_selections_and_merged_keys(self):
+        st = _materializer_storage()
+        with batch_sized(2):
+            plan = _materializer_plans(st)["filter"]
+            assert any(b.selection is not None for b in plan.execute_batches(Metrics()))
+            got = execute_plan(plan).relation
+        assert got == Restrict(Rel("L"), Comparison("L.k", "<", 4)).eval(
+            st.to_database(), ops=ORACLE_OPS
+        )
+        # 1, 1.0, True and 1 again are one row, represented by the first.
+        assert _items(got)[0] == (repr(Row({"L.k": 1, "L.v": "a"})), 4)
+        assert got.multiplicity(Row({"L.k": 2, "L.v": NULL})) == 3
+        assert got.multiplicity(Row({"L.k": 3, "L.v": True})) == 3
+
+    def test_rows_hash_and_compare_like_constructed_rows(self):
+        st = _materializer_storage()
+        for plan in _materializer_plans(st).values():
+            for row in execute_plan(plan).relation.distinct_rows():
+                rebuilt = Row(dict(row))
+                assert hash(row) == hash(rebuilt)
+                assert row == rebuilt
+
+    def test_a_batch_on_the_wrong_scheme_raises(self):
+        class WrongScheme(PhysicalOp):
+            schema = Schema(["T.a"])
+
+            def execute_batches(self, metrics):
+                yield ColumnBatch(("T.b",), {"T.b": [1]}, 1)
+
+            def describe(self, indent: int = 0) -> str:
+                return " " * indent + "WrongScheme"
+
+        with pytest.raises(SchemaError):
+            execute_plan(WrongScheme())
