@@ -24,12 +24,13 @@ tier                    route
                         index nested-loop joins
 ``"wcoj"``              the cyclic fast path: every maximal *pure-join*
                         subtree with a genuinely cyclic class
-                        hypergraph runs as a Leapfrog Triejoin over
-                        sorted tries (:mod:`repro.engine.wcoj`);
-                        every other operator is planned by the engine
-                        planner.  Declines (skips) when no core is
-                        cyclic — acyclic graphs belong to the DP tree,
-                        and outerjoins never enter a cyclic core
+                        hypergraph is wrapped in a ``Leapfrog`` node
+                        and the engine planner plans the tree, so each
+                        such core runs as a Leapfrog Triejoin over
+                        sorted tries (:mod:`repro.engine.wcoj`).
+                        Declines (skips) when no core is cyclic —
+                        acyclic graphs belong to the DP tree, and
+                        outerjoins never enter a cyclic core
 ======================  =====================================================
 
 :func:`cross_check` runs a query through any subset of tiers and demands
@@ -49,7 +50,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.algebra.comparison import RelationDiff, bag_equal, explain_difference
 from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.relation import Database, Relation
-from repro.core.expressions import Expression
+from repro.core.expressions import Expression, Join, Rel, replace_at
+from repro.core.graph import graph_of
+from repro.core.wcoj_order import Leapfrog, wcoj_spec_of
 from repro.observability.spans import maybe_span
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError, ReproError
@@ -110,7 +113,9 @@ def run_executor(
                     table.create_index(attribute)
         elif storage is None:
             storage = Storage.from_database(db)
-        plan = _wcoj_plan(expr, storage) if name == "wcoj" else Planner(storage).plan(expr)
+        if name == "wcoj":
+            expr = _leapfrog_cores(expr, storage.registry)
+        plan = Planner(storage).plan(expr)
         if name == "batch":
             # Batch size 2 on purpose: the fuzzer's tiny relations then
             # still span several batches, exercising chunk boundaries,
@@ -128,47 +133,28 @@ def run_executor(
     raise PlanningError(f"unknown executor tier {name!r}")
 
 
-def _wcoj_plan(expr: Expression, storage):
-    """The engine plan of ``expr`` with each maximal cyclic join core on
-    the WCOJ fast path.
+def _leapfrog_cores(expr: Expression, registry) -> Expression:
+    """``expr`` with each maximal cyclic join core wrapped in ``Leapfrog``.
 
     A *core* is a pure tree of Rel/Join; outerjoins never enter one
     (Theorem 1 certifies reordering them only on the implementing-tree
     side).  Each maximal core whose attribute-class hypergraph is
-    genuinely cyclic plans as a Leapfrog Triejoin over sorted tries;
-    everything else — acyclic cores included — is the engine planner's.
+    genuinely cyclic becomes a Leapfrog node; the rest stays as written.
     Raises :class:`PlanningError` (a cross-check *skip*) when no core is
     cyclic, so the tier never silently duplicates ``engine``.
     """
-    from repro.core.expressions import Join, Rel
-    from repro.core.graph import graph_of
-    from repro.core.wcoj_order import wcoj_spec_of
-    from repro.engine.planner import Planner
-    from repro.engine.wcoj import build_wcoj_plan
-
-    def is_core(node: Expression) -> bool:
-        return isinstance(node, Rel) or (
-            isinstance(node, Join) and is_core(node.left) and is_core(node.right)
-        )
-
-    class WcojPlanner(Planner):
-        leapfrogs = 0
-
-        def plan(self, node: Expression):
-            if isinstance(node, Join) and is_core(node):
-                registry = self.storage.registry
-                spec = wcoj_spec_of(graph_of(node, registry), registry)
-                if spec is None:
-                    return Planner(self.storage).plan(node)
-                self.leapfrogs += 1
-                return build_wcoj_plan(spec, self.storage, {})
-            return super().plan(node)
-
-    planner = WcojPlanner(storage)
-    plan = planner.plan(expr)
-    if not planner.leapfrogs:
+    wrapped, core = expr, None
+    for path, node in expr.nodes():  # pre-order: a core's subtree follows it
+        if core is not None and path[: len(core)] == core:
+            continue
+        if isinstance(node, Join) and all(isinstance(n, (Join, Rel)) for _p, n in node.nodes()):
+            core = path
+            spec = wcoj_spec_of(graph_of(node, registry), registry)
+            if spec is not None:
+                wrapped = replace_at(wrapped, path, Leapfrog(node, spec))
+    if wrapped is expr:
         raise PlanningError("wcoj tier declines: no cyclic join core")
-    return plan
+    return wrapped
 
 
 @dataclass

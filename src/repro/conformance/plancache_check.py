@@ -12,8 +12,7 @@ demand the replayed plan's engine result is bag-equal to the *naive*
 algebra evaluation of the second tree — the slow transcription of the
 paper's definitions, evaluated with the oracle operator table.  The
 replayed plan is the one the service would serve: the physical plan of
-the strategy the second optimization chose (DP tree or Leapfrog
-Triejoin).
+the tree the second optimization chose, a Leapfrog node included.
 
 Graphs that are not freely reorderable are exercised too, with one
 twist: two implementing trees of a *non-nice* graph are inequivalent
@@ -38,9 +37,9 @@ from repro.core.enumeration import count_implementing_trees, sample_implementing
 from repro.core.reorderability import theorem1_applies
 from repro.datagen.queries import random_scenario
 from repro.datagen.random_db import random_database
-from repro.engine.executor import execute_plan
+from repro.engine.executor import execute_plan, plan_expression
 from repro.engine.storage import Storage
-from repro.optimizer.pipeline import optimize_query, physical_plan
+from repro.optimizer.pipeline import optimize_query
 from repro.optimizer.plancache import PlanCache
 from repro.tools import instrumentation
 from repro.util.rng import make_rng
@@ -129,7 +128,7 @@ def check_plan_cache(cases: int = 200, seed: int = 0) -> PlanCacheReport:
         if r2.cache_hit:
             report.hits += 1
 
-        replayed = execute_plan(physical_plan(r2, storage)).relation
+        replayed = execute_plan(plan_expression(r2.chosen, storage)).relation
         oracle = second.eval(db, ops=ORACLE_OPS)
         if not bag_equal(replayed, oracle):
             instrumentation.bump("plancache_conformance_failures")

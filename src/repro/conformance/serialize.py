@@ -39,6 +39,7 @@ from repro.algebra.predicates import (
 from repro.algebra.relation import Database, Relation
 from repro.algebra.tuples import Row
 from repro.core import expressions as E
+from repro.core.wcoj_order import Leapfrog
 from repro.util.errors import EvaluationError, PredicateError
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,9 @@ class _ExprEncoder:
             "attributes": sorted(node.attributes),
             "dedup": node.dedup,
         }
+
+    def visit_leapfrog(self, node: Leapfrog) -> Dict[str, Any]:
+        return node.child.accept(self)
 
     def visit_union(self, node: E.Union) -> Dict[str, Any]:
         return {

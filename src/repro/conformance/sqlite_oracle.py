@@ -210,6 +210,9 @@ class SQLTranspiler:
         distinct = "DISTINCT " if node.dedup else ""
         return f"SELECT {distinct}{_cols(attrs)} FROM {csub}", attrs
 
+    def visit_leapfrog(self, node) -> Tuple[str, List[str]]:
+        return node.child.accept(self)
+
     def visit_union(self, node) -> Tuple[str, List[str]]:
         lsql, lcols = node.left.accept(self)
         rsql, rcols = node.right.accept(self)

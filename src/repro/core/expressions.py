@@ -26,7 +26,7 @@ from typing import FrozenSet, Optional, Tuple
 
 from repro.algebra.goj import generalized_outerjoin
 from repro.algebra.operators import PUBLIC_OPS, OperatorTable
-from repro.algebra.predicates import Predicate, conjunction
+from repro.algebra.predicates import Predicate
 from repro.algebra.relation import Database, Relation
 from repro.algebra.schema import Schema, SchemaRegistry
 from repro.util.errors import EvaluationError
@@ -369,6 +369,9 @@ class UnaryOp(Expression):
     def relations(self) -> FrozenSet[str]:
         return self.child.relations()
 
+    def scheme(self, registry: SchemaRegistry) -> Schema:
+        return self.child.scheme(registry)
+
 
 class Restrict(UnaryOp):
     """Selection (Section 4's Restriction)."""
@@ -382,9 +385,6 @@ class Restrict(UnaryOp):
 
     def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
         return ops.restrict(self.child.eval(db, ops), self.predicate)
-
-    def scheme(self, registry: SchemaRegistry) -> Schema:
-        return self.child.scheme(registry)
 
     def to_infix(self, show_predicates: bool = False) -> str:
         tag = f"[{self.predicate!r}]" if show_predicates else ""
@@ -557,8 +557,3 @@ def replace_at(expr: Expression, path: Path, replacement: Expression) -> Express
             return Union(replace_at(kids[0], rest, replacement), kids[1])
         return Union(kids[0], replace_at(kids[1], rest, replacement))
     raise EvaluationError(f"cannot descend into {type(expr).__name__}")
-
-
-def conjoin_predicates(*predicates: Predicate) -> Predicate:
-    """Merge predicates the way reassociation merges operator labels."""
-    return conjunction(predicates)

@@ -20,7 +20,7 @@ implementing trees (:mod:`repro.core.enumeration`).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algebra.predicates import Predicate, conjunction
@@ -269,12 +269,6 @@ class QueryGraph:
             if (u in side_a and v in side_b) or (u in side_b and v in side_a)
         ]
         return joins, ojs
-
-    def undirected_edge_pairs(self) -> Iterator[NodePair]:
-        """All edges as unordered pairs (both kinds)."""
-        yield from self._join_edges
-        for (u, v) in self._oj_edges:
-            yield frozenset({u, v})
 
 
 # ---------------------------------------------------------------------------

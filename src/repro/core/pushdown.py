@@ -26,7 +26,7 @@ Section-4 pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.algebra.predicates import Predicate
 from repro.algebra.schema import SchemaRegistry
@@ -68,6 +68,24 @@ def collect_restrictions(query: Expression) -> Tuple[Expression, List[Predicate]
         conjuncts.extend(node.predicate.conjuncts())
         node = node.child
     return node, conjuncts
+
+
+def split_leaf_filters(expr: Expression) -> Tuple[Expression, Dict[str, List[Predicate]]]:
+    """Replace ``Restrict(Rel)`` leaves by bare leaves, collecting filters."""
+    filters: Dict[str, List[Predicate]] = {}
+
+    def walk(node: Expression) -> Expression:
+        if isinstance(node, Restrict) and isinstance(node.child, Rel):
+            filters.setdefault(node.child.name, []).extend(node.predicate.conjuncts())
+            return node.child
+        kids = node.children()
+        if len(kids) == 2:
+            return node.with_parts(walk(kids[0]), walk(kids[1]))  # type: ignore[attr-defined]
+        if isinstance(node, Restrict):
+            return Restrict(walk(node.child), node.predicate)
+        return node
+
+    return walk(expr), filters
 
 
 def _barred_relations(node: Expression) -> frozenset[str]:

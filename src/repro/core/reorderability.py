@@ -39,7 +39,7 @@ from repro.algebra.schema import SchemaRegistry
 from repro.core.enumeration import implementing_trees
 from repro.core.expressions import Expression
 from repro.core.graph import Arrow, QueryGraph, graph_of
-from repro.core.niceness import is_nice, violations
+from repro.core.niceness import violations
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,3 @@ def brute_force_check(
     return BruteForceReport(
         consistent=True, trees_checked=count, databases_checked=len(dbs)
     )
-
-
-def quick_is_nice(query: Expression, registry: SchemaRegistry) -> bool:
-    """Convenience: compute graph(Q) and apply the Lemma-1 check."""
-    return is_nice(graph_of(query, registry))

@@ -21,19 +21,23 @@ module does the *planning* half of that story, staying in the core layer
   deterministic tie-break and identity), each relation's trie key
   levels under that order, and the residual non-equality conjuncts that
   must run as post-filters over assembled rows.
-
-The spec is a frozen value object so the plan cache can replay it under
-its generation-keyed invalidation.
+* :class:`Leapfrog` marks a join-only subtree of an implementing tree
+  to run as one Leapfrog Triejoin: an operator choice inside the tree,
+  so the plan cache replays it with the tree (the spec is a frozen
+  value, so the node hashes and compares like any tree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algebra.kernels import decompose_join_predicate
+from repro.algebra.operators import PUBLIC_OPS, OperatorTable
 from repro.algebra.predicates import Predicate
+from repro.algebra.relation import Database, Relation
 from repro.algebra.schema import SchemaRegistry
+from repro.core.expressions import Expression, UnaryOp
 from repro.core.graph import QueryGraph
 from repro.core.gyo import _UnionFind, gyo_reduce
 
@@ -70,6 +74,37 @@ class WcojSpec:
             name: frozenset(var for var, _attrs in levels)
             for name, levels in self.keys
         }
+
+
+class Leapfrog(UnaryOp):
+    """Run ``child``, a join-only subtree, as one Leapfrog Triejoin.
+
+    ``child``'s leaves are base relations, each maybe under its pushed
+    filter; ``spec`` is the trie layout and variable order of its graph.
+    The node computes ``child``'s natural join, so evaluation, the SQL
+    transpiler, cost walks and serialization read it as ``child``; the
+    physical planner plans it as the Leapfrog operator.
+    """
+
+    __slots__ = ("spec",)
+    visit_method = "visit_leapfrog"
+
+    def __init__(self, child: Expression, spec: WcojSpec):
+        super().__init__(child)
+        self.spec = spec
+
+    def eval(self, db: Database, ops: OperatorTable = PUBLIC_OPS) -> Relation:
+        return self.child.eval(db, ops)
+
+    def to_infix(self, show_predicates: bool = False) -> str:
+        order = ", ".join(self.spec.variables)
+        return f"Leapfrog[{order}]({self.child.to_infix(show_predicates)})"
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Leapfrog) and other.child == self.child and other.spec == self.spec
+
+    def __hash__(self) -> int:
+        return hash(("Leapfrog", self.child, self.spec))
 
 
 def wcoj_spec_of(

@@ -20,7 +20,9 @@ semantics never change — only the access path does.
 The §6.2 generalized outerjoin plans as the modified hash join, or as a
 keyless build (every right row a candidate, the whole predicate the
 residual) when no equi conjunct exists.  The §2.1 padded ``Union`` plans
-as :class:`~repro.engine.iterators.PaddedUnion`.  So every operator the
+as :class:`~repro.engine.iterators.PaddedUnion`.  A
+:class:`~repro.core.wcoj_order.Leapfrog` node plans as one Leapfrog
+Triejoin over its leaves' (filtered) base scans.  So every operator the
 algebra defines has a plan; :class:`PlanningError` means an expression
 type the planner does not know.
 """
@@ -46,6 +48,9 @@ from repro.core.expressions import (
     Semijoin,
     Union,
 )
+from repro.core.pushdown import split_leaf_filters
+from repro.core.wcoj_order import Leapfrog
+from repro.engine import wcoj
 from repro.engine.goj_op import GeneralizedOuterJoinOp
 from repro.engine.iterators import (
     Filter,
@@ -122,6 +127,9 @@ class Planner:
             return ProjectOp(self.plan(expr.child), expr.attributes, dedup=expr.dedup)
         if isinstance(expr, Union):
             return PaddedUnion(self.plan(expr.left), self.plan(expr.right))
+        if isinstance(expr, Leapfrog):
+            _core, filters = split_leaf_filters(expr.child)
+            return wcoj.build_wcoj_plan(expr.spec, self.storage, filters)
         if type(expr) is GeneralizedOuterJoin:
             return self._plan_goj(expr)
         kind = _JOIN_KINDS.get(type(expr))

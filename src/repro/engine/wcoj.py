@@ -14,8 +14,9 @@ so no intermediate ever exceeds the fractional-cover bound.
 Mechanics worth knowing:
 
 * **Trie keys** are compared through :func:`_sort_key`, which prefixes
-  every value with its type name — one total order over mixed-type
-  columns without Python 3 cross-type comparisons.
+  every value with a type tag — one total order over mixed-type
+  columns without Python 3 cross-type comparisons.  Numbers share a
+  tag, so ``1``, ``1.0`` and ``True`` are one key, as under ``=``.
 * **3VL**: a row with NULL in any key attribute can never satisfy an
   equality conjunct, so it is excluded from the trie outright (the
   binary hash kernels drop the same rows at probe time).  Likewise a row
@@ -60,10 +61,12 @@ KeyGroups = Tuple[Tuple[str, Tuple[str, ...]], ...]
 def _sort_key(value) -> tuple:
     """A totally-ordered proxy for a trie key value.
 
-    Prefixing the type name keeps mixed-type columns sortable (Python 3
-    refuses ``3 < "x"``) and keeps ``1`` and ``True`` distinct, so trie
-    positions are deterministic regardless of the value mix.
+    Prefixing a type tag keeps mixed-type columns sortable (Python 3
+    refuses ``3 < "x"``).  Numbers (``bool`` is an ``int``) share one
+    tag and order by value; any other value is tagged with its class.
     """
+    if isinstance(value, (int, float)):
+        return ("number", value)
     return (value.__class__.__name__, value)
 
 

@@ -211,9 +211,12 @@ class CardinalityEstimator:
             RightOuterJoin,
             Semijoin,
         )
+        from repro.core.wcoj_order import Leapfrog
 
         if isinstance(expr, Rel):
             return self.base(expr.name)
+        if isinstance(expr, Leapfrog):
+            return self.estimate_expression(expr.child)
         if isinstance(expr, Join):
             return self.combine(
                 "join",

@@ -54,11 +54,14 @@ class CostModel:
             LeftOuterJoin,
             RightOuterJoin,
         )
+        from repro.core.wcoj_order import Leapfrog
 
         def walk(node: Expression) -> Plan:
             if isinstance(node, Rel):
                 est = self.estimator.base(node.name)
                 return Plan(node, est, self.leaf_cost(node.name))
+            if isinstance(node, Leapfrog):
+                return walk(node.child)
             if isinstance(node, Join):
                 kind, left_node, right_node = "join", node.left, node.right
             elif isinstance(node, LeftOuterJoin):

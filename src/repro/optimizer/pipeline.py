@@ -14,8 +14,9 @@
 5. **Optimize** (Section 6.1): DP over connected subgraphs, with
    cardinalities estimated against the *filtered* relations;
 6. **Execute** (``optimize_and_run``, the one query path): the chosen
-   strategy runs — the DP tree with the pushed filters reattached above
-   the base scans, or a fast-path plan scanning under them.
+   tree, pushed filters reattached above the base scans, is planned and
+   run.  When the cost gate prefers it, a ``Leapfrog`` node wraps the
+   tree, and the planner runs it as one Leapfrog Triejoin.
 
 When a restriction stays parked above an outerjoin (a genuinely
 order-sensitive one, e.g. an ``IS NULL`` probe), the pipeline degrades
@@ -31,12 +32,11 @@ from typing import Dict, List, Optional
 from repro.algebra.predicates import Predicate, conjunction
 from repro.core.expressions import Expression, Rel, Restrict
 from repro.core.graph import QueryGraph, graph_of
-from repro.core.pushdown import push_restrictions
+from repro.core.pushdown import push_restrictions, split_leaf_filters
 from repro.core.reorderability import ReorderabilityVerdict, theorem1_applies
 from repro.core.simplify import simplify_outerjoins
-from repro.core.wcoj_order import WcojSpec, wcoj_spec_of
+from repro.core.wcoj_order import Leapfrog, WcojSpec, wcoj_spec_of
 from repro.engine.executor import ExecutionResult, execute_plan, plan_expression
-from repro.engine.iterators import PhysicalOp
 from repro.engine.storage import Storage
 from repro.observability.spans import maybe_span
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -67,18 +67,20 @@ class PipelineResult:
     fingerprint: Optional[str] = None
     #: True when the chosen plan (or verdict) was replayed from the cache.
     cache_hit: bool = False
-    #: What ``optimize_and_run`` — and so every query the service
-    #: serves — executes: the binary-tree DP plan ("dp") or the cyclic
-    #: worst-case optimal Leapfrog Triejoin ("wcoj"), as the cost gate
-    #: decided.
-    strategy: str = "dp"
-    #: The trie layout + variable order backing the cyclic fast path
-    #: (None unless the strategy is "wcoj").
-    wcoj_spec: Optional[WcojSpec] = None
-    #: Pushed leaf filters (relation -> conjuncts); what
-    #: ``_reattach_filters`` re-applies and the Leapfrog builder scans
-    #: under.  Empty when the query never reached the graph stage.
+    #: Pushed leaf filters (relation -> conjuncts), which
+    #: ``_reattach_filters`` re-applies to the chosen tree.  Empty when
+    #: the query never reached the graph stage.
     leaf_filters: Dict[str, List[Predicate]] = field(default_factory=dict)
+
+    @property
+    def wcoj_spec(self) -> Optional[WcojSpec]:
+        """The spec of the chosen tree's first Leapfrog node, or None."""
+        return next((n.spec for _p, n in self.chosen.nodes() if isinstance(n, Leapfrog)), None)
+
+    @property
+    def strategy(self) -> str:
+        """The strategy that runs: "wcoj" with a Leapfrog node in ``chosen``, else "dp"."""
+        return "dp" if self.wcoj_spec is None else "wcoj"
 
     def explain(self) -> str:
         lines = [f"original:   {self.original.to_infix()}"]
@@ -105,41 +107,15 @@ class PipelineResult:
         return "\n".join(lines)
 
 
-def _split_leaf_filters(expr: Expression) -> tuple[Expression, Dict[str, List[Predicate]]]:
-    """Replace ``Restrict(Rel)`` leaves by bare leaves, collecting filters."""
-    filters: Dict[str, List[Predicate]] = {}
-
-    def walk(node: Expression) -> Expression:
-        if isinstance(node, Restrict) and isinstance(node.child, Rel):
-            filters.setdefault(node.child.name, []).extend(node.predicate.conjuncts())
-            return node.child
-        if isinstance(node, Rel):
-            return node
-        kids = node.children()
-        if len(kids) == 2:
-            return node.with_parts(walk(kids[0]), walk(kids[1]))  # type: ignore[attr-defined]
-        if isinstance(node, Restrict):
-            return Restrict(walk(node.child), node.predicate)
-        return node
-
-    return walk(expr), filters
-
-
 def _reattach_filters(expr: Expression, filters: Dict[str, List[Predicate]]) -> Expression:
-    def walk(node: Expression) -> Expression:
-        if isinstance(node, Rel):
-            preds = filters.get(node.name)
-            if preds:
-                return Restrict(node, conjunction(preds))
-            return node
-        kids = node.children()
-        if len(kids) == 2:
-            return node.with_parts(walk(kids[0]), walk(kids[1]))  # type: ignore[attr-defined]
-        if isinstance(node, Restrict):
-            return Restrict(walk(node.child), node.predicate)
-        return node
-
-    return walk(expr)
+    """Put each leaf's pushed filter back on a DP tree (Rel and binary nodes)."""
+    if isinstance(expr, Rel):
+        preds = filters.get(expr.name)
+        return Restrict(expr, conjunction(preds)) if preds else expr
+    left, right = expr.children()
+    return expr.with_parts(  # type: ignore[attr-defined]
+        _reattach_filters(left, filters), _reattach_filters(right, filters)
+    )
 
 
 def optimize_query(
@@ -202,7 +178,7 @@ def _optimize_query(
         # Order-sensitive restriction: stay with the written order.
         return result
 
-    core, filters = _split_leaf_filters(push_report.query)
+    core, filters = split_leaf_filters(push_report.query)
     result.leaf_filters = filters
     # Multi-relation conjuncts parked above inner joins keep the core from
     # being a pure join/outerjoin tree (GraphUndefinedError), and a
@@ -222,17 +198,15 @@ def _optimize_query(
             # Replay: the fingerprint pins graph, filters, and cost
             # model; the generation stamp pins the statistics.  For a
             # freely-reorderable graph the cached entry carries the
-            # chosen tree; otherwise only the (graph-determined)
-            # verdict, because non-nice trees are NOT interchangeable
-            # and the written order must stand.  A cached WCOJ spec is
-            # the strategy the gate chose.
-            verdict, chosen, wcoj_spec = hit
+            # chosen tree, Leapfrog node included; otherwise only the
+            # (graph-determined) verdict, because non-nice trees are NOT
+            # interchangeable and the written order must stand.
+            verdict, chosen = hit
             result.verdict = verdict
             result.cache_hit = True
             if chosen is not None:
                 result.chosen = chosen
                 result.reordered = True
-            _set_strategy(result, wcoj_spec)
             return result
 
     with maybe_span("optimizer.niceness", category="optimizer") as span:
@@ -245,7 +219,7 @@ def _optimize_query(
     result.verdict = verdict
     if not verdict.freely_reorderable:
         if cache is not None:
-            cache.store(result.fingerprint, generation, (verdict, None, None))
+            cache.store(result.fingerprint, generation, (verdict, None))
         return result
 
     estimator = CardinalityEstimator(storage, filters)
@@ -257,20 +231,11 @@ def _optimize_query(
     else:
         raise ValueError(f"unknown cost model {cost_model!r}")
     plan = DPOptimizer(graph, model).optimize()
-    result.chosen = _reattach_filters(plan.expr, filters)
+    result.chosen = _cyclic_fast_path(graph, registry, estimator, plan.expr, filters)
     result.reordered = True
-    wcoj_spec = _cyclic_fast_path(graph, registry, estimator, plan.expr)
     if cache is not None:
-        cache.store(result.fingerprint, generation, (verdict, result.chosen, wcoj_spec))
-    _set_strategy(result, wcoj_spec)
+        cache.store(result.fingerprint, generation, (verdict, result.chosen))
     return result
-
-
-def _set_strategy(result: PipelineResult, wcoj_spec: Optional[WcojSpec]) -> None:
-    """Record the Leapfrog plan when the gate chose it, else keep "dp"."""
-    if wcoj_spec is not None:
-        result.wcoj_spec = wcoj_spec
-        result.strategy = "wcoj"
 
 
 def _cyclic_fast_path(
@@ -278,8 +243,10 @@ def _cyclic_fast_path(
     registry,
     estimator: CardinalityEstimator,
     dp_expr: Expression,
-) -> Optional[WcojSpec]:
-    """Take the worst-case optimal path when it is eligible *and* cheaper.
+    filters: Dict[str, List[Predicate]],
+) -> Expression:
+    """The chosen tree: the DP tree with ``filters`` reattached, wrapped in
+    a :class:`Leapfrog` node when that path is eligible *and* cheaper.
 
     Eligibility is :func:`~repro.core.wcoj_order.wcoj_spec_of`'s call: a
     connected pure-join core (outerjoins stay on implementing trees —
@@ -292,12 +259,13 @@ def _cyclic_fast_path(
     same estimator under one memo scope, so the comparison is
     apples-to-apples.
     """
+    dp_tree = _reattach_filters(dp_expr, filters)
     with maybe_span("optimizer.wcoj", category="optimizer") as span:
         spec = wcoj_spec_of(graph, registry)
         if spec is None:
             if span is not None:
                 span.set(cyclic=False, chosen=False)
-            return None
+            return dp_tree
         with estimator.memo_scope():
             dp_cost = CoutCostModel(estimator).plan_cost(dp_expr)
             cards = {name: estimator.base(name).cardinality for name in spec.order}
@@ -307,7 +275,7 @@ def _cyclic_fast_path(
             span.set(cyclic=True, chosen=chosen)
             span.counters["dp_cost"] = int(dp_cost)
             span.counters["wcoj_cost"] = int(wcoj_cost)
-        return spec if chosen else None
+        return Leapfrog(dp_tree, spec) if chosen else dp_tree
 
 
 def optimize_and_run(
@@ -318,32 +286,15 @@ def optimize_and_run(
     use_cache: bool = True,
     cancel: Optional[CancelToken] = None,
 ) -> tuple[PipelineResult, ExecutionResult]:
-    """Optimize, execute the strategy the optimizer chose, return both records.
+    """Optimize, plan the chosen tree, run it, and return both records.
 
-    The one query path (the service runs every query through it); the
-    plan comes from :func:`physical_plan`.  The optimizer's cost gate
-    alone sets the strategy.  ``cancel`` reaches the drain loop and
-    metrics sink of every strategy's plan.
+    The one query path (the service runs every query through it).  The
+    plan is ``plan_expression(result.chosen, storage)``, a Leapfrog node
+    included.  ``cancel`` reaches the plan's drain loop and metrics sink.
     """
     result = optimize_query(
         query, storage, cost_model=cost_model, cache=cache, use_cache=use_cache
     )
     if cancel is not None:
         cancel.check()
-    return result, execute_plan(physical_plan(result, storage), cancel=cancel)
-
-
-def physical_plan(result: PipelineResult, storage: Storage) -> PhysicalOp:
-    """The physical plan of the strategy the optimizer chose.
-
-    A "wcoj" strategy builds the Leapfrog Triejoin plan from the trie
-    spec and leaf filters; "dp" plans ``chosen``.
-    Every caller that runs an optimized query (``optimize_and_run``, the
-    plan-cache conformance check) gets its plan here.
-    """
-    if result.strategy == "wcoj":
-        from repro.engine.wcoj import build_wcoj_plan
-
-        assert result.wcoj_spec is not None
-        return build_wcoj_plan(result.wcoj_spec, storage, result.leaf_filters)
-    return plan_expression(result.chosen, storage)
+    return result, execute_plan(plan_expression(result.chosen, storage), cancel=cancel)

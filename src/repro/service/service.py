@@ -1,8 +1,8 @@
 """A concurrent query service over one storage: threads, deadlines, shedding.
 
 :class:`QueryService` turns the single-shot query path
-(:func:`repro.optimizer.optimize_and_run`, which runs whichever strategy
-the optimizer chose) into a serving layer:
+(:func:`repro.optimizer.optimize_and_run`, which plans and runs the tree
+the optimizer chose, Leapfrog node included) into a serving layer:
 
 * **Worker pool** — a fixed set of daemon threads drains a *bounded*
   admission queue.  Everything per-query (plan tree, metrics sink,
@@ -90,7 +90,7 @@ class QueryOutcome:
 
     @property
     def strategy(self) -> Optional[str]:
-        """Which strategy served the query: the DP tree ("dp") or Leapfrog ("wcoj")."""
+        """The strategy that served it: "wcoj" with a Leapfrog node in the tree, else "dp"."""
         return self.pipeline.strategy if self.pipeline is not None else None
 
     def require(self) -> Relation:

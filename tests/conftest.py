@@ -82,8 +82,8 @@ def serve_interrupted(monkeypatch):
     """Serve one query and stop it right after its routed plan is built.
 
     ``serve(query, storage, module, builder, how)`` wraps
-    ``module.builder`` (the plan builder ``optimize_and_run`` imports at
-    call time) so that once the plan exists the ticket is cancelled
+    ``module.builder`` (a plan builder the planner looks up at call
+    time) so that once the plan exists the ticket is cancelled
     (``how="cancel"``) or its one-second deadline runs out
     (``how="timeout"``).  The plan has not drained a row yet, so only a
     token that reached the plan's ``execute_plan`` can stop it.  Returns

@@ -16,7 +16,7 @@ import pytest
 from repro.algebra.nulls import NULL, is_null
 from repro.algebra.tuples import Row
 from repro.datagen.random_db import random_relation
-from repro.engine.storage import Storage, Table
+from repro.engine.storage import Table
 from repro.engine.wcoj import TrieIndex, _sort_key, trie_for
 from repro.util.errors import PlanningError
 
@@ -121,6 +121,21 @@ class TestBuildInvariants:
         trie = build(rows, groups)
         assert trie.rows_indexed == 1
         assert trie.rows_excluded == 1
+
+    def test_equal_numbers_of_different_classes_are_one_key(self):
+        # 1, 1.0 and True are equal under ``=``: one trie key, and a
+        # same-class pair such as (1, 1.0) agrees.
+        groups = (("x", ("R.a", "R.b")),)
+        rows = [
+            Row({"R.a": 1, "R.b": 1.0, "R.c": 0}),
+            Row({"R.a": 1.0, "R.b": True, "R.c": 1}),
+            Row({"R.a": True, "R.b": 1, "R.c": 2}),
+        ]
+        trie = build(rows, groups)
+        assert trie.rows_excluded == 0
+        [(_vec, leaf)] = walk_keyvecs(trie)
+        assert len(leaf) == 3
+        assert sorted([2, 0.5, True, 1.5, False], key=_sort_key) == [False, 0.5, True, 1.5, 2]
 
     def test_empty_key_groups_rejected(self):
         with pytest.raises(PlanningError):

@@ -11,7 +11,8 @@ Four layers of assurance:
   data, declines acyclic graphs, outerjoins, and the collapsed-class
   ``cycle`` family);
 * in-process checks that whatever strategy the gates pick is bag-equal
-  to the DP tree and to the oracle.
+  to the DP tree and to the oracle, and that the Leapfrog node the gate
+  puts in the chosen tree is served, cached and explained like any tree.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import pytest
 from repro.algebra.comparison import bag_equal
 from repro.algebra.nulls import NULL, is_null
 from repro.algebra.operators import ORACLE_OPS
-from repro.algebra.predicates import eq
+from repro.algebra.predicates import Const, eq, gt
 from repro.algebra.relation import Database, Relation
 from repro.conformance.check import EXECUTOR_TIERS, cross_check, run_executor
+from repro.conformance.serialize import expression_to_json
 from repro.core.enumeration import sample_implementing_tree
-from repro.core.expressions import jn, oj, rel
+from repro.core.expressions import Restrict, jn, oj, rel
 from repro.core.graph import graph_of
-from repro.core.wcoj_order import wcoj_spec_of
+from repro.core.wcoj_order import Leapfrog, wcoj_spec_of
 from repro.datagen.random_db import random_database
 from repro.datagen.topologies import (
     chain,
@@ -40,10 +42,12 @@ from repro.datagen.topologies import (
     square,
     triangle,
 )
-from repro.engine.executor import execute
+from repro.engine.executor import execute, execute_plan
 from repro.engine.explain import explain_analyze
 from repro.engine.storage import Storage
 from repro.engine.wcoj import LeapfrogTriejoinOp, build_wcoj_plan
+from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.cost import CoutCostModel
 from repro.optimizer.pipeline import optimize_and_run, optimize_query
 from repro.optimizer.plancache import PlanCache
 from repro.service import QueryService
@@ -114,6 +118,11 @@ def triangle_query():
         rel("R3"),
         eq("R2.b", "R3.a") & eq("R3.b", "R1.b"),
     ), scenario
+
+
+def dp_tree(chosen):
+    """The binary DP tree: ``chosen`` without its Leapfrog root, if any."""
+    return chosen.child if isinstance(chosen, Leapfrog) else chosen
 
 
 class TestKnownAnswers:
@@ -237,6 +246,25 @@ class TestOperator:
         assert len(rows) == 1
         assert all(not is_null(v) for v in rows[0].values())
 
+    @pytest.mark.parametrize("left, right", [(1, 1.0), (True, 1)], ids=["int-float", "bool-int"])
+    def test_mixed_numeric_keys_join_like_equality(self, left, right):
+        # ``=`` and the hash join treat 1, 1.0 and True as one value, so
+        # the tries must too: the one triangle joins on every path.
+        expr, scenario = triangle_query()
+        db = Database(
+            {
+                "R1": Relation.from_dicts(["R1.a", "R1.b"], [{"R1.a": left, "R1.b": 5}]),
+                "R2": Relation.from_dicts(["R2.a", "R2.b"], [{"R2.a": right, "R2.b": 7}]),
+                "R3": Relation.from_dicts(["R3.a", "R3.b"], [{"R3.a": 7, "R3.b": 5}]),
+            }
+        )
+        storage = Storage.from_database(db)
+        spec = wcoj_spec_of(scenario.graph, scenario.registry)
+        leapfrog = execute_plan(build_wcoj_plan(spec, storage, {})).relation
+        assert len(leapfrog) == 1
+        assert bag_equal(leapfrog, execute(expr, storage).relation)
+        assert bag_equal(leapfrog, expr.eval(db, ops=ORACLE_OPS))
+
     def test_arity_mismatch_rejected(self):
         _expr, scenario = triangle_query()
         spec = wcoj_spec_of(scenario.graph, scenario.registry)
@@ -272,12 +300,13 @@ class TestOptimizerDispatch:
         assert bag_equal(execution.relation, expr.eval(db))
 
     def test_toggle_off_is_bag_equal_dp(self):
-        # The DP fallback is the tree the pipeline keeps as ``chosen``;
-        # running it instead of the Leapfrog plan must give the same bag.
+        # The chosen tree is the DP tree under a Leapfrog root; running
+        # the DP tree instead of the Leapfrog plan must give the same bag.
         expr, db, storage = self._triangle_storage()
         result, on = optimize_and_run(expr, storage, use_cache=False)
         assert result.strategy == "wcoj"
-        off = execute(result.chosen, storage)
+        assert isinstance(result.chosen, Leapfrog)
+        off = execute(result.chosen.child, storage)
         assert bag_equal(on.relation, off.relation)
 
     def test_acyclic_graph_never_takes_wcoj(self):
@@ -365,6 +394,43 @@ class TestServed:
         assert bag_equal(outcome.relation, execute(outcome.pipeline.chosen, storage).relation)
         assert bag_equal(outcome.relation, expr.eval(storage.to_database(), ops=ORACLE_OPS))
 
+    def test_cold_and_cached_runs_serve_one_leapfrog_plan(self, monkeypatch):
+        """Served cold and then from the cache, a wcoj shape runs the same
+        Leapfrog plan, which the cache keeps inside the chosen tree and
+        which gets a ``query.plan`` span like a DP plan."""
+        from repro.observability.spans import default_tracer
+
+        monkeypatch.delenv("REPRO_TRACE", raising=False)  # ambient phase spans on
+        expr, storage = spike_triangle()
+        cache = PlanCache()
+        with QueryService(storage, workers=1, plan_cache=cache) as service:
+            cold = service.execute(expr)
+            warm = service.execute(expr)
+        assert (cold.strategy, warm.strategy) == ("wcoj", "wcoj")
+        assert not cold.cache_hit and warm.cache_hit
+        described = cold.execution.plan.describe()
+        assert described.startswith("LeapfrogTriejoin[")
+        assert warm.execution.plan.describe() == described
+        oracle = expr.eval(storage.to_database(), ops=ORACLE_OPS)
+        assert bag_equal(cold.relation, oracle) and bag_equal(warm.relation, oracle)
+
+        entry = cache.lookup(cold.pipeline.fingerprint, storage.generation)
+        assert len(entry) == 2
+        assert entry == (cold.pipeline.verdict, cold.pipeline.chosen)
+
+        served = [root for root in default_tracer().roots if root.name == "service.query"]
+        assert len(served) == 2
+        for root in served:
+            assert root.attrs["strategy"] == "wcoj"
+            plan_span = root.find("query.plan")
+            assert plan_span is not None
+            assert plan_span.attrs["plan"] == cold.execution.plan.span_label()
+
+        order = ", ".join(cold.pipeline.wcoj_spec.variables)
+        chosen = warm.pipeline.chosen.to_infix()
+        assert chosen.startswith(f"Leapfrog[{order}](")
+        assert f"chosen:     {chosen}" in warm.pipeline.explain().splitlines()
+
     @pytest.mark.parametrize("how", ["cancel", "timeout"])
     def test_deadline_reaches_the_leapfrog_plan(self, serve_interrupted, how):
         import repro.engine.wcoj as module
@@ -373,6 +439,38 @@ class TestServed:
         outcome, built = serve_interrupted(expr, storage, module, "build_wcoj_plan", how)
         assert outcome.status == {"cancel": "cancelled", "timeout": "timeout"}[how]
         assert [type(plan) for plan in built] == [LeapfrogTriejoinOp]
+
+
+class TestLeapfrogNode:
+    def test_reads_as_its_child_and_plans_as_the_leapfrog(self):
+        """Evaluation, SQL, serialization, scheme and costing see the child;
+        the planner runs the Leapfrog over the child's filtered leaves."""
+        _expr, scenario = triangle_query()
+        child = jn(
+            jn(Restrict(rel("R1"), gt("R1.a", Const(0))), rel("R2"), eq("R1.a", "R2.a")),
+            rel("R3"),
+            eq("R2.b", "R3.a") & eq("R3.b", "R1.b"),
+        )
+        node = Leapfrog(child, wcoj_spec_of(scenario.graph, scenario.registry))
+        db = random_database(scenario.schemas, seed=4, max_rows=12, domain=3)
+        storage = Storage.from_database(db)
+        oracle = child.eval(db, ops=ORACLE_OPS)
+        assert bag_equal(node.eval(db, ops=ORACLE_OPS), oracle)
+        assert bag_equal(run_executor("sqlite", node, db), oracle)
+        assert expression_to_json(node) == expression_to_json(child)
+        assert node.scheme(db.registry) == child.scheme(db.registry)
+        bare = Leapfrog(triangle_query()[0], node.spec)  # the cost walks take bare leaves
+        estimator = CardinalityEstimator(storage)
+        estimate = estimator.estimate_expression(bare).cardinality
+        assert estimate == estimator.estimate_expression(bare.child).cardinality
+        cout = CoutCostModel(estimator)
+        assert cout.plan_cost(bare) == cout.plan_cost(bare.child)
+
+        execution = execute(node, storage)
+        assert isinstance(execution.plan, LeapfrogTriejoinOp)
+        assert execution.plan.inputs[0].describe().startswith("Filter[(R1.a > 0)]")
+        assert bag_equal(execution.relation, oracle)
+        assert node == Leapfrog(child, node.spec) and hash(node) == hash(Leapfrog(child, node.spec))
 
 
 class TestExplain:
@@ -431,7 +529,7 @@ class TestFastPathVsDPTree:
             db = random_database(scenario.schemas, seed=seed, **db_kwargs)
             storage = Storage.from_database(db)
             result, execution = optimize_and_run(expr, storage, use_cache=False)
-            dp = execute(result.chosen, storage).relation
+            dp = execute(dp_tree(result.chosen), storage).relation
             assert bag_equal(execution.relation, dp), (scenario.name, result.strategy)
             assert bag_equal(execution.relation, expr.eval(db, ops=ORACLE_OPS)), scenario.name
         assert result.strategy != "wcoj"  # the acyclic chain
