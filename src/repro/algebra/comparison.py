@@ -63,8 +63,8 @@ def explain_difference(left: Relation, right: Relation) -> RelationDiff:
     a, b = _padded_pair(left, right)
     only_left: List[Tuple[Row, int]] = []
     only_right: List[Tuple[Row, int]] = []
-    rows = set(a.distinct_rows()) | set(b.distinct_rows())
-    for row in rows:
+    # First-seen order, so the report does not depend on hash salts.
+    for row in dict.fromkeys([*a.distinct_rows(), *b.distinct_rows()]):
         d = a.multiplicity(row) - b.multiplicity(row)
         if d > 0:
             only_left.append((row, d))

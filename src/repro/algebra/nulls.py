@@ -26,7 +26,10 @@ class _Null:
     A dedicated class (rather than Python's ``None``) keeps nulls distinct
     from the *unknown* truth value and from missing dictionary entries, and
     lets rows containing nulls participate in hashing, sorting keys and
-    equality without ambiguity.
+    equality without ambiguity: it hashes and compares by identity (at C
+    level), while SQL's ``NULL = x`` -> unknown lives in the predicates.
+    Its hash is its address, which no ``PYTHONHASHSEED`` fixes: never take
+    an order from the hash of a row that holds NULL.
     """
 
     _instance: Optional["_Null"] = None
@@ -38,16 +41,6 @@ class _Null:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return "NULL"
-
-    def __hash__(self) -> int:
-        return hash("repro.algebra.nulls.NULL")
-
-    def __eq__(self, other: object) -> bool:
-        # Python-level equality: NULL is equal to itself only.  SQL-level
-        # comparison semantics (NULL = anything -> unknown) live in the
-        # predicate evaluator, not here; rows need plain structural equality
-        # to support bag semantics.
-        return other is self
 
     def __reduce__(self):
         return (_Null, ())

@@ -3,7 +3,7 @@
 Every physical operator — scan, filter, project, the hash, index
 nested-loop and nested-loop joins, GOJ, and the n-ary joins — executes
 batch-at-a-time over :class:`ColumnBatch` chunks instead of one
-``Row``-dict at a time, amortizing Python interpreter overhead across
+``Row`` at a time, amortizing Python interpreter overhead across
 hundreds of tuples per operator call.  It is the only implementation of
 every operator; row consumers see the batches flattened.
 
@@ -11,10 +11,9 @@ Layout:
 
 * :mod:`~repro.engine.batch.columns` — the :class:`ColumnBatch`
   representation (per-column lists, selection vectors, cached null
-  masks), the one batch->row builder (``row_of``) behind
-  ``PhysicalOp.execute`` and the executor's result materializer, and
-  the row chunking that the row-internal n-ary joins (Leapfrog,
-  Yannakakis) emit through.
+  masks), the batch->row flattening behind ``PhysicalOp.execute``,
+  the executor's result materializer, and the row chunking that the
+  row-internal n-ary joins (Leapfrog, Yannakakis) emit through.
 * :mod:`~repro.engine.batch.kernels` — compiled filter kernels and the
   batch hash-join build/probe for every variant.
 

@@ -28,32 +28,16 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
 from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.algebra.nulls import NULL
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
-from repro.algebra.tuples import Row
+from repro.algebra.tuples import Row, columns_of, layout_of, row_of
 from repro.util.cancel import CancelToken
 from repro.util.errors import SchemaError
-
-
-def row_of(attrs: Sequence[str], values: Iterable[Any]) -> Row:
-    """The Row assigning ``values`` to ``attrs`` pairwise: the one way the
-    engine turns column values back into a row.
-
-    Bit-identical to ``Row(dict(zip(attrs, values)))`` minus the
-    attribute-name validation (batch columns only ever hold values that
-    arrived through validated rows): same ``_values`` dict, same
-    ``hash(frozenset(items))`` contract, so rows from this path hash and
-    compare interchangeably with rows from ``Row.concat``.
-    """
-    d = dict(zip(attrs, values))
-    row = Row.__new__(Row)
-    object.__setattr__(row, "_values", d)
-    object.__setattr__(row, "_hash", hash(frozenset(d.items())))
-    return row
 
 
 class ColumnBatch:
@@ -93,12 +77,11 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, schema: Schema | Iterable[str], rows: Sequence[Row]) -> "ColumnBatch":
-        """Columnarize a chunk of rows."""
+        """Columnarize a chunk of rows: one transpose of their value
+        tuples when every row is on the batch's scheme (a table scan),
+        one lookup per cell otherwise."""
         attrs = _attrs_of(schema)
-        columns: Dict[str, List[Any]] = {}
-        for attr in attrs:
-            columns[attr] = [r._values[attr] for r in rows]
-        return cls(attrs, columns, len(rows))
+        return cls(attrs, columns_of(rows, attrs), len(rows))
 
     @classmethod
     def empty(cls, schema: Schema | Iterable[str]) -> "ColumnBatch":
@@ -167,8 +150,9 @@ class ColumnBatch:
     def value_tuples(self) -> Iterator[Tuple[Any, ...]]:
         """The alive rows as value tuples in ``attrs`` order, in order.
 
-        Two tuples are equal (and hash alike) exactly when the rows built
-        from them by :func:`row_of` are, so counting tuples counts rows.
+        A tuple is the value tuple of the alive row: two tuples are equal
+        (and hash alike) exactly when the rows on this layout are, so
+        counting tuples counts rows.
         """
         cols: List[Iterable[Any]] = [self.columns[a] for a in self.attrs]
         if not cols:
@@ -179,10 +163,8 @@ class ColumnBatch:
         return zip(*cols)
 
     def iter_rows(self) -> Iterator[Row]:
-        """Yield the alive rows as :class:`Row` objects, in order."""
-        attrs = self.attrs
-        for values in self.value_tuples():
-            yield row_of(attrs, values)
+        """The alive rows as :class:`Row` objects, in order."""
+        return map(partial(row_of, layout_of(self.attrs)), self.value_tuples())
 
     def to_rows(self) -> List[Row]:
         return list(self.iter_rows())
@@ -233,13 +215,15 @@ def materialize(
 ) -> Relation:
     """Drain a batch stream into the bag it denotes.
 
-    Per batch: the scheme is checked once (``batch.attrs`` against the
-    sorted attributes of ``schema``), the alive value tuples are counted
-    at C level, and one :class:`Row` is made per distinct tuple and its
-    count added into the bag.  The bag equals ``Relation(schema, rows)``
-    over the flattened rows: the same first-seen representative per
-    key, the same key order, the same multiplicities.  Counting per
-    batch means no result-sized list of tuples is ever held.
+    Per batch the scheme is checked once (``batch.attrs`` against the
+    sorted attributes of ``schema``) and the alive value tuples are
+    counted into one C-level ``Counter``.  After the drain each distinct
+    tuple is adopted as the value tuple of one :class:`Row`, in
+    first-seen order, and the bag is filled in one ``dict.update``.  The
+    bag equals ``Relation(schema, rows)`` over the flattened rows: the
+    same first-seen representative per key, the same key order, the
+    same multiplicities.  It is fully built before this returns; the
+    one result-sized structure held besides it is the tuple counter.
 
     ``cancel`` is polled before the drain, after every batch and at the
     end.  A raise closes the stream first, so the operators' ``finally``
@@ -247,7 +231,7 @@ def materialize(
     partial relation escapes.
     """
     attrs = _attrs_of(schema)
-    bag: Counter[Row] = Counter()
+    counts: Counter[Tuple[Any, ...]] = Counter()
     try:
         if cancel is not None:
             cancel.check()
@@ -257,8 +241,7 @@ def materialize(
                     f"batch scheme {list(batch.attrs)} does not match relation scheme "
                     f"{list(attrs)}"
                 )
-            for values, n in Counter(batch.value_tuples()).items():
-                bag[row_of(attrs, values)] += n
+            counts.update(batch.value_tuples())
             if cancel is not None:
                 cancel.check()
     finally:
@@ -267,4 +250,6 @@ def materialize(
             close()
     if cancel is not None:
         cancel.check()
+    bag: Counter[Row] = Counter()
+    dict.update(bag, zip(map(partial(row_of, layout_of(attrs)), counts), counts.values()))
     return Relation.adopt(schema, bag)

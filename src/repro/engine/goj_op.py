@@ -19,7 +19,8 @@ from typing import List, Optional
 from repro.algebra.nulls import NULL
 from repro.algebra.predicates import Predicate, TruePredicate
 from repro.algebra.schema import Schema
-from repro.engine.batch.columns import ColumnBatch, row_of
+from repro.algebra.tuples import layout_of, row_of
+from repro.engine.batch.columns import ColumnBatch
 from repro.engine.batch.kernels import BatchHashJoiner
 from repro.engine.iterators import PhysicalOp
 from repro.engine.metrics import Metrics
@@ -58,7 +59,7 @@ class GeneralizedOuterJoinOp(PhysicalOp):
 
         Projections key on their value tuple in (sorted) projection-attr
         order — equivalent to ``Row`` set membership — and the unmatched
-        witnesses are rebuilt as rows and sorted by ``repr`` so the tail
+        witnesses are sorted by the ``repr`` of their rows so the tail
         batch has a deterministic order.
         """
         build = self._hash_build(self.right, self.right_key, metrics)
@@ -79,18 +80,11 @@ class GeneralizedOuterJoinOp(PhysicalOp):
 
         unmatched = seen - matched
         if unmatched:
-            pad_attrs = tuple(
-                sorted(self.schema.difference(Schema(self.projection)).attributes)
-            )
-            witnesses = sorted(
-                (row_of(proj_attrs, values) for values in unmatched),
-                key=repr,
-            )
+            layout = layout_of(proj_attrs)
+            witnesses = sorted(unmatched, key=lambda values: repr(row_of(layout, values)))
             tail = len(witnesses)
-            columns = {
-                a: [w._values[a] for w in witnesses] for a in proj_attrs
-            }
-            for a in pad_attrs:
+            columns = dict(zip(proj_attrs, map(list, zip(*witnesses))))
+            for a in self.schema.attributes.difference(proj_attrs):
                 columns[a] = [NULL] * tail
             out = ColumnBatch(tuple(sorted(columns)), columns, tail)
             metrics.emitted("GOJ", tail)

@@ -45,7 +45,7 @@ from repro.algebra.nulls import NULL, satisfied
 from repro.algebra.predicates import PairView, Predicate, TruePredicate
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
-from repro.algebra.tuples import Row, null_row
+from repro.algebra.tuples import Row, columns_of, null_row
 from repro.engine.batch.columns import (
     ColumnBatch,
     batches_from_rows,
@@ -356,7 +356,7 @@ class IndexNestedLoopJoin(PhysicalOp):
         residual = None if isinstance(self.residual, TruePredicate) else self.residual
         lookup = self.index.lookup
         padding = null_row(self.table.schema)
-        right_attrs = tuple(self.table.schema.attributes)
+        right_attrs = tuple(sorted(self.table.schema.attributes))
         label = f"INLJ[{join_type}]"
         span = self._span
         for batch in self.left.execute_batches(metrics):
@@ -411,8 +411,7 @@ class IndexNestedLoopJoin(PhysicalOp):
                 span.counters["index_hits"] += hits
             if out_l:
                 columns = {a: [col[i] for i in out_l] for a, col in batch.columns.items()}
-                for a in right_attrs:
-                    columns[a] = [row._values[a] for row in out_r]
+                columns.update(columns_of(out_r, right_attrs))
                 metrics.emitted(label, len(out_l))
                 yield self._emit_batch(ColumnBatch(tuple(sorted(columns)), columns, len(out_l)))
             elif keep:

@@ -12,26 +12,21 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.algebra.nulls import is_null
+from repro.algebra.nulls import NULL
 from repro.algebra.relation import Database, Relation
 from repro.algebra.schema import Schema, SchemaRegistry
-from repro.algebra.tuples import Row
+from repro.algebra.tuples import Row, columns_of
 from repro.engine.indexes import HashIndex
 from repro.util.errors import PlanningError, SchemaError
 
 
-def distinct_counts(rows: Iterable[Row], attributes: Iterable[str]) -> Dict[str, int]:
+def distinct_counts(rows: Sequence[Row], attributes: Iterable[str]) -> Dict[str, int]:
     """Per-attribute count of distinct non-null values over ``rows``."""
-    seen: Dict[str, set] = {attr: set() for attr in attributes}
-    for row in rows:
-        for attr, values in seen.items():
-            value = row[attr]
-            if not is_null(value):
-                values.add(value)
-    return {attr: len(values) for attr, values in seen.items()}
+    columns = columns_of(rows, tuple(sorted(attributes)))
+    return {attr: len(set(col) - {NULL}) for attr, col in columns.items()}
 
 
 class Table:

@@ -102,18 +102,23 @@ class CardinalityEstimator:
                 return hit
         info = self._filtered.get(name)
         if info is None:
-            table = self.storage[name]
             preds = self.filters.get(name)
             if preds:
-                predicate = conjunction(preds)
-                rows = [r for r in table.rows if satisfied(predicate.evaluate(r))]
-                info = self._leaf(name, len(rows), distinct_counts(rows, table.schema))
-                self._filtered[name] = info
+                info = self._filtered[name] = self.filtered(name, preds)
             else:
+                table = self.storage[name]
                 info = self._leaf(name, len(table), table.stats())
         if memo is not None:
             memo[key] = info
         return info
+
+    def filtered(self, name: str, preds: List[Predicate]) -> EstimateInfo:
+        """The leaf ``name`` under the conjuncts ``preds``, counted from the
+        rows that satisfy them (not memoized)."""
+        table = self.storage[name]
+        predicate = conjunction(preds)
+        rows = [r for r in table.rows if satisfied(predicate.evaluate(r))]
+        return self._leaf(name, len(rows), distinct_counts(rows, table.schema))
 
     @staticmethod
     def _leaf(name: str, rows: int, distinct: Dict[str, int]) -> EstimateInfo:
@@ -201,12 +206,14 @@ class CardinalityEstimator:
         return info
 
     def estimate_expression(self, expr: Expression) -> EstimateInfo:
-        """Estimate any join/outerjoin expression tree bottom-up."""
+        """Estimate any join/outerjoin expression tree bottom-up; its
+        leaves are relations, bare or under their pushed filter."""
         from repro.core.expressions import (
             Antijoin,
             Join,
             LeftOuterJoin,
             Rel,
+            Restrict,
             RightAntijoin,
             RightOuterJoin,
             Semijoin,
@@ -215,6 +222,9 @@ class CardinalityEstimator:
 
         if isinstance(expr, Rel):
             return self.base(expr.name)
+        if isinstance(expr, Restrict) and isinstance(expr.child, Rel):
+            # A chosen tree's filtered leaf: the base the optimizer counts.
+            return self.filtered(expr.child.name, list(expr.predicate.conjuncts()))
         if isinstance(expr, Leapfrog):
             return self.estimate_expression(expr.child)
         if isinstance(expr, Join):

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.algebra.predicates import Predicate
 from repro.algebra.schema import Schema
-from repro.core.expressions import Expression, Rel
+from repro.core.expressions import Expression, Rel, Restrict
 from repro.engine.planner import split_equijoin
 from repro.engine.storage import Storage
 from repro.optimizer.cardinality import CardinalityEstimator, EstimateInfo
@@ -57,9 +57,11 @@ class CostModel:
         from repro.core.wcoj_order import Leapfrog
 
         def walk(node: Expression) -> Plan:
-            if isinstance(node, Rel):
-                est = self.estimator.base(node.name)
-                return Plan(node, est, self.leaf_cost(node.name))
+            leaf = node.child if isinstance(node, Restrict) else node
+            if isinstance(leaf, Rel):
+                # A filtered leaf prices as its base, like the DP's leaves.
+                est = self.estimator.estimate_expression(node)
+                return Plan(leaf, est, self.leaf_cost(leaf.name))
             if isinstance(node, Leapfrog):
                 return walk(node.child)
             if isinstance(node, Join):

@@ -8,7 +8,7 @@ from repro.algebra import NULL, Comparison, TruePredicate, eq, gt
 from repro.algebra.comparison import bag_equal
 from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.relation import Relation
-from repro.algebra.tuples import Row
+from repro.algebra.tuples import Row, columns_of, layout_of, row_of
 from repro.algebra.schema import Schema
 from repro.core.expressions import Rel, Restrict, RightOuterJoin, aj, jn, oj, sj
 from repro.core.wcoj_order import wcoj_spec_of
@@ -670,6 +670,34 @@ class TestResultMaterialization:
         assert _items(got)[0] == (repr(Row({"L.k": 1, "L.v": "a"})), 4)
         assert got.multiplicity(Row({"L.k": 2, "L.v": NULL})) == 3
         assert got.multiplicity(Row({"L.k": 3, "L.v": True})) == 3
+
+    @pytest.mark.parametrize("size", [1, 2, 1024])
+    def test_a_duplicate_first_seen_in_an_earlier_batch(self, size):
+        """``(1, 'a')`` leads the scan; ``1.0``, ``True`` and ``1`` again
+        follow in later batches at sizes 1 and 2.  The bag keeps the
+        first representative with the summed count, like the row drain."""
+        st = _materializer_storage()
+        plan = _materializer_plans(st)["filter"]
+        with batch_sized(size):
+            batches = list(plan.execute_batches(Metrics()))
+            got = execute_plan(plan).relation
+            expected = Relation(plan.schema, plan.execute(Metrics()))
+        assert (len(batches) > 1) is (size < 1024)
+        assert _items(got) == _items(expected)
+        assert _items(got)[0] == ("Row(L.k=1, L.v='a')", 4)
+
+    def test_one_interned_layout_for_table_rows_results_and_scans(self):
+        st = _materializer_storage()
+        table = st["L"]
+        layout = layout_of(("L.k", "L.v"))
+        assert all(row._layout is layout for row in table.rows)
+        assert row_of(layout, (1, "a")) == Row({"L.v": "a", "L.k": 1})
+        rows = execute_plan(_materializer_plans(st)["filter"]).relation.distinct_rows()
+        assert all(row._layout is layout for row in rows)
+        batch = ColumnBatch.from_rows(table.schema, table.rows)
+        assert batch.columns == {a: [row[a] for row in table.rows] for a in layout.attrs}
+        wider = [row.concat(Row({"X.z": i})) for i, row in enumerate(table.rows)]
+        assert columns_of(wider, layout.attrs) == batch.columns
 
     def test_rows_hash_and_compare_like_constructed_rows(self):
         st = _materializer_storage()

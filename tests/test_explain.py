@@ -4,15 +4,19 @@ import json
 
 import pytest
 
-from repro.algebra import eq
+from repro.algebra import Const, eq, gt
 from repro.conformance.serialize import value_to_json
-from repro.core import jn, oj
+from repro.core import Rel, Restrict, jn, oj
+from repro.core.pushdown import split_leaf_filters
 from repro.datagen import example1_storage
 from repro.engine import Planner
-from repro.engine.executor import execute
+from repro.engine.executor import execute, plan_expression
 from repro.engine.explain import explain, explain_analyze
 from repro.engine.storage import Storage
 from repro.observability import tracing
+from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.cost import CoutCostModel
+from repro.optimizer.pipeline import optimize_query
 
 
 @pytest.fixture
@@ -35,6 +39,26 @@ class TestExplain:
         storage, query, plan = setup
         node = explain(plan, storage, expr=query)
         assert node.estimated_rows == pytest.approx(1.0)
+
+    def test_pushed_filter_root_estimate_is_the_optimizers(self):
+        """``σ[A.y > 0](A ⋈ B)`` chooses a tree with a ``Restrict(A)`` leaf;
+        its explained root estimate is the optimizer's estimate of the
+        chosen tree, whose filtered leaf counts the rows passing the filter."""
+        storage = Storage()
+        storage.create_table("A", ["A.k", "A.y"], [{"A.k": i % 4, "A.y": i - 6} for i in range(12)])
+        storage.create_table("B", ["B.k", "B.z"], [{"B.k": i % 3, "B.z": i} for i in range(9)])
+        query = Restrict(jn("A", "B", eq("A.k", "B.k")), gt("A.y", Const(0)))
+        chosen = optimize_query(query, storage).chosen
+        bare, filters = split_leaf_filters(chosen)
+        assert list(filters) == ["A"]
+        optimizer = CardinalityEstimator(storage, filters)
+        node = explain(plan_expression(chosen, storage), storage, expr=chosen)
+        assert node.estimated_rows == optimizer.estimate_expression(bare).cardinality
+        leaf = Restrict(Rel("A"), gt("A.y", Const(0)))
+        assert CardinalityEstimator(storage).estimate_expression(leaf).cardinality == 5.0
+        assert CoutCostModel(CardinalityEstimator(storage)).plan_cost(chosen) == CoutCostModel(
+            optimizer
+        ).plan_cost(bare)
 
     def test_no_execution_no_actuals(self, setup):
         storage, query, plan = setup
