@@ -17,9 +17,10 @@ on ints:
 Node-to-bit assignment follows the sorted node order, so ascending local
 submasks of any subset correspond to ascending global masks — the
 enumerators therefore yield partitions in *exactly* the order of a
-brute-force frozenset loop over sorted nodes, which fixes plan
-tie-breaking and IT enumeration order (``tests/test_bitset_subgraphs.py``
-keeps that loop as the reference).
+brute-force frozenset loop over sorted nodes, which fixes IT enumeration
+order (``tests/test_bitset_subgraphs.py`` keeps that loop as the
+reference).  The DP no longer depends on walk order: it breaks cost ties
+toward the smaller left mask, the order in which that loop meets them.
 
 Frozensets only appear at the API boundary (:meth:`BitsetIndex.set_of`),
 which is what keeps the public signatures unchanged.

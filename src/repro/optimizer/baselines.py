@@ -167,21 +167,24 @@ class _PlaceholderCostModel(CostModel):
             return plan
         return Plan(expr, plan.estimate, plan.cost)
 
-    def combine_cost(self, kind, predicate, left, right, estimate) -> float:
-        return self.inner.combine_cost(
-            kind, predicate, self._resolve(left), self._resolve(right), estimate
-        )
+    def combine_cost(self, kind, predicate, left, right, cardinality, join_cardinality) -> float:
+        left, right = self._resolve(left), self._resolve(right)
+        return self.inner.combine_cost(kind, predicate, left, right, cardinality, join_cardinality)
 
 
 class _PlaceholderEstimator:
-    """Estimator view where each placeholder reports its expression's stats."""
+    """Estimator view where each placeholder reports its expression's stats.
+
+    Everything but :meth:`base` (``combine`` and its two steps, the memo
+    scope, ``estimate_expression``) is the wrapped estimator's own.
+    """
 
     def __init__(self, inner, placeholder):
         self.inner = inner
         self.placeholder = placeholder
 
-    def memo_scope(self, index=None):
-        return self.inner.memo_scope(index)
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
 
     def base(self, name: str):
         expr = self.placeholder[name]
@@ -191,8 +194,3 @@ class _PlaceholderEstimator:
             nodes=frozenset({name}), cardinality=est.cardinality, distinct=dict(est.distinct)
         )
 
-    def combine(self, kind, predicate, left, right):
-        return self.inner.combine(kind, predicate, left, right)
-
-    def estimate_expression(self, expr):
-        return self.inner.estimate_expression(expr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.algebra.nulls import satisfied
 from repro.algebra.predicates import AttrRef, Comparison, Predicate, conjunction
@@ -55,11 +55,13 @@ class CardinalityEstimator:
 
     Within a :meth:`memo_scope`, :meth:`base` and :meth:`combine` results
     are memoized — keyed by the operand subsets' *bitset masks* when the
-    scope was opened with a :class:`~repro.core.bitset.BitsetIndex` (the
-    optimizers pass their graph's index), by the node frozensets
-    otherwise.  Estimates are pure functions of those keys as long as the
-    storage statistics do not change, which is why the memo is scoped to
-    one optimizer run instead of living on the estimator.
+    scope was opened with a :class:`~repro.core.bitset.BitsetIndex`
+    (greedy passes its graph's index), by the node frozensets otherwise.
+    Estimates are pure functions of those keys as long as the storage
+    statistics do not change, which is why the memo is scoped to one
+    optimizer run instead of living on the estimator.  The DP calls the
+    two steps of :meth:`combine` itself, unmemoized: it asks for each
+    split's numbers once and for each subset's full estimate once.
     """
 
     def __init__(
@@ -160,7 +162,9 @@ class CardinalityEstimator:
         """Estimate the output of a join-like operator.
 
         ``kind`` is one of ``"join"``, ``"left_outer"`` (left side
-        preserved), ``"semi"``, ``"anti"``.
+        preserved), ``"semi"``, ``"anti"``.  The composition of
+        :meth:`combine_cardinality` and :meth:`combine_estimate`, memoized
+        within a :meth:`memo_scope`.
         """
         memo = self._memo
         key = None
@@ -178,6 +182,22 @@ class CardinalityEstimator:
             hit = memo.get(key)
             if hit is not None:
                 return hit
+        info = self.combine_estimate(
+            left, right, *self.combine_cardinality(kind, predicate, left, right)
+        )
+        if memo is not None:
+            memo[key] = info
+        return info
+
+    def combine_cardinality(
+        self, kind: str, predicate: Predicate, left: EstimateInfo, right: EstimateInfo
+    ) -> Tuple[float, float]:
+        """``(cardinality, join_cardinality)`` of a join-like operator, the
+        two numbers the cost models read (``kind`` as in :meth:`combine`).
+
+        A join's pair is the same in both operand orders: the selectivity
+        takes a max over the two sides and the product commutes.
+        """
         selectivity = self.join_selectivity(predicate, left, right)
         join_card = left.cardinality * right.cardinality * selectivity
         if kind == "join":
@@ -190,20 +210,25 @@ class CardinalityEstimator:
             card = left.cardinality * max(0.0, 1.0 - right.cardinality * selectivity)
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
-        card = max(card, 0.0)
-        distinct: Dict[str, float] = {}
-        for source in (left, right):
-            for attr, v in source.distinct.items():
-                distinct[attr] = min(v, max(card, 1.0))
-        info = EstimateInfo(
+        return max(card, 0.0), join_card
+
+    @staticmethod
+    def combine_estimate(
+        left: EstimateInfo, right: EstimateInfo, cardinality: float, join_cardinality: float
+    ) -> EstimateInfo:
+        """The full estimate of an operator over ``left`` and ``right`` whose
+        :meth:`combine_cardinality` is ``(cardinality, join_cardinality)``:
+        every distinct count of both sides, capped by the output."""
+        cap = max(cardinality, 1.0)
+        distinct = {attr: min(v, cap) for attr, v in left.distinct.items()}
+        for attr, v in right.distinct.items():
+            distinct[attr] = min(v, cap)
+        return EstimateInfo(
             nodes=left.nodes | right.nodes,
-            cardinality=card,
+            cardinality=cardinality,
             distinct=distinct,
-            join_cardinality=join_card,
+            join_cardinality=join_cardinality,
         )
-        if memo is not None:
-            memo[key] = info
-        return info
 
     def estimate_expression(self, expr: Expression) -> EstimateInfo:
         """Estimate any join/outerjoin expression tree bottom-up; its

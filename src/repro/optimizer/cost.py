@@ -42,10 +42,35 @@ class CostModel:
         raise NotImplementedError
 
     def combine_cost(
-        self, kind: str, predicate: Predicate, left: Plan, right: Plan, estimate: EstimateInfo
+        self,
+        kind: str,
+        predicate: Predicate,
+        left: Plan,
+        right: Plan,
+        cardinality: float,
+        join_cardinality: float,
     ) -> float:
-        """Extra cost the new operator adds on top of its children's costs."""
+        """Extra cost the new operator adds on top of its children's costs.
+
+        ``cardinality`` and ``join_cardinality`` are the operator's
+        :meth:`~repro.optimizer.cardinality.CardinalityEstimator.combine_cardinality`:
+        the models read those two numbers, never the output's distinct
+        counts, so the DP prices a candidate before (and usually without)
+        building its full estimate.
+        """
         raise NotImplementedError
+
+    def combine(
+        self, kind: str, predicate: Predicate, left: Plan, right: Plan
+    ) -> Tuple[EstimateInfo, float]:
+        """The estimator's (memoized) :meth:`~CardinalityEstimator.combine`
+        of two subplans and the extra cost :meth:`combine_cost` charges."""
+        estimate = self.estimator.combine(kind, predicate, left.estimate, right.estimate)
+        assert estimate.join_cardinality is not None  # None only on leaves
+        extra = self.combine_cost(
+            kind, predicate, left, right, estimate.cardinality, estimate.join_cardinality
+        )
+        return estimate, extra
 
     def plan_cost(self, expr: Expression) -> float:
         """Cost an existing expression tree (baselines use this)."""
@@ -75,8 +100,7 @@ class CostModel:
                 raise ValueError(f"cannot cost {type(node).__name__}")
             left = walk(left_node)
             right = walk(right_node)
-            est = self.estimator.combine(kind, node.predicate, left.estimate, right.estimate)
-            extra = self.combine_cost(kind, node.predicate, left, right, est)
+            est, extra = self.combine(kind, node.predicate, left, right)
             return Plan(node, est, left.cost + right.cost + extra)
 
         return walk(expr).cost
@@ -119,8 +143,8 @@ class CoutCostModel(CostModel):
     def leaf_cost(self, name: str) -> float:
         return 0.0
 
-    def combine_cost(self, kind, predicate, left, right, estimate) -> float:
-        return estimate.cardinality
+    def combine_cost(self, kind, predicate, left, right, cardinality, join_cardinality) -> float:
+        return cardinality
 
 
 class RetrievalCostModel(CostModel):
@@ -135,8 +159,8 @@ class RetrievalCostModel(CostModel):
       cardinality);
     * composite inputs were already paid for in their own subplans.
 
-    Only the plans' ``base`` and estimates are read, never their trees:
-    the DP calls this for every legal cut.
+    Only the plans' ``base`` and cardinalities are read, never their
+    trees: the DP calls this for every orientation of every legal cut.
     """
 
     def __init__(self, estimator: CardinalityEstimator, storage: Storage):
@@ -176,10 +200,8 @@ class RetrievalCostModel(CostModel):
         self._probe_keys[memo_key] = key
         return key
 
-    def combine_cost(self, kind, predicate, left, right, estimate) -> float:
-        # ``estimate`` comes from ``estimator.combine``, which records it.
-        assert estimate.join_cardinality is not None
-        join_card = min(estimate.cardinality, estimate.join_cardinality)
+    def combine_cost(self, kind, predicate, left, right, cardinality, join_cardinality) -> float:
+        join_card = min(cardinality, join_cardinality)
         # Outer (preserved/probe) side: base relations are scanned.
         cost = self._scan_cost(left)
         # Inner side: index probes if possible, scan otherwise.

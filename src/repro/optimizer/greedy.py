@@ -35,7 +35,6 @@ class GreedyOptimizer:
         self, a: Plan, b: Plan
     ) -> Optional[Plan]:
         """The cheaper of the two orientations of merging components a, b."""
-        estimator = self.cost_model.estimator
         best: Optional[Plan] = None
         for left, right in ((a, b), (b, a)):
             op = root_operator(self.graph, left.nodes, right.nodes)
@@ -44,11 +43,8 @@ class GreedyOptimizer:
             kind, predicate = op
             # The estimator takes the preserved side first.
             est_left, est_right = (right, left) if kind == "roj" else (left, right)
-            estimate = estimator.combine(
-                _KIND_TO_ESTIMATOR[kind], predicate, est_left.estimate, est_right.estimate
-            )
-            extra = self.cost_model.combine_cost(
-                _KIND_TO_ESTIMATOR[kind], predicate, est_left, est_right, estimate
+            estimate, extra = self.cost_model.combine(
+                _KIND_TO_ESTIMATOR[kind], predicate, est_left, est_right
             )
             plan = Plan.combined(
                 kind, left, right, predicate, estimate, left.cost + right.cost + extra

@@ -7,17 +7,21 @@ counting through every bitmask and testing connectivity, the cut rule
 read off :meth:`QueryGraph.cut`.  It shares nothing with the bitset
 index.  The checks are stronger than set equality: the sequences must
 match in order (bit order equals sorted node order, so ascending
-submasks match the bitmask loop), because that order is what fixes DP
-tie-breaking, IT enumeration order and uniform IT sampling.  Two tests
+submasks match the bitmask loop), because that order is what fixes IT
+enumeration order and uniform IT sampling.  Two tests
 drive the library's own IT enumeration and sampler with the reference
 enumerators patched in and demand identical output.
 
 The DP no longer walks frozensets at all: it fills a table keyed by
-masks and builds one tree at the end.  :func:`reference_dp` keeps the
-loop it replaced (frozenset subsets from the reference enumerators, an
-expression tree for every candidate cut, costs read off those trees) and
-the DP must agree with it exactly: the same tree, the same float cost,
-the same table size.
+masks, visits each unordered split once, and builds one tree at the end.
+:func:`reference_dp` keeps the loop it replaced (frozenset subsets from
+the reference enumerators, both orientations of every cut in ascending
+submask order, an expression tree for every candidate, the first
+cheapest one kept) and the DP must agree with it exactly: the same tree,
+the same float cost, the same root estimate, the same table size.  On
+identical tables most subsets are decided by ties, which is where the
+DP's ``(cost, left mask)`` minimum must equal the reference's
+first-visited-wins rule.
 """
 
 from __future__ import annotations
@@ -151,7 +155,12 @@ def reference_dp(graph, cost_model):
                     est_kind, predicate, est_left.estimate, est_right.estimate
                 )
                 extra = cost_model.combine_cost(
-                    est_kind, predicate, est_left, est_right, estimate
+                    est_kind,
+                    predicate,
+                    est_left,
+                    est_right,
+                    estimate.cardinality,
+                    estimate.join_cardinality,
                 )
                 cost = left.cost + right.cost + extra
                 if candidate is None or cost < candidate.cost:
@@ -171,9 +180,9 @@ class TreeRetrievalCostModel(RetrievalCostModel):
 
     probes = 0
 
-    def combine_cost(self, kind, predicate, left, right, estimate) -> float:
+    def combine_cost(self, kind, predicate, left, right, cardinality, join_cardinality) -> float:
         join_card = min(
-            estimate.cardinality,
+            cardinality,
             left.cardinality
             * right.cardinality
             * self.estimator.join_selectivity(predicate, left.estimate, right.estimate),
@@ -212,6 +221,11 @@ def assert_same_plan(plan, reference):
         show_predicates=True
     )
     assert plan.cost == reference.cost
+    estimate, expected = plan.estimate, reference.estimate
+    assert estimate.nodes == expected.nodes
+    assert estimate.cardinality == expected.cardinality
+    assert estimate.join_cardinality == expected.join_cardinality
+    assert estimate.distinct == expected.distinct
 
 
 # -- the checks --------------------------------------------------------------------
@@ -287,6 +301,46 @@ class TestEnumerationIdentical:
             assert instrumentation.delta(before).get("dp_subsets") == reference_subsets
             assert_same_plan(plan, reference)
         assert tree_model.probes > 0  # the index-probe branch was priced
+
+
+#: Graphs whose DP is decided by ties once every table is the same.
+TIE_SCENARIOS = [
+    *(
+        pytest.param(random_nice_graph(3, 3, seed=seed, extra_join_edges=1), id=f"nice-{seed}")
+        for seed in (11, 12, 13)
+    ),
+    pytest.param(random_nice_graph(4, 2, seed=14, extra_join_edges=2), id="nice-14"),
+    pytest.param(chain(6, ["out"] * 5), id="outerjoin-chain"),
+    # The hub R0 is bit 0, so it is always in the half holding the lowest
+    # bit: an ``loj`` cut's ``roj`` twin has the smaller left mask exactly
+    # when that half's other leaves sort after the null-supplied one.
+    pytest.param(star(5, oj_leaves=5), id="outerjoin-star"),
+]
+
+
+def identical_storage(scenario) -> Storage:
+    """Every relation holds the same rows, so many cuts cost the same."""
+    storage = Storage()
+    for name, (a, b) in sorted(scenario.schemas.items()):
+        storage.create_table(name, [a, b], [{a: i % 3, b: i % 2} for i in range(6)])
+    return storage
+
+
+@pytest.mark.parametrize("scenario", TIE_SCENARIOS)
+def test_dp_plan_identical_where_ties_decide(scenario):
+    """On identical tables the winner of most subsets is decided by the
+    tie-break: the (cost, left mask) minimum must pick what the reference's
+    first-visited-wins loop picks, tree, float cost and root estimate."""
+    storage = identical_storage(scenario)
+    for model in (
+        CoutCostModel(CardinalityEstimator(storage)),
+        RetrievalCostModel(CardinalityEstimator(storage), storage),
+    ):
+        reference, reference_subsets = reference_dp(scenario.graph, model)
+        before = instrumentation.snapshot()
+        plan = DPOptimizer(scenario.graph, model).optimize()
+        assert instrumentation.delta(before).get("dp_subsets") == reference_subsets
+        assert_same_plan(plan, reference)
 
 
 class ReferenceDPOptimizer:

@@ -7,7 +7,10 @@ cases) this test records what the optimizer picked:
 * the strategy ("dp" or "wcoj");
 * ``chosen.to_infix()``, the implementing tree the pipeline returns;
 * the Leapfrog variable order (``null`` when no Leapfrog node runs);
-* a digest of the served physical plan's ``describe()``.
+* a digest of the served physical plan's ``describe()``;
+* ``repr`` of the DP's exact float cost on the pushed graph under the
+  leaf filters (``null`` for cases that never reach the DP), so a change
+  that keeps every pick but moves a cost shows up too.
 
 The records must equal ``tests/golden/ladder_picks.jsonl``, one case per
 line, so a change that moves a pick shows up in review as a diff of that
@@ -27,6 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.engine.executor import plan_expression
+from repro.optimizer import CardinalityEstimator, CoutCostModel, DPOptimizer, RetrievalCostModel
 from repro.optimizer.pipeline import optimize_query
 
 HERE = Path(__file__).resolve().parent
@@ -34,6 +38,19 @@ WORKLOADS_PY = HERE.parent / "benchmarks" / "ladder" / "workloads.py"
 GOLDEN = HERE / "golden" / "ladder_picks.jsonl"
 COST_MODELS = ("retrieval", "cout")
 SEED = 0
+
+
+def _dp_cost(result, storage, cost_model: str):
+    """``repr`` of the DP's cost on the pipeline's graph, or None when the
+    pipeline did not reorder (so never ran the DP)."""
+    if not result.reordered:
+        return None
+    estimator = CardinalityEstimator(storage, result.leaf_filters)
+    if cost_model == "retrieval":
+        model = RetrievalCostModel(estimator, storage)
+    else:
+        model = CoutCostModel(estimator)
+    return repr(DPOptimizer(result.graph, model).optimize().cost)
 
 
 def _ladder_workloads():
@@ -71,6 +88,7 @@ def collect_picks() -> Tuple[List[Dict[str, object]], Dict[int, str]]:
                         "variables": list(spec.variables) if spec is not None else None,
                         "chosen": result.chosen.to_infix(),
                         "plan": hashlib.sha256(plan.encode()).hexdigest()[:16],
+                        "cost": _dp_cost(result, built.storage, cost_model),
                     }
                 )
     return records, plans

@@ -10,6 +10,7 @@ from repro.core import (
     jn,
     oj,
 )
+from repro.core.bitset import BitsetIndex
 from repro.core.expressions import BinaryOp, Rel
 from repro.datagen import (
     chain,
@@ -31,6 +32,7 @@ from repro.optimizer import (
     count_dp_entries,
     fixed_order_plan,
 )
+from repro.tools import instrumentation
 from repro.util.errors import PlanningError
 
 
@@ -157,6 +159,43 @@ class TestDPOptimizer:
         operators = sum(1 for _path, node in plan.expr.nodes() if isinstance(node, BinaryOp))
         assert operators == len(built) == len(scenario.graph.nodes) - 1
 
+    def test_prices_each_split_once(self, monkeypatch):
+        """One operator lookup per unordered split into two connected
+        halves, and one full estimate per filled non-leaf table entry.
+
+        A deterministic guard on the DP's work: visiting both orders of
+        every split doubles the lookups, and building an estimate for
+        every candidate multiplies the estimates.
+        """
+        scenario = random_nice_graph(6, 4, seed=2, extra_join_edges=2)
+        graph = scenario.graph
+        index = graph.bitset_index()
+        dbs = random_databases(scenario.schemas, 1, seed=2, max_rows=6, allow_empty=False)
+        storage = Storage.from_database(dbs[0])
+        model = RetrievalCostModel(CardinalityEstimator(storage), storage)
+        splits = sum(
+            len(list(index.ordered_partitions(mask)))
+            for mask in index.connected_subset_masks()
+        )
+        calls = {"cut_operator": 0, "combine_estimate": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(BitsetIndex, "cut_operator")
+        counting(model.estimator, "combine_estimate")
+        before = instrumentation.snapshot()
+        DPOptimizer(graph, model).optimize()
+        subsets = instrumentation.delta(before)["dp_subsets"]
+        assert splits % 2 == 0 and calls["cut_operator"] == splits // 2
+        assert calls["combine_estimate"] == subsets - len(graph.nodes)
+
     def test_disconnected_graph_rejected(self):
         from repro.core import QueryGraph
 
@@ -187,7 +226,8 @@ class TestRetrievalCostModel:
         estimate = est.combine("left_outer", eq("P.k", "N.k"), left, right)
         assert (estimate.cardinality, estimate.join_cardinality) == (10.0, 2.0)
         plans = Plan(Rel("P"), left, 0.0), Plan(Rel("N"), right, 0.0)
-        assert model.combine_cost("left_outer", eq("P.k", "N.k"), *plans, estimate) == 12.0
+        sizes = estimate.cardinality, estimate.join_cardinality
+        assert model.combine_cost("left_outer", eq("P.k", "N.k"), *plans, *sizes) == 12.0
 
 
 class TestGreedyAndBaselines:
