@@ -38,7 +38,8 @@ def test_pipeline_beats_written_order(benchmark, report, n):
 
     def run_pipeline():
         # use_cache=False: this scenario times the full pipeline (simplify,
-        # push, certify, DP); cached-plan latency is servicebench's subject.
+        # push, certify, DP); a cache hit's skipped work is pinned exactly
+        # by tests/test_plan_cache.py.
         return optimize_and_run(query, storage, use_cache=False)
 
     result, run = benchmark(run_pipeline)

@@ -7,26 +7,19 @@ provides the timing table.  ``report()`` collects the paper-vs-measured
 rows; run with ``-s`` to see them inline, or read EXPERIMENTS.md for the
 recorded values.
 
-Two hooks exist for the persistent runner (``benchmarks/run_all.py``):
-
-* ``--bench-seed N`` offsets the random-database seeds of the scenarios
-  that opt in (via the ``bench_seed`` fixture), so the same workload can
-  be replayed on fresh data.  The default 0 reproduces the recorded
-  numbers exactly.
-* when ``REPRO_BENCH_STATS_FILE`` is set, the session dumps the global
-  work counters (:mod:`repro.tools.instrumentation`) there as JSON —
-  tuples retrieved, plans optimized, DP subsets, trees enumerated.
+Run them all with
+``PYTHONPATH=src python -m pytest -q --benchmark-disable benchmarks
+--ignore=benchmarks/ladder``.  ``--bench-seed N`` offsets the
+random-database seeds of the scenarios that opt in (via the
+``bench_seed`` fixture), so the same workload can be replayed on fresh
+data.  The default 0 reproduces the recorded numbers exactly.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
 from repro.optimizer.plancache import reset_default_plan_cache
-from repro.tools import instrumentation
 
 
 @pytest.fixture(autouse=True)
@@ -55,13 +48,6 @@ def pytest_addoption(parser):
 @pytest.fixture
 def bench_seed(request) -> int:
     return request.config.getoption("--bench-seed")
-
-
-def pytest_sessionfinish(session, exitstatus):
-    stats_file = os.environ.get("REPRO_BENCH_STATS_FILE")
-    if stats_file:
-        with open(stats_file, "w") as handle:
-            json.dump(instrumentation.snapshot(), handle, indent=2, sort_keys=True)
 
 
 class ExperimentReport:

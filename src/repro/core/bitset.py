@@ -12,7 +12,7 @@ on ints:
 * connectivity is a bit-parallel flood fill, memoized per mask;
 * cut legality (all-join cut vs. exactly one outerjoin edge — the
   Section 3.1 rule shared by IT enumeration and the DP) is an edge scan
-  over precomputed endpoint masks, memoized per (mask, mask) pair.
+  over precomputed endpoint masks.
 
 Node-to-bit assignment follows the sorted node order, so ascending local
 submasks of any subset correspond to ascending global masks — the
@@ -41,7 +41,9 @@ class BitsetIndex:
 
     Built lazily by :meth:`repro.core.graph.QueryGraph.bitset_index` and
     cached on the (immutable) graph, so every optimizer/enumerator pass
-    over the same graph shares the memo tables.
+    over the same graph shares the set, connectivity and neighborhood
+    memo tables.  Cut verdicts are not memoized: a cold DP asks each
+    split once.
     """
 
     __slots__ = (
@@ -55,7 +57,6 @@ class BitsetIndex:
         "_set_memo",
         "_conn_memo",
         "_nbhood_memo",
-        "_cut_memo",
         "_subset_masks",
     )
 
@@ -83,7 +84,6 @@ class BitsetIndex:
         self._set_memo: Dict[int, FrozenSet[str]] = {}
         self._conn_memo: Dict[int, bool] = {}
         self._nbhood_memo: Dict[int, int] = {}
-        self._cut_memo: Dict[Tuple[int, int], CutOperator] = {}
         self._subset_masks: Optional[List[int]] = None
 
     # -- mask <-> set conversion ------------------------------------------------
@@ -186,9 +186,6 @@ class BitsetIndex:
         outerjoin edge -> an outerjoin preserving the arrow's tail side;
         anything else supports no operator.
         """
-        key = (side_a, side_b)
-        if key in self._cut_memo:
-            return self._cut_memo[key]
         join_cut: List[Predicate] = []
         for mu, mv, predicate in self._join_edges:
             if (mu & side_a and mv & side_b) or (mu & side_b and mv & side_a):
@@ -197,15 +194,11 @@ class BitsetIndex:
         for mu, mv, predicate in self._oj_edges:
             if (mu & side_a and mv & side_b) or (mu & side_b and mv & side_a):
                 oj_cut.append((mu, predicate))
-        result: CutOperator
         if (oj_cut and join_cut) or len(oj_cut) > 1:
-            result = None
-        elif oj_cut:
+            return None
+        if oj_cut:
             preserved_mask, predicate = oj_cut[0]
-            result = ("loj" if preserved_mask & side_a else "roj", predicate)
-        elif join_cut:
-            result = ("join", conjunction(join_cut))
-        else:
-            result = None
-        self._cut_memo[key] = result
-        return result
+            return ("loj" if preserved_mask & side_a else "roj", predicate)
+        if join_cut:
+            return ("join", conjunction(join_cut))
+        return None

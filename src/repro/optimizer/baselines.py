@@ -175,8 +175,8 @@ class _PlaceholderCostModel(CostModel):
 class _PlaceholderEstimator:
     """Estimator view where each placeholder reports its expression's stats.
 
-    Everything but :meth:`base` (``combine`` and its two steps, the memo
-    scope, ``estimate_expression``) is the wrapped estimator's own.
+    Everything but :meth:`base` (``combine`` and its two steps,
+    ``estimate_expression``) is the wrapped estimator's own.
     """
 
     def __init__(self, inner, placeholder):

@@ -11,7 +11,6 @@ much for cost (Example 1).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -53,15 +52,10 @@ class CardinalityEstimator:
     counted once per estimator from the rows that satisfy its filter, and
     is never cached on the table, because filters are query-specific.
 
-    Within a :meth:`memo_scope`, :meth:`base` and :meth:`combine` results
-    are memoized — keyed by the operand subsets' *bitset masks* when the
-    scope was opened with a :class:`~repro.core.bitset.BitsetIndex`
-    (greedy passes its graph's index), by the node frozensets otherwise.
-    Estimates are pure functions of those keys as long as the storage
-    statistics do not change, which is why the memo is scoped to one
-    optimizer run instead of living on the estimator.  The DP calls the
-    two steps of :meth:`combine` itself, unmemoized: it asks for each
-    split's numbers once and for each subset's full estimate once.
+    Only the filtered leaves are kept.  The DP calls the two steps of
+    :meth:`combine` itself and asks for each split's numbers once and for
+    each subset's full estimate once; greedy and the cyclic cost gate
+    recompute the few estimates they repeat.
     """
 
     def __init__(
@@ -70,38 +64,8 @@ class CardinalityEstimator:
         self.storage = storage
         self.filters = filters or {}
         self._filtered: Dict[str, EstimateInfo] = {}
-        self._memo: Optional[Dict[tuple, EstimateInfo]] = None
-        self._memo_index = None
-
-    @contextmanager
-    def memo_scope(self, index=None):
-        """Memoize estimates for the duration of one optimizer run."""
-        previous = (self._memo, self._memo_index)
-        self._memo = {}
-        self._memo_index = index
-        try:
-            yield
-        finally:
-            self._memo, self._memo_index = previous
-
-    def _subset_key(self, nodes: FrozenSet[str]):
-        if self._memo_index is not None:
-            try:
-                return self._memo_index.mask_of(nodes)
-            except KeyError:
-                # Nodes outside the scope's graph (e.g. real relations seen
-                # while a placeholder-graph scope is active): frozenset keys
-                # still memoize correctly, they just skip the mask encoding.
-                return nodes
-        return nodes
 
     def base(self, name: str) -> EstimateInfo:
-        memo = self._memo
-        if memo is not None:
-            key = ("base", name)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
         info = self._filtered.get(name)
         if info is None:
             preds = self.filters.get(name)
@@ -110,8 +74,6 @@ class CardinalityEstimator:
             else:
                 table = self.storage[name]
                 info = self._leaf(name, len(table), table.stats())
-        if memo is not None:
-            memo[key] = info
         return info
 
     def filtered(self, name: str, preds: List[Predicate]) -> EstimateInfo:
@@ -163,31 +125,11 @@ class CardinalityEstimator:
 
         ``kind`` is one of ``"join"``, ``"left_outer"`` (left side
         preserved), ``"semi"``, ``"anti"``.  The composition of
-        :meth:`combine_cardinality` and :meth:`combine_estimate`, memoized
-        within a :meth:`memo_scope`.
+        :meth:`combine_cardinality` and :meth:`combine_estimate`.
         """
-        memo = self._memo
-        key = None
-        if memo is not None:
-            lk, rk = self._subset_key(left.nodes), self._subset_key(right.nodes)
-            if kind == "join" and isinstance(lk, int):
-                # Join estimates are symmetric in the operands (the
-                # cardinality product and the distinct merge both are), so
-                # both orientations of a pair share one memo entry.  Masks
-                # are totally ordered; frozensets are not, so the naive
-                # path keeps orientation-specific entries.
-                key = (kind, predicate, min(lk, rk), max(lk, rk))
-            else:
-                key = (kind, predicate, lk, rk)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-        info = self.combine_estimate(
+        return self.combine_estimate(
             left, right, *self.combine_cardinality(kind, predicate, left, right)
         )
-        if memo is not None:
-            memo[key] = info
-        return info
 
     def combine_cardinality(
         self, kind: str, predicate: Predicate, left: EstimateInfo, right: EstimateInfo

@@ -63,7 +63,7 @@ class CostModel:
     def combine(
         self, kind: str, predicate: Predicate, left: Plan, right: Plan
     ) -> Tuple[EstimateInfo, float]:
-        """The estimator's (memoized) :meth:`~CardinalityEstimator.combine`
+        """The estimator's :meth:`~CardinalityEstimator.combine`
         of two subplans and the extra cost :meth:`combine_cost` charges."""
         estimate = self.estimator.combine(kind, predicate, left.estimate, right.estimate)
         assert estimate.join_cardinality is not None  # None only on leaves

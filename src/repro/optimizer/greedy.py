@@ -57,12 +57,6 @@ class GreedyOptimizer:
         if not self.graph.is_connected():
             raise PlanningError("cannot optimize a disconnected query graph")
         estimator = self.cost_model.estimator
-        with estimator.memo_scope(self.graph.bitset_index()):
-            plan = self._optimize_merges(estimator)
-        instrumentation.bump("plans_optimized")
-        return plan
-
-    def _optimize_merges(self, estimator) -> Plan:
         components: Dict[FrozenSet[str], Plan] = {
             frozenset({n}): Plan(Rel(n), estimator.base(n), self.cost_model.leaf_cost(n))
             for n in self.graph.nodes
@@ -85,6 +79,7 @@ class GreedyOptimizer:
             ka, kb, plan = best_merge
             del components[ka], components[kb]
             components[plan.nodes] = plan
+        instrumentation.bump("plans_optimized")
         return next(iter(components.values()))
 
 

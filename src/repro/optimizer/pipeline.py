@@ -256,8 +256,7 @@ def _cyclic_fast_path(
     one pass over the (filtered) base relations to build/drain the tries
     plus the AGM fractional-cover bound on the output — the worst case
     the algorithm is guaranteed never to exceed.  Both sides use the
-    same estimator under one memo scope, so the comparison is
-    apples-to-apples.
+    same estimator, so the comparison is apples-to-apples.
     """
     dp_tree = _reattach_filters(dp_expr, filters)
     with maybe_span("optimizer.wcoj", category="optimizer") as span:
@@ -266,9 +265,8 @@ def _cyclic_fast_path(
             if span is not None:
                 span.set(cyclic=False, chosen=False)
             return dp_tree
-        with estimator.memo_scope():
-            dp_cost = CoutCostModel(estimator).plan_cost(dp_expr)
-            cards = {name: estimator.base(name).cardinality for name in spec.order}
+        dp_cost = CoutCostModel(estimator).plan_cost(dp_expr)
+        cards = {name: estimator.base(name).cardinality for name in spec.order}
         wcoj_cost = sum(cards.values()) + agm_bound(spec.hyperedges(), cards)
         chosen = wcoj_cost < dp_cost
         if span is not None:

@@ -1,1 +1,3 @@
-"""Command-line tools built on the library (see ``repro.tools.analyze``)."""
+"""Command-line tools built on the library: ``analyze``, ``conformance``,
+``traceexport`` and ``tracecmp``, plus the trace-schema checker
+``benchschema`` and the process-wide ``instrumentation`` counters."""

@@ -1,9 +1,9 @@
-"""Dependency-free validation of benchmark reports against the JSON Schema.
+"""Dependency-free validation of trace documents against their JSON Schema.
 
-The benchmark runner (:mod:`repro.tools.benchrunner`) writes ``BENCH_*.json``
-reports whose shape is pinned by ``docs/bench_report.schema.json``.  The
-container has no ``jsonschema`` package, so this module implements the small
-draft-07 subset that schema actually uses:
+Trace documents (:func:`repro.observability.export.write_trace`) have their
+shape pinned by ``docs/trace.schema.json``.  The project depends on no
+``jsonschema`` package, so this module implements the small draft-07 subset
+that schema actually uses:
 
 ``type`` (string or list; with Python's bool/int split handled correctly),
 ``enum``, ``properties``, ``required``, ``additionalProperties`` (boolean or
@@ -21,15 +21,8 @@ from typing import Any, Dict, List
 
 from repro.util.errors import ReproError
 
-#: Path of the checked-in benchmark-report schema, relative to the repo root.
-SCHEMA_RELPATH = Path("docs") / "bench_report.schema.json"
-
-#: Path of the checked-in trace-document schema (see repro.observability).
+#: Path of the checked-in trace-document schema, relative to the repo root.
 TRACE_SCHEMA_RELPATH = Path("docs") / "trace.schema.json"
-
-#: Path of the checked-in service-benchmark schema (BENCH_PR4 artifacts,
-#: written by :mod:`repro.tools.servicebench`).
-SERVICEBENCH_SCHEMA_RELPATH = Path("docs") / "servicebench.schema.json"
 
 #: Schema keywords the validator understands.  Annotation-only keywords are
 #: accepted and skipped; anything unknown is an error.
@@ -38,13 +31,13 @@ _KEYWORDS = {"type", "enum", "properties", "required", "additionalProperties", "
 
 
 class SchemaValidationError(ReproError):
-    """A document does not conform to the benchmark-report schema."""
+    """A document does not conform to its schema."""
 
     def __init__(self, errors: List[str]):
         self.errors = list(errors)
         preview = "; ".join(self.errors[:5])
         more = f" (+{len(self.errors) - 5} more)" if len(self.errors) > 5 else ""
-        super().__init__(f"bench report schema violation: {preview}{more}")
+        super().__init__(f"schema violation: {preview}{more}")
 
 
 def _type_ok(value: Any, name: str) -> bool:
@@ -112,48 +105,23 @@ def validate(document: Any, schema: Dict[str, Any]) -> List[str]:
     return errors
 
 
-def load_schema(root: Path | None = None, relpath: Path | str = SCHEMA_RELPATH) -> Dict[str, Any]:
-    """Load a checked-in schema (the benchmark report's by default).
+def load_schema(
+    root: Path | None = None, relpath: Path | str = TRACE_SCHEMA_RELPATH
+) -> Dict[str, Any]:
+    """Load a checked-in schema (the trace document's by default).
 
     ``root`` is the repository root; by default it is located relative to
-    this file (``src/repro/tools`` → three parents up).  ``relpath``
-    selects which schema — e.g. :data:`TRACE_SCHEMA_RELPATH` for trace
-    documents.
+    this file (``src/repro/tools`` → three parents up).
     """
     if root is None:
         root = Path(__file__).resolve().parents[3]
     return json.loads((root / Path(relpath)).read_text())
 
 
-def validate_report(document: Any, root: Path | None = None) -> None:
-    """Raise :class:`SchemaValidationError` unless ``document`` is a valid
-    benchmark report."""
-    errors = validate(document, load_schema(root))
-    if errors:
-        raise SchemaValidationError(errors)
-
-
 def validate_trace(document: Any, root: Path | None = None) -> None:
     """Raise :class:`SchemaValidationError` unless ``document`` is a valid
     trace document (``docs/trace.schema.json``)."""
-    errors = validate(document, load_schema(root, TRACE_SCHEMA_RELPATH))
+    errors = validate(document, load_schema(root))
     if errors:
         raise SchemaValidationError(errors)
-
-
-def validate_servicebench_report(document: Any, root: Path | None = None) -> None:
-    """Raise :class:`SchemaValidationError` unless ``document`` is a valid
-    service-benchmark artifact (``docs/servicebench.schema.json``)."""
-    errors = validate(document, load_schema(root, SERVICEBENCH_SCHEMA_RELPATH))
-    if errors:
-        raise SchemaValidationError(errors)
-
-
-def is_servicebench_report(document: Any) -> bool:
-    """Dispatch helper: does this look like a BENCH_PR4 service artifact?"""
-    return (
-        isinstance(document, dict)
-        and isinstance(document.get("meta"), dict)
-        and document["meta"].get("artifact") == "BENCH_PR4"
-    )
 

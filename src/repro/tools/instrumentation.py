@@ -1,11 +1,10 @@
-"""Process-wide counters for the benchmark harness.
+"""Process-wide work counters.
 
-The benchmark runner (:mod:`repro.tools.benchrunner`) wants per-scenario
-work metrics — base tuples retrieved, optimizer plans built, implementing
-trees enumerated — without threading a metrics object through every API.
-This module is the cheap global sink those code paths bump; the runner
-snapshots it around each bench run, and ``benchmarks/conftest.py`` dumps
-it at session end when ``REPRO_BENCH_STATS_FILE`` is set.
+Work metrics — base tuples retrieved, optimizer plans built, implementing
+trees enumerated — are counted here without threading a metrics object
+through every API.  This module is the cheap global sink those code
+paths bump; ``conformance --stats`` and the ladder's staged replay
+snapshot it around a run.
 
 Counters are advisory telemetry only: nothing in the library reads them
 back, so a stale or zeroed counter can never change results.
@@ -74,7 +73,7 @@ def snapshot() -> Dict[str, int]:
 
 
 def reset() -> None:
-    """Zero all counters (the bench runner calls this between scenarios)."""
+    """Zero all counters (the test suite does this around every test)."""
     with _lock:
         STATS.clear()
 

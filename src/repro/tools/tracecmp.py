@@ -1,25 +1,19 @@
-"""Diff two trace or benchmark files and flag per-operator regressions.
+"""Diff two trace documents and flag per-operator regressions.
 
-``python -m repro.tools.tracecmp BASELINE CANDIDATE`` compares two files
-of the *same* kind:
-
-* **trace documents** (``docs/trace.schema.json``, written by
-  :func:`repro.observability.export.write_trace`) — engine operator spans
-  (category ``engine.op``) are aggregated by operator label into *self*
-  wall time: inclusive duration minus the durations of nested operator
-  spans.  Self time is the quantity that localizes a slowdown — a sleep
-  injected into one operator inflates the inclusive time of every
-  ancestor, but the self time of only that operator;
-* **benchmark reports** (``docs/bench_report.schema.json``, written by
-  ``benchmarks/run_all.py``) — per-test pytest-benchmark means are keyed
-  ``scenario::test``.
+``python -m repro.tools.tracecmp BASELINE CANDIDATE`` compares two trace
+documents (``docs/trace.schema.json``, written by
+:func:`repro.observability.export.write_trace`).  Engine operator spans
+(category ``engine.op``) are aggregated by operator label into *self*
+wall time: inclusive duration minus the durations of nested operator
+spans.  Self time is the quantity that localizes a slowdown — a sleep
+injected into one operator inflates the inclusive time of every
+ancestor, but the self time of only that operator.
 
 A key *regresses* when the candidate is slower than the baseline by more
 than ``--threshold`` (a ratio, default 1.25×) **and** by more than
 ``--min-delta-ms`` (an absolute floor, default 1 ms, so timer noise on
 microsecond-scale operators never trips the ratio test).  The CLI prints
-one line per shared key and exits ``1`` iff any key regressed — the shape
-CI wants for a perf gate.
+one line per shared key and exits ``1`` iff any key regressed.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ OPERATOR_CATEGORY = "engine.op"
 
 @dataclass
 class KeyStats:
-    """Aggregated timing for one comparison key (operator or test)."""
+    """Aggregated self time for one operator label."""
 
     key: str
     total_ms: float
@@ -108,31 +102,13 @@ def aggregate_trace(doc: Dict[str, Any]) -> Dict[str, KeyStats]:
     return stats
 
 
-def aggregate_bench(doc: Dict[str, Any]) -> Dict[str, KeyStats]:
-    """Per-test mean timings of a benchmark report, keyed scenario::test."""
-    stats: Dict[str, KeyStats] = {}
-    for record in doc.get("scenarios", ()):
-        if record.get("mode") == "naive":
-            continue  # compare like against like: the fast-path pass only
-        for test, mean_s in (record.get("timings") or {}).items():
-            key = f"{record['scenario']}::{test}"
-            stats[key] = KeyStats(key, mean_s * 1e3)
-    return stats
-
-
 def aggregate_file(path: str | Path) -> Dict[str, KeyStats]:
-    """Load and aggregate either file kind (sniffed by top-level keys)."""
+    """Load a trace document and aggregate its operator self times."""
     path = Path(path)
     doc = json.loads(path.read_text())
-    if not isinstance(doc, dict):
-        raise ReproError(f"{path}: not a JSON object")
-    if "spans" in doc:
-        return aggregate_trace(doc)
-    if "scenarios" in doc:
-        return aggregate_bench(doc)
-    raise ReproError(
-        f"{path}: neither a trace document ('spans') nor a bench report ('scenarios')"
-    )
+    if not isinstance(doc, dict) or "spans" not in doc:
+        raise ReproError(f"{path}: not a trace document (no 'spans')")
+    return aggregate_trace(doc)
 
 
 def compare(
@@ -164,10 +140,10 @@ def regressions(findings: Sequence[Finding]) -> List[Finding]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.tracecmp",
-        description="Diff two trace/bench JSON files; exit 1 on per-operator regression.",
+        description="Diff two trace documents; exit 1 on per-operator regression.",
     )
-    parser.add_argument("baseline", type=Path, help="baseline trace or bench report")
-    parser.add_argument("candidate", type=Path, help="candidate trace or bench report")
+    parser.add_argument("baseline", type=Path, help="baseline trace document")
+    parser.add_argument("candidate", type=Path, help="candidate trace document")
     parser.add_argument(
         "--threshold",
         type=float,
@@ -186,7 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cand = aggregate_file(args.candidate)
     shared = compare(base, cand, threshold=args.threshold, min_delta_ms=args.min_delta_ms)
     if not shared:
-        print("no shared operators/tests between the two files", file=sys.stderr)
+        print("no shared operators between the two traces", file=sys.stderr)
         return 2
     for finding in shared:
         print(finding.render())

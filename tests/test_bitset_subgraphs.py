@@ -136,37 +136,36 @@ def reference_dp(graph, cost_model):
     """
     estimator = cost_model.estimator
     best = {}
-    with estimator.memo_scope(graph.bitset_index()):
-        for subset in reference_connected_subsets(graph):
-            if len(subset) == 1:
-                name = next(iter(subset))
-                best[subset] = Plan(Rel(name), estimator.base(name), cost_model.leaf_cost(name))
+    for subset in reference_connected_subsets(graph):
+        if len(subset) == 1:
+            name = next(iter(subset))
+            best[subset] = Plan(Rel(name), estimator.base(name), cost_model.leaf_cost(name))
+            continue
+        candidate = None
+        for side_a, side_b, kind, predicate in reference_combinable_pairs(graph, subset):
+            left, right = best.get(side_a), best.get(side_b)
+            if left is None or right is None:
                 continue
-            candidate = None
-            for side_a, side_b, kind, predicate in reference_combinable_pairs(graph, subset):
-                left, right = best.get(side_a), best.get(side_b)
-                if left is None or right is None:
-                    continue
-                expr = _OPERATOR[kind](left.expr, right.expr, predicate)
-                # The estimator takes the preserved side first.
-                est_left, est_right = (right, left) if kind == "roj" else (left, right)
-                est_kind = "join" if kind == "join" else "left_outer"
-                estimate = estimator.combine(
-                    est_kind, predicate, est_left.estimate, est_right.estimate
-                )
-                extra = cost_model.combine_cost(
-                    est_kind,
-                    predicate,
-                    est_left,
-                    est_right,
-                    estimate.cardinality,
-                    estimate.join_cardinality,
-                )
-                cost = left.cost + right.cost + extra
-                if candidate is None or cost < candidate.cost:
-                    candidate = Plan(expr, estimate, cost)
-            if candidate is not None:
-                best[subset] = candidate
+            expr = _OPERATOR[kind](left.expr, right.expr, predicate)
+            # The estimator takes the preserved side first.
+            est_left, est_right = (right, left) if kind == "roj" else (left, right)
+            est_kind = "join" if kind == "join" else "left_outer"
+            estimate = estimator.combine(
+                est_kind, predicate, est_left.estimate, est_right.estimate
+            )
+            extra = cost_model.combine_cost(
+                est_kind,
+                predicate,
+                est_left,
+                est_right,
+                estimate.cardinality,
+                estimate.join_cardinality,
+            )
+            cost = left.cost + right.cost + extra
+            if candidate is None or cost < candidate.cost:
+                candidate = Plan(expr, estimate, cost)
+        if candidate is not None:
+            best[subset] = candidate
     return best[graph.nodes], len(best)
 
 

@@ -18,6 +18,7 @@ from repro.datagen import (
     figure2_graph,
     random_databases,
     random_nice_graph,
+    star,
 )
 from repro.engine import Storage, execute
 from repro.optimizer import (
@@ -165,18 +166,31 @@ class TestDPOptimizer:
 
         A deterministic guard on the DP's work: visiting both orders of
         every split doubles the lookups, and building an estimate for
-        every candidate multiplies the estimates.
+        every candidate multiplies the estimates.  Besides one random nice
+        graph under the retrieval model, it runs on the seven graphs of
+        ``benchmarks/bench_planning_scalability.py``, built as that bench
+        builds them, so it pins exactly the work whose time the bench
+        tabulates.
         """
-        scenario = random_nice_graph(6, 4, seed=2, extra_join_edges=2)
-        graph = scenario.graph
-        index = graph.bitset_index()
-        dbs = random_databases(scenario.schemas, 1, seed=2, max_rows=6, allow_empty=False)
-        storage = Storage.from_database(dbs[0])
-        model = RetrievalCostModel(CardinalityEstimator(storage), storage)
-        splits = sum(
-            len(list(index.ordered_partitions(mask)))
-            for mask in index.connected_subset_masks()
-        )
+
+        def storage_for(scenario, seed, max_rows):
+            dbs = random_databases(
+                scenario.schemas, 1, seed=seed, max_rows=max_rows, allow_empty=False
+            )
+            return Storage.from_database(dbs[0])
+
+        nice = random_nice_graph(6, 4, seed=2, extra_join_edges=2)
+        nice_storage = storage_for(nice, 2, 6)
+        cases = [(nice, RetrievalCostModel(CardinalityEstimator(nice_storage), nice_storage))]
+        for n in (4, 6, 8, 10):
+            scenario = chain(n, ["join" if i % 2 == 0 else "out" for i in range(n - 1)])
+            estimator = CardinalityEstimator(storage_for(scenario, n, 9))
+            cases.append((scenario, CoutCostModel(estimator)))
+        for leaves in (4, 6, 8):
+            scenario = star(leaves, oj_leaves=leaves // 2)
+            estimator = CardinalityEstimator(storage_for(scenario, leaves, 9))
+            cases.append((scenario, CoutCostModel(estimator)))
+
         calls = {"cut_operator": 0, "combine_estimate": 0}
 
         def counting(owner, name):
@@ -189,12 +203,20 @@ class TestDPOptimizer:
             monkeypatch.setattr(owner, name, counted)
 
         counting(BitsetIndex, "cut_operator")
-        counting(model.estimator, "combine_estimate")
-        before = instrumentation.snapshot()
-        DPOptimizer(graph, model).optimize()
-        subsets = instrumentation.delta(before)["dp_subsets"]
-        assert splits % 2 == 0 and calls["cut_operator"] == splits // 2
-        assert calls["combine_estimate"] == subsets - len(graph.nodes)
+        for scenario, model in cases:
+            graph = scenario.graph
+            index = graph.bitset_index()
+            splits = sum(
+                len(list(index.ordered_partitions(mask)))
+                for mask in index.connected_subset_masks()
+            )
+            counting(model.estimator, "combine_estimate")
+            calls.update(cut_operator=0, combine_estimate=0)
+            before = instrumentation.snapshot()
+            DPOptimizer(graph, model).optimize()
+            subsets = instrumentation.delta(before)["dp_subsets"]
+            assert splits % 2 == 0 and calls["cut_operator"] == splits // 2, scenario.name
+            assert calls["combine_estimate"] == subsets - len(graph.nodes), scenario.name
 
     def test_disconnected_graph_rejected(self):
         from repro.core import QueryGraph

@@ -146,6 +146,40 @@ def test_pipeline_hit_replays_identical_plan():
     )
 
 
+def test_pipeline_hit_skips_certificate_statistics_and_dp(monkeypatch):
+    """A hit does none of a miss's planning work: no Theorem 1
+    certificate, no statistics (estimator), no DP, and the same tree."""
+    from repro.optimizer import pipeline
+    from repro.optimizer.dp import DPOptimizer
+
+    calls = {"certificate": 0, "statistics": 0, "dp": 0}
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        pipeline, "theorem1_applies", spy("certificate", pipeline.theorem1_applies)
+    )
+    monkeypatch.setattr(
+        pipeline, "CardinalityEstimator", spy("statistics", pipeline.CardinalityEstimator)
+    )
+    monkeypatch.setattr(DPOptimizer, "optimize", spy("dp", DPOptimizer.optimize))
+
+    storage = example1_storage(300)
+    cache = PlanCache(capacity=8)
+    miss = optimize_query(reorderable_query(), storage, cache=cache)
+    assert not miss.cache_hit
+    assert calls == {"certificate": 1, "statistics": 1, "dp": 1}
+    hit = optimize_query(reorderable_query(), storage, cache=cache)
+    assert hit.cache_hit
+    assert calls == {"certificate": 1, "statistics": 1, "dp": 1}
+    assert hit.chosen == miss.chosen
+
+
 def test_pipeline_insert_invalidates():
     storage = example1_storage(200)
     cache = PlanCache(capacity=8)

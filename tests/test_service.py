@@ -13,12 +13,18 @@ import threading
 import pytest
 
 from repro.algebra import Comparison, Const, bag_equal, eq
+from repro.algebra.operators import ORACLE_OPS
 from repro.core import Restrict, jn, oj
+from repro.core.enumeration import sample_implementing_tree
 from repro.datagen import example1_storage
+from repro.datagen.random_db import random_database
+from repro.datagen.topologies import chain
 from repro.engine import execute
+from repro.engine.storage import Storage
 from repro.optimizer import PlanCache
 from repro.service import STATUSES, QueryService
 from repro.tools import instrumentation
+from repro.util.rng import make_rng
 from repro.util.errors import (
     QueryTimeoutError,
     ServiceClosedError,
@@ -181,6 +187,61 @@ def test_many_threads_submitting_concurrently(storage):
     reference = {c: execute(query(c), storage).relation for c in range(3)}
     for outcome in results:
         assert any(bag_equal(outcome.relation, rel) for rel in reference.values())
+
+
+def test_overload_resolves_every_ticket():
+    """Overload drill: a tiny queue, mixed deadlines and cancellations.
+
+    Every ticket resolves (served, shed, timed out or cancelled), the
+    status counts match the service's own, every served result is
+    bag-equal to the nested-loop oracle, and no worker outlives close().
+    """
+    scenario = chain(5, ["join" if i % 3 else "out" for i in range(4)], name="overload-chain5")
+    # Seeds whose four shapes all have non-empty answers, so the oracle
+    # comparison below compares rows, not empty bags.
+    db = random_database(scenario.schemas, seed=2, max_rows=30, domain=7, null_probability=0.1)
+    storage = Storage.from_database(db)
+    rng = make_rng(3)
+    workload = []
+    for i in range(4):
+        tree = sample_implementing_tree(scenario.graph, rng)
+        attr = f"{rng.choice(sorted(scenario.schemas))}.b"
+        workload.append(Restrict(tree, Comparison(attr, "<=", i)))
+    expected = [q.eval(db, ops=ORACLE_OPS) for q in workload]
+    assert all(len(relation) for relation in expected)
+
+    rng = make_rng(4)
+    before = set(threading.enumerate())
+    service = QueryService(
+        storage, workers=4, queue_size=8, plan_cache=PlanCache(64), default_timeout_s=2.0
+    )
+    workers = [
+        t for t in threading.enumerate()
+        if t not in before and t.name.startswith("repro-service-")
+    ]
+    with service:
+        tickets = []
+        for i in range(120):
+            ticket = service.submit(
+                workload[i % 4], timeout_s=rng.choice((0.001, 0.05, 2.0, None))
+            )
+            if rng.random() < 0.1:
+                ticket.cancel()
+            tickets.append((i % 4, ticket))
+        outcomes = [(shape, ticket.result(timeout=60)) for shape, ticket in tickets]
+        snap = service.snapshot()
+
+    counts = {status: 0 for status in STATUSES}
+    for _shape, outcome in outcomes:
+        counts[outcome.status] += 1
+    assert sum(counts.values()) == 120 and snap["submitted"] == 120
+    assert counts == snap["outcomes"]
+    for shape, outcome in outcomes:
+        if outcome.ok:
+            assert bag_equal(outcome.relation, expected[shape])
+    assert counts["ok"] >= 1 and counts["rejected"] >= 1
+    assert len(workers) == 4
+    assert not any(t.is_alive() for t in workers)
 
 
 def test_constructor_validation(storage):

@@ -1,8 +1,8 @@
 """Trace exporters and the trace-document schema contract.
 
 The canonical flat trace form (``docs/trace.schema.json``) is validated
-by the same dependency-free draft-07 subset that guards the benchmark
-reports; these tests pin the exporters to that schema from both sides —
+by the dependency-free draft-07 subset in :mod:`repro.tools.benchschema`;
+these tests pin the exporters to that schema from both sides —
 every exported trace validates, and representative tampering is caught.
 """
 
@@ -25,7 +25,7 @@ from repro.observability import (
     tracing,
     write_trace,
 )
-from repro.tools import benchschema, traceexport
+from repro.tools import traceexport
 from repro.tools.benchschema import SchemaValidationError, validate_trace
 
 
@@ -97,62 +97,6 @@ class TestChromeForm:
             e for e in complete if e["args"].get("rows_out") is not None
         ]
         assert roots_rows
-
-
-class TestBenchReportSchema:
-    def _minimal_report(self):
-        return {
-            "meta": {
-                "generated_by": "benchmarks/run_all.py",
-                "seed": 0,
-                "smoke": True,
-                "mode": "fast",
-                "python": "3",
-            },
-            "scenarios": [],
-            "comparisons": {},
-        }
-
-    def test_trace_overhead_key_accepted(self):
-        report = self._minimal_report()
-        report["trace_overhead"] = {
-            "overall": {"traced_s": 1.0, "untraced_s": 1.01, "overhead_pct": -0.99}
-        }
-        benchschema.validate_report(report)  # must not raise
-
-    def test_trace_overhead_shape_enforced(self):
-        report = self._minimal_report()
-        report["trace_overhead"] = {"overall": {"traced_s": 1.0}}
-        with pytest.raises(SchemaValidationError):
-            benchschema.validate_report(report)
-
-    def test_checked_in_bench_reports_still_validate(self):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[1]
-        for report_path in sorted(root.glob("BENCH_*.json")):
-            if report_path.name == "BENCH_PR9.json":
-                continue  # history only; its schema went with trafficgen
-            document = json.loads(report_path.read_text())
-            if benchschema.is_servicebench_report(document):
-                benchschema.validate_servicebench_report(document)
-            else:
-                benchschema.validate_report(document)
-
-    def test_checked_in_overhead_below_acceptance_bar(self):
-        """BENCH_PR3.json's overall ambient-tracing overhead stays < 5%.
-
-        Only the ``overall`` aggregate is gated: per-scenario entries on
-        sub-50ms benchmark sums are dominated by pytest-benchmark
-        calibration noise and swing tens of percent either way.
-        """
-        from pathlib import Path
-
-        report_path = Path(__file__).resolve().parents[1] / "BENCH_PR3.json"
-        report = json.loads(report_path.read_text())
-        overall = report["trace_overhead"]["overall"]
-        assert overall["overhead_pct"] is not None
-        assert overall["overhead_pct"] < 5.0, overall
 
 
 class TestTraceexportCli:

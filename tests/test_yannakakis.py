@@ -51,7 +51,8 @@ def scenario_case(scenario, seed, **db_kwargs):
 
 
 def needle_chain():
-    """(query, storage): ``E1 - E2 - E3`` in the BENCH_PR7 needle construction.
+    """(query, storage): ``E1 - E2 - E3``, the needle construction of
+    EXPERIMENTS.md's "The acyclic fast path: Yannakakis vs the DP plan".
 
     E2's halves pair a key inside one endpoint's heavy window with a key
     that matches nothing on the other end, so a binary plan fans half of
