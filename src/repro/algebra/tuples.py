@@ -16,8 +16,8 @@ attributes, and two rows are equal when both of those are (as assignments).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import Any, Dict, FrozenSet, List, Tuple
+from collections.abc import Iterable, Iterator, Mapping
+from typing import Any, Dict, FrozenSet, Tuple
 
 from repro.algebra.nulls import NULL, is_null
 from repro.algebra.schema import Schema
@@ -170,18 +170,6 @@ def row_of(layout: Layout, values: Tuple[Any, ...]) -> Row:
     row._vals = values
     row._hash = hash(values)
     return row
-
-
-def columns_of(rows: Sequence[Row], attrs: Tuple[str, ...]) -> Dict[str, List[Any]]:
-    """Attribute -> value list over ``rows``, for the *sorted* ``attrs``.
-
-    One C-level transpose when every row is on the layout of ``attrs``;
-    otherwise (rows on a wider scheme) one lookup per cell.
-    """
-    layout = layout_of(attrs)
-    if rows and all(r._layout is layout for r in rows):
-        return dict(zip(attrs, map(list, zip(*[r._vals for r in rows]))))
-    return {a: [r[a] for r in rows] for a in attrs}
 
 
 def null_row(scheme: Schema | Iterable[str]) -> Row:

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.algebra.nulls import NULL
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
-from repro.algebra.tuples import Row, columns_of, layout_of, row_of
+from repro.algebra.tuples import Row, layout_of, row_of
 from repro.util.cancel import CancelToken
 from repro.util.errors import SchemaError
 
@@ -78,10 +78,13 @@ class ColumnBatch:
     @classmethod
     def from_rows(cls, schema: Schema | Iterable[str], rows: Sequence[Row]) -> "ColumnBatch":
         """Columnarize a chunk of rows: one transpose of their value
-        tuples when every row is on the batch's scheme (a table scan),
-        one lookup per cell otherwise."""
+        tuples when every row is on the batch's scheme, one lookup per
+        cell otherwise (rows on a wider scheme)."""
         attrs = _attrs_of(schema)
-        return cls(attrs, columns_of(rows, attrs), len(rows))
+        layout = layout_of(attrs)
+        if rows and all(r._layout is layout for r in rows):
+            return cls(attrs, dict(zip(attrs, map(list, zip(*[r._vals for r in rows])))), len(rows))
+        return cls(attrs, {a: [r[a] for r in rows] for a in attrs}, len(rows))
 
     @classmethod
     def empty(cls, schema: Schema | Iterable[str]) -> "ColumnBatch":

@@ -61,27 +61,9 @@ from repro.tools import instrumentation
 _Pass = Callable[[ColumnBatch, Sequence[int]], List[int]]
 
 
-class ColsRowView(Mapping):
-    """A zero-copy view of one batch row, for scalar predicate fallback."""
-
-    __slots__ = ("columns", "i")
-
-    def __init__(self, columns: Dict[str, List[Any]], i: int = 0):
-        self.columns = columns
-        self.i = i
-
-    def __getitem__(self, attr: str) -> Any:
-        return self.columns[attr][self.i]
-
-    def __iter__(self):
-        return iter(self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-
 class PairColsView(Mapping):
-    """A zero-copy view of a (probe row, build row) pair for residuals.
+    """A zero-copy view of a (probe row, build row) pair for residuals, or
+    of one batch row (empty ``rcols``) for the scalar predicate fallback.
 
     One instance is reused across a whole probe batch (the kernels mutate
     ``li``/``ri`` between evaluations) instead of allocating a
@@ -119,12 +101,12 @@ def _scalar_pass(conjunct: Predicate) -> _Pass:
     """Fallback pass: three-valued evaluation per surviving row."""
 
     def run(batch: ColumnBatch, indices: Sequence[int]) -> List[int]:
-        view = ColsRowView(batch.columns)
+        view = PairColsView(batch.columns, {})
         evaluate = conjunct.evaluate
         out = []
         append = out.append
         for i in indices:
-            view.i = i
+            view.li = i
             if satisfied(evaluate(view)):
                 append(i)
         return out

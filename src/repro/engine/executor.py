@@ -7,13 +7,10 @@ how the Example-1 benchmark compares ``R1 − (R2 → R3)`` against
 ``(R1 − R2) → R3``.
 
 The drain is one batch materializer
-(:func:`~repro.engine.batch.columns.materialize`): the plan root's
-column batches go straight into the result bag, with one scheme check
-per batch, value tuples counted per batch and one ``Row`` made per
-distinct tuple.  The bag is exactly the one a row-at-a-time drain
-builds (same representatives, key order and multiplicities), and it is
-complete when :func:`execute_plan` returns.  The cancel token is polled
-once per root batch.
+(:func:`~repro.engine.batch.columns.materialize`), polling the cancel
+token once per root batch.  The result is complete when
+:func:`execute_plan` returns: the query over the row counts the plan
+fixed when it was built (:attr:`ExecutionResult.snapshot`).
 
 When tracing is active (see :mod:`repro.observability`), every execution
 produces a ``query.execute`` span carrying the query's metric totals; at
@@ -30,7 +27,7 @@ bit-identical with tracing off (``REPRO_TRACE=0``), which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Set, Tuple
 
 from repro.algebra.relation import Relation
 from repro.core.expressions import Expression
@@ -50,6 +47,9 @@ class ExecutionResult:
     relation: Relation
     metrics: Metrics
     plan: PhysicalOp
+    #: The plan's sorted ``(table, n)`` reads: ``relation`` is the query
+    #: over the first ``n`` rows of each table.
+    snapshot: Tuple[Tuple[str, int], ...] = ()
     #: Root span of the traced execution (None when tracing is off).
     trace: Optional[Span] = field(default=None, repr=False)
 
@@ -76,10 +76,11 @@ def execute_plan(plan: PhysicalOp, cancel: Optional[CancelToken] = None) -> Exec
     cooperatively.
     """
     metrics = Metrics(cancel=cancel)
+    snapshot = tuple(sorted(_reads(plan)))
     tracer = current_tracer()
     if tracer is None:
         relation = materialize(plan.schema, plan.execute_batches(metrics), cancel)
-        return ExecutionResult(relation=relation, metrics=metrics, plan=plan)
+        return ExecutionResult(relation, metrics, plan, snapshot)
 
     with tracer.span("query.execute", category="engine") as root:
         wrapped, undo = trace_plan(plan, root) if tracer.trace_operators else (plan, [])
@@ -89,7 +90,14 @@ def execute_plan(plan: PhysicalOp, cancel: Optional[CancelToken] = None) -> Exec
             untrace_plan(undo)
         metrics.flush_to_span(root)
         root.set(rows=len(relation))
-    return ExecutionResult(relation=relation, metrics=metrics, plan=plan, trace=root)
+    return ExecutionResult(relation, metrics, plan, snapshot, trace=root)
+
+
+def _reads(op: PhysicalOp) -> Set[Tuple[str, int]]:
+    """``(table, n)`` of every base-table read under ``op``, fixed at plan time."""
+    table = getattr(op, "table", None)
+    own = {(table.name, op.n)} if table is not None else set()
+    return own.union(*map(_reads, op.children()))
 
 
 def plan_expression(expr: Expression, storage: Storage) -> PhysicalOp:
@@ -106,10 +114,9 @@ def execute(
 ) -> ExecutionResult:
     """Plan and run a logical expression against the storage.
 
-    Planning is reentrant (the planner is stateless over an immutable
-    expression) and every execution gets its own plan tree and metrics
-    sink, so concurrent ``execute`` calls over one storage share no
-    mutable state — the property :mod:`repro.service` builds on.
+    Every execution gets its own planner, plan tree and metrics sink, so
+    concurrent ``execute`` calls share nothing mutable but the append-only
+    storage — the property :mod:`repro.service` builds on.
     """
     return execute_plan(plan_expression(expr, storage), cancel=cancel)
 

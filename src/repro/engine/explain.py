@@ -108,7 +108,7 @@ def _estimate_for(op: PhysicalOp, storage: Storage) -> Optional[float]:
     # composite operators the estimator needs the logical expression, which
     # the caller can supply via `explain(expr=...)` — handled in `explain`.
     if isinstance(op, SeqScan):
-        return float(len(op.table))
+        return float(op.n)
     return None
 
 

@@ -1,15 +1,21 @@
-"""Physical operators (iterator model) with metered base access.
+"""Physical operators with metered base access.
 
-Every operator exposes ``execute(metrics)`` returning an iterator of rows
-and a ``schema`` describing its output.  Join operators preserve their
-*left* input for the outer/semi/anti variants (``full_outer`` preserves
-both, emitting the unmatched right rows after the probe loop); the
-planner performs any operand swapping (e.g. a ``RightOuterJoin`` logical
-node runs as a left-preserving physical join with swapped children).
+One protocol: every operator implements only
+``execute_batches(metrics)``, yielding
+:class:`~repro.engine.batch.ColumnBatch` chunks on its ``schema``, and
+consumes its children the same way.  Rows appear only where a consumer
+asks for them: ``execute()``, defined once on :class:`PhysicalOp`,
+flattens the batches of whatever operator it is called on, and the
+executor (like ``run()``) counts the root's batches straight into the
+result bag (:func:`~repro.engine.batch.columns.materialize`).  Join
+operators preserve their *left* input for the outer/semi/anti variants
+(``full_outer`` preserves both, emitting the unmatched right rows after
+the probe loop); the planner swaps operands where the logical node asks.
 
 Retrieval metering follows Example 1's accounting:
 
-* a sequential scan retrieves every row of its table;
+* a sequential scan retrieves every row of its table's snapshot (the
+  first ``n``, its row count when the plan was built);
 * an index nested-loop join retrieves exactly the rows its probes return;
 * intermediate results live in memory and are never re-counted.
 
@@ -21,15 +27,6 @@ plan (category ``engine.op``).  Operators additionally report their own
 internals (hash-build time, index hits, materialized row counts) through
 ``self._span``, which the wrapper assigns; untraced runs leave ``_span``
 None and skip all accounting.
-
-One protocol: every operator implements only
-``execute_batches(metrics)``, yielding
-:class:`~repro.engine.batch.ColumnBatch` chunks, and consumes its
-children the same way.  Rows appear only where a consumer asks for
-them: ``execute()``, defined once on :class:`PhysicalOp`, flattens the
-batches of whatever operator it is called on, and the executor (like
-``run()``) counts the root's batches straight into the result bag
-(:func:`~repro.engine.batch.columns.materialize`).
 """
 
 from __future__ import annotations
@@ -42,10 +39,10 @@ from typing import List, Optional, Tuple
 from repro.observability.spans import Span
 
 from repro.algebra.nulls import NULL, satisfied
-from repro.algebra.predicates import PairView, Predicate, TruePredicate
+from repro.algebra.predicates import Predicate, TruePredicate
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
-from repro.algebra.tuples import Row, columns_of, null_row
+from repro.algebra.tuples import Row
 from repro.engine.batch.columns import (
     ColumnBatch,
     batches_from_rows,
@@ -55,7 +52,7 @@ from repro.engine.batch.columns import (
 from repro.engine.batch.kernels import (
     BatchHashJoiner,
     BuildSide,
-    ColsRowView,
+    PairColsView,
     compile_filter,
 )
 from repro.engine.indexes import HashIndex
@@ -151,25 +148,22 @@ def _check_join_type(join_type: str) -> None:
 
 
 class SeqScan(PhysicalOp):
-    """Full scan of a base table; every row is a metered retrieval."""
+    """Full scan of a base table's first ``n`` rows (default: its row count
+    when the scan is made); every row is a metered retrieval."""
 
-    def __init__(self, table: Table):
+    def __init__(self, table: Table, n: Optional[int] = None):
         self.table = table
         self.schema = table.schema
+        self.n = table.n if n is None else n
 
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
-        """Columnarize the table a slice at a time.
-
-        Retrieval metering is bumped per chunk with the chunk's row count.
-        """
-        size = batch_size()
-        rows = self.table.rows
-        attrs = tuple(sorted(self.schema.attributes))
-        name = self.table.name
-        for start in range(0, len(rows), size):
-            chunk = rows[start : start + size]
-            metrics.retrieved(name, len(chunk))
-            yield self._emit_batch(ColumnBatch.from_rows(attrs, chunk))
+        """Slice the table's columns a batch at a time; retrieval metering
+        is bumped per batch with its row count."""
+        size, n = batch_size(), self.n
+        for start in range(0, n, size):
+            batch = self.table.batch(start, min(start + size, n))
+            metrics.retrieved(self.table.name, batch.length)
+            yield self._emit_batch(batch)
 
     def describe(self, indent: int = 0) -> str:
         return " " * indent + f"SeqScan({self.table.name})"
@@ -324,12 +318,14 @@ class IndexNestedLoopJoin(PhysicalOp):
         outer_key: str,
         residual: Optional[Predicate] = None,
         join_type: str = "inner",
+        n: Optional[int] = None,
     ):
         _check_join_type(join_type)
         if join_type == "full_outer":
             raise PlanningError("an index nested-loop join cannot emit unmatched inner rows")
         self.left = left
         self.table = table
+        self.n = table.n if n is None else n
         self.index = index
         self.outer_key = outer_key
         self.residual = residual or TruePredicate()
@@ -345,9 +341,9 @@ class IndexNestedLoopJoin(PhysicalOp):
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
         """One index lookup per live probe row; one output batch per probe batch.
 
-        Inner/left outer gather the matched inner rows' values by
-        position (a pad is an all-NULL row); semi/anti narrow the probe
-        batch's selection.  Metering is bumped once per batch.
+        Inner/left outer gather the inner values at the matched ordinals
+        below ``n`` (a pad is NULL in every inner column); semi/anti
+        narrow the probe batch's selection.  Metering is bumped once per batch.
         """
         join_type = self.join_type
         pairs = join_type in ("inner", "left_outer")
@@ -355,23 +351,22 @@ class IndexNestedLoopJoin(PhysicalOp):
         want = join_type == "semi"
         residual = None if isinstance(self.residual, TruePredicate) else self.residual
         lookup = self.index.lookup
-        padding = null_row(self.table.schema)
-        right_attrs = tuple(sorted(self.table.schema.attributes))
+        n = self.n
+        inner = self.table.columns
         label = f"INLJ[{join_type}]"
         span = self._span
         for batch in self.left.execute_batches(metrics):
             live = batch.indices()
             key_col = batch.columns[self.outer_key]
             if residual is not None:
-                outer = ColsRowView(batch.columns)
-                view = PairView(outer, padding)
+                view = PairColsView(batch.columns, inner)
                 evaluate = residual.evaluate
             out_l: List[int] = []
-            out_r: List[Row] = []
+            out_r: List[int] = []  # inner ordinals; -1 is a pad
             keep: List[int] = []
             examined = hits = 0
             for i in live:
-                matches = lookup(key_col[i])
+                matches = lookup(key_col[i], n)
                 hits += len(matches)
                 if residual is None:
                     # Every match satisfies, so a semi join examines one.
@@ -385,21 +380,21 @@ class IndexNestedLoopJoin(PhysicalOp):
                             out_r.extend(matches)
                 else:
                     matched = False
-                    outer.i = i
-                    for inner_row in matches:
+                    view.li = i
+                    for j in matches:
                         examined += 1
-                        view.second = inner_row
+                        view.ri = j
                         if satisfied(evaluate(view)):
                             matched = True
                             if want:
                                 break
                             if pairs:
                                 out_l.append(i)
-                                out_r.append(inner_row)
+                                out_r.append(j)
                 if pairs:
                     if pad and not matched:
                         out_l.append(i)
-                        out_r.append(padding)
+                        out_r.append(-1)
                 elif matched is want:
                     keep.append(i)
             metrics.probed(self.index.name, len(live))
@@ -411,7 +406,12 @@ class IndexNestedLoopJoin(PhysicalOp):
                 span.counters["index_hits"] += hits
             if out_l:
                 columns = {a: [col[i] for i in out_l] for a, col in batch.columns.items()}
-                columns.update(columns_of(out_r, right_attrs))
+                for a, col in inner.items():
+                    columns[a] = (
+                        [NULL if j < 0 else col[j] for j in out_r]
+                        if pad
+                        else [col[j] for j in out_r]
+                    )
                 metrics.emitted(label, len(out_l))
                 yield self._emit_batch(ColumnBatch(tuple(sorted(columns)), columns, len(out_l)))
             elif keep:

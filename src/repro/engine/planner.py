@@ -113,23 +113,30 @@ _JOIN_KINDS = {
 
 
 class Planner:
-    """Stateless physical planner over a :class:`Storage`."""
+    """Physical planner over a :class:`Storage`.  Planning starts by reading
+    the row count of each table the expression names, in name order: every
+    operator of the plan reads those rows (the plan's snapshot)."""
 
     def __init__(self, storage: Storage):
         self.storage = storage
 
     def plan(self, expr: Expression) -> PhysicalOp:
+        names = sorted({node.name for _path, node in expr.nodes() if isinstance(node, Rel)})
+        self._counts = {name: self.storage[name].n for name in names}
+        return self._plan(expr)
+
+    def _plan(self, expr: Expression) -> PhysicalOp:
         if isinstance(expr, Rel):
-            return SeqScan(self.storage[expr.name])
+            return SeqScan(self.storage[expr.name], self._counts[expr.name])
         if isinstance(expr, Restrict):
-            return Filter(self.plan(expr.child), expr.predicate)
+            return Filter(self._plan(expr.child), expr.predicate)
         if isinstance(expr, Project):
-            return ProjectOp(self.plan(expr.child), expr.attributes, dedup=expr.dedup)
+            return ProjectOp(self._plan(expr.child), expr.attributes, dedup=expr.dedup)
         if isinstance(expr, Union):
-            return PaddedUnion(self.plan(expr.left), self.plan(expr.right))
+            return PaddedUnion(self._plan(expr.left), self._plan(expr.right))
         if isinstance(expr, Leapfrog):
             _core, filters = split_leaf_filters(expr.child)
-            return wcoj.build_wcoj_plan(expr.spec, self.storage, filters)
+            return wcoj.build_wcoj_plan(expr.spec, self.storage, filters, self._counts)
         if type(expr) is GeneralizedOuterJoin:
             return self._plan_goj(expr)
         kind = _JOIN_KINDS.get(type(expr))
@@ -146,7 +153,7 @@ class Planner:
         predicate: Predicate,
         join_type: str,
     ) -> PhysicalOp:
-        left_plan = self.plan(left_expr)
+        left_plan = self._plan(left_expr)
         left_schema = left_plan.schema
         right_schema = self._schema_of(right_expr)
         split = split_equijoin(predicate, left_schema, right_schema)
@@ -163,11 +170,10 @@ class Planner:
             if index is not None:
                 if inner_filter is not None:
                     residual = conjunction(p for p in (residual, inner_filter) if p is not None)
-                return IndexNestedLoopJoin(
-                    left_plan, table, index, left_key, residual, join_type
-                )
+                n = self._counts[inner.name]
+                return IndexNestedLoopJoin(left_plan, table, index, left_key, residual, join_type, n)
 
-        right_plan = self.plan(right_expr)
+        right_plan = self._plan(right_expr)
         # Preference 2: hash join on the equi-key.
         if split is not None:
             left_key, right_key, residual = split
@@ -179,8 +185,8 @@ class Planner:
     def _plan_goj(self, expr: GeneralizedOuterJoin) -> PhysicalOp:
         """Plan a generalized outerjoin via the modified hash join (keyless
         when no equi conjunct exists, as the nested-loop join is)."""
-        left_plan = self.plan(expr.left)
-        right_plan = self.plan(expr.right)
+        left_plan = self._plan(expr.left)
+        right_plan = self._plan(expr.right)
         split = split_equijoin(expr.predicate, left_plan.schema, right_plan.schema)
         left_key, right_key, residual = split or (None, None, expr.predicate)
         return GeneralizedOuterJoinOp(

@@ -26,10 +26,10 @@ Mechanics worth knowing:
   full variable match emits the cross product of the matched leaves.
 * **Caching**: base-table tries are memoized on the table through
   :meth:`~repro.engine.storage.Table.derived`, keyed by the key-level
-  layout and invalidated by the table's modification version — the same
-  generation discipline as the plan cache and the SQLite oracle
-  snapshot.  Filtered inputs get ad-hoc tries (the filter changes the
-  row set).
+  layout and valid for the row count they were built at (a scan of
+  another ``n`` builds its own) — the same generation discipline as the
+  plan cache and the SQLite oracle snapshot.  Filtered inputs get ad-hoc
+  tries (the filter changes the row set).
 * **Metering**: inputs are always drained through ``op.execute`` so
   retrieval/filter metering matches the other executors even on a trie
   cache hit; the operator reports ``wcoj_seeks`` / ``wcoj_ties`` (and
@@ -236,21 +236,20 @@ class TrieCursor:
         return node.children[pos]
 
 
-def trie_for(table: Table, key_groups: KeyGroups) -> Tuple[TrieIndex, bool]:
-    """The table's cached trie for ``key_groups`` (built, True) or (hit, False).
+def trie_for(table: Table, key_groups: KeyGroups, n: int) -> Tuple[TrieIndex, bool]:
+    """The table's trie over its first ``n`` rows: (built, True) or (hit, False).
 
-    Cached through :meth:`Table.derived`, so an insert invalidates and
-    the next query rebuilds — the generation discipline shared with the
-    plan cache and the oracle snapshot.
+    Cached through :meth:`Table.derived` for the ``n`` it was built at: an
+    insert invalidates, and a plan built before the insert reads its rows.
     """
     built = [False]
 
-    def build() -> TrieIndex:
+    def build(n: int) -> TrieIndex:
         built[0] = True
         instrumentation.bump("trie_builds")
-        return TrieIndex.build(list(table.scan()), key_groups)
+        return TrieIndex.build(table.rows[:n], key_groups)
 
-    trie = table.derived(("wcoj-trie", key_groups), build)
+    trie = table.derived(("wcoj-trie", key_groups), build, n)
     return trie, built[0]
 
 
@@ -308,7 +307,7 @@ class LeapfrogTriejoinOp(PhysicalOp):
             if isinstance(inner, SeqScan):
                 # The table's own trie indexes it; the batches only meter.
                 total += sum(batch.num_rows for batch in batches)
-                trie, built = trie_for(inner.table, groups)
+                trie, built = trie_for(inner.table, groups, inner.n)
             else:
                 rows = list(rows_from_batches(batches))
                 total += len(rows)
@@ -394,12 +393,16 @@ class LeapfrogTriejoinOp(PhysicalOp):
 
 
 def build_wcoj_plan(
-    spec: WcojSpec, storage: Storage, filters: Dict[str, List[Predicate]]
+    spec: WcojSpec,
+    storage: Storage,
+    filters: Dict[str, List[Predicate]],
+    counts: Optional[Dict[str, int]] = None,
 ) -> LeapfrogTriejoinOp:
-    """A Leapfrog Triejoin physical plan: filtered scans under the join op."""
+    """A Leapfrog Triejoin physical plan: filtered scans under the join op,
+    each at its table's row count in ``counts`` if given (else read now)."""
     inputs: List[PhysicalOp] = []
     for node in spec.order:
-        op: PhysicalOp = SeqScan(storage[node])
+        op: PhysicalOp = SeqScan(storage[node], (counts or {}).get(node))
         preds = filters.get(node)
         if preds:
             op = Filter(op, conjunction(list(preds)))

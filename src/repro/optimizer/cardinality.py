@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.algebra.nulls import satisfied
+from repro.algebra.nulls import NULL
 from repro.algebra.predicates import AttrRef, Comparison, Predicate, conjunction
 from repro.core.expressions import Expression
-from repro.engine.storage import Storage, distinct_counts
+from repro.engine.batch.kernels import compile_filter
+from repro.engine.storage import Storage
 
 #: Default selectivity for non-equality comparisons (System R's 1/3).
 INEQUALITY_SELECTIVITY = 1.0 / 3.0
@@ -78,11 +79,13 @@ class CardinalityEstimator:
 
     def filtered(self, name: str, preds: List[Predicate]) -> EstimateInfo:
         """The leaf ``name`` under the conjuncts ``preds``, counted from the
-        rows that satisfy them (not memoized)."""
+        rows that satisfy them (not memoized), as selected by the engine's
+        own filter kernel: a predicate reads the same here as in a plan."""
         table = self.storage[name]
-        predicate = conjunction(preds)
-        rows = [r for r in table.rows if satisfied(predicate.evaluate(r))]
-        return self._leaf(name, len(rows), distinct_counts(rows, table.schema))
+        batch = table.batch(0, table.n)
+        selected = compile_filter(conjunction(preds)).apply(batch)
+        distinct = {a: len({c[i] for i in selected} - {NULL}) for a, c in batch.columns.items()}
+        return self._leaf(name, len(selected), distinct)
 
     @staticmethod
     def _leaf(name: str, rows: int, distinct: Dict[str, int]) -> EstimateInfo:

@@ -6,9 +6,11 @@ the optimizer chose, Leapfrog node included) into a serving layer:
 
 * **Worker pool** — a fixed set of daemon threads drains a *bounded*
   admission queue.  Everything per-query (plan tree, metrics sink,
-  pipeline result) is private to the worker running it; the shared
-  pieces (storage, plan cache, instrumentation) are read-only or
-  lock-guarded, which is what makes the engine reentrant here.
+  pipeline result) is private to the worker running it; the plan cache
+  and instrumentation are lock-guarded.  Storage may take inserts
+  meanwhile: each plan reads the row counts it fixed when it was built
+  (:mod:`repro.engine.storage`), so an ``ok`` result is the query over
+  the :attr:`QueryOutcome.snapshot` it names.
 * **Plan caching** — every worker consults the same
   :class:`~repro.optimizer.plancache.PlanCache`, so the first query of a
   shape pays the DP and the rest replay the cached implementing tree
@@ -37,7 +39,7 @@ import threading
 import traceback
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.relation import Relation
 from repro.core.expressions import Expression
@@ -73,6 +75,8 @@ class QueryOutcome:
     pipeline: Optional[PipelineResult] = field(default=None, repr=False)
     execution: Optional[ExecutionResult] = field(default=None, repr=False)
     error: Optional[BaseException] = None
+    #: The ``(table, n)`` reads ``relation`` answers (``ok`` only; see ExecutionResult).
+    snapshot: Tuple[Tuple[str, int], ...] = ()
     #: Wall time inside the worker (0 for queries that never ran).
     elapsed_s: float = 0.0
     #: Time spent waiting in the admission queue before a worker picked
@@ -280,6 +284,7 @@ class QueryService:
                     relation=execution.relation,
                     pipeline=pipeline,
                     execution=execution,
+                    snapshot=execution.snapshot,
                 )
             except QueryCancelledError as exc:
                 instrumentation.bump("service_cancelled")

@@ -68,7 +68,7 @@ def test_sync_is_generation_keyed(query):
         assert backend.sync(storage) is False  # same generation: no reload
         assert backend.counters["sync_hits"] == 1
         table = storage[next(iter(storage))]
-        row = next(table.scan(), None)
+        row = next(iter(table.rows), None)
         if row is not None:
             table.insert(row)
             assert backend.sync(storage) is True  # mutation bumps generation

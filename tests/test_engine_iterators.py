@@ -8,7 +8,7 @@ from repro.algebra import NULL, Comparison, TruePredicate, eq, gt
 from repro.algebra.comparison import bag_equal
 from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.relation import Relation
-from repro.algebra.tuples import Row, columns_of, layout_of, row_of
+from repro.algebra.tuples import Row, layout_of, row_of
 from repro.algebra.schema import Schema
 from repro.core.expressions import Rel, Restrict, RightOuterJoin, aj, jn, oj, sj
 from repro.core.wcoj_order import wcoj_spec_of
@@ -697,7 +697,7 @@ class TestResultMaterialization:
         batch = ColumnBatch.from_rows(table.schema, table.rows)
         assert batch.columns == {a: [row[a] for row in table.rows] for a in layout.attrs}
         wider = [row.concat(Row({"X.z": i})) for i, row in enumerate(table.rows)]
-        assert columns_of(wider, layout.attrs) == batch.columns
+        assert ColumnBatch.from_rows(layout.attrs, wider).columns == batch.columns
 
     def test_rows_hash_and_compare_like_constructed_rows(self):
         st = _materializer_storage()

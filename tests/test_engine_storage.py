@@ -1,5 +1,8 @@
 """Tests for engine storage, statistics, and hash indexes."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.algebra import NULL, Database, Relation, Row
@@ -39,12 +42,39 @@ class TestTable:
     def test_insert_during_a_derived_build_invalidates_the_slot(self):
         t = Table("T", ["T.a"], [Row({"T.a": 1})])
 
-        def racing_build():
+        def racing_build(n):
             t.insert(Row({"T.a": 2}))  # lands while the slot is being built
-            return "built before the insert"
+            return f"built for {n} rows"
 
-        assert t.derived("k", racing_build) == "built before the insert"
-        assert t.derived("k", lambda: "rebuilt") == "rebuilt"
+        assert t.derived("k", racing_build) == "built for 1 rows"
+        assert t.derived("k", lambda n: f"rebuilt for {n} rows") == "rebuilt for 2 rows"
+
+    def test_concurrent_inserts_lose_no_row_and_keep_rows_whole(self):
+        t = Table("T", ["T.a", "T.b"])
+        index = t.create_index("T.a")
+        writers, per_writer = 4, 3000
+
+        def write(w):
+            for i in range(per_writer):
+                key = w * per_writer + i
+                t.insert(Row({"T.a": key, "T.b": -key}))
+
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = writers * per_writer
+        assert len(t) == total
+        assert sorted(t.columns["T.a"]) == list(range(total))
+        assert all(b == -a for a, b in zip(t.columns["T.a"], t.columns["T.b"]))
+        assert all(index.lookup(a, total) == [i] for i, a in enumerate(t.columns["T.a"]))
 
     def test_to_relation(self):
         t = Table("T", ["T.a"], [Row({"T.a": 1}), Row({"T.a": 1})])
@@ -54,24 +84,38 @@ class TestTable:
 
 class TestHashIndex:
     def test_lookup(self):
-        idx = HashIndex("T(a)", "a")
-        idx.insert(Row({"a": 1, "b": "x"}))
-        idx.insert(Row({"a": 1, "b": "y"}))
-        idx.insert(Row({"a": 2, "b": "z"}))
-        assert len(idx.lookup(1)) == 2
-        assert idx.lookup(9) == []
+        # Buckets hold row ordinals; a lookup returns those below n.
+        idx = HashIndex("T(a)")
+        idx.insert(1, 0)
+        idx.insert(1, 1)
+        idx.insert(2, 2)
+        assert idx.lookup(1, 3) == [0, 1]
+        assert idx.lookup(1, 1) == [0]
+        assert idx.lookup(9, 3) == []
 
     def test_null_keys_excluded(self):
-        idx = HashIndex("T(a)", "a")
-        idx.insert(Row({"a": NULL}))
+        idx = HashIndex("T(a)")
+        idx.insert(NULL, 0)
         assert len(idx) == 0
-        assert idx.lookup(NULL) == []
+        assert idx.lookup(NULL, 1) == []
 
     def test_index_maintained_on_insert(self):
         t = Table("T", ["T.a"], [Row({"T.a": 1})])
         idx = t.create_index("T.a")
         t.insert(Row({"T.a": 1}))
-        assert len(idx.lookup(1)) == 2
+        assert idx.lookup(1, len(t)) == [0, 1]
+
+    def test_failed_insert_changes_nothing(self):
+        t = Table("T", ["T.a", "T.b"], [Row({"T.a": 1, "T.b": "x"})])
+        t.create_index("T.a")
+        t.create_index("T.b")
+        for bad in (Row({"T.a": 2}), Row({"T.a": 2, "T.b": "y", "T.c": 0}), Row({"T.z": 2})):
+            with pytest.raises(SchemaError):
+                t.insert(bad)
+        assert t.n == 1
+        assert t.columns == {"T.a": [1], "T.b": ["x"]}
+        assert t.index_on("T.a").lookup(2, 2) == [] and len(t.index_on("T.a")) == 1
+        assert t.index_on("T.b").lookup("y", 2) == [] and len(t.index_on("T.b")) == 1
 
     def test_create_index_idempotent(self):
         t = Table("T", ["T.a"], [Row({"T.a": 1})])

@@ -207,23 +207,23 @@ class TestGenerationInvalidation:
     def test_insert_rebuilds_cached_trie(self):
         table = Table("R", ["R.a", "R.b", "R.c"])
         table.insert(Row({"R.a": 1, "R.b": 1, "R.c": 1}))
-        first, built_first = trie_for(table, KEYS)
+        first, built_first = trie_for(table, KEYS, len(table))
         assert built_first
-        again, built_again = trie_for(table, KEYS)
+        again, built_again = trie_for(table, KEYS, len(table))
         assert again is first and not built_again  # cache hit, same object
         table.insert(Row({"R.a": 2, "R.b": 2, "R.c": 2}))
-        rebuilt, built_rebuilt = trie_for(table, KEYS)
+        rebuilt, built_rebuilt = trie_for(table, KEYS, len(table))
         assert built_rebuilt and rebuilt is not first
         assert rebuilt.rows_indexed == 2
 
     def test_distinct_key_groups_cache_independently(self):
         table = Table("R", ["R.a", "R.b", "R.c"])
         table.insert(Row({"R.a": 1, "R.b": 2, "R.c": 3}))
-        one, _ = trie_for(table, KEYS)
+        one, _ = trie_for(table, KEYS, len(table))
         other_keys = (("x", ("R.b",)), ("y", ("R.c",)))
-        other, built = trie_for(table, other_keys)
+        other, built = trie_for(table, other_keys, len(table))
         assert built and other is not one
-        assert trie_for(table, KEYS)[0] is one  # first layout still cached
+        assert trie_for(table, KEYS, len(table))[0] is one  # first layout still cached
 
 
 class TestRandomizedAgainstNaive:
