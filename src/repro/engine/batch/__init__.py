@@ -13,7 +13,7 @@ Layout:
   representation (per-column lists, selection vectors, cached null
   masks), the batch->row flattening behind ``PhysicalOp.execute``,
   the executor's result materializer, and the row chunking that the
-  row-internal n-ary joins (Leapfrog, Yannakakis) emit through.
+  row-internal Yannakakis join emits through.
 * :mod:`~repro.engine.batch.kernels` — compiled filter kernels and the
   batch hash-join build/probe for every variant.
 

@@ -191,8 +191,8 @@ def batches_from_rows(
 ) -> Iterator[ColumnBatch]:
     """Chunk a row stream into column batches.
 
-    The n-ary joins whose algorithms are row-internal (Leapfrog
-    Triejoin, Yannakakis) emit their output through this.
+    The one n-ary join whose algorithm is row-internal (Yannakakis)
+    emits its output through this.
     """
     attrs = _attrs_of(schema)
     chunk: List[Row] = []

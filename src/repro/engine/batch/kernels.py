@@ -55,7 +55,6 @@ from repro.algebra.predicates import (
     _COMPARATORS,
 )
 from repro.engine.batch.columns import ColumnBatch
-from repro.tools import instrumentation
 
 #: Selection pass: (batch, candidate indices) -> surviving indices.
 _Pass = Callable[[ColumnBatch, Sequence[int]], List[int]]
@@ -224,8 +223,6 @@ class FilterKernel:
 
     def apply(self, batch: ColumnBatch) -> List[int]:
         """The selection vector of rows satisfying the whole predicate."""
-        if self.vectorized_passes:
-            instrumentation.bump("predicate_vectorized")
         indices: Sequence[int] = batch.indices()
         for run in self.passes:
             if not indices:

@@ -93,7 +93,7 @@ class PhysicalOp:
         return batch
 
     def _emit_rows(self, rows: Iterable[Row]) -> Iterator[ColumnBatch]:
-        """Chunk a row-internal algorithm's output into emitted batches."""
+        """Chunk a row-internal algorithm's output (Yannakakis) into emitted batches."""
         for batch in batches_from_rows(rows, self.schema, batch_size()):
             yield self._emit_batch(batch)
 

@@ -11,11 +11,10 @@ Scoping: every counter lives on the :class:`Metrics` instance of one
 execution; when the query runs traced, the executor flushes the totals
 into the execution's root span *once* at the end
 (:meth:`Metrics.flush_to_span`), so per-query numbers travel with the
-trace without any per-row tracing branch in the hot counters.  The only
-process-global sink is the advisory
-:data:`repro.tools.instrumentation.STATS` counter the benchmark harness
-snapshots; the test suite zeroes it between tests (autouse fixture in
-``tests/conftest.py``) so it cannot leak across tests.
+trace without any per-row tracing branch in the hot counters.  These
+counters touch no process-global state: the advisory
+:data:`repro.tools.instrumentation.STATS` sink keeps only counts no
+``Metrics`` holds (batches emitted, trie builds, leapfrog seeks).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.observability.spans import Span
-from repro.tools import instrumentation
 from repro.util.cancel import CancelToken
 
 #: Poll the cancel token once per this many predicate evaluations — the
@@ -63,7 +61,6 @@ class Metrics:
         on every call.
         """
         self.tuples_retrieved[table] += count
-        instrumentation.bump("tuples_retrieved", count)
         if self.cancel is not None:
             self.cancel.check()
 

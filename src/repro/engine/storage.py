@@ -35,38 +35,41 @@ class Table:
     """An append-only column table with optional hash indexes: ``columns``
     maps each of the sorted ``attrs`` to its values, the first ``n`` rows."""
 
-    def __init__(self, name: str, schema: Schema | Iterable[str], rows: Iterable[Row] = ()):
+    def __init__(
+        self, name: str, schema: Schema | Iterable[str], rows: Iterable[Row] = (), values=()
+    ):
+        """A table of ``rows`` (on its scheme), then ``values`` (tuples in ``attrs`` order)."""
         self.name = name
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
         self.attrs: Tuple[str, ...] = tuple(self.schema)
         self._layout = layout_of(self.attrs)
-        self.columns: Dict[str, List[Any]] = {a: [] for a in self.attrs}
-        self.n = 0
+        loaded = [self._values_of(row) for row in rows]
+        loaded.extend(values)
+        columns = list(zip(*loaded)) or [()] * len(self.attrs)
+        self.columns: Dict[str, List[Any]] = dict(zip(self.attrs, map(list, columns)))
+        self.n = len(loaded)
         self._indexes: Dict[str, HashIndex] = {}
         self._write_lock = threading.Lock()
         self._derived: Dict[Any, Tuple[int, Any]] = {}
         self._derived_lock = threading.RLock()
-        self._extend(list(rows))
+
+    def _values_of(self, row: Row) -> Tuple[Any, ...]:
+        if row._layout is not self._layout:
+            raise SchemaError(
+                f"row scheme {sorted(row)} does not match table {self.name!r} {list(self.attrs)}"
+            )
+        return row._vals
 
     def insert(self, row: Row) -> None:
-        """Append one row; a reader that has seen ``n`` never sees it half-written."""
-        self._extend([row])
-
-    def _extend(self, rows: List[Row]) -> None:
-        """Append the rows' values, then their index entries, then bump ``n``."""
-        for row in rows:
-            if row._layout is not self._layout:
-                raise SchemaError(
-                    f"row scheme {sorted(row.scheme)} does not match table {self.name!r} "
-                    f"scheme {sorted(self.schema.attributes)}"
-                )
+        """Append one row's values, then its index entries, then bump ``n``:
+        a reader that has seen ``n`` never sees it half-written."""
+        values = self._values_of(row)
         with self._write_lock:
-            for col, values in zip(self.columns.values(), zip(*[row._vals for row in rows])):
-                col.extend(values)
+            for col, value in zip(self.columns.values(), values):
+                col.append(value)
             for attr, index in self._indexes.items():
-                for ordinal, row in enumerate(rows, self.n):
-                    index.insert(row[attr], ordinal)
-            self.n += len(rows)
+                index.insert(row[attr], self.n)
+            self.n += 1
 
     @property
     def rows(self) -> List[Row]:
@@ -127,9 +130,10 @@ class Table:
         ``build(n)`` computes it from the first ``n`` rows (default: every
         row now), under the table's derived-structure lock, when the slot
         holds none for that ``n``; the slot then holds what it built.
-        The tenants are the statistics (:meth:`stats`), the row and
-        relation views (:attr:`rows`, :meth:`to_relation`) and the WCOJ
-        path's tries, which a plan asks for at its snapshot's ``n``.
+        The tenants are the statistics (:meth:`stats`), the WCOJ path's
+        tries over :attr:`columns`, which a plan asks for at its snapshot's
+        ``n``, and the row and relation views (:attr:`rows`,
+        :meth:`to_relation`) that only the oracle and tests read.
         Callers must treat the returned structure as immutable.
         """
         with self._derived_lock:
@@ -172,7 +176,15 @@ class Storage(Mapping[str, Table]):
     def create_table(
         self, name: str, schema: Iterable[str], rows: Iterable[Mapping[str, Any]] = ()
     ) -> Table:
-        return self.add_table(Table(name, Schema(schema), (Row(r) for r in rows)))
+        """Add a table holding ``rows``, each a mapping on exactly its scheme."""
+        attrs = tuple(Schema(schema))
+        wanted = set(attrs)
+        values = []
+        for row in rows:
+            if row.keys() != wanted:
+                raise SchemaError(f"row {sorted(row)} does not match table {name!r} {list(attrs)}")
+            values.append(tuple(map(row.__getitem__, attrs)))
+        return self.add_table(Table(name, attrs, values=values))
 
     @property
     def registry(self) -> SchemaRegistry:

@@ -17,41 +17,40 @@ Mechanics worth knowing:
   every value with a type tag — one total order over mixed-type
   columns without Python 3 cross-type comparisons.  Numbers share a
   tag, so ``1``, ``1.0`` and ``True`` are one key, as under ``=``.
-* **3VL**: a row with NULL in any key attribute can never satisfy an
-  equality conjunct, so it is excluded from the trie outright (the
-  binary hash kernels drop the same rows at probe time).  Likewise a row
-  whose same-class attributes disagree is excluded: the query equates
-  them.
-* **Bag semantics**: trie leaves keep the full duplicate row lists; a
-  full variable match emits the cross product of the matched leaves.
-* **Caching**: base-table tries are memoized on the table through
-  :meth:`~repro.engine.storage.Table.derived`, keyed by the key-level
-  layout and valid for the row count they were built at (a scan of
-  another ``n`` builds its own) — the same generation discipline as the
-  plan cache and the SQLite oracle snapshot.  Filtered inputs get ad-hoc
-  tries (the filter changes the row set).
-* **Metering**: inputs are always drained through ``op.execute`` so
-  retrieval/filter metering matches the other executors even on a trie
-  cache hit; the operator reports ``wcoj_seeks`` / ``wcoj_ties`` (and
-  trie builds) through its span and the global instrumentation counters.
+* **Leaves are row ordinals**, duplicates kept (bag semantics), into
+  the table's own columns for a bare scan, else the drained input's.
+* **3VL**: a row with NULL in any key attribute, or whose same-class
+  attributes disagree, can never join, so its ordinal is left out.
+* **Output**: a full match appends the cross product of the matched
+  leaves to one ordinal list per input, gathered into a column batch
+  every ``batch_size()`` combinations.  The spec's residual conjuncts
+  run in a ``Filter`` above the operator (:func:`build_wcoj_plan`).
+* **Caching**: base-table tries are memoized through
+  :meth:`~repro.engine.storage.Table.derived`, keyed by the key levels
+  and valid for the row count they were built at.  Which inputs are
+  bare scans is fixed when the operator is built.
+* **Metering**: every input is drained, even on a trie cache hit, so
+  retrieval/filter metering matches the other executors;
+  ``rows_emitted`` is bumped once per batch.  Seeks, ties and trie
+  builds go to the span; seeks and builds also to ``STATS``.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.algebra.nulls import is_null, satisfied
+from repro.algebra.nulls import is_null
 from repro.algebra.predicates import Predicate, conjunction
-from repro.algebra.tuples import Row
 from repro.core.wcoj_order import WcojSpec
-from repro.engine.batch.columns import ColumnBatch, rows_from_batches
-from repro.engine.iterators import Filter, PhysicalOp, SeqScan, TracedOp
+from repro.engine.batch.columns import ColumnBatch
+from repro.engine.iterators import Filter, PhysicalOp, SeqScan
 from repro.engine.metrics import Metrics
 from repro.engine.storage import Storage, Table
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError
+from repro.util.fastpath import batch_size
 
 #: One trie key level: ``(variable, attributes)`` — the attributes of a
 #: single relation that the query places in the class ``variable``.
@@ -76,8 +75,8 @@ class _TrieNode:
     ``values[i]`` / ``wrapped[i]`` are the distinct keys at this level
     (raw and sort-wrapped, kept parallel so :func:`bisect_left` can run
     on the wrapped array).  ``children[i]`` is the next-level node — or,
-    at the deepest level, the list of rows carrying that full key vector
-    (duplicates preserved: bag semantics).
+    at the deepest level, the ascending list of row ordinals carrying
+    that full key vector (duplicates preserved: bag semantics).
     """
 
     __slots__ = ("values", "wrapped", "children")
@@ -89,7 +88,7 @@ class _TrieNode:
 
 
 def _node_of(items: Sequence[tuple], depth: int, levels: int) -> _TrieNode:
-    """Build the node at ``depth`` from sorted ``(wrapped, key, rows)`` runs."""
+    """Build the node at ``depth`` from sorted ``(wrapped, key, ordinals)`` runs."""
     values: list = []
     wrapped: list = []
     children: list = []
@@ -110,64 +109,49 @@ def _node_of(items: Sequence[tuple], depth: int, levels: int) -> _TrieNode:
 
 
 class TrieIndex:
-    """A sorted trie over one relation's rows under fixed key levels."""
+    """A sorted trie over the row ordinals of one relation's columns."""
 
     __slots__ = ("key_groups", "levels", "root", "rows_indexed", "rows_excluded")
 
-    def __init__(
-        self,
-        key_groups: KeyGroups,
-        root: _TrieNode,
-        rows_indexed: int,
-        rows_excluded: int,
-    ):
+    def __init__(self, key_groups: KeyGroups, root: _TrieNode, indexed: int, excluded: int):
         self.key_groups = key_groups
         self.levels = len(key_groups)
         self.root = root
-        self.rows_indexed = rows_indexed
-        self.rows_excluded = rows_excluded
+        self.rows_indexed = indexed
+        self.rows_excluded = excluded
 
     @classmethod
-    def build(cls, rows: Sequence[Row], key_groups: KeyGroups) -> "TrieIndex":
-        """Index ``rows`` under ``key_groups`` (one sorted level each).
+    def build(cls, columns: Mapping[str, Sequence], n: int, key_groups: KeyGroups) -> "TrieIndex":
+        """Index ordinals ``0 .. n-1`` of ``columns`` under ``key_groups``.
 
-        Rows with a NULL key attribute, or whose same-class attributes
-        disagree, can never join and are excluded up front.
+        A row with a NULL key attribute, or whose same-class attributes
+        disagree, can never join and is left out up front.
         """
         if not key_groups:
             raise PlanningError("a WCOJ trie needs at least one key level")
-        grouped: Dict[tuple, Tuple[tuple, List[Row]]] = {}
+        levels = [[columns[attr] for attr in attrs] for _var, attrs in key_groups]
+        grouped: Dict[tuple, Tuple[tuple, List[int]]] = {}
         excluded = 0
-        for row in rows:
+        for ordinal in range(n):
             key: list = []
-            usable = True
-            for _var, attrs in key_groups:
-                values = [row[attr] for attr in attrs]
+            for cols in levels:
+                values = [col[ordinal] for col in cols]
                 first = _sort_key(values[0])
-                if any(is_null(v) for v in values) or any(
-                    _sort_key(v) != first for v in values[1:]
-                ):
-                    usable = False
+                if any(map(is_null, values)) or any(_sort_key(v) != first for v in values[1:]):
                     break
                 key.append(values[0])
-            if not usable:
-                excluded += 1
-                continue
-            wkey = tuple(_sort_key(v) for v in key)
-            entry = grouped.get(wkey)
-            if entry is None:
-                grouped[wkey] = (tuple(key), [row])
             else:
-                entry[1].append(row)
-        items = sorted(
-            (wkey, key, leaf) for wkey, (key, leaf) in grouped.items()
-        )
-        root = (
-            _node_of(items, 0, len(key_groups))
-            if items
-            else _TrieNode([], [], [])
-        )
-        return cls(key_groups, root, len(rows) - excluded, excluded)
+                wkey = tuple(map(_sort_key, key))
+                entry = grouped.get(wkey)
+                if entry is None:
+                    grouped[wkey] = (tuple(key), [ordinal])
+                else:
+                    entry[1].append(ordinal)
+                continue
+            excluded += 1
+        items = sorted((wkey, key, leaf) for wkey, (key, leaf) in grouped.items())
+        root = _node_of(items, 0, len(key_groups)) if items else _TrieNode([], [], [])
+        return cls(key_groups, root, n - excluded, excluded)
 
     def cursor(self) -> "TrieCursor":
         return TrieCursor(self.root)
@@ -230,24 +214,24 @@ class TrieCursor:
         frame[1] = bisect_left(frame[0].wrapped, wrapped, frame[1])
         return frame[1] >= len(frame[0].values)
 
-    def leaf_rows(self) -> List[Row]:
-        """The duplicate-preserving row list under the current full key."""
+    def leaf_ordinals(self) -> List[int]:
+        """The duplicate-preserving ordinal list under the current full key."""
         node, pos = self._stack[-1]
         return node.children[pos]
 
 
 def trie_for(table: Table, key_groups: KeyGroups, n: int) -> Tuple[TrieIndex, bool]:
-    """The table's trie over its first ``n`` rows: (built, True) or (hit, False).
+    """The trie over the table's first ``n`` rows: (built, True) or (hit, False).
 
-    Cached through :meth:`Table.derived` for the ``n`` it was built at: an
-    insert invalidates, and a plan built before the insert reads its rows.
+    Built from ``table.columns`` and cached through :meth:`Table.derived`
+    for the ``n`` it was built at.
     """
     built = [False]
 
     def build(n: int) -> TrieIndex:
         built[0] = True
         instrumentation.bump("trie_builds")
-        return TrieIndex.build(table.rows[:n], key_groups)
+        return TrieIndex.build(table.columns, n, key_groups)
 
     trie = table.derived(("wcoj-trie", key_groups), build, n)
     return trie, built[0]
@@ -257,10 +241,9 @@ class LeapfrogTriejoinOp(PhysicalOp):
     """N-ary worst-case optimal join over sorted tries.
 
     ``inputs`` is aligned with ``spec.order`` (one physical child per
-    relation).  Execution materializes/indexes every input, then runs
+    relation).  Execution indexes every input's row ordinals, then runs
     the leapfrog recursion over ``spec.variables``; a full match emits
-    the cross product of the matched leaf row lists (bag semantics),
-    post-filtered by the spec's residual non-equality conjuncts.
+    the cross product of the matched leaves (bag semantics).
     """
 
     def __init__(self, spec: WcojSpec, inputs: Tuple[PhysicalOp, ...]):
@@ -275,70 +258,87 @@ class LeapfrogTriejoinOp(PhysicalOp):
         for op in self.inputs[1:]:
             schema = schema.union(op.schema)
         self.schema = schema
-        self._residual: Optional[Predicate] = (
-            conjunction(list(spec.residuals)) if spec.residuals else None
+        #: Per input, ``(table, n)`` when it is a bare scan, whose trie is
+        #: the table's cached one; None when it needs an ad-hoc trie.
+        self._scans: Tuple[Optional[Tuple[Table, int]], ...] = tuple(
+            (op.table, op.n) if isinstance(op, SeqScan) else None for op in self.inputs
         )
         #: Which inputs participate in each global variable, by position.
         self._by_var: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(
-                i
-                for i, name in enumerate(spec.order)
-                if any(var == v for v, _attrs in spec.keys_for(name))
-            )
+            tuple(i for i, name in enumerate(spec.order) if var in dict(spec.keys_for(name)))
             for var in spec.variables
         )
 
     def children(self) -> tuple[PhysicalOp, ...]:
         return self.inputs
 
-    def _rows(self, metrics: Metrics) -> Iterator[Row]:
-        """The row-at-a-time join itself; ``execute_batches`` chunks it."""
+    def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
+        """Index every input, leapfrog, and gather the matches a batch at a time."""
         tries: List[TrieIndex] = []
-        total = 0
-        builds = 0
-        for name, op in zip(self.spec.order, self.inputs):
-            # Every input is drained, even when its trie is cached, so the
-            # retrieval/filter metering matches the other executors.
-            batches = op.execute_batches(metrics)
+        sources: List[Mapping[str, list]] = []  # the columns each trie's ordinals index
+        total = builds = 0
+        for name, op, scan in zip(self.spec.order, self.inputs, self._scans):
             groups = self.spec.keys_for(name)
-            inner = op
-            while isinstance(inner, TracedOp):
-                inner = inner.inner
-            if isinstance(inner, SeqScan):
-                # The table's own trie indexes it; the batches only meter.
-                total += sum(batch.num_rows for batch in batches)
-                trie, built = trie_for(inner.table, groups, inner.n)
-            else:
-                rows = list(rows_from_batches(batches))
-                total += len(rows)
-                trie = TrieIndex.build(rows, groups)
-                built = True
+            if scan is None:  # drained once into local columns, which its trie indexes
+                columns = {attr: [] for attr in sorted(op.schema.attributes)}
+                for batch in map(ColumnBatch.compact, op.execute_batches(metrics)):
+                    for attr, col in columns.items():
+                        col.extend(batch.columns[attr])
+                n = len(columns[groups[0][1][0]])  # a key column's length: the row count
+                trie, built = TrieIndex.build(columns, n, groups), True
                 instrumentation.bump("trie_builds")
-            builds += int(built)
+            else:
+                # The table's own trie indexes it; the drain only meters, so
+                # retrieval/filter metering matches the other executors.
+                for _batch in op.execute_batches(metrics):
+                    pass
+                (table, n), columns = scan, scan[0].columns
+                trie, built = trie_for(table, groups, n)
+            total += n
+            builds += built
             tries.append(trie)
+            sources.append(columns)
         if self._span is not None:
             self._span.counters["mem_rows"] = total
             self._span.counters["trie_builds"] = builds
 
         cursors = [trie.cursor() for trie in tries]
-        seeks = 0
-        ties = 0
+        depth = len(self.spec.variables)
+        attrs = tuple(sorted(self.schema.attributes))
+        size = batch_size()
+        #: Per input, the ordinals of the combinations not yet emitted.
+        ords: List[List[int]] = [[] for _ in tries]
+        *heads, tail = ords
+        seeks = ties = 0
         label = "LeapfrogTriejoin"
-        residual = self._residual
 
-        def joined(level: int) -> Iterator[Row]:
+        def cut(final: bool) -> Iterator[ColumnBatch]:
+            """Emit the pending combinations in ``size`` chunks (and the rest if ``final``)."""
+            pending = len(tail)
+            stop = pending if final else pending - pending % size
+            for start in range(0, stop, size):
+                end = min(start + size, stop)
+                columns: Dict[str, list] = {}
+                for cols, idx in zip(sources, ords):
+                    part = idx[start:end]
+                    for attr, col in cols.items():
+                        columns[attr] = list(map(col.__getitem__, part))
+                metrics.emitted(label, end - start)
+                yield self._emit_batch(ColumnBatch(attrs, columns, end - start))
+            for idx in ords:
+                del idx[:stop]
+
+        def joined(level: int) -> Iterator[ColumnBatch]:
             nonlocal seeks, ties
-            if level == len(self.spec.variables):
-                leaves = [cursor.leaf_rows() for cursor in cursors]
-                for combo in itertools.product(*leaves):
-                    row = combo[0]
-                    for other in combo[1:]:
-                        row = row.concat(other)
-                    if residual is not None:
-                        metrics.evaluated()
-                        if not satisfied(residual.evaluate(row)):
-                            continue
-                    yield row
+            if level == depth:
+                *lead, last = [cursor.leaf_ordinals() for cursor in cursors]
+                width = len(last)
+                for combo in itertools.product(*lead):
+                    for idx, ordinal in zip(heads, combo):
+                        idx.extend(itertools.repeat(ordinal, width))
+                    tail.extend(last)
+                    if len(tail) >= size:
+                        yield from cut(False)
                 return
             active = [cursors[i] for i in self._by_var[level]]
             empty = False
@@ -368,20 +368,14 @@ class LeapfrogTriejoinOp(PhysicalOp):
                     cursor.up()
 
         try:
-            for row in joined(0):
-                metrics.emitted(label)
-                yield row
+            yield from joined(0)
+            yield from cut(True)
         finally:
             if seeks:
                 instrumentation.bump("wcoj_seeks", seeks)
-            if ties:
-                instrumentation.bump("wcoj_ties", ties)
             if self._span is not None:
                 self._span.counters["wcoj_seeks"] += seeks
                 self._span.counters["wcoj_ties"] += ties
-
-    def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
-        return self._emit_rows(self._rows(metrics))
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
@@ -397,9 +391,10 @@ def build_wcoj_plan(
     storage: Storage,
     filters: Dict[str, List[Predicate]],
     counts: Optional[Dict[str, int]] = None,
-) -> LeapfrogTriejoinOp:
+) -> PhysicalOp:
     """A Leapfrog Triejoin physical plan: filtered scans under the join op,
-    each at its table's row count in ``counts`` if given (else read now)."""
+    each at its table's row count in ``counts`` if given (else read now),
+    and the spec's residual conjuncts in a filter above it."""
     inputs: List[PhysicalOp] = []
     for node in spec.order:
         op: PhysicalOp = SeqScan(storage[node], (counts or {}).get(node))
@@ -407,4 +402,7 @@ def build_wcoj_plan(
         if preds:
             op = Filter(op, conjunction(list(preds)))
         inputs.append(op)
-    return LeapfrogTriejoinOp(spec, tuple(inputs))
+    plan: PhysicalOp = LeapfrogTriejoinOp(spec, tuple(inputs))
+    if spec.residuals:
+        plan = Filter(plan, conjunction(list(spec.residuals)))
+    return plan

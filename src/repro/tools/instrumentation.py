@@ -1,7 +1,7 @@
 """Process-wide work counters.
 
-Work metrics — base tuples retrieved, optimizer plans built, implementing
-trees enumerated — are counted here without threading a metrics object
+Work metrics — optimizer plans built, implementing trees enumerated,
+column batches emitted — are counted here without threading a metrics object
 through every API.  This module is the cheap global sink those code
 paths bump; ``conformance --stats`` and the ladder's staged replay
 snapshot it around a run.
@@ -27,7 +27,6 @@ from collections import Counter
 from typing import Dict
 
 #: The global counter sink.  Keys in use:
-#: ``tuples_retrieved``        (engine base-table accesses),
 #: ``plans_optimized``         (optimizer optimize() calls),
 #: ``dp_subsets``              (DP table entries filled),
 #: ``trees_enumerated``        (implementing trees materialized),
@@ -49,11 +48,8 @@ from typing import Dict
 #: ``service_cancelled``       (queries cancelled by the caller),
 #: ``batches_emitted``         (column batches emitted by operators),
 #: ``batch_rows``              (rows carried by those batches),
-#: ``predicate_vectorized``    (filter-kernel applications with >=1
-#:                             vectorized conjunct pass),
 #: ``trie_builds``             (WCOJ sorted-trie index constructions),
-#: ``wcoj_seeks``              (leapfrog seek() calls across all joins),
-#: ``wcoj_ties``               (leapfrog full-agreement matches).
+#: ``wcoj_seeks``              (leapfrog seek() calls across all joins).
 STATS: Counter = Counter()
 
 #: One lock serializes every mutation of :data:`STATS`; see module docs.

@@ -153,6 +153,19 @@ class TestStorage:
         with pytest.raises(SchemaError):
             storage.create_table("S", ["k"], [])
 
+    @pytest.mark.parametrize(
+        "bad", [{"R.a": 2}, {"R.a": 2, "R.b": 3, "R.c": 4}, {"R.a": 2, "R.c": 3}],
+        ids=["missing", "extra", "other"],
+    )
+    def test_create_table_rejects_a_row_off_the_scheme(self, bad):
+        storage = Storage()
+        with pytest.raises(SchemaError):
+            storage.create_table("R", ["R.a", "R.b"], [{"R.a": 1, "R.b": 1}, bad])
+        assert list(storage) == []
+        # The scheme was never registered: the same table can be made now.
+        table = storage.create_table("R", ["R.a", "R.b"], [{"R.b": 1, "R.a": 2}])
+        assert table.columns == {"R.a": [2], "R.b": [1]}
+
     def test_unknown_table(self):
         with pytest.raises(PlanningError):
             Storage()["missing"]

@@ -3,9 +3,9 @@
 ``Counter.__iadd__`` is a read-modify-write the GIL does not make atomic,
 so the sink serializes all mutation behind a lock (see
 ``repro.tools.instrumentation``).  The first test hammers ``bump`` from
-many threads and demands an exact total; the second races two real
-engine queries and reconciles the global counter against the per-query
-``Metrics`` totals — the regression that motivated the lock.
+many threads and demands an exact total; the third races two real
+engine queries and reconciles the global counter against the same two
+queries run one after the other — the regression that motivated the lock.
 """
 
 from __future__ import annotations
@@ -64,28 +64,30 @@ def test_snapshot_never_tears_against_racing_bumps():
 
 
 def test_two_racing_queries_reconcile_with_global_counter():
-    """The sum of per-query Metrics equals the shared STATS delta, exactly."""
+    """Two racing queries move the shared STATS exactly as the same two
+    queries run one after the other do."""
     storage = example1_storage(600)
     q1 = jn("R1", oj("R2", "R3", eq("R2.j", "R3.j")), eq("R1.k", "R2.k"))
     q2 = oj("R2", "R3", eq("R2.j", "R3.j"))
     before = instrumentation.snapshot()
+    execute(q1, storage)
+    execute(q2, storage)
+    sequential = instrumentation.delta(before)["batch_rows"]
 
-    results = {}
+    before = instrumentation.snapshot()
     barrier = threading.Barrier(2)
 
-    def run(name, query):
+    def run(query):
         barrier.wait()
-        results[name] = execute(query, storage)
+        execute(query, storage)
 
-    t1 = threading.Thread(target=run, args=("a", q1))
-    t2 = threading.Thread(target=run, args=("b", q2))
+    t1 = threading.Thread(target=run, args=(q1,))
+    t2 = threading.Thread(target=run, args=(q2,))
     t1.start(), t2.start()
     t1.join(), t2.join()
 
-    per_query = sum(r.metrics.total_retrieved for r in results.values())
-    delta = instrumentation.delta(before)
-    assert per_query > 0
-    assert delta["tuples_retrieved"] == per_query
+    assert sequential > 0
+    assert instrumentation.delta(before)["batch_rows"] == sequential
 
 
 def test_reset_under_concurrent_bumps_does_not_crash():

@@ -21,10 +21,13 @@ from repro.engine.wcoj import TrieIndex, _sort_key, trie_for
 from repro.util.errors import PlanningError
 
 KEYS = (("x", ("R.a",)), ("y", ("R.b",)))
+ATTRS = ("R.a", "R.b", "R.c")
 
 
 def build(rows, key_groups=KEYS):
-    return TrieIndex.build(rows, key_groups)
+    """The trie over ``rows`` transposed into columns (leaves are ordinals)."""
+    columns = {attr: [row[attr] for row in rows] for attr in ATTRS}
+    return TrieIndex.build(columns, len(rows), key_groups)
 
 
 def rows_of(n_rows, rng, domain=3, null_probability=0.2):
@@ -39,8 +42,9 @@ def rows_of(n_rows, rng, domain=3, null_probability=0.2):
     return list(relation)
 
 
-def walk_keyvecs(trie):
-    """All full key vectors (wrapped), depth-first via the cursor."""
+def walk_keyvecs(trie, rows):
+    """All full key vectors (wrapped) with their leaves mapped back to
+    ``rows``, depth-first via the cursor."""
     out = []
 
     def descend(cursor, prefix):
@@ -50,7 +54,7 @@ def walk_keyvecs(trie):
         while not cursor.at_end():
             vec = prefix + [cursor.wrapped_key()]
             if cursor.depth == trie.levels:
-                out.append((tuple(vec), list(cursor.leaf_rows())))
+                out.append((tuple(vec), [rows[i] for i in cursor.leaf_ordinals()]))
             else:
                 descend(cursor, vec)
             cursor.next()
@@ -67,7 +71,7 @@ class TestBuildInvariants:
         for trial in range(50):
             rows = rows_of(10, rng)
             trie = build(rows)
-            keyvecs = walk_keyvecs(trie)
+            keyvecs = walk_keyvecs(trie, rows)
             # Full key vectors come out in strictly increasing order.
             vecs = [vec for vec, _leaf in keyvecs]
             assert vecs == sorted(vecs)
@@ -91,7 +95,7 @@ class TestBuildInvariants:
         trie = build(rows)
         assert trie.rows_indexed == 1
         assert trie.rows_excluded == 3
-        [(vec, leaf)] = walk_keyvecs(trie)
+        [(vec, leaf)] = walk_keyvecs(trie, rows)
         assert leaf == [rows[0]]
 
     def test_all_null_key_column_yields_empty_trie(self):
@@ -105,8 +109,9 @@ class TestBuildInvariants:
     def test_duplicate_rows_stay_in_the_leaf(self):
         row = Row({"R.a": 1, "R.b": 1, "R.c": 9})
         other = Row({"R.a": 1, "R.b": 1, "R.c": 7})
-        trie = build([row, row, other, row])
-        [(_vec, leaf)] = walk_keyvecs(trie)
+        rows = [row, row, other, row]
+        trie = build(rows)
+        [(_vec, leaf)] = walk_keyvecs(trie, rows)
         assert len(leaf) == 4  # bag semantics: all four survive
 
     def test_same_class_attribute_disagreement_excludes_the_row(self):
@@ -133,7 +138,7 @@ class TestBuildInvariants:
         ]
         trie = build(rows, groups)
         assert trie.rows_excluded == 0
-        [(_vec, leaf)] = walk_keyvecs(trie)
+        [(_vec, leaf)] = walk_keyvecs(trie, rows)
         assert len(leaf) == 3
         assert sorted([2, 0.5, True, 1.5, False], key=_sort_key) == [False, 0.5, True, 1.5, 2]
 
@@ -239,5 +244,5 @@ class TestRandomizedAgainstNaive:
                     continue
                 key = (_sort_key(row["R.a"]), _sort_key(row["R.b"]))
                 expected.setdefault(key, []).append(row)
-            got = {vec: leaf for vec, leaf in walk_keyvecs(trie)}
+            got = {vec: leaf for vec, leaf in walk_keyvecs(trie, rows)}
             assert got == expected

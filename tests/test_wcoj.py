@@ -25,8 +25,9 @@ import pytest
 from repro.algebra.comparison import bag_equal
 from repro.algebra.nulls import NULL, is_null
 from repro.algebra.operators import ORACLE_OPS
-from repro.algebra.predicates import Const, eq, gt
+from repro.algebra.predicates import Const, TruePredicate, eq, gt, lt
 from repro.algebra.relation import Database, Relation
+from repro.algebra.tuples import Row
 from repro.conformance.check import EXECUTOR_TIERS, cross_check, run_executor
 from repro.conformance.serialize import expression_to_json
 from repro.core.enumeration import sample_implementing_tree
@@ -44,13 +45,14 @@ from repro.datagen.topologies import (
 )
 from repro.engine.executor import execute, execute_plan
 from repro.engine.explain import explain_analyze
-from repro.engine.storage import Storage
+from repro.engine.storage import Storage, Table
 from repro.engine.wcoj import LeapfrogTriejoinOp, build_wcoj_plan
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CoutCostModel
 from repro.optimizer.pipeline import optimize_and_run, optimize_query
 from repro.optimizer.plancache import PlanCache
 from repro.service import QueryService
+from repro.tools import instrumentation
 from repro.util.errors import PlanningError
 
 CYCLIC_SCENARIOS = [triangle(), square(), clique4(), cyclic_chord(4), cyclic_chord(5)]
@@ -109,6 +111,29 @@ def spike_triangle(m=3, k=6):
         eq("T2.b", "T3.a") & eq("T3.b", "T1.b"),
     )
     return query, storage
+
+
+def residual_triangle():
+    """(query, equi-only query, storage): the spike triangle with a third
+    column per relation and a non-equality conjunct ``T1.c < T3.c`` on
+    the ``T3``-``T1`` edge, which the Leapfrog plan runs as a residual."""
+    _query, spiked = spike_triangle(k=10)  # k=6 prices the residual's DP plan below the AGM bound
+    storage = Storage()
+    for offset, name in enumerate(("T1", "T2", "T3")):
+        a, b, c = f"{name}.a", f"{name}.b", f"{name}.c"
+        pairs = zip(spiked[name].columns[a], spiked[name].columns[b])
+        storage.create_table(
+            name, [a, b, c], [{a: x, b: y, c: (i + offset) % 4} for i, (x, y) in enumerate(pairs)]
+        )
+
+    def query(residual):
+        return jn(
+            jn(rel("T1"), rel("T2"), eq("T1.a", "T2.a")),
+            rel("T3"),
+            eq("T2.b", "T3.a") & eq("T3.b", "T1.b") & residual,
+        )
+
+    return query(lt("T1.c", "T3.c")), query(TruePredicate()), storage
 
 
 def triangle_query():
@@ -439,6 +464,73 @@ class TestServed:
         outcome, built = serve_interrupted(expr, storage, module, "build_wcoj_plan", how)
         assert outcome.status == {"cancel": "cancelled", "timeout": "timeout"}[how]
         assert [type(plan) for plan in built] == [LeapfrogTriejoinOp]
+
+
+class TestResidual:
+    """The spec's non-equality conjuncts run in a Filter above the join,
+    which counts one evaluation per joined combination."""
+
+    def test_leapfrog_node_filters_above_the_join(self):
+        expr, equi, storage = residual_triangle()
+        scenario_spec = wcoj_spec_of(graph_of(expr, storage.registry), storage.registry)
+        assert len(scenario_spec.residuals) == 1
+        db = storage.to_database()
+        oracle = expr.eval(db, ops=ORACLE_OPS)
+        combinations = len(equi.eval(db, ops=ORACLE_OPS))
+        assert 0 < len(oracle) < combinations
+
+        execution = execute(Leapfrog(expr, scenario_spec), storage)
+        head, below = execution.plan.describe().splitlines()[:2]
+        assert head == "Filter[(T1.c < T3.c)]"
+        assert below.strip().startswith("LeapfrogTriejoin[")
+        assert bag_equal(execution.relation, oracle)
+        assert execution.metrics.predicate_evaluations == combinations
+        assert execution.metrics.rows_emitted["LeapfrogTriejoin"] == combinations
+
+        text = explain_analyze(execution.plan, storage).render().splitlines()
+        assert text[0].startswith("-> Filter[(T1.c < T3.c)]")
+        assert text[1].strip().startswith("-> LeapfrogTriejoin[")
+
+    def test_wcoj_tier_and_service_agree_with_the_oracle(self):
+        expr, equi, storage = residual_triangle()
+        db = storage.to_database()
+        oracle = expr.eval(db, ops=ORACLE_OPS)
+        assert bag_equal(run_executor("wcoj", expr, db), oracle)
+        with QueryService(storage, workers=1, use_cache=False) as service:
+            outcome = service.execute(expr)
+        assert outcome.ok and outcome.strategy == "wcoj"
+        assert outcome.execution.plan.describe().startswith("Filter[(T1.c < T3.c)]")
+        assert bag_equal(outcome.relation, oracle)
+        assert outcome.execution.metrics.predicate_evaluations == len(
+            equi.eval(db, ops=ORACLE_OPS)
+        )
+
+
+class TestTrieCache:
+    def test_insert_rebuilds_the_trie_without_the_row_view(self, monkeypatch):
+        """A stale trie is rebuilt from the table's columns: the Leapfrog
+        never builds a table's ``rows`` view."""
+        expr, storage = spike_triangle()
+        spec = wcoj_spec_of(graph_of(expr, storage.registry), storage.registry)
+        row_views = []
+        rows_upto = Table._rows_upto
+        monkeypatch.setattr(
+            Table, "_rows_upto", lambda table, n: row_views.append(table) or rows_upto(table, n)
+        )
+
+        def run():
+            before = instrumentation.snapshot()
+            relation = execute_plan(build_wcoj_plan(spec, storage, {})).relation
+            return relation, instrumentation.delta(before).get("trie_builds", 0)
+
+        first, cold_builds = run()
+        _same, warm_builds = run()
+        storage["T1"].insert(Row({"T1.a": 4, "T1.b": 4}))  # a needle: one more triangle
+        row_views.clear()
+        after, rebuilt = run()
+        assert (cold_builds, warm_builds, rebuilt) == (3, 0, 1)
+        assert row_views == []
+        assert len(after) == len(first) + 1
 
 
 class TestLeapfrogNode:
