@@ -6,7 +6,6 @@ from repro.engine.iterators import (
     Filter,
     HashJoin,
     IndexNestedLoopJoin,
-    NestedLoopJoin,
     PhysicalOp,
     ProjectOp,
     SeqScan,
@@ -26,7 +25,6 @@ __all__ = [
     "HashJoin",
     "IndexNestedLoopJoin",
     "Metrics",
-    "NestedLoopJoin",
     "PhysicalOp",
     "Planner",
     "ProjectOp",

@@ -15,18 +15,23 @@ selection.  Any ``TypeError`` raised by a vectorized comparison re-runs
 that conjunct through the scalar evaluator so the error (and its
 message) is the algebra evaluator's.
 
-**Hash join.**  :class:`BuildSide` accumulates build batches into
-columnar storage plus a key-value -> row-index bucket dict (null keys go
-to a never-matching pool, exactly as in :mod:`repro.algebra.kernels`);
-a build with no key puts every row in one bucket.
+**Join build/probe.**  A *build side* is anything with ``columns``
+(attribute -> value list), ``rows`` and ``get(key) -> ordinals``.
+:class:`BuildSide` accumulates build batches into columnar storage plus
+a key-value -> row-index bucket dict (null keys go to a never-matching
+pool, exactly as in :mod:`repro.algebra.kernels`) and offers the dict's
+``get``; a build with no key puts every row in one bucket.  The index
+nested-loop join's side is a base table's columns with ``get`` its hash
+index's lookup below the plan's row count.
 :class:`BatchHashJoiner` is the engine's one probe loop.  It serves every
 variant — ``inner``, ``left_outer``, ``full_outer``, ``semi``, ``anti``
-— for the hash join, for the nested-loop join (a one-bucket build whose
-whole predicate is the residual) and for the generalized outerjoin
-(the inner match plus its own witness tail).  Output is in probe order:
-matches in bucket order, then full-outer right pads at the end.  A
-padding variant appends one all-NULL row to the build columns, the pad
-slot, and an unmatched probe row is paired with it inline.  ``Metrics``
+— for the hash join, for the keyless join (a one-bucket build whose
+whole predicate is the residual), for the index nested-loop join and
+for the generalized outerjoin (the inner match plus its own witness
+tail).  Output is in probe order: matches in bucket order, then
+full-outer right pads at the end.  An unmatched probe row of a padding
+variant is paired inline with the pad ordinal ``-1``, which
+:func:`gather_pairs` reads as NULL in every build column.  ``Metrics``
 accounting is one predicate evaluation per candidate pair, including
 the semi join's first-match short circuit.
 
@@ -199,27 +204,16 @@ def _vector_pass(conjunct: Predicate) -> Optional[_Pass]:
 class FilterKernel:
     """A predicate compiled to selection passes over column batches."""
 
-    __slots__ = ("predicate", "passes", "vectorized_passes")
+    __slots__ = ("predicate", "passes")
 
     def __init__(self, predicate: Predicate):
         self.predicate = predicate
-        self.passes: List[_Pass] = []
-        self.vectorized_passes = 0
-        for conjunct in predicate.conjuncts():
-            compiled = _vector_pass(conjunct)
-            if compiled is not None:
-                self.vectorized_passes += 1
-                self.passes.append(compiled)
-            else:
-                self.passes.append(_scalar_pass(conjunct))
+        self.passes: List[_Pass] = [
+            _vector_pass(conjunct) or _scalar_pass(conjunct)
+            for conjunct in predicate.conjuncts()
+        ]
         if not self.passes:  # TruePredicate: conjuncts() is empty
             self.passes.append(lambda batch, indices: list(indices))
-            self.vectorized_passes += 1
-
-    @property
-    def vectorized(self) -> bool:
-        """Did at least one conjunct compile to a per-column loop?"""
-        return self.vectorized_passes > 0
 
     def apply(self, batch: ColumnBatch) -> List[int]:
         """The selection vector of rows satisfying the whole predicate."""
@@ -256,22 +250,25 @@ JOIN_VARIANTS = ("inner", "left_outer", "full_outer", "semi", "anti")
 
 
 class BuildSide:
-    """Columnar build-side storage plus the key -> row-index buckets.
+    """A drained build side: its columns plus the key -> row-index buckets.
 
-    Rows whose key is null are kept in the columns (a full outerjoin must
-    pad them out at the end) but never enter a bucket, so they can never
-    match — the same null-key fate the algebra kernels realize.  With
-    ``key=None`` there is no key: every row enters the one bucket ``()``,
-    so each probe row's candidates are the whole build side.
+    ``get(key)`` is the bucket dict's ``get``: the ordinals of the build
+    rows with that key, or None.  Rows whose key is null are kept in the
+    columns (a full outerjoin must pad them out at the end) but never
+    enter a bucket, so they can never match — the same null-key fate the
+    algebra kernels realize.  With ``key=None`` there is no key: every
+    row enters the one bucket ``()``, so each probe row's candidates are
+    the whole build side.
     """
 
-    __slots__ = ("key", "attrs", "columns", "buckets", "null_indices", "rows")
+    __slots__ = ("key", "attrs", "columns", "buckets", "get", "null_indices", "rows")
 
     def __init__(self, key: Optional[str], attrs: Sequence[str]):
         self.key = key
         self.attrs = tuple(attrs)
         self.columns: Dict[str, List[Any]] = {a: [] for a in self.attrs}
         self.buckets: Dict[Any, List[int]] = {}
+        self.get = self.buckets.get
         self.null_indices: List[int] = []
         self.rows = 0
 
@@ -304,10 +301,12 @@ class BuildSide:
 class BatchHashJoiner:
     """The probe side of one join over a finished build side.
 
-    ``left_key`` is None exactly when the build has no key.  ``metrics``
-    accounting: one predicate evaluation per candidate (bucket) pair —
-    with the semi join's short circuit after the first satisfied pair —
-    and one emitted row per output row under ``label``.
+    ``build`` is a :class:`BuildSide` or any object with its ``columns``,
+    ``rows`` and ``get``.  ``left_key`` is None exactly when the build has
+    no key.  ``metrics`` accounting: one predicate evaluation per
+    candidate (bucket) pair — with the semi join's short circuit after
+    the first satisfied pair — and one emitted row per output row under
+    ``label``.
     """
 
     __slots__ = (
@@ -323,7 +322,7 @@ class BatchHashJoiner:
 
     def __init__(
         self,
-        build: BuildSide,
+        build,
         left_key: Optional[str],
         variant: str,
         residual: Optional[Predicate],
@@ -343,14 +342,8 @@ class BatchHashJoiner:
             self.residual = residual
         self.metrics = metrics
         self.label = label
-        #: The pad slot: index of the all-NULL build row an unmatched
-        #: probe row pairs with (padding variants only).  It sits past
-        #: ``build.rows``, so neither ``rows`` nor the buckets see it.
-        self.pad: Optional[int] = None
-        if variant in ("left_outer", "full_outer"):
-            for col in build.columns.values():
-                col.append(NULL)
-            self.pad = build.rows
+        #: Does an unmatched probe row pair with the pad ordinal -1?
+        self.pad = variant in ("left_outer", "full_outer")
         self.matched_build: set[int] = set()
 
     # -- probe ----------------------------------------------------------------
@@ -373,10 +366,10 @@ class BatchHashJoiner:
         The two lists are parallel, in probe order with each bucket's
         matches in insertion order — the join's emission order.  When the
         variant pads, a probe row with no satisfied pair appears once,
-        paired with the pad slot.
+        paired with the pad ordinal -1.
         """
         metrics = self.metrics
-        buckets_get = self.build.buckets.get
+        buckets_get = self.build.get
         key_col = self._key_column(batch)
         residual = self.residual
         pad = self.pad
@@ -400,9 +393,9 @@ class BatchHashJoiner:
                     extend_l(repeat(i, n))
                     if track_full:
                         matched_build.update(bucket)
-                elif pad is not None:
+                elif pad:
                     append_l(i)
-                    append_r(pad)
+                    append_r(-1)
             if evaluated:
                 metrics.evaluated(evaluated)
         else:
@@ -423,9 +416,9 @@ class BatchHashJoiner:
                             append_r(j)
                             if track_full:
                                 matched_build.add(j)
-                if not matched and pad is not None:
+                if not matched and pad:
                     append_l(i)
-                    append_r(pad)
+                    append_r(-1)
         return out_l, out_r
 
     def emit_pairs(
@@ -435,11 +428,11 @@ class BatchHashJoiner:
         if not out_l:
             return None
         self.metrics.emitted(self.label, len(out_l))
-        return gather_pairs(batch.columns, out_l, self.build.columns, out_r)
+        return gather_pairs(batch.columns, out_l, self.build.columns, out_r, self.pad)
 
     def _probe_semi_anti(self, batch: ColumnBatch) -> Optional[ColumnBatch]:
         metrics = self.metrics
-        buckets_get = self.build.buckets.get
+        buckets_get = self.build.get
         key_col = self._key_column(batch)
         residual = self.residual
         want = self.variant == "semi"
@@ -517,10 +510,15 @@ def gather_pairs(
     out_l: Sequence[int],
     rcols: Dict[str, List[Any]],
     out_r: Sequence[int],
+    pad: bool = False,
 ) -> ColumnBatch:
     """The batch of joined pairs: left columns gathered at ``out_l``, right
-    columns at the parallel ``out_r`` (one comprehension per column)."""
+    columns at the parallel ``out_r`` (one comprehension per column).  With
+    ``pad``, the right ordinal -1 reads NULL in every right column."""
     columns = {a: [col[i] for i in out_l] for a, col in lcols.items()}
     for a, col in rcols.items():
-        columns[a] = [col[j] for j in out_r]
+        if pad:
+            columns[a] = [NULL if j < 0 else col[j] for j in out_r]
+        else:
+            columns[a] = [col[j] for j in out_r]
     return ColumnBatch(tuple(sorted(columns)), columns, len(out_l))

@@ -24,14 +24,16 @@ from repro.engine.storage import Storage
 from repro.observability.contract import memory_high_water
 from repro.observability.spans import Span, tracing
 
-#: How the planner's operator choice reads in dispatch terms.
+#: How the planner's operator choice reads in dispatch terms, by the head
+#: of the operator's label (a keyless ``HashJoin`` labels itself
+#: ``NestedLoopJoin[...]``).
 _DISPATCH = {
     "HashJoin": "hash-kernel",
-    "IndexNestedLoopJoin": "index-kernel",
-    "GeneralizedOuterJoinOp": "goj-hash-kernel",
+    "IndexNLJ": "index-kernel",
+    "GeneralizedOuterJoin": "goj-hash-kernel",
     "NestedLoopJoin": "naive-nested-loop",
-    "YannakakisOp": "semijoin-reducer",
-    "LeapfrogTriejoinOp": "leapfrog-triejoin",
+    "Yannakakis": "semijoin-reducer",
+    "LeapfrogTriejoin": "leapfrog-triejoin",
 }
 
 #: Per-operator span counters surfaced in the rendered tree, in order.
@@ -152,8 +154,7 @@ def _attach_span(node: ExplainNode, span: Span) -> None:
     node.actual_rows = span.counters.get("rows_out", 0)
     if span.finished:
         node.time_ms = round(span.duration_ns / 1e6, 6)
-    op_name = span.attrs.get("op")
-    dispatch = _DISPATCH.get(op_name)
+    dispatch = _DISPATCH.get(node.label.split("[", 1)[0])
     if dispatch is not None:
         node.details["dispatch"] = dispatch
     if "build_ns" in span.counters:

@@ -11,12 +11,17 @@ result bag (:func:`~repro.engine.batch.columns.materialize`).  Join
 operators preserve their *left* input for the outer/semi/anti variants
 (``full_outer`` preserves both, emitting the unmatched right rows after
 the probe loop); the planner swaps operands where the logical node asks.
+Every join probes through one loop,
+:class:`~repro.engine.batch.kernels.BatchHashJoiner`: the hash join over
+a drained, bucketed right input (one bucket when it has no key: the
+nested-loop join), the index nested-loop join over a base table whose
+hash index is the buckets.
 
 Retrieval metering follows Example 1's accounting:
 
 * a sequential scan retrieves every row of its table's snapshot (the
   first ``n``, its row count when the plan was built);
-* an index nested-loop join retrieves exactly the rows its probes return;
+* an index nested-loop join retrieves exactly the inner rows it examines;
 * intermediate results live in memory and are never re-counted.
 
 Tracing: when an execution is traced, :func:`trace_plan` wraps every
@@ -33,12 +38,12 @@ from __future__ import annotations
 
 from time import perf_counter_ns
 from collections.abc import Iterable, Iterator
-from itertools import repeat
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.observability.spans import Span
 
-from repro.algebra.nulls import NULL, satisfied
+from repro.algebra.nulls import NULL
 from repro.algebra.predicates import Predicate, TruePredicate
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
@@ -52,7 +57,6 @@ from repro.engine.batch.columns import (
 from repro.engine.batch.kernels import (
     BatchHashJoiner,
     BuildSide,
-    PairColsView,
     compile_filter,
 )
 from repro.engine.indexes import HashIndex
@@ -97,11 +101,14 @@ class PhysicalOp:
         for batch in batches_from_rows(rows, self.schema, batch_size()):
             yield self._emit_batch(batch)
 
-    def _hash_build(self, right: "PhysicalOp", key: str, metrics: Metrics) -> BuildSide:
-        """Drain ``right`` into a build side keyed on ``key``.
+    def _hash_build(
+        self, right: "PhysicalOp", key: Optional[str], metrics: Metrics
+    ) -> BuildSide:
+        """Drain ``right`` into a build side keyed on ``key`` (one bucket
+        when ``key`` is None).
 
         Span counters: ``build_ns``, ``mem_rows`` (bucketed build rows),
-        ``build_buckets``.
+        ``build_buckets`` (keyed builds only).
         """
         span = self._span
         build_started = perf_counter_ns() if span is not None else 0
@@ -111,7 +118,8 @@ class PhysicalOp:
         if span is not None:
             span.counters["build_ns"] = perf_counter_ns() - build_started
             span.counters["mem_rows"] = build.bucketed_rows
-            span.counters["build_buckets"] = len(build.buckets)
+            if key is not None:
+                span.counters["build_buckets"] = len(build.buckets)
         return build
 
     def _probe_all(self, joiner: BatchHashJoiner, metrics: Metrics) -> Iterator[ColumnBatch]:
@@ -246,56 +254,16 @@ class ProjectOp(PhysicalOp):
         return f"{pad}Project[{self.attributes}]\n{self.child.describe(indent + 2)}"
 
 
-class NestedLoopJoin(PhysicalOp):
-    """Nested-loop join over arbitrary predicates.
+class _IndexSide:
+    """A base table as a build side: its columns, read up to ordinal ``n``,
+    bucketed by a hash index (``get`` is the index lookup below ``n``)."""
 
-    A one-bucket build of the hash joiner: the right input is collected
-    into a :class:`~repro.engine.batch.kernels.BuildSide` with no key, so
-    every right row is a candidate for every left row, and the whole
-    predicate is the joiner's residual.  Intermediate results are memory
-    resident (per the module-level accounting rules), so base retrievals
-    are paid exactly once per input.  Every (left row, right row) pair is
-    one predicate evaluation, except that a semi join stops at a left
-    row's first satisfied pair.
-    """
+    __slots__ = ("columns", "rows", "get")
 
-    def __init__(
-        self, left: PhysicalOp, right: PhysicalOp, predicate: Predicate, join_type: str = "inner"
-    ):
-        _check_join_type(join_type)
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-        self.join_type = join_type
-        if join_type in ("semi", "anti"):
-            self.schema = left.schema
-        else:
-            self.schema = left.schema.union(right.schema)
-
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.left, self.right)
-
-    def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
-        """Build the right input into one bucket, probe it with the left.
-
-        Span counter: ``mem_rows`` (every right row).
-        """
-        build = BuildSide(None, tuple(sorted(self.right.schema.attributes)))
-        for batch in self.right.execute_batches(metrics):
-            build.add_batch(batch)
-        if self._span is not None:
-            self._span.counters["mem_rows"] = build.rows
-        joiner = BatchHashJoiner(
-            build, None, self.join_type, self.predicate, metrics, f"NLJ[{self.join_type}]"
-        )
-        yield from self._probe_all(joiner, metrics)
-
-    def describe(self, indent: int = 0) -> str:
-        pad = " " * indent
-        return (
-            f"{pad}NestedLoopJoin[{self.join_type}, {self.predicate!r}]\n"
-            f"{self.left.describe(indent + 2)}\n{self.right.describe(indent + 2)}"
-        )
+    def __init__(self, columns, rows: int, get):
+        self.columns = columns
+        self.rows = rows
+        self.get = get
 
 
 class IndexNestedLoopJoin(PhysicalOp):
@@ -303,11 +271,13 @@ class IndexNestedLoopJoin(PhysicalOp):
 
     This is Example 1's fast path: joining a one-row outer against an
     indexed ten-million-row table retrieves one tuple instead of ten
-    million.  Only the inner rows the join examines are metered as
-    retrieved (all of a probe's matches, or up to the first satisfied
-    one for a semi join), each also counting one predicate evaluation.
-    That is also why it has no ``full_outer`` variant: the inner rows no
-    probe returned are never seen.
+    million.  The join is :class:`BatchHashJoiner` over the table itself:
+    the index is the build's buckets, so nothing is built.  Only the inner
+    rows the join examines are metered as retrieved (all of a probe's
+    matches, or up to the first satisfied one for a semi join); the
+    joiner counts exactly those rows as predicate evaluations.  That is
+    also why it has no ``full_outer`` variant: the inner rows no probe
+    returned are never seen.
     """
 
     def __init__(
@@ -339,84 +309,45 @@ class IndexNestedLoopJoin(PhysicalOp):
         return (self.left,)
 
     def execute_batches(self, metrics: Metrics) -> Iterator[ColumnBatch]:
-        """One index lookup per live probe row; one output batch per probe batch.
+        """Probe the index through the joiner; one output batch per probe batch.
 
-        Inner/left outer gather the inner values at the matched ordinals
-        below ``n`` (a pad is NULL in every inner column); semi/anti
-        narrow the probe batch's selection.  Metering is bumped once per batch.
+        Per probe batch, the live rows are index probes and the rows the
+        joiner examined (its predicate evaluations) are retrievals.  Span
+        counters: ``index_probes`` (live probe rows), ``index_hits`` (the
+        ordinals the lookups returned).
         """
-        join_type = self.join_type
-        pairs = join_type in ("inner", "left_outer")
-        pad = join_type == "left_outer"
-        want = join_type == "semi"
-        residual = None if isinstance(self.residual, TruePredicate) else self.residual
-        lookup = self.index.lookup
-        n = self.n
-        inner = self.table.columns
-        label = f"INLJ[{join_type}]"
+        lookup = partial(self.index.lookup, n=self.n)
         span = self._span
+        get = lookup
+        if span is not None:
+            counters = span.counters
+
+            def get(key):
+                matches = lookup(key)
+                counters["index_hits"] += len(matches)
+                return matches
+
+        joiner = BatchHashJoiner(
+            _IndexSide(self.table.columns, self.n, get),
+            self.outer_key,
+            self.join_type,
+            self.residual,
+            metrics,
+            f"INLJ[{self.join_type}]",
+        )
         for batch in self.left.execute_batches(metrics):
-            live = batch.indices()
-            key_col = batch.columns[self.outer_key]
-            if residual is not None:
-                view = PairColsView(batch.columns, inner)
-                evaluate = residual.evaluate
-            out_l: List[int] = []
-            out_r: List[int] = []  # inner ordinals; -1 is a pad
-            keep: List[int] = []
-            examined = hits = 0
-            for i in live:
-                matches = lookup(key_col[i], n)
-                hits += len(matches)
-                if residual is None:
-                    # Every match satisfies, so a semi join examines one.
-                    matched = bool(matches)
-                    if want:
-                        examined += matched
-                    else:
-                        examined += len(matches)
-                        if pairs:
-                            out_l.extend(repeat(i, len(matches)))
-                            out_r.extend(matches)
-                else:
-                    matched = False
-                    view.li = i
-                    for j in matches:
-                        examined += 1
-                        view.ri = j
-                        if satisfied(evaluate(view)):
-                            matched = True
-                            if want:
-                                break
-                            if pairs:
-                                out_l.append(i)
-                                out_r.append(j)
-                if pairs:
-                    if pad and not matched:
-                        out_l.append(i)
-                        out_r.append(-1)
-                elif matched is want:
-                    keep.append(i)
-            metrics.probed(self.index.name, len(live))
+            evaluated = metrics.predicate_evaluations
+            out = joiner.probe(batch)
+            live = batch.num_rows
+            metrics.probed(self.index.name, live)
+            examined = metrics.predicate_evaluations - evaluated
             if examined:
                 metrics.retrieved(self.table.name, examined)
-                metrics.evaluated(examined)
             if span is not None:
-                span.counters["index_probes"] += len(live)
-                span.counters["index_hits"] += hits
-            if out_l:
-                columns = {a: [col[i] for i in out_l] for a, col in batch.columns.items()}
-                for a, col in inner.items():
-                    columns[a] = (
-                        [NULL if j < 0 else col[j] for j in out_r]
-                        if pad
-                        else [col[j] for j in out_r]
-                    )
-                metrics.emitted(label, len(out_l))
-                yield self._emit_batch(ColumnBatch(tuple(sorted(columns)), columns, len(out_l)))
-            elif keep:
-                metrics.emitted(label, len(keep))
-                yield self._emit_batch(batch.with_selection(keep))
+                counters["index_probes"] += live
+                counters["index_hits"] += 0  # listed even when every key was NULL
+            if out is not None:
+                yield self._emit_batch(out)
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
@@ -428,19 +359,24 @@ class IndexNestedLoopJoin(PhysicalOp):
 
 
 class HashJoin(PhysicalOp):
-    """Equi-join: build on the right input, probe with the left (preserved).
+    """Build on the right input, probe with the left (preserved).
 
     ``left_key``/``right_key`` are single equi-join attributes; additional
     conjuncts go into ``residual``.  Null keys never match, as in the
-    algebra layer.
+    algebra layer.  With no keys (both None) the build is one bucket:
+    every right row is a candidate for every left row and ``residual`` is
+    the whole predicate — the nested-loop join, which still describes
+    itself as ``NestedLoopJoin`` and labels its rows ``NLJ[...]``.  Every
+    (left row, right row) pair is then one predicate evaluation, except
+    that a semi join stops at a left row's first satisfied pair.
     """
 
     def __init__(
         self,
         left: PhysicalOp,
         right: PhysicalOp,
-        left_key: str,
-        right_key: str,
+        left_key: Optional[str],
+        right_key: Optional[str],
         residual: Optional[Predicate] = None,
         join_type: str = "inner",
     ):
@@ -464,23 +400,28 @@ class HashJoin(PhysicalOp):
 
         Both children are consumed batch-at-a-time.  Null keys never enter or probe the
         build side.  Span counters: ``build_ns``, ``mem_rows`` (bucketed
-        build rows), ``build_buckets``.
+        build rows), ``build_buckets`` (keyed builds only).
         """
         build = self._hash_build(self.right, self.right_key, metrics)
+        label = "HashJoin" if self.left_key is not None else "NLJ"
         joiner = BatchHashJoiner(
             build,
             self.left_key,
             self.join_type,
             self.residual,
             metrics,
-            f"HashJoin[{self.join_type}]",
+            f"{label}[{self.join_type}]",
         )
         yield from self._probe_all(joiner, metrics)
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
+        if self.left_key is None:
+            head = f"NestedLoopJoin[{self.join_type}, {self.residual!r}]"
+        else:
+            head = f"HashJoin[{self.join_type}, {self.left_key} = {self.right_key}]"
         return (
-            f"{pad}HashJoin[{self.join_type}, {self.left_key} = {self.right_key}]\n"
+            f"{pad}{head}\n"
             f"{self.left.describe(indent + 2)}\n{self.right.describe(indent + 2)}"
         )
 

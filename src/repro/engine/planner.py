@@ -8,7 +8,8 @@ methods is the planner's.  Per node it picks, in order of preference:
    (bare, or under a pushed filter, which joins the residual) with a hash
    index on its side of an equi-join conjunct (Example 1's setup);
 2. **Hash join** for any equi-join conjunct;
-3. **Nested-loop join** otherwise (e.g. Example 1b's ``R1.A > R2.B``).
+3. **Nested-loop join** otherwise (e.g. Example 1b's ``R1.A > R2.B``):
+   the hash join with no key, whose residual is the whole predicate.
 
 Outerjoins plan as left-preserved physical joins; a ``RightOuterJoin``
 swaps operands first.  A ``FullOuterJoin`` plans as the ``full_outer``
@@ -56,7 +57,6 @@ from repro.engine.iterators import (
     Filter,
     HashJoin,
     IndexNestedLoopJoin,
-    NestedLoopJoin,
     PaddedUnion,
     PhysicalOp,
     ProjectOp,
@@ -179,8 +179,8 @@ class Planner:
             left_key, right_key, residual = split
             return HashJoin(left_plan, right_plan, left_key, right_key, residual, join_type)
 
-        # Fallback: nested loops with the full predicate.
-        return NestedLoopJoin(left_plan, right_plan, predicate, join_type)
+        # Fallback: nested loops, a keyless build whose residual is the full predicate.
+        return HashJoin(left_plan, right_plan, None, None, predicate, join_type)
 
     def _plan_goj(self, expr: GeneralizedOuterJoin) -> PhysicalOp:
         """Plan a generalized outerjoin via the modified hash join (keyless

@@ -196,6 +196,14 @@ class Storage(Mapping[str, Table]):
         except KeyError:
             raise PlanningError(f"unknown table {name!r}") from None
 
+    def __contains__(self, name: object) -> bool:
+        # Mapping's __contains__ and get expect KeyError from __getitem__;
+        # ours raises PlanningError, so answer both directly.
+        return name in self._tables
+
+    def get(self, name: str, default: Optional[Table] = None) -> Optional[Table]:
+        return self._tables.get(name, default)
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._tables)
 

@@ -53,9 +53,7 @@ class DPOptimizer:
         with maybe_span(
             "optimizer.dp", category="optimizer", relations=len(self.graph.nodes)
         ) as span:
-            plan = self._optimize_table(self.cost_model.estimator, span)
-        instrumentation.bump("plans_optimized")
-        return plan
+            return self._optimize_table(self.cost_model.estimator, span)
 
     def _optimize_table(self, estimator, span=None) -> Plan:
         index = self.graph.bitset_index()

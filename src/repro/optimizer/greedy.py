@@ -18,7 +18,6 @@ from repro.core.expressions import Rel
 from repro.core.graph import QueryGraph
 from repro.optimizer.cost import CostModel
 from repro.optimizer.plans import Plan
-from repro.tools import instrumentation
 from repro.util.errors import PlanningError
 
 _KIND_TO_ESTIMATOR = {"join": "join", "loj": "left_outer", "roj": "left_outer"}
@@ -79,7 +78,6 @@ class GreedyOptimizer:
             ka, kb, plan = best_merge
             del components[ka], components[kb]
             components[plan.nodes] = plan
-        instrumentation.bump("plans_optimized")
         return next(iter(components.values()))
 
 

@@ -18,9 +18,9 @@ empirically (:func:`repro.conformance.plancache_check.check_plan_cache`).
 
 Everything is stdlib: an ``OrderedDict`` under one lock.  Hits move the
 entry to the MRU end; stores evict from the LRU end past ``capacity``.
-Counters (hits/misses/invalidations/evictions) are mirrored into the
-process-wide :mod:`repro.tools.instrumentation` sink so benchmark runs
-and spans can report cache effectiveness without holding the cache.
+Counters (hits/misses/invalidations/evictions/stores) are kept per
+cache, under the same lock, and read through :meth:`PlanCache.stats` or
+:meth:`PlanCache.snapshot`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-from repro.tools import instrumentation
 
 #: Default entry capacity of the process-wide cache.
 DEFAULT_CAPACITY = 256
@@ -86,7 +85,6 @@ class PlanCache:
             entry = self._entries.get(fingerprint)
             if entry is None:
                 self._misses += 1
-                instrumentation.bump("plan_cache_misses")
                 return None
             stamped, value = entry
             if stamped != generation:
@@ -95,12 +93,9 @@ class PlanCache:
                 del self._entries[fingerprint]
                 self._invalidations += 1
                 self._misses += 1
-                instrumentation.bump("plan_cache_invalidations")
-                instrumentation.bump("plan_cache_misses")
                 return None
             self._entries.move_to_end(fingerprint)
             self._hits += 1
-            instrumentation.bump("plan_cache_hits")
             return value
 
     def store(self, fingerprint: str, generation: Hashable, value: Any) -> None:
@@ -112,7 +107,6 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-                instrumentation.bump("plan_cache_evictions")
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; see :meth:`reset_stats`)."""

@@ -27,7 +27,6 @@ from collections import Counter
 from typing import Dict
 
 #: The global counter sink.  Keys in use:
-#: ``plans_optimized``         (optimizer optimize() calls),
 #: ``dp_subsets``              (DP table entries filled),
 #: ``trees_enumerated``        (implementing trees materialized),
 #: ``sqlite_oracle_queries``   (statements run on the SQLite oracle),
@@ -38,10 +37,6 @@ from typing import Dict
 #: ``shrink_runs``             (counterexample minimizations),
 #: ``planspace_checks``        (plan-space equivalence sweeps),
 #: ``planspace_mismatches``    (non-equivalent trees found),
-#: ``plan_cache_hits``         (optimizer plan-cache hits),
-#: ``plan_cache_misses``       (optimizer plan-cache misses),
-#: ``plan_cache_invalidations`` (entries dropped on generation change),
-#: ``plan_cache_evictions``    (entries dropped by LRU pressure),
 #: ``service_queries``         (queries admitted by a QueryService),
 #: ``service_rejected``        (queries shed at admission),
 #: ``service_timeouts``        (queries cancelled by deadline),

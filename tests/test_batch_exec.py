@@ -25,9 +25,16 @@ from repro.engine.batch import (
     compile_filter,
     rows_from_batches,
 )
-from repro.engine.iterators import Filter, HashJoin, NestedLoopJoin, ProjectOp, SeqScan
+from repro.engine.batch.kernels import _vector_pass
+from repro.engine.iterators import (
+    Filter,
+    HashJoin,
+    IndexNestedLoopJoin,
+    ProjectOp,
+    SeqScan,
+)
 from repro.engine.metrics import Metrics
-from repro.engine.planner import Planner
+from repro.engine.planner import Planner, split_equijoin
 from repro.engine.storage import Storage
 from repro.util.errors import PredicateError, SchemaError
 from repro.util.fastpath import batch_sized, small_input_limit
@@ -36,31 +43,16 @@ from repro.util.fastpath import batch_sized, small_input_limit
 _JOIN_EXPR = {"inner": jn, "left_outer": oj, "semi": sj, "anti": aj}
 
 
-def _storage():
+#: (key, value) rows of the probe side L and the build side R.
+_L_ROWS = [(1, 10), (2, 20), (NULL, 30), (2, 40), (5, 50)]
+_R_ROWS = [(2, 200), (1, 100), (NULL, 300), (2, 400), (9, 900)]
+
+
+def _storage(r_rows=_R_ROWS):
     """Two small joinable tables with null keys sprinkled on both sides."""
     storage = Storage()
-    storage.create_table(
-        "L",
-        ["L.k", "L.a"],
-        [
-            {"L.k": 1, "L.a": 10},
-            {"L.k": 2, "L.a": 20},
-            {"L.k": NULL, "L.a": 30},
-            {"L.k": 2, "L.a": 40},
-            {"L.k": 5, "L.a": 50},
-        ],
-    )
-    storage.create_table(
-        "R",
-        ["R.k", "R.b"],
-        [
-            {"R.k": 2, "R.b": 200},
-            {"R.k": 1, "R.b": 100},
-            {"R.k": NULL, "R.b": 300},
-            {"R.k": 2, "R.b": 400},
-            {"R.k": 9, "R.b": 900},
-        ],
-    )
+    storage.create_table("L", ["L.k", "L.a"], [{"L.k": k, "L.a": a} for k, a in _L_ROWS])
+    storage.create_table("R", ["R.k", "R.b"], [{"R.k": k, "R.b": b} for k, b in r_rows])
     return storage
 
 
@@ -244,25 +236,133 @@ class TestFullOuterJoinerParity:
 
     @pytest.mark.parametrize("size", [1, 2, 1024])
     @pytest.mark.parametrize(
-        "op, predicate",
-        [(HashJoin, eq("L.k", "R.k")), (NestedLoopJoin, gt("L.k", "R.k"))],
+        "key, predicate",
+        [("L.k", eq("L.k", "R.k")), (None, gt("L.k", "R.k"))],
         ids=["hash", "nested_loop"],
     )
-    def test_planned_operator_matches_oracle(self, op, predicate, size):
+    def test_planned_operator_matches_oracle(self, key, predicate, size):
         storage = _storage()
         query = foj("L", "R", predicate)
         plan = Planner(storage).plan(query)
-        assert type(plan) is op and plan.join_type == "full_outer"
+        assert type(plan) is HashJoin and plan.join_type == "full_outer"
+        assert plan.left_key == key
         with batch_sized(size):
             got = plan.run()
         assert bag_equal(got, query.eval(storage.to_database(), ops=ORACLE_OPS))
 
 
+#: The algebra operator of every physical join type, for the matrix oracle.
+_MATRIX_EXPR = {**_JOIN_EXPR, "full_outer": foj}
+
+#: A residual over both sides that rejects R's first k=2 row, so a semi
+#: join examines two rows of that key before it stops.
+_MATRIX_RESIDUAL = gt("R.b", "L.a") & gt("R.b", Const(250))
+
+#: The inner sides of the matrix: R in full, R empty (every pad has no
+#: build row), and R read up to ordinal 3 although it holds 5 rows.
+_INNERS = {"full": (_R_ROWS, None), "empty": ([], None), "prefix": (_R_ROWS, 3)}
+
+
+def _matrix_plan(storage, operator, join_type, predicate, n):
+    """The join of L with R under ``predicate`` as one physical operator."""
+    left = SeqScan(storage["L"])
+    if operator == "keyless":
+        return HashJoin(left, SeqScan(storage["R"], n), None, None, predicate, join_type)
+    left_key, right_key, residual = split_equijoin(predicate, left.schema, storage["R"].schema)
+    if operator == "index":
+        index = storage["R"].index_on(right_key)
+        return IndexNestedLoopJoin(left, storage["R"], index, left_key, residual, join_type, n)
+    return HashJoin(left, SeqScan(storage["R"], n), left_key, right_key, residual, join_type)
+
+
+class TestJoinVariantMatrix:
+    """Every join that probes through :class:`BatchHashJoiner` — the index
+    nested-loop join, the keyed hash join and the keyless hash join — over
+    every variant it serves, with and without a residual, against null
+    probe keys, an empty inner side and an index join that reads a prefix
+    of its table.  Each result is bag-equal to the nested-loop oracle, and
+    the counters equal the literals recorded from the loops these joins
+    ran before they shared one.
+    """
+
+    #: (operator, join type, inner) -> ((predicate evaluations, R rows
+    #: retrieved) without a residual, the same with one).  L is always
+    #: scanned once (5 rows); an index join probes its index once per L row.
+    MATRIX = {
+        ("index", "inner", "full"): ((5, 5), (5, 5)),
+        ("index", "inner", "empty"): ((0, 0), (0, 0)),
+        ("index", "inner", "prefix"): ((3, 3), (3, 3)),
+        ("index", "left_outer", "full"): ((5, 5), (5, 5)),
+        ("index", "left_outer", "empty"): ((0, 0), (0, 0)),
+        ("index", "left_outer", "prefix"): ((3, 3), (3, 3)),
+        ("index", "semi", "full"): ((3, 3), (5, 5)),
+        ("index", "semi", "empty"): ((0, 0), (0, 0)),
+        ("index", "semi", "prefix"): ((3, 3), (3, 3)),
+        ("index", "anti", "full"): ((5, 5), (5, 5)),
+        ("index", "anti", "empty"): ((0, 0), (0, 0)),
+        ("index", "anti", "prefix"): ((3, 3), (3, 3)),
+        ("hash", "inner", "full"): ((5, 5), (5, 5)),
+        ("hash", "inner", "empty"): ((0, 0), (0, 0)),
+        ("hash", "inner", "prefix"): ((3, 3), (3, 3)),
+        ("hash", "left_outer", "full"): ((5, 5), (5, 5)),
+        ("hash", "left_outer", "empty"): ((0, 0), (0, 0)),
+        ("hash", "left_outer", "prefix"): ((3, 3), (3, 3)),
+        ("hash", "semi", "full"): ((3, 5), (5, 5)),
+        ("hash", "semi", "empty"): ((0, 0), (0, 0)),
+        ("hash", "semi", "prefix"): ((3, 3), (3, 3)),
+        ("hash", "anti", "full"): ((5, 5), (5, 5)),
+        ("hash", "anti", "empty"): ((0, 0), (0, 0)),
+        ("hash", "anti", "prefix"): ((3, 3), (3, 3)),
+        ("hash", "full_outer", "full"): ((5, 5), (5, 5)),
+        ("hash", "full_outer", "empty"): ((0, 0), (0, 0)),
+        ("hash", "full_outer", "prefix"): ((3, 3), (3, 3)),
+        ("keyless", "inner", "full"): ((25, 5), (25, 5)),
+        ("keyless", "inner", "empty"): ((0, 0), (0, 0)),
+        ("keyless", "inner", "prefix"): ((15, 3), (15, 3)),
+        ("keyless", "left_outer", "full"): ((25, 5), (25, 5)),
+        ("keyless", "left_outer", "empty"): ((0, 0), (0, 0)),
+        ("keyless", "left_outer", "prefix"): ((15, 3), (15, 3)),
+        ("keyless", "semi", "full"): ((14, 5), (23, 5)),
+        ("keyless", "semi", "empty"): ((0, 0), (0, 0)),
+        ("keyless", "semi", "prefix"): ((10, 3), (15, 3)),
+        ("keyless", "anti", "full"): ((25, 5), (25, 5)),
+        ("keyless", "anti", "empty"): ((0, 0), (0, 0)),
+        ("keyless", "anti", "prefix"): ((15, 3), (15, 3)),
+        ("keyless", "full_outer", "full"): ((25, 5), (25, 5)),
+        ("keyless", "full_outer", "empty"): ((0, 0), (0, 0)),
+        ("keyless", "full_outer", "prefix"): ((15, 3), (15, 3)),
+    }
+
+    @pytest.mark.parametrize("size", [2, 1024])
+    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+    @pytest.mark.parametrize("operator, join_type, inner", list(MATRIX), ids="-".join)
+    def test_matches_oracle_and_recorded_counters(
+        self, operator, join_type, inner, residual, size
+    ):
+        rows, n = _INNERS[inner]
+        storage = _storage(rows)
+        storage["R"].create_index("R.k")
+        predicate = eq("L.k", "R.k") & _MATRIX_RESIDUAL if residual else eq("L.k", "R.k")
+        plan = _matrix_plan(storage, operator, join_type, predicate, n)
+        metrics = Metrics()
+        with batch_sized(size):
+            got = Relation(plan.schema, list(plan.execute(metrics)))
+        oracle_rows = rows if n is None else rows[:n]
+        expr = _MATRIX_EXPR[join_type](Rel("L"), Rel("R"), predicate)
+        oracle = expr.eval(_storage(oracle_rows).to_database(), ops=ORACLE_OPS)
+        assert bag_equal(got, oracle)
+        evaluations, retrieved = self.MATRIX[operator, join_type, inner][residual]
+        assert metrics.predicate_evaluations == evaluations
+        assert metrics.tuples_retrieved == Counter({"L": 5, "R": retrieved})
+        probes = {"R(R.k)": 5} if operator == "index" else {}
+        assert dict(metrics.index_probes) == probes
+
+
 class TestFilterKernel:
     def test_simple_conjuncts_vectorize(self):
-        kernel = compile_filter(gt("L.a", Const(5)))
-        assert kernel.vectorized
-        assert kernel.vectorized_passes == 1
+        predicate = gt("L.a", Const(5))
+        assert _vector_pass(predicate) is not None  # a per-column loop
+        assert len(compile_filter(predicate).passes) == 1
 
     def test_zero_row_result_drops_batches_downstream(self):
         storage = _storage()

@@ -19,7 +19,6 @@ from repro.engine import (
     HashJoin,
     IndexNestedLoopJoin,
     Metrics,
-    NestedLoopJoin,
     PhysicalOp,
     Planner,
     ProjectOp,
@@ -70,6 +69,11 @@ class TestScanFilterProject:
     def test_project_dedup(self, storage):
         plan = ProjectOp(SeqScan(storage["R"]), ["R.b"], dedup=True)
         assert len(plan.run()) == 2
+
+
+def _nested_loop(left, right, predicate, join_type):
+    """The nested-loop join: a keyless hash join whose residual is ``predicate``."""
+    return HashJoin(left, right, None, None, predicate, join_type)
 
 
 #: The algebra operator of each physical join type, for oracle trees.
@@ -184,14 +188,14 @@ def _assert_pinned(plan, size, pinned):
 
 class TestNestedLoopJoin:
     def test_inner(self, storage):
-        plan = NestedLoopJoin(
+        plan = _nested_loop(
             SeqScan(storage["R"]), SeqScan(storage["S"]), eq("R.a", "S.a"), "inner"
         )
         out = plan.run()
         assert len(out) == 3  # R.a=0 matches S.a=0; R.a=1 matches two S rows
 
     def test_left_outer_pads(self, storage):
-        plan = NestedLoopJoin(
+        plan = _nested_loop(
             SeqScan(storage["R"]), SeqScan(storage["S"]), eq("R.a", "S.a"), "left_outer"
         )
         out = plan.run()
@@ -200,22 +204,22 @@ class TestNestedLoopJoin:
 
     def test_semi_and_anti(self, storage):
         p = eq("R.a", "S.a")
-        semi = NestedLoopJoin(SeqScan(storage["R"]), SeqScan(storage["S"]), p, "semi").run()
-        anti = NestedLoopJoin(SeqScan(storage["R"]), SeqScan(storage["S"]), p, "anti").run()
+        semi = _nested_loop(SeqScan(storage["R"]), SeqScan(storage["S"]), p, "semi").run()
+        anti = _nested_loop(SeqScan(storage["R"]), SeqScan(storage["S"]), p, "anti").run()
         assert {r["R.a"] for r in semi} == {0, 1}
         assert {r["R.a"] for r in anti} == {2, 3}
         assert semi.scheme == frozenset({"R.a", "R.b"})
 
     def test_inner_input_scanned_once(self, storage):
         m = Metrics()
-        plan = NestedLoopJoin(
+        plan = _nested_loop(
             SeqScan(storage["R"]), SeqScan(storage["S"]), eq("R.a", "S.a"), "inner"
         )
         list(plan.execute(m))
         assert m.tuples_retrieved["S"] == 3  # materialized once, not per outer row
 
     def test_inequality_predicate(self, storage):
-        plan = NestedLoopJoin(
+        plan = _nested_loop(
             SeqScan(storage["R"]), SeqScan(storage["S"]), gt("R.a", "S.a"), "inner"
         )
         out = plan.run()
@@ -239,7 +243,7 @@ class TestNestedLoopJoin:
     @_parametrize_parity(PARITY)
     def test_parity_with_oracle_and_recorded_metrics(self, join_type, residual, counts, size):
         st = _parity_storage()
-        plan = NestedLoopJoin(
+        plan = _nested_loop(
             SeqScan(st["L"]), SeqScan(st["R"]), _join_predicate(residual), join_type
         )
         metrics = _parity_case(plan, st, join_type, residual, size)
@@ -251,7 +255,7 @@ class TestNestedLoopJoin:
 
     def test_bad_join_type(self, storage):
         with pytest.raises(PlanningError):
-            NestedLoopJoin(SeqScan(storage["R"]), SeqScan(storage["S"]), eq("R.a", "S.a"), "full")
+            _nested_loop(SeqScan(storage["R"]), SeqScan(storage["S"]), eq("R.a", "S.a"), "full")
 
     _TRUE_PAIRS = [
         (0, 0, 0), (0, 0, 1), (0, 0, 1), (1, 1, 0), (1, 1, 1), (1, 1, 1),
@@ -303,7 +307,7 @@ class TestNestedLoopJoin:
             left, right, predicate = "P", "E", eq("P.a", "E.a")
         else:
             left, right, predicate = "L", "R", _join_predicate(True)
-        plan = NestedLoopJoin(SeqScan(st[left]), SeqScan(st[right]), predicate, join_type)
+        plan = _nested_loop(SeqScan(st[left]), SeqScan(st[right]), predicate, join_type)
         _assert_pinned(plan, size, self.PINNED[join_type, case])
 
 
@@ -407,7 +411,7 @@ class TestIndexNestedLoopJoin:
 class TestHashJoin:
     def test_inner_matches_nlj(self, storage):
         p = eq("R.a", "S.a")
-        nlj = NestedLoopJoin(SeqScan(storage["R"]), SeqScan(storage["S"]), p, "inner").run()
+        nlj = _nested_loop(SeqScan(storage["R"]), SeqScan(storage["S"]), p, "inner").run()
         hj = HashJoin(
             SeqScan(storage["R"]), SeqScan(storage["S"]), "R.a", "S.a", join_type="inner"
         ).run()
@@ -415,7 +419,7 @@ class TestHashJoin:
 
     def test_left_outer_matches_nlj(self, storage):
         p = eq("R.a", "S.a")
-        nlj = NestedLoopJoin(
+        nlj = _nested_loop(
             SeqScan(storage["R"]), SeqScan(storage["S"]), p, "left_outer"
         ).run()
         hj = HashJoin(

@@ -10,7 +10,6 @@ from repro.datagen import example1_storage
 from repro.engine import (
     HashJoin,
     IndexNestedLoopJoin,
-    NestedLoopJoin,
     Planner,
     SeqScan,
     Storage,
@@ -88,7 +87,8 @@ class TestPlannerChoices:
 
     def test_inequality_uses_nlj(self, storage):
         plan = Planner(storage).plan(jn("R", "S", gt("R.a", "S.a")))
-        assert isinstance(plan, NestedLoopJoin)
+        assert isinstance(plan, HashJoin) and plan.left_key is None
+        assert plan.describe().startswith("NestedLoopJoin[inner, (R.a > S.a)]")
 
     def test_right_outerjoin_swaps_operands(self, storage):
         # R ← S : S preserved, so S drives the probe side.

@@ -170,6 +170,14 @@ class TestStorage:
         with pytest.raises(PlanningError):
             Storage()["missing"]
 
+    def test_membership_and_get_answer_for_an_unknown_table(self):
+        storage = Storage()
+        table = storage.create_table("R", ["R.a"], [{"R.a": 1}])
+        assert "R" in storage and "S" not in storage and 7 not in storage
+        assert storage.get("R") is table
+        assert storage.get("S") is None
+        assert storage.get("S", table) is table
+
     def test_registry(self):
         storage = Storage()
         storage.create_table("R", ["R.a"], [{"R.a": 1}])

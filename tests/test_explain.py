@@ -126,6 +126,22 @@ class TestExplainAnalyzeKnownAnswers:
         assert "kernels" not in node.details
         assert "mem_high_water_rows" in node.details
 
+    def test_keyed_and_keyless_hash_joins_keep_their_dispatch(self):
+        # The nested-loop join is the keyless HashJoin; EXPLAIN still reads
+        # it by its label, and its build has no bucket count.
+        storage = Storage()
+        storage.create_table("A", ["A.x"], [{"A.x": i} for i in range(4)])
+        storage.create_table("B", ["B.y"], [{"B.y": i} for i in range(3)])
+        for predicate, dispatch in (
+            (eq("A.x", "B.y"), "hash-kernel"),
+            (gt("A.x", "B.y"), "naive-nested-loop"),
+        ):
+            plan = Planner(storage).plan(jn("A", "B", predicate))
+            node = explain_analyze(plan, storage)
+            assert node.details["dispatch"] == dispatch
+            assert node.details["mem_rows"] == 3
+            assert ("build_buckets" in node.details) is (dispatch == "hash-kernel")
+
     def test_example1_tuple_accounting(self, setup):
         # The paper's headline: 3 tuples retrieved in the good order
         # (versus 2N+1 for the bad order) — on the trace's root span.

@@ -30,7 +30,6 @@ def test_the_walk_sees_every_operator():
         "SeqScan",
         "Filter",
         "ProjectOp",
-        "NestedLoopJoin",
         "IndexNestedLoopJoin",
         "HashJoin",
         "GeneralizedOuterJoinOp",

@@ -22,7 +22,6 @@ from repro.optimizer.plancache import (
     default_plan_cache,
     reset_default_plan_cache,
 )
-from repro.tools import instrumentation
 
 P12 = eq("R1.k", "R2.k")
 P23 = eq("R2.j", "R3.j")
@@ -68,7 +67,7 @@ def test_generation_mismatch_invalidates_and_drops_entry():
     assert cache.lookup("a", GEN_A) is None
 
 
-def test_counters_mirror_into_instrumentation():
+def test_stats_count_every_lookup_outcome():
     cache = PlanCache(capacity=1)
     cache.store("a", GEN_A, 1)
     cache.lookup("a", GEN_A)
@@ -76,11 +75,11 @@ def test_counters_mirror_into_instrumentation():
     cache.lookup("a", GEN_B)
     cache.store("a", GEN_A, 1)
     cache.store("b", GEN_A, 2)  # evicts
-    snap = instrumentation.snapshot()
-    assert snap["plan_cache_hits"] == 1
-    assert snap["plan_cache_misses"] == 2  # plain miss + invalidation-miss
-    assert snap["plan_cache_invalidations"] == 1
-    assert snap["plan_cache_evictions"] == 1
+    stats = cache.stats()
+    assert stats.hits == 1
+    assert stats.misses == 2  # plain miss + invalidation-miss
+    assert stats.invalidations == 1
+    assert stats.evictions == 1
 
 
 def test_stats_summary_and_snapshot_agree():
