@@ -39,7 +39,9 @@ against the first tier that ran; equality is transitive).  Every tier
 is tried on every query; a tier that *declines* one — ``wcoj`` finds no
 cyclic core, the transpiler refuses an opaque predicate — raises a
 :class:`ReproError` and is recorded as skipped rather than failed,
-unless ``strict=True``.
+unless ``strict=True``.  A tier that raises any other exception fails
+the check with the exception's type and message (``errors``), so a
+fuzz campaign shrinks the case and writes a reproducer.
 """
 
 from __future__ import annotations
@@ -166,19 +168,24 @@ class CheckResult:
     results: Dict[str, Relation] = field(default_factory=dict)
     skipped: Dict[str, str] = field(default_factory=dict)
     mismatches: List[Tuple[str, str, RelationDiff]] = field(default_factory=list)
+    #: Tier -> ``"ExceptionType: message"`` of an unexpected exception.
+    errors: Dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return not self.mismatches and not self.errors
 
     def summary(self) -> str:
         if self.ok:
             ran = ", ".join(sorted(self.results))
             skip = f" (skipped: {', '.join(sorted(self.skipped))})" if self.skipped else ""
             return f"agree across [{ran}]{skip}"
-        lines = [f"{len(self.mismatches)} tier disagreement(s) on {self.expr!r}:"]
+        failures = len(self.mismatches) + len(self.errors)
+        lines = [f"{failures} tier disagreement(s) on {self.expr!r}:"]
         for a, b, diff in self.mismatches:
             lines.append(f"  {a} vs {b}: {diff}")
+        for name, error in sorted(self.errors.items()):
+            lines.append(f"  {name} raised {error}")
         return "\n".join(lines)
 
 
@@ -196,7 +203,11 @@ def cross_check(
     result is compared to it with :func:`bag_equal` (under the padding
     convention), which by transitivity establishes pairwise equality.
     A tier raising :class:`ReproError` (no physical plan, no SQL
-    lowering, ...) is recorded in ``skipped`` unless ``strict``.
+    lowering, ...) is recorded in ``skipped`` unless ``strict``.  A tier
+    raising any other exception fails the check: ``errors`` records the
+    exception's type and message under the tier's name (``strict``
+    re-raises it), so a fuzz campaign shrinks the case and writes a
+    reproducer instead of stopping.
     """
     instrumentation.bump("conformance_checks")
     result = CheckResult(expr=expr)
@@ -218,6 +229,13 @@ def cross_check(
                     if tier_span is not None:
                         tier_span.set(outcome="skipped", reason=str(exc)[:200])
                     continue
+                except Exception as exc:
+                    if strict:
+                        raise
+                    result.errors[name] = f"{type(exc).__name__}: {exc}"
+                    if tier_span is not None:
+                        tier_span.set(outcome="error", reason=result.errors[name][:200])
+                    continue
                 result.results[name] = relation
                 if tier_span is not None:
                     tier_span.counters["rows"] = len(relation)
@@ -237,4 +255,5 @@ def cross_check(
             check_span.counters["tiers_ran"] = len(result.results)
             check_span.counters["tiers_skipped"] = len(result.skipped)
             check_span.counters["mismatches"] = len(result.mismatches)
+            check_span.counters["tier_errors"] = len(result.errors)
     return result

@@ -35,16 +35,24 @@ variant is paired inline with the pad ordinal ``-1``, which
 accounting is one predicate evaluation per candidate pair, including
 the semi join's first-match short circuit.
 
-The probe loop batches its bookkeeping: match lists are extended with
-C-level ``list.extend`` / ``itertools.repeat`` instead of per-pair
-Python appends, and output columns are materialized with one gather
+The probe loop batches its bookkeeping: candidate pairs are collected
+with C-level ``list.extend`` / ``itertools.repeat`` instead of per-pair
+Python appends.  A residual (the conjuncts the bucket key does not
+cover, or a keyless join's whole predicate) is never evaluated pair by
+pair: its attributes are gathered at the candidate pairs into one
+:class:`ColumnBatch`, and the same compiled filter that :class:`Filter
+<repro.engine.iterators.Filter>` runs selects the surviving pairs.  The
+candidate buffer is flushed once it holds ``batch_size()`` pairs at the
+end of a probe row, so a keyless join never buffers the whole cross
+product.  Output columns are then gathered for the survivors only, one
 comprehension per column — this is where the interpreter amortization
 the module exists for actually happens.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping
 from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,40 +68,34 @@ from repro.algebra.predicates import (
     _COMPARATORS,
 )
 from repro.engine.batch.columns import ColumnBatch
+from repro.util.fastpath import batch_size
 
 #: Selection pass: (batch, candidate indices) -> surviving indices.
 _Pass = Callable[[ColumnBatch, Sequence[int]], List[int]]
 
 
-class PairColsView(Mapping):
-    """A zero-copy view of a (probe row, build row) pair for residuals, or
-    of one batch row (empty ``rcols``) for the scalar predicate fallback.
+class BatchRowView(Mapping):
+    """A zero-copy view of one row of a batch's columns, for the scalar
+    predicate fallback.
 
-    One instance is reused across a whole probe batch (the kernels mutate
-    ``li``/``ri`` between evaluations) instead of allocating a
-    :class:`~repro.algebra.predicates.PairView` per pair.
+    One instance is reused across a whole pass (the pass moves ``i``
+    between evaluations) instead of allocating a row per evaluation.
     """
 
-    __slots__ = ("lcols", "rcols", "li", "ri")
+    __slots__ = ("columns", "i")
 
-    def __init__(self, lcols: Dict[str, List[Any]], rcols: Dict[str, List[Any]]):
-        self.lcols = lcols
-        self.rcols = rcols
-        self.li = 0
-        self.ri = 0
+    def __init__(self, columns: Dict[str, List[Any]]):
+        self.columns = columns
+        self.i = 0
 
     def __getitem__(self, attr: str) -> Any:
-        col = self.lcols.get(attr)
-        if col is not None:
-            return col[self.li]
-        return self.rcols[attr][self.ri]
+        return self.columns[attr][self.i]
 
     def __iter__(self):
-        yield from self.lcols
-        yield from self.rcols
+        return iter(self.columns)
 
     def __len__(self) -> int:
-        return len(self.lcols) + len(self.rcols)
+        return len(self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +107,12 @@ def _scalar_pass(conjunct: Predicate) -> _Pass:
     """Fallback pass: three-valued evaluation per surviving row."""
 
     def run(batch: ColumnBatch, indices: Sequence[int]) -> List[int]:
-        view = PairColsView(batch.columns, {})
+        view = BatchRowView(batch.columns)
         evaluate = conjunct.evaluate
         out = []
         append = out.append
         for i in indices:
-            view.li = i
+            view.i = i
             if satisfied(evaluate(view)):
                 append(i)
         return out
@@ -282,14 +284,19 @@ class BuildSide:
         if self.key is None:
             self.buckets.setdefault((), []).extend(range(base, self.rows))
             return
-        setdefault = self.buckets.setdefault
+        buckets = self.buckets
+        get = self.get
         null_append = self.null_indices.append
         i = base
         for v in batch.columns[self.key]:
             if v is NULL:
                 null_append(i)
             else:
-                setdefault(v, []).append(i)
+                bucket = get(v)
+                if bucket is None:
+                    buckets[v] = [i]
+                else:
+                    bucket.append(i)
             i += 1
 
     @property
@@ -303,10 +310,11 @@ class BatchHashJoiner:
 
     ``build`` is a :class:`BuildSide` or any object with its ``columns``,
     ``rows`` and ``get``.  ``left_key`` is None exactly when the build has
-    no key.  ``metrics`` accounting: one predicate evaluation per
-    candidate (bucket) pair — with the semi join's short circuit after
-    the first satisfied pair — and one emitted row per output row under
-    ``label``.
+    no key.  A residual is compiled once (:func:`compile_filter`) and runs
+    as column passes over the candidate pairs.  ``metrics`` accounting:
+    one predicate evaluation per candidate (bucket) pair — with the semi
+    join's short circuit after the first satisfied pair — and one emitted
+    row per output row under ``label``.
     """
 
     __slots__ = (
@@ -314,6 +322,7 @@ class BatchHashJoiner:
         "left_key",
         "variant",
         "residual",
+        "residual_attrs",
         "metrics",
         "label",
         "pad",
@@ -336,10 +345,12 @@ class BatchHashJoiner:
         self.build = build
         self.left_key = left_key
         self.variant = variant
-        if residual is None or isinstance(residual, TruePredicate):
-            self.residual = None
-        else:
-            self.residual = residual
+        #: The compiled residual and the attributes it reads, or None.
+        self.residual: Optional[FilterKernel] = None
+        self.residual_attrs: Tuple[str, ...] = ()
+        if residual is not None and not isinstance(residual, TruePredicate):
+            self.residual = compile_filter(residual)
+            self.residual_attrs = tuple(sorted(residual.attributes()))
         self.metrics = metrics
         self.label = label
         #: Does an unmatched probe row pair with the pad ordinal -1?
@@ -368,58 +379,128 @@ class BatchHashJoiner:
         variant pads, a probe row with no satisfied pair appears once,
         paired with the pad ordinal -1.
         """
-        metrics = self.metrics
-        buckets_get = self.build.get
-        key_col = self._key_column(batch)
-        residual = self.residual
-        pad = self.pad
         out_l: List[int] = []
         out_r: List[int] = []
+        if self.residual is not None:
+            for chunk in self._residual_chunks(batch):
+                self._extend_survivors(out_l, out_r, *chunk)
+            return out_l, out_r
+        buckets_get = self.build.get
+        key_col = self._key_column(batch)
+        pad = self.pad
         append_l = out_l.append
         append_r = out_r.append
+        extend_l = out_l.extend
+        extend_r = out_r.extend
         track_full = self.variant == "full_outer"
         matched_build = self.matched_build
-        if residual is None:
-            extend_l = out_l.extend
-            extend_r = out_r.extend
-            evaluated = 0
-            for i in batch.indices():
-                key = key_col[i]
-                bucket = None if key is NULL else buckets_get(key)
-                if bucket:
-                    n = len(bucket)
-                    evaluated += n
-                    extend_r(bucket)
-                    extend_l(repeat(i, n))
-                    if track_full:
-                        matched_build.update(bucket)
-                elif pad:
-                    append_l(i)
-                    append_r(-1)
-            if evaluated:
-                metrics.evaluated(evaluated)
-        else:
-            view = PairColsView(batch.columns, self.build.columns)
-            evaluate = residual.evaluate
-            for i in batch.indices():
-                key = key_col[i]
-                bucket = None if key is NULL else buckets_get(key)
-                matched = False
-                if bucket:
-                    metrics.evaluated(len(bucket))
-                    view.li = i
-                    for j in bucket:
-                        view.ri = j
-                        if satisfied(evaluate(view)):
-                            matched = True
-                            append_l(i)
-                            append_r(j)
-                            if track_full:
-                                matched_build.add(j)
-                if not matched and pad:
-                    append_l(i)
-                    append_r(-1)
+        evaluated = 0
+        for i in batch.indices():
+            key = key_col[i]
+            bucket = None if key is NULL else buckets_get(key)
+            if bucket:
+                n = len(bucket)
+                evaluated += n
+                extend_r(bucket)
+                extend_l(repeat(i, n))
+                if track_full:
+                    matched_build.update(bucket)
+            elif pad:
+                append_l(i)
+                append_r(-1)
+        if evaluated:
+            self.metrics.evaluated(evaluated)
         return out_l, out_r
+
+    def _residual_chunks(
+        self, batch: ColumnBatch
+    ) -> Iterator[Tuple[Sequence[int], List[int], List[int], List[int]]]:
+        """``(rows, cand_l, cand_r, keep)`` for each run of whole probe rows.
+
+        ``cand_l``/``cand_r`` are every bucket pair of the probe positions
+        ``rows``, in probe order, so ``cand_l`` ascends as a batch's alive
+        positions do (the pad merge and the semi join's count bisect on
+        it); ``keep`` holds the ascending positions of
+        the pairs that satisfy the residual.  A run ends at the first probe
+        row that brings it to ``batch_size()`` pairs, so a keyless join
+        holds at most one batch of candidates plus one bucket.
+        """
+        limit = batch_size()
+        buckets_get = self.build.get
+        key_col = self._key_column(batch)
+        indices = batch.indices()
+        start = 0
+        cand_l: List[int] = []
+        cand_r: List[int] = []
+        for pos, i in enumerate(indices):
+            key = key_col[i]
+            bucket = None if key is NULL else buckets_get(key)
+            if bucket:
+                cand_r.extend(bucket)
+                cand_l.extend(repeat(i, len(bucket)))
+                if len(cand_l) >= limit:
+                    yield indices[start : pos + 1], cand_l, cand_r, self._survivors(
+                        batch, cand_l, cand_r
+                    )
+                    start = pos + 1
+                    cand_l, cand_r = [], []
+        if start < len(indices):
+            yield indices[start:], cand_l, cand_r, self._survivors(batch, cand_l, cand_r)
+
+    def _survivors(
+        self, batch: ColumnBatch, cand_l: List[int], cand_r: List[int]
+    ) -> List[int]:
+        """The positions of the candidate pairs that satisfy the residual:
+        its attributes gathered at the pairs into one batch, then its
+        compiled passes."""
+        if not cand_l:
+            return []
+        lcols, rcols = batch.columns, self.build.columns
+        columns: Dict[str, List[Any]] = {}
+        for a in self.residual_attrs:
+            col = lcols.get(a)
+            if col is not None:
+                columns[a] = [col[i] for i in cand_l]
+            else:
+                col = rcols[a]
+                columns[a] = [col[j] for j in cand_r]
+        pairs = ColumnBatch(self.residual_attrs, columns, len(cand_l))
+        return self.residual.apply(pairs)
+
+    def _extend_survivors(
+        self,
+        out_l: List[int],
+        out_r: List[int],
+        rows: Sequence[int],
+        cand_l: List[int],
+        cand_r: List[int],
+        keep: List[int],
+    ) -> None:
+        """Append the surviving pairs of one run, with a padding variant's
+        pads inline: a probe row with no survivor pairs with -1 at its
+        place in probe order."""
+        if cand_l:
+            self.metrics.evaluated(len(cand_l))
+        if len(keep) == len(cand_l):
+            surv_l, surv_r = cand_l, cand_r
+        else:
+            surv_l = [cand_l[k] for k in keep]
+            surv_r = [cand_r[k] for k in keep]
+        if self.variant == "full_outer":
+            self.matched_build.update(surv_r)
+        at = 0
+        if self.pad:
+            matched = set(surv_l)
+            for i in rows:
+                if i not in matched:
+                    cut = bisect_left(surv_l, i, at)
+                    out_l.extend(surv_l[at:cut])
+                    out_r.extend(surv_r[at:cut])
+                    out_l.append(i)
+                    out_r.append(-1)
+                    at = cut
+        out_l.extend(surv_l[at:])
+        out_r.extend(surv_r[at:])
 
     def emit_pairs(
         self, batch: ColumnBatch, out_l: List[int], out_r: List[int]
@@ -431,15 +512,13 @@ class BatchHashJoiner:
         return gather_pairs(batch.columns, out_l, self.build.columns, out_r, self.pad)
 
     def _probe_semi_anti(self, batch: ColumnBatch) -> Optional[ColumnBatch]:
-        metrics = self.metrics
-        buckets_get = self.build.get
-        key_col = self._key_column(batch)
-        residual = self.residual
         want = self.variant == "semi"
         sel: List[int] = []
-        append = sel.append
-        if residual is None:
-            evaluated = 0
+        evaluated = 0
+        if self.residual is None:
+            buckets_get = self.build.get
+            key_col = self._key_column(batch)
+            append = sel.append
             for i in batch.indices():
                 key = key_col[i]
                 bucket = None if key is NULL else buckets_get(key)
@@ -452,36 +531,27 @@ class BatchHashJoiner:
                         append(i)
                 elif not want:
                     append(i)
-            if evaluated:
-                metrics.evaluated(evaluated)
         else:
-            view = PairColsView(batch.columns, self.build.columns)
-            evaluate = residual.evaluate
-            for i in batch.indices():
-                key = key_col[i]
-                bucket = None if key is NULL else buckets_get(key)
-                matched = False
-                if bucket:
-                    view.li = i
-                    if want:
-                        for j in bucket:
-                            metrics.evaluated()
-                            view.ri = j
-                            if satisfied(evaluate(view)):
-                                matched = True
-                                break
-                    else:
-                        metrics.evaluated(len(bucket))
-                        for j in bucket:
-                            view.ri = j
-                            if satisfied(evaluate(view)):
-                                matched = True
-                if matched is want:
-                    append(i)
+            for rows, cand_l, cand_r, keep in self._residual_chunks(batch):
+                # Each matched probe row's first surviving pair (reversed,
+                # so the earliest position is the one the dict keeps).
+                first = dict(zip(map(cand_l.__getitem__, reversed(keep)), reversed(keep)))
+                skipped = 0
+                if want:
+                    # A semi join stops at that pair: the rest of the
+                    # row's bucket is not evaluated.
+                    skipped = sum(bisect_right(cand_l, i, k) - k - 1 for i, k in first.items())
+                if cand_l:
+                    # Metered per run, so a long keyless probe still
+                    # polls the cancel token.
+                    self.metrics.evaluated(len(cand_l) - skipped)
+                sel.extend(i for i in rows if (i in first) is want)
+        if evaluated:
+            self.metrics.evaluated(evaluated)
         if not sel:
             return None
         out = batch.with_selection(sel)
-        metrics.emitted(self.label, len(sel))
+        self.metrics.emitted(self.label, len(sel))
         return out
 
     # -- full-outer tail -------------------------------------------------------

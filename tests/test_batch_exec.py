@@ -381,3 +381,171 @@ class TestFilterKernel:
         with batch_sized(2), pytest.raises(PredicateError) as batch_err:
             list(plan.execute(Metrics()))
         assert str(batch_err.value) == str(algebra_err.value)
+
+    @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+    @pytest.mark.parametrize(
+        "left, right",
+        [("x", "y"), ("x", Const(1)), (Const(1), "y")],
+        ids=["attr-attr", "attr-const", "const-attr"],
+    )
+    def test_comparison_passes_agree_with_the_scalar_evaluator(self, op, left, right):
+        """The ``operator`` comparators keep ``Comparison.evaluate``'s
+        semantics, over a whole batch and over a narrowed selection: NULL
+        on either side never satisfies, and ``1``, ``1.0`` and ``True``
+        are equal."""
+        xs = [1, NULL, 2, NULL, 1.0, True, 0, 3]
+        ys = [1, 1, NULL, NULL, 1, 1, 1, 2]
+        batch = ColumnBatch(("x", "y"), {"x": xs, "y": ys}, len(xs))
+        predicate = Comparison(left, op, right)
+        kernel = compile_filter(predicate)
+        for indices in (range(len(xs)), [1, 3, 4, 7]):
+            expected = [
+                i for i in indices if predicate.evaluate({"x": xs[i], "y": ys[i]}) is True
+            ]
+            assert kernel.passes[0](batch, indices) == expected
+
+
+def _values(plan, rows):
+    """Each row as the tuple of its values in sorted attribute order."""
+    attrs = sorted(plan.schema.attributes)
+    return [tuple(row[a] for a in attrs) for row in rows]
+
+
+class TestCompiledResidual:
+    """A join residual runs as the compiled filter over the candidate
+    pairs: pads stay inline in probe order, full-outer marks come from the
+    survivors, and a semi join still counts its short circuit."""
+
+    #: ``R.k < L.k AND R.b > L.a``: L's rows 0 and 2 (a null key) find no
+    #: partner, so left-outer pads sit between matched rows.
+    RESIDUAL = Comparison("R.k", "<", "L.k") & gt("R.b", "L.a")
+
+    #: The keyless joins' row sequences (L.a, L.k, R.b, R.k), recorded from
+    #: the per-pair loop the compiled residual replaced.
+    MATCHED = [
+        (20, 2, 100, 1),
+        (40, 2, 100, 1),
+        (50, 5, 200, 2),
+        (50, 5, 100, 1),
+        (50, 5, 400, 2),
+    ]
+    PINNED = {
+        "left_outer": [(10, 1, NULL, NULL), *MATCHED[:1], (30, NULL, NULL, NULL), *MATCHED[1:]],
+        "full_outer": [
+            (10, 1, NULL, NULL),
+            *MATCHED[:1],
+            (30, NULL, NULL, NULL),
+            *MATCHED[1:],
+            (NULL, NULL, 300, NULL),
+            (NULL, NULL, 900, 9),
+        ],
+        "semi": [(20, 2), (40, 2), (50, 5)],
+        "anti": [(10, 1), (30, NULL)],
+    }
+    EVALUATIONS = {"left_outer": 25, "full_outer": 25, "semi": 15, "anti": 25}
+
+    @pytest.mark.parametrize("size", [2, 1024])
+    @pytest.mark.parametrize("join_type", list(PINNED))
+    def test_keyless_row_sequence_is_pinned_across_buffer_flushes(self, join_type, size):
+        """Under ``batch_sized(2)`` every probe row brings five candidates,
+        so the candidate buffer flushes after each row; at 1024 one run
+        holds the whole batch."""
+        storage = _storage()
+        plan = HashJoin(
+            SeqScan(storage["L"]), SeqScan(storage["R"]), None, None, self.RESIDUAL, join_type
+        )
+        got, metrics = _drain(plan, size)
+        assert _values(plan, got) == self.PINNED[join_type]
+        assert metrics.predicate_evaluations == self.EVALUATIONS[join_type]
+        expr = _MATRIX_EXPR[join_type](Rel("L"), Rel("R"), self.RESIDUAL)
+        oracle = expr.eval(storage.to_database(), ops=ORACLE_OPS)
+        assert bag_equal(Relation(plan.schema, got), oracle)
+
+    @pytest.mark.parametrize("size", [1, 1024])
+    @pytest.mark.parametrize("op", ["=", ">="])
+    def test_null_on_either_side_pads_under_left_outer(self, op, size):
+        """A NULL operand makes the residual unknown: L's null ``a`` pads
+        even against R's null ``b`` (``NULL = NULL`` is not true), and R's
+        null ``b`` never satisfies."""
+        storage = Storage()
+        storage.create_table(
+            "L", ["L.k", "L.a"], [{"L.k": 1, "L.a": NULL}, {"L.k": 1, "L.a": 9}]
+        )
+        storage.create_table(
+            "R", ["R.k", "R.b"], [{"R.k": 1, "R.b": NULL}, {"R.k": 1, "R.b": 9}]
+        )
+        residual = Comparison("R.b", op, "L.a")
+        plan = HashJoin(
+            SeqScan(storage["L"]), SeqScan(storage["R"]), "L.k", "R.k", residual, "left_outer"
+        )
+        got, metrics = _drain(plan, size)
+        assert _values(plan, got) == [(NULL, 1, NULL, NULL), (9, 1, 9, 1)]
+        assert metrics.predicate_evaluations == 4
+
+    def test_one_one_point_zero_and_true_compare_equal(self):
+        storage = Storage()
+        storage.create_table("L", ["L.a"], [{"L.a": 1}, {"L.a": 1.0}, {"L.a": True}])
+        storage.create_table("R", ["R.b"], [{"R.b": True}, {"R.b": 2}, {"R.b": 1}])
+        predicate = eq("L.a", "R.b")
+        plan = HashJoin(SeqScan(storage["L"]), SeqScan(storage["R"]), None, None, predicate)
+        got, metrics = _drain(plan, 1024)
+        assert len(got) == 6  # every L row meets R's True and R's 1
+        assert metrics.predicate_evaluations == 9
+        oracle = jn(Rel("L"), Rel("R"), predicate).eval(storage.to_database(), ops=ORACLE_OPS)
+        assert bag_equal(Relation(plan.schema, got), oracle)
+
+    def test_semi_join_counts_up_to_the_first_satisfying_pair(self):
+        """L's row 0 is satisfied by the third pair of its five-row bucket
+        (3 evaluations); row 1 by none of them (all 5)."""
+        storage = Storage()
+        storage.create_table(
+            "L", ["L.k", "L.a"], [{"L.k": 1, "L.a": 25}, {"L.k": 1, "L.a": 99}]
+        )
+        storage.create_table(
+            "R", ["R.k", "R.b"], [{"R.k": 1, "R.b": b} for b in (10, 20, 30, 40, 50)]
+        )
+        plan = HashJoin(
+            SeqScan(storage["L"]), SeqScan(storage["R"]), "L.k", "R.k", gt("R.b", "L.a"), "semi"
+        )
+        got, metrics = _drain(plan, 1024)
+        assert _values(plan, got) == [(25, 1)]
+        assert metrics.predicate_evaluations == 3 + 5
+
+    def test_mismatched_types_raise_the_algebra_error(self):
+        storage = Storage()
+        storage.create_table("L", ["L.k", "L.a"], [{"L.k": 1, "L.a": 10}])
+        storage.create_table("R", ["R.k", "R.s"], [{"R.k": 1, "R.s": "x"}])
+        predicate = eq("L.k", "R.k") & Comparison("L.a", "<", "R.s")
+        plan = HashJoin(
+            SeqScan(storage["L"]), SeqScan(storage["R"]), "L.k", "R.k",
+            Comparison("L.a", "<", "R.s"),
+        )
+        with pytest.raises(PredicateError) as algebra_err:
+            jn(Rel("L"), Rel("R"), predicate).eval(storage.to_database(), ops=ORACLE_OPS)
+        with pytest.raises(PredicateError) as batch_err:
+            _drain(plan, 2)
+        assert str(batch_err.value) == str(algebra_err.value)
+
+    @pytest.mark.parametrize("size", [1, 2, 1024])
+    def test_full_outer_tail_holds_the_build_rows_no_pair_satisfied(self, size):
+        """R's rows 0 and 3 share L's keys but fail the residual, so they
+        join the unmatched build tail with the null-keyed and unkeyed rows."""
+        storage = _storage()
+        residual = gt("R.b", Const(250))
+        plan = _join_plan(storage, "full_outer", residual=residual)
+        got, metrics = _drain(plan, size)
+        values = _values(plan, got)
+        assert values == [
+            (10, 1, NULL, NULL),
+            (20, 2, 400, 2),
+            (30, NULL, NULL, NULL),
+            (40, 2, 400, 2),
+            (50, 5, NULL, NULL),
+            (NULL, NULL, 200, 2),
+            (NULL, NULL, 100, 1),
+            (NULL, NULL, 300, NULL),
+            (NULL, NULL, 900, 9),
+        ]
+        assert metrics.predicate_evaluations == 5
+        expr = foj(Rel("L"), Rel("R"), eq("L.k", "R.k") & residual)
+        assert bag_equal(Relation(plan.schema, got), expr.eval(storage.to_database(), ops=ORACLE_OPS))

@@ -32,6 +32,7 @@ from repro.algebra import (
     explain_difference,
 )
 import repro.algebra.kernels as K
+import repro.conformance.check as check_module
 from repro.conformance import (
     EXECUTOR_TIERS,
     case_dumps,
@@ -238,6 +239,60 @@ class TestInjectedBugIsCaught:
         with mock.patch.object(K, "outerjoin_counts", _broken_outerjoin_counts):
             result = cross_check(expr, db, executors=("kernels", "sqlite"))
         assert not result.ok
+
+
+_run_executor = check_module.run_executor
+
+
+def _batch_tier_raises_index_error(name, expr, db, storage=None, oracle=None):
+    """A tier that crashes instead of answering: ``batch`` indexes past a list."""
+    if name == "batch":
+        raise IndexError("list index out of range")
+    return _run_executor(name, expr, db, storage=storage, oracle=oracle)
+
+
+class TestTierExceptions:
+    """A tier that raises anything but :class:`ReproError` fails the check;
+    it does not abort the campaign."""
+
+    def test_cross_check_names_the_tier_and_the_exception(self, db):
+        expr = oj(Rel("X"), Rel("Y"), P())
+        with mock.patch.object(check_module, "run_executor", _batch_tier_raises_index_error):
+            result = cross_check(expr, db, executors=("naive", "batch", "engine"))
+        assert not result.ok
+        assert result.errors == {"batch": "IndexError: list index out of range"}
+        assert set(result.results) == {"naive", "engine"}
+        assert not result.mismatches
+        assert "batch raised IndexError: list index out of range" in result.summary()
+
+    def test_strict_reraises(self, db):
+        expr = oj(Rel("X"), Rel("Y"), P())
+        with mock.patch.object(check_module, "run_executor", _batch_tier_raises_index_error):
+            with pytest.raises(IndexError):
+                cross_check(expr, db, executors=("naive", "batch"), strict=True)
+
+    def test_repro_error_is_still_a_skip(self, db):
+        result = cross_check(foj(Rel("X"), Rel("Y"), P()), db, executors=("naive", "wcoj"))
+        assert result.ok, result.summary()
+        assert set(result.skipped) == {"wcoj"}
+        assert not result.errors
+
+    def test_campaign_shrinks_and_writes_a_repro(self, tmp_path):
+        with mock.patch.object(check_module, "run_executor", _batch_tier_raises_index_error):
+            report = run_campaign(
+                cases=3,
+                seed=0,
+                executors=("naive", "batch"),
+                artifacts_dir=str(tmp_path),
+            )
+        assert report.cases == 3
+        assert len(report.failures) == 3
+        for failure in report.failures:
+            assert failure.result.errors == {"batch": "IndexError: list index out of range"}
+            assert failure.artifact is not None
+            assert len(failure.shrunk.expression.relations()) <= 3, failure.summary()
+            _, clean = replay_artifact(failure.artifact)
+            assert clean.ok, clean.summary()
 
 
 class TestArtifacts:
