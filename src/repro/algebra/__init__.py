@@ -9,7 +9,6 @@ predicates with strongness analysis, and the join-like operators
 from repro.algebra.aggregation import group_count
 from repro.algebra.comparison import bag_equal, explain_difference, set_equal
 from repro.algebra.goj import generalized_outerjoin
-from repro.algebra.kernels import decompose_join_predicate
 from repro.algebra.nulls import NULL, is_null, satisfied, tv_and, tv_not, tv_or
 from repro.algebra.operators import (
     antijoin,
@@ -41,6 +40,7 @@ from repro.algebra.predicates import (
     Predicate,
     TruePredicate,
     conjunction,
+    decompose_join_predicate,
     eq,
     gt,
     lt,

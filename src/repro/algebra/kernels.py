@@ -1,15 +1,17 @@
-"""Hash-partitioned fast kernels for the join-like algebra operators.
+"""The hash build/probe loop behind the join-like algebra operators.
 
 The naive operators in :mod:`repro.algebra.operators` transcribe the
 paper's definitions tuple-at-a-time: every left row scans the full right
 relation.  That is the right shape for a semantic oracle and the wrong
 shape for the randomized-database property tests and benchmarks built on
-top of it.  These kernels keep the oracle's semantics bit-for-bit while
+top of it.  This kernel keeps the oracle's semantics bit-for-bit while
 replacing the quadratic scan with a build/probe hash join:
 
-* the join predicate is decomposed into *equality key pairs* — conjuncts
-  ``a = b`` with ``a`` an attribute of the left scheme and ``b`` one of
-  the right scheme — plus a *residual* of all remaining conjuncts;
+* the join predicate is decomposed
+  (:func:`~repro.algebra.predicates.decompose_join_predicate`) into
+  *equality key pairs* — conjuncts ``a = b`` with ``a`` an attribute of
+  the left scheme and ``b`` one of the right scheme — plus a *residual*
+  of all remaining conjuncts;
 * the right relation is partitioned once into a hash table keyed by its
   key values.  Rows with a null in any key column never enter it (SQL
   3VL: ``NULL = x`` is unknown, and unknown does not satisfy), so they
@@ -17,22 +19,16 @@ replacing the quadratic scan with a build/probe hash join:
 * each left row with non-null keys probes its bucket and evaluates only
   the residual conjuncts; a left row with a null key matches nothing.
 
-One loop, :func:`_hash_counts`, serves all five operators (join,
-one- and two-sided outerjoin, semijoin, antijoin); the public
-``*_counts`` functions name its variants.  The engine has its own probe
-loop (:class:`~repro.engine.batch.kernels.BatchHashJoiner`): it joins
-columns, while this one joins distinct rows weighted by multiplicity.
+A predicate with no cross-scheme equality (pure non-equi, ``TRUE``, an
+opaque predicate) has empty key tuples: every right row lands in one
+bucket under the empty key, every left row probes it, and the whole
+predicate is the residual.  The kernel never declines.
 
-A predicate with no usable equality conjunct (pure non-equi, or
-``TRUE``) yields no key pairs and the caller falls back to the nested
-loop.  So do *micro inputs* (distinct-row product below
-:func:`~repro.util.fastpath.small_input_cutoff`, 32 unless a thread pins
-it with ``small_input_limit``): building key tuples and hash buckets
-costs more than a handful of nested-loop probes, and the brute-force
-enumeration workloads evaluate thousands of operators over 2–4 row
-relations.  Decompositions are memoized per (predicate, schemes) because
-the same operator predicate is applied to thousands of randomized
-databases in a property-test run.
+One loop, :func:`hash_counts`, serves all five operators (join, one- and
+two-sided outerjoin, semijoin, antijoin); its ``variant`` argument names
+the operator.  The engine has its own probe loop
+(:class:`~repro.engine.batch.kernels.BatchHashJoiner`): it joins columns,
+while this one joins distinct rows weighted by multiplicity.
 
 Correctness argument: a pair ``(t1, t2)`` satisfies the full conjunction
 iff every conjunct evaluates to True; the key conjuncts evaluate to True
@@ -48,63 +44,9 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra.nulls import is_null
-from repro.algebra.predicates import AttrRef, Comparison, PairView, Predicate
+from repro.algebra.predicates import PairView, Predicate, decompose_join_predicate
 from repro.algebra.relation import Relation
 from repro.algebra.tuples import Row, null_row
-from repro.util.fastpath import small_input_cutoff
-
-#: Decomposition of a join predicate against a (left, right) scheme pair:
-#: parallel key-attribute tuples plus the residual conjuncts.
-Decomposition = Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[Predicate, ...]]
-
-_DECOMP_CACHE: Dict[Tuple[Predicate, frozenset, frozenset], Decomposition] = {}
-_DECOMP_CACHE_LIMIT = 4096
-
-
-def _too_small(left: Relation, right: Relation) -> bool:
-    return len(left.counts()) * len(right.counts()) < small_input_cutoff()
-
-
-def decompose_join_predicate(
-    predicate: Predicate, left_attrs: frozenset, right_attrs: frozenset
-) -> Decomposition:
-    """Split a predicate into hashable equality key pairs and a residual.
-
-    Returns ``(left_keys, right_keys, residual_conjuncts)`` with
-    ``left_keys[i] = right_keys[i]`` the i-th equality conjunct.  Empty
-    key tuples mean the predicate has no cross-scheme equality conjunct
-    and hash partitioning does not apply.
-    """
-    cache_key = (predicate, left_attrs, right_attrs)
-    hit = _DECOMP_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    left_keys: List[str] = []
-    right_keys: List[str] = []
-    residual: List[Predicate] = []
-    for conjunct in predicate.conjuncts():
-        if (
-            isinstance(conjunct, Comparison)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, AttrRef)
-            and isinstance(conjunct.right, AttrRef)
-        ):
-            a, b = conjunct.left.name, conjunct.right.name
-            if a in left_attrs and b in right_attrs:
-                left_keys.append(a)
-                right_keys.append(b)
-                continue
-            if b in left_attrs and a in right_attrs:
-                left_keys.append(b)
-                right_keys.append(a)
-                continue
-        residual.append(conjunct)
-    result = (tuple(left_keys), tuple(right_keys), tuple(residual))
-    if len(_DECOMP_CACHE) >= _DECOMP_CACHE_LIMIT:
-        _DECOMP_CACHE.clear()
-    _DECOMP_CACHE[cache_key] = result
-    return result
-
 
 #: A build-side hash table: key values -> [(row, multiplicity), ...].  Rows
 #: whose key contains a null never enter it (they can never match).
@@ -133,11 +75,10 @@ def _probe_key(row: Row, left_keys: Tuple[str, ...]) -> Optional[Tuple]:
     return key
 
 
-def _hash_counts(
+def hash_counts(
     left: Relation, right: Relation, predicate: Predicate, variant: str
-) -> Optional[Counter]:
-    """Output multiplicities of one join-like operator, or None when the
-    hash kernel does not apply.
+) -> Counter:
+    """Output multiplicities of one join-like operator.
 
     ``variant`` is ``inner``, ``left_outer``, ``full_outer``, ``semi`` or
     ``anti``.  The one build/probe loop: each distinct left row probes its
@@ -147,13 +88,9 @@ def _hash_counts(
     one the semi/anti join keeps.  A semi/anti probe stops at the first
     satisfied pair.
     """
-    if _too_small(left, right):
-        return None
     left_keys, right_keys, residual = decompose_join_predicate(
         predicate, left.scheme, right.scheme
     )
-    if not left_keys:
-        return None
     table = _build(right, right_keys)
     pairs = variant in ("inner", "left_outer", "full_outer")
     keep_matched = variant == "semi"
@@ -183,38 +120,3 @@ def _hash_counts(
             if r2 not in matched_right:
                 out[right_padding.concat(r2)] += n2
     return out
-
-
-def join_counts(
-    left: Relation, right: Relation, predicate: Predicate
-) -> Optional[Counter]:
-    """Hash-join output multiplicities, or None when not applicable."""
-    return _hash_counts(left, right, predicate, "inner")
-
-
-def outerjoin_counts(
-    left: Relation, right: Relation, predicate: Predicate
-) -> Optional[Counter]:
-    """One-sided outerjoin multiplicities (left preserved), or None."""
-    return _hash_counts(left, right, predicate, "left_outer")
-
-
-def full_outerjoin_counts(
-    left: Relation, right: Relation, predicate: Predicate
-) -> Optional[Counter]:
-    """Two-sided outerjoin multiplicities, or None when not applicable."""
-    return _hash_counts(left, right, predicate, "full_outer")
-
-
-def semijoin_counts(
-    left: Relation, right: Relation, predicate: Predicate
-) -> Optional[Counter]:
-    """Hash semijoin multiplicities, or None when not applicable."""
-    return _hash_counts(left, right, predicate, "semi")
-
-
-def antijoin_counts(
-    left: Relation, right: Relation, predicate: Predicate
-) -> Optional[Counter]:
-    """Hash antijoin multiplicities, or None when not applicable."""
-    return _hash_counts(left, right, predicate, "anti")

@@ -22,13 +22,13 @@ matches and add through union):
 Every binary operator validates the paper's standing convention that
 operand schemes are disjoint.
 
-Each join-like operator exists in two forms: the naive nested-loop
-transcription of the paper (``naive_join`` & co., the semantic oracle)
-and the public name, which runs a hash-partitioned kernel
-(:mod:`repro.algebra.kernels`) and falls back to the nested loop when
-the kernel declines (no equality conjunct across the schemes, or a
-micro input).  The two are property-tested bag-equal on randomized
-null-bearing databases (``tests/test_kernel_equivalence.py``).
+Each join-like operator exists in two forms that share no join code: the
+naive nested-loop transcription of the paper (``naive_join`` & co., the
+semantic oracle) and the public name, which always runs the hash
+build/probe loop (:func:`repro.algebra.kernels.hash_counts`) — a
+predicate with no equality across the schemes is one bucket with the
+whole predicate as residual.  The two are property-tested bag-equal on
+randomized null-bearing databases (``tests/test_kernel_equivalence.py``).
 
 An :class:`OperatorTable` names one implementation of every operator an
 expression tree can hold; ``Expression.eval(db, ops=...)`` evaluates
@@ -105,10 +105,8 @@ def join(left: Relation, right: Relation, predicate: Predicate) -> Relation:
     predicate p" (Section 1.2).
     """
     _require_disjoint(left, right, "join")
-    out = kernels.join_counts(left, right, predicate)
-    if out is not None:
-        return Relation.from_counts(_output_schema(left, right), out)
-    return naive_join(left, right, predicate)
+    out = kernels.hash_counts(left, right, predicate, "inner")
+    return Relation.from_counts(_output_schema(left, right), out)
 
 
 def naive_join(left: Relation, right: Relation, predicate: Predicate) -> Relation:
@@ -131,10 +129,8 @@ def outerjoin(left: Relation, right: Relation, predicate: Predicate) -> Relation
     ``right`` here.
     """
     _require_disjoint(left, right, "outerjoin")
-    out = kernels.outerjoin_counts(left, right, predicate)
-    if out is not None:
-        return Relation.from_counts(_output_schema(left, right), out)
-    return naive_outerjoin(left, right, predicate)
+    out = kernels.hash_counts(left, right, predicate, "left_outer")
+    return Relation.from_counts(_output_schema(left, right), out)
 
 
 def naive_outerjoin(left: Relation, right: Relation, predicate: Predicate) -> Relation:
@@ -167,10 +163,8 @@ def full_outerjoin(left: Relation, right: Relation, predicate: Predicate) -> Rel
     ``JN(R1,R2) ∪ (unmatched R1 padded) ∪ (unmatched R2 padded)``.
     """
     _require_disjoint(left, right, "full_outerjoin")
-    out = kernels.full_outerjoin_counts(left, right, predicate)
-    if out is not None:
-        return Relation.from_counts(_output_schema(left, right), out)
-    return naive_full_outerjoin(left, right, predicate)
+    out = kernels.hash_counts(left, right, predicate, "full_outer")
+    return Relation.from_counts(_output_schema(left, right), out)
 
 
 def naive_full_outerjoin(
@@ -205,10 +199,8 @@ def antijoin(left: Relation, right: Relation, predicate: Predicate) -> Relation:
     The output scheme is ``sch(R1)``.
     """
     _require_disjoint(left, right, "antijoin")
-    out = kernels.antijoin_counts(left, right, predicate)
-    if out is not None:
-        return Relation.from_counts(left.schema, out)
-    return naive_antijoin(left, right, predicate)
+    out = kernels.hash_counts(left, right, predicate, "anti")
+    return Relation.from_counts(left.schema, out)
 
 
 def naive_antijoin(left: Relation, right: Relation, predicate: Predicate) -> Relation:
@@ -227,10 +219,8 @@ def naive_antijoin(left: Relation, right: Relation, predicate: Predicate) -> Rel
 def semijoin(left: Relation, right: Relation, predicate: Predicate) -> Relation:
     """Semijoin: the tuples of ``R1`` that do have a match in ``R2``."""
     _require_disjoint(left, right, "semijoin")
-    out = kernels.semijoin_counts(left, right, predicate)
-    if out is not None:
-        return Relation.from_counts(left.schema, out)
-    return naive_semijoin(left, right, predicate)
+    out = kernels.hash_counts(left, right, predicate, "semi")
+    return Relation.from_counts(left.schema, out)
 
 
 def naive_semijoin(left: Relation, right: Relation, predicate: Predicate) -> Relation:
@@ -315,7 +305,7 @@ class OperatorTable:
     union_padded: Callable[[Relation, Relation], Relation] = union_padded
 
 
-#: The public operators: hash kernels, with the nested loop when one declines.
+#: The public operators: every join-like one runs the hash build/probe loop.
 PUBLIC_OPS = OperatorTable(join, outerjoin, full_outerjoin, antijoin, semijoin)
 #: The nested-loop transcription of the paper — the oracle the rest is checked against.
 ORACLE_OPS = OperatorTable(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Mapping
-from typing import Any, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algebra.nulls import TruthValue, is_null, tv_and, tv_not, tv_or
 from repro.util.errors import PredicateError
@@ -519,6 +519,11 @@ class CustomPredicate(Predicate):
     to correctness of query reordering" — only their attribute sets and
     strongness matter, so both are declared explicitly here.
 
+    The function is compared by identity: two opaque predicates with the
+    same name and attributes but different functions are different
+    predicates (every cache keyed by a predicate relies on this).  The
+    ``repr`` shows only the name and attributes.
+
     ``null_rejecting`` lists attributes on which the predicate is
     individually null-rejecting: a null in any one of them forces the
     predicate to be non-true.  Strongness w.r.t. a set ``S`` then follows
@@ -567,11 +572,13 @@ class CustomPredicate(Predicate):
             isinstance(other, CustomPredicate)
             and other.name == self.name
             and other._attrs == self._attrs
+            and other.fn is self.fn
+            and other._attrs == self._attrs
             and other.null_rejecting == self.null_rejecting
         )
 
     def __hash__(self) -> int:
-        return hash(("CustomPredicate", self.name, self._attrs, self.null_rejecting))
+        return hash(("CustomPredicate", self.name, id(self.fn), self._attrs, self.null_rejecting))
 
     def __repr__(self) -> str:
         return f"{self.name}({', '.join(sorted(self._attrs))})"
@@ -621,6 +628,58 @@ def conjunction(predicates: Iterable[Predicate]) -> Predicate:
 def references(predicate: Predicate, attributes: Iterable[str]) -> bool:
     """True iff the predicate references any of the given attributes."""
     return bool(predicate.attributes() & frozenset(attributes))
+
+
+#: Decomposition of a join predicate against a (left, right) scheme pair:
+#: parallel key-attribute tuples plus the residual conjuncts.
+Decomposition = Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[Predicate, ...]]
+
+_DECOMP_CACHE: Dict[Tuple[Predicate, frozenset, frozenset], Decomposition] = {}
+_DECOMP_CACHE_LIMIT = 4096
+
+
+def decompose_join_predicate(
+    predicate: Predicate, left_attrs: frozenset, right_attrs: frozenset
+) -> Decomposition:
+    """Split a predicate into hashable equality key pairs and a residual.
+
+    Returns ``(left_keys, right_keys, residual_conjuncts)`` with
+    ``left_keys[i] = right_keys[i]`` the i-th equality conjunct.  Empty
+    key tuples mean the predicate has no cross-scheme equality conjunct:
+    a hash join then builds one bucket under the empty key and the whole
+    predicate is the residual.  Memoized per (predicate, schemes), because
+    the same operator predicate is applied to thousands of randomized
+    databases in a property-test run.
+    """
+    cache_key = (predicate, left_attrs, right_attrs)
+    hit = _DECOMP_CACHE.get(cache_key)
+    if hit is not None:
+        return hit
+    left_keys: List[str] = []
+    right_keys: List[str] = []
+    residual: List[Predicate] = []
+    for conjunct in predicate.conjuncts():
+        if (
+            isinstance(conjunct, Comparison)
+            and conjunct.op == "="
+            and isinstance(conjunct.left, AttrRef)
+            and isinstance(conjunct.right, AttrRef)
+        ):
+            a, b = conjunct.left.name, conjunct.right.name
+            if a in left_attrs and b in right_attrs:
+                left_keys.append(a)
+                right_keys.append(b)
+                continue
+            if b in left_attrs and a in right_attrs:
+                left_keys.append(b)
+                right_keys.append(a)
+                continue
+        residual.append(conjunct)
+    result = (tuple(left_keys), tuple(right_keys), tuple(residual))
+    if len(_DECOMP_CACHE) >= _DECOMP_CACHE_LIMIT:
+        _DECOMP_CACHE.clear()
+    _DECOMP_CACHE[cache_key] = result
+    return result
 
 
 class PairView(Mapping[str, Any]):

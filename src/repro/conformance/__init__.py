@@ -8,10 +8,10 @@ three independent oracle tiers:
 1. **naive algebra** (``executors="naive"``): the nested-loop operators
    that transcribe the paper's definitions, passed to the evaluator as
    the oracle operator table — the in-tree semantic truth;
-2. **fast tiers** (``"kernels"``, ``"algebra"``, ``"engine"``, ...): the
-   public algebra operators (hash kernels, with the nested loop when a
-   kernel declines) and the engine's plans — the code we actually want
-   to trust;
+2. **fast tiers** (``"algebra"``, ``"engine"``, ...): the public algebra
+   operators (the hash build/probe loop, which shares no join code with
+   the oracle) and the engine's plans — the code we actually want to
+   trust;
 3. **SQLite** (``"sqlite"``): the stdlib ``sqlite3`` engine running a
    transpiled form of the same query — an oracle that shares *no code*
    with this library.

@@ -8,10 +8,9 @@ tier                    route
 ======================  =====================================================
 ``"naive"``             the oracle operator table — the nested-loop
                         transcription of the paper
-``"kernels"``           the public algebra operators with the small-input
-                        cutoff at 0, so every equi-join runs a hash kernel
-``"algebra"``           the public algebra operators: hash kernels, with
-                        the nested loop when a kernel declines
+``"algebra"``           the public algebra operators: every join-like
+                        operator runs the hash build/probe loop (a
+                        keyless predicate is one bucket)
 ``"engine"``            physical planner + iterators (hash equi-joins,
                         vectorized scan/filter/project/join) at the
                         default batch size
@@ -58,13 +57,11 @@ from repro.core.wcoj_order import Leapfrog, wcoj_spec_of
 from repro.observability.spans import maybe_span
 from repro.tools import instrumentation
 from repro.util.errors import PlanningError, ReproError
-from repro.util.fastpath import small_input_limit
 
 #: Every known tier, in oracle-first order (the first tier that runs
 #: becomes the comparison baseline, so the semantic oracle leads).
 EXECUTOR_TIERS: Tuple[str, ...] = (
     "naive",
-    "kernels",
     "algebra",
     "engine",
     "sqlite",
@@ -75,6 +72,15 @@ EXECUTOR_TIERS: Tuple[str, ...] = (
 #: Tiers that evaluate through :class:`~repro.engine.storage.Storage`;
 #: all but ``batch`` (which indexes its own) share an unindexed instance.
 _STORAGE_TIERS = frozenset({"engine", "batch", "wcoj"})
+
+
+def require_known_tiers(names) -> None:
+    """Raise :class:`ValueError` naming every unknown tier in ``names``."""
+    unknown = [name for name in names if name not in EXECUTOR_TIERS]
+    if unknown:
+        raise ValueError(
+            f"unknown executor tier(s) {unknown}; known: {', '.join(EXECUTOR_TIERS)}"
+        )
 
 
 def run_executor(
@@ -94,12 +100,6 @@ def run_executor(
     """
     if name == "naive":
         return expr.eval(db, ops=ORACLE_OPS)
-    if name == "kernels":
-        # Zero the cutoff: on the tiny relations the fuzzer generates the
-        # kernels would otherwise decline and fall back to the naive path,
-        # making this tier a silent duplicate of "naive".
-        with small_input_limit(0):
-            return expr.eval(db)
     if name == "algebra":
         return expr.eval(db)
     if name in _STORAGE_TIERS:
@@ -132,7 +132,7 @@ def run_executor(
             return oracle.evaluate(expr)
         with SQLiteOracle(db) as own:
             return own.evaluate(expr)
-    raise PlanningError(f"unknown executor tier {name!r}")
+    raise ValueError(f"unknown executor tier {name!r}; known: {', '.join(EXECUTOR_TIERS)}")
 
 
 def _leapfrog_cores(expr: Expression, registry) -> Expression:
@@ -207,8 +207,11 @@ def cross_check(
     raising any other exception fails the check: ``errors`` records the
     exception's type and message under the tier's name (``strict``
     re-raises it), so a fuzz campaign shrinks the case and writes a
-    reproducer instead of stopping.
+    reproducer instead of stopping.  An unknown tier name raises
+    :class:`ValueError` before any tier runs: it is a typo or a stale
+    artifact, not a tier declining the query.
     """
+    require_known_tiers(executors)
     instrumentation.bump("conformance_checks")
     result = CheckResult(expr=expr)
     if storage is None and any(e in _STORAGE_TIERS for e in executors):

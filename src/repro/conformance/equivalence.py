@@ -107,7 +107,7 @@ def check_plan_space(
     db: Optional[Database] = None,
     seed: int | None = None,
     max_trees: Optional[int] = 2000,
-    executors: Tuple[str, ...] = ("naive", "kernels", "engine", "sqlite"),
+    executors: Tuple[str, ...] = ("naive", "algebra", "engine", "sqlite"),
     include_optimizers: bool = True,
 ) -> PlanSpaceReport:
     """Run every implementing tree and optimizer output; require equality.

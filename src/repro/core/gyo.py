@@ -34,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.algebra.kernels import decompose_join_predicate
-from repro.algebra.predicates import Predicate
+from repro.algebra.predicates import Predicate, decompose_join_predicate
 from repro.algebra.schema import SchemaRegistry
 from repro.core.graph import QueryGraph
 from repro.core.reorderability import theorem1_applies
@@ -203,7 +202,7 @@ def class_hypergraph(
     """The attribute-equivalence-class hypergraph of a query graph.
 
     Every edge predicate must decompose into at least one cross-scheme
-    equality key pair (the hash kernels' condition); otherwise there is
+    equality key pair (a hash join's key); otherwise there is
     no semijoin key and the fast path does not apply (``None``).
     """
     uf = _UnionFind()

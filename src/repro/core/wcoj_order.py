@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.algebra.kernels import decompose_join_predicate
 from repro.algebra.operators import PUBLIC_OPS, OperatorTable
-from repro.algebra.predicates import Predicate
+from repro.algebra.predicates import Predicate, decompose_join_predicate
 from repro.algebra.relation import Database, Relation
 from repro.algebra.schema import SchemaRegistry
 from repro.core.expressions import Expression, UnaryOp

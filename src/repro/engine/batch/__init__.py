@@ -19,8 +19,7 @@ Layout:
 
 The chunk size (:func:`~repro.util.fastpath.batch_size`,
 :func:`~repro.util.fastpath.batch_sized`) lives in
-:mod:`repro.util.fastpath` with the other dispatch toggles and is
-re-exported here for convenience.
+:mod:`repro.util.fastpath` and is re-exported here for convenience.
 """
 
 from repro.engine.batch.columns import (

@@ -381,7 +381,7 @@ class LeapfrogTriejoinOp(PhysicalOp):
         pad = " " * indent
         head = (
             f"{pad}LeapfrogTriejoin[vars={','.join(self.spec.variables)}, "
-            f"rels={len(self.spec.order)}, residuals={len(self.spec.residuals)}]"
+            f"rels={len(self.spec.order)}]"
         )
         return "\n".join([head] + [op.describe(indent + 2) for op in self.inputs])
 

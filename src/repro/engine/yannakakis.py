@@ -7,8 +7,8 @@ in the classic three phases of Yannakakis' algorithm:
    filters, run by their vectorized kernels);
 2. **Full reducer**: a bottom-up pass semijoin-reduces each parent by its
    children, then a top-down pass reduces each child by its parent.  Both
-   passes reuse the hash-kernel key machinery
-   (:func:`~repro.algebra.kernels.decompose_join_predicate`): composite
+   passes reuse the hash-join key machinery
+   (:func:`~repro.algebra.predicates.decompose_join_predicate`): composite
    equality keys hash-partition the probe, residual conjuncts are
    evaluated verbatim, and null keys never match (SQL 3VL).  On an
    outerjoin edge the preserved parent is *never* reduced by its
@@ -32,9 +32,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.algebra.kernels import decompose_join_predicate
 from repro.algebra.nulls import is_null, satisfied
-from repro.algebra.predicates import PairView, Predicate, conjunction
+from repro.algebra.predicates import (
+    PairView,
+    Predicate,
+    conjunction,
+    decompose_join_predicate,
+)
 from repro.algebra.tuples import Row, null_row
 from repro.core.gyo import JoinTree, JoinTreeEdge
 from repro.engine.batch.columns import ColumnBatch

@@ -32,15 +32,20 @@ isomorphism class — which is exactly the granularity a plan cache needs
 
 The digest is stable across processes and Python versions: it is computed
 over structural ``repr`` strings, never over Python ``hash()`` values
-(which are salted per process for strings).
+(which are salted per process for strings).  The one exception is an
+opaque :class:`~repro.algebra.predicates.CustomPredicate`: its ``repr``
+names only the predicate and its attributes, so its rendering adds the
+identity of its function, and such a digest holds within one process.
+A cached tree holds its predicates, so that identity cannot be reused
+while the entry can still hit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
-from repro.algebra.predicates import Predicate
+from repro.algebra.predicates import And, CustomPredicate, Not, Or, Predicate
 from repro.core.graph import QueryGraph
 
 #: Digest length (hex chars) kept in keys and reports; 128 bits of SHA-256
@@ -60,13 +65,29 @@ def predicate_signature(predicate: Predicate) -> str:
     conjuncts = predicate.conjuncts()
     if not conjuncts:  # TruePredicate
         return repr(predicate)
-    return "&".join(sorted(repr(c) for c in conjuncts))
+    return "&".join(sorted(_render(c) for c in conjuncts))
+
+
+def _render(predicate: Predicate) -> str:
+    """``repr`` plus the function identity of every opaque predicate inside."""
+    opaque = "".join(f"#{id(p.fn):x}" for p in _opaque_nodes(predicate))
+    return repr(predicate) + opaque
+
+
+def _opaque_nodes(predicate: Predicate) -> Iterator[CustomPredicate]:
+    if isinstance(predicate, CustomPredicate):
+        yield predicate
+    elif isinstance(predicate, Not):
+        yield from _opaque_nodes(predicate.child)
+    elif isinstance(predicate, (And, Or)):
+        for child in predicate.children:
+            yield from _opaque_nodes(child)
 
 
 def _filter_lines(filters: Mapping[str, Iterable[Predicate]]) -> List[str]:
     lines = []
     for name in sorted(filters):
-        preds = sorted(repr(p) for p in filters[name])
+        preds = sorted(_render(p) for p in filters[name])
         if preds:
             lines.append(f"filter:{name}:{'&'.join(preds)}")
     return lines

@@ -33,6 +33,7 @@ from repro.conformance import (
     replay_artifact,
     run_campaign,
 )
+from repro.conformance.check import require_known_tiers
 from repro.datagen import (
     TOPOLOGY_KINDS,
     GraphScenario,
@@ -65,11 +66,10 @@ def _parse_executors(spec: Optional[str]) -> tuple:
     if not spec:
         return EXECUTOR_TIERS
     names = tuple(s.strip() for s in spec.split(",") if s.strip())
-    unknown = [n for n in names if n not in EXECUTOR_TIERS]
-    if unknown:
-        raise SystemExit(
-            f"unknown executor tier(s) {unknown}; known: {', '.join(EXECUTOR_TIERS)}"
-        )
+    try:
+        require_known_tiers(names)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     return names
 
 

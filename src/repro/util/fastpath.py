@@ -1,12 +1,12 @@
-"""The execution tuning knobs: one mechanism, instantiated once per knob.
+"""The execution tuning knob: the batch size, with per-thread overrides.
 
-A :class:`Switch` holds a process default plus scoped overrides that are
-private to the thread that opened them, so a test or a conformance tier
-can pin a value for its own query without another thread seeing it or
-restoring over it.  None chooses a strategy: the optimizer's cost gate
-decides which plan runs.
+:func:`batch_size` reads a process default unless a scoped override,
+private to the thread that opened it, is in force, so a test or a
+conformance tier can pin the size for its own query without another
+thread seeing it or restoring over it.  Nothing here chooses a strategy:
+the optimizer's cost gate decides which plan runs.
 
-The module lives under ``util`` so the algebra can consult it without
+The module lives under ``util`` so any layer can consult it without
 importing the engine.
 """
 
@@ -15,46 +15,33 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-
-class Switch:
-    """A process-wide default plus per-thread scoped overrides."""
-
-    def __init__(self, default):
-        self.default = default
-        self._tls = threading.local()
-
-    def value(self):
-        """The innermost :meth:`scoped` override on this thread, else the default."""
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else self.default
-
-    @contextmanager
-    def scoped(self, value):
-        """Override the value on this thread for the duration of the block."""
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        stack.append(type(self.default)(value))
-        try:
-            yield
-        finally:
-            stack.pop()
-
-
 #: Rows per :class:`~repro.engine.batch.ColumnBatch` pulled from a scan or
 #: chunked from an n-ary join's row output (joins may emit larger batches).
-_BATCH_SIZE = Switch(1024)
-#: Distinct-row product below which an algebra hash kernel declines and
-#: the nested loop runs (:mod:`repro.algebra.kernels`); the ``kernels``
-#: conformance tier and the kernel tests pin it to 0.
-_SMALL_INPUT = Switch(32)
+_DEFAULT_BATCH_SIZE = 1024
 
-batch_size = _BATCH_SIZE.value
-small_input_cutoff, small_input_limit = _SMALL_INPUT.value, _SMALL_INPUT.scoped
+_tls = threading.local()
+
+
+def batch_size() -> int:
+    """The innermost :func:`batch_sized` override on this thread, else the default."""
+    stack = getattr(_tls, "stack", None)
+    return stack[-1] if stack else _DEFAULT_BATCH_SIZE
 
 
 def batch_sized(size: int):
     """Pin the batch size on this thread (tests and the conformance tier)."""
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
-    return _BATCH_SIZE.scoped(size)
+    return _pinned(int(size))
+
+
+@contextmanager
+def _pinned(size: int):
+    stack = getattr(_tls, "stack", None)
+    if stack is None:
+        stack = _tls.stack = []
+    stack.append(size)
+    try:
+        yield
+    finally:
+        stack.pop()

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from repro.algebra.comparison import bag_equal
-from repro.algebra.kernels import full_outerjoin_counts
+from repro.algebra.kernels import hash_counts
 from repro.algebra.nulls import NULL
 from repro.algebra.operators import ORACLE_OPS
 from repro.algebra.predicates import Comparison, Const, eq, gt
@@ -37,7 +37,7 @@ from repro.engine.metrics import Metrics
 from repro.engine.planner import Planner, split_equijoin
 from repro.engine.storage import Storage
 from repro.util.errors import PredicateError, SchemaError
-from repro.util.fastpath import batch_sized, small_input_limit
+from repro.util.fastpath import batch_sized
 
 #: The algebra operator of each physical join type, for oracle trees.
 _JOIN_EXPR = {"inner": jn, "left_outer": oj, "semi": sj, "anti": aj}
@@ -211,13 +211,12 @@ class TestFullOuterJoinerParity:
         storage = _storage()
         left_rows = storage["L"].rows
         right_rows = storage["R"].rows
-        with small_input_limit(0):
-            expected = full_outerjoin_counts(
-                Relation(["L.k", "L.a"], left_rows),
-                Relation(["R.k", "R.b"], right_rows),
-                eq("L.k", "R.k"),
-            )
-        assert expected is not None
+        expected = hash_counts(
+            Relation(["L.k", "L.a"], left_rows),
+            Relation(["R.k", "R.b"], right_rows),
+            eq("L.k", "R.k"),
+            "full_outer",
+        )
         build = BuildSide("R.k", ("R.b", "R.k"))
         for batch in batches_from_rows(right_rows, ("R.b", "R.k"), size):
             build.add_batch(batch)

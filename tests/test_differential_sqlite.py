@@ -204,19 +204,22 @@ class TestFuzzSmoke:
         assert result.ok, result.summary()
 
 
-def _broken_outerjoin_counts(left, right, predicate):
+_hash_counts = K.hash_counts
+
+
+def _broken_hash_counts(left, right, predicate, variant):
     """A deliberately wrong kernel: drops the null-padded preserved rows,
     silently turning every outerjoin into a plain join."""
-    return K.join_counts(left, right, predicate)
+    return _hash_counts(left, right, predicate, "inner" if variant == "left_outer" else variant)
 
 
 class TestInjectedBugIsCaught:
     def test_campaign_catches_and_shrinks(self, tmp_path):
-        with mock.patch.object(K, "outerjoin_counts", _broken_outerjoin_counts):
+        with mock.patch.object(K, "hash_counts", _broken_hash_counts):
             report = run_campaign(
                 cases=40,
                 seed=0,
-                executors=("naive", "kernels"),
+                executors=("naive", "algebra"),
                 artifacts_dir=str(tmp_path),
             )
         assert not report.ok, "sabotaged kernel went undetected"
@@ -229,15 +232,15 @@ class TestInjectedBugIsCaught:
             case, clean = replay_artifact(failure.artifact)
             assert clean.ok
             # ...and still reproduces the disagreement while the bug is in.
-            with mock.patch.object(K, "outerjoin_counts", _broken_outerjoin_counts):
+            with mock.patch.object(K, "hash_counts", _broken_hash_counts):
                 _, dirty = replay_artifact(failure.artifact)
             assert not dirty.ok
 
     def test_sqlite_tier_also_catches_it(self, db):
         """The external oracle flags the same sabotage — no shared code."""
         expr = oj(Rel("X"), Rel("Y"), P())
-        with mock.patch.object(K, "outerjoin_counts", _broken_outerjoin_counts):
-            result = cross_check(expr, db, executors=("kernels", "sqlite"))
+        with mock.patch.object(K, "hash_counts", _broken_hash_counts):
+            result = cross_check(expr, db, executors=("algebra", "sqlite"))
         assert not result.ok
 
 
@@ -270,6 +273,13 @@ class TestTierExceptions:
         with mock.patch.object(check_module, "run_executor", _batch_tier_raises_index_error):
             with pytest.raises(IndexError):
                 cross_check(expr, db, executors=("naive", "batch"), strict=True)
+
+    def test_unknown_tier_is_rejected_not_skipped(self, db):
+        """A misspelt or retired tier name (say, in a replayed artifact)
+        must not pass as a tier that declined the query."""
+        expr = oj(Rel("X"), Rel("Y"), P())
+        with pytest.raises(ValueError, match="'kernelz'.*known: naive, algebra"):
+            cross_check(expr, db, executors=("naive", "kernelz"))
 
     def test_repro_error_is_still_a_skip(self, db):
         result = cross_check(foj(Rel("X"), Rel("Y"), P()), db, executors=("naive", "wcoj"))

@@ -1,4 +1,4 @@
-"""GOJ parity between the oracle and the hash kernels.
+"""GOJ parity between the oracle and the hash kernel.
 
 The GOJ of equation 14 is built *on top of* join, so which join runs
 underneath decides the code path of every generalized outerjoin: the
@@ -21,7 +21,6 @@ from repro.conformance import cross_check, run_executor
 from repro.core.expressions import Rel, goj, jn
 from repro.datagen import random_database
 from repro.engine import Storage
-from repro.util.fastpath import small_input_limit
 
 SCHEMAS = {
     "X": ["X.k", "X.a"],
@@ -44,8 +43,7 @@ def _db(seed: int):
 def _operator_parity(db, projection):
     args = (db["X"], db["Y"], eq("X.k", "Y.k"), projection)
     naive = generalized_outerjoin(*args, join=naive_join)
-    with small_input_limit(0):
-        fast = generalized_outerjoin(*args)
+    fast = generalized_outerjoin(*args)
     assert bag_equal(naive, fast), explain_difference(naive, fast)
 
 
@@ -56,7 +54,7 @@ def test_operator_parity_on_random_inputs(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_expression_parity_goj_over_join(seed):
-    """GOJ above a kernel-eligible join: X GOJ[S] (Y ⋈ Z)."""
+    """GOJ above a hash-joined join: X GOJ[S] (Y ⋈ Z)."""
     db = _db(seed)
     expr = goj(
         Rel("X"),
@@ -65,21 +63,21 @@ def test_expression_parity_goj_over_join(seed):
         ["X.k", "X.a"],
     )
     naive = run_executor("naive", expr, db)
-    fast = run_executor("kernels", expr, db)
+    fast = run_executor("algebra", expr, db)
     assert bag_equal(naive, fast), explain_difference(naive, fast)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_engine_goj_op_matches_both_kernel_modes(seed):
     """The hash-based GeneralizedOuterJoinOp agrees with the algebra
-    evaluator on the oracle's operators and on the hash kernels."""
+    evaluator on the oracle's operators and on the hash kernel."""
     db = _db(seed)
     storage = Storage.from_database(db)
     expr = goj(Rel("X"), Rel("Y"), eq("X.k", "Y.k"), ["X.k"])
     result = cross_check(
         expr,
         db,
-        executors=("naive", "kernels", "engine", "batch"),
+        executors=("naive", "algebra", "engine", "batch"),
         storage=storage,
         strict=True,
     )

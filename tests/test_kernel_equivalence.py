@@ -1,12 +1,14 @@
-"""Property tests: every hash fast-path operator is bag-equal to its
+"""Property tests: every public join-like operator is bag-equal to its
 naive counterpart.
 
-The hash kernels (:mod:`repro.algebra.kernels`) are only an execution
-strategy — the naive nested-loop operators define the semantics (3VL
-predicate evaluation, bag multiplicities, null padding).  These tests
-randomize relations (duplicates, nulls), key/residual predicate mixes,
-and degenerate cases (all-null key columns, pure non-equi predicates that
-must fall back to the nested loop) and require exact bag equality.
+The public operators run the hash build/probe loop
+(:func:`repro.algebra.kernels.hash_counts`) on every input; the naive
+nested-loop operators define the semantics (3VL predicate evaluation, bag
+multiplicities, null padding).  These tests randomize relations
+(duplicates, nulls), key/residual predicate mixes, and degenerate cases
+(all-null key columns; keyless predicates — non-equi, ``TRUE``, opaque —
+which hash every right row into one bucket) and require exact bag
+equality.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from hypothesis import given, settings
 
 from repro.algebra import (
     NULL,
+    CustomPredicate,
     Relation,
     Row,
+    TruePredicate,
     antijoin,
     bag_equal,
     conjunction,
@@ -36,15 +40,6 @@ from repro.algebra import (
     outerjoin,
     semijoin,
 )
-from repro.util.fastpath import small_input_limit
-
-
-@pytest.fixture(scope="module", autouse=True)
-def force_hash_path():
-    """Drop the small-input gate so tiny randomized relations still
-    exercise the hash kernels instead of falling back."""
-    with small_input_limit(0):
-        yield
 
 
 L_ATTRS = ("L.a", "L.b")
@@ -75,6 +70,25 @@ CONJUNCTS = [
 predicates = st.lists(
     st.sampled_from(CONJUNCTS), min_size=1, max_size=3, unique_by=id
 ).map(conjunction)
+
+
+def _opaque_fn(row):
+    """Opaque and three-valued: unknown when ``L.a`` is NULL."""
+    if row["L.a"] is NULL:
+        return None
+    return row["R.b"] is not NULL and row["L.a"] <= row["R.b"]
+
+
+#: Predicates with no cross-scheme equality: each hash join builds one
+#: bucket under the empty key and evaluates the whole predicate per pair.
+KEYLESS = {
+    "non_equi": conjunction([lt("L.a", "R.b"), gt("L.b", "R.a")]),
+    "true": TruePredicate(),
+    "opaque": CustomPredicate("Le", _opaque_fn, ["L.a", "R.b"], null_rejecting=["R.b"]),
+    "opaque_and_constant": conjunction(
+        [CustomPredicate("Le", _opaque_fn, ["L.a", "R.b"]), eq("L.b", 1)]
+    ),
+}
 
 PAIRS = [
     (join, naive_join),
@@ -110,12 +124,27 @@ class TestKernelEquivalence:
     @given(left=lefts, right=rights)
     @settings(max_examples=60, deadline=None)
     def test_pure_non_equi_falls_back(self, fast_op, naive_op, left, right):
-        """No equality conjunct -> kernels decline, nested loop decides."""
-        predicate = conjunction([lt("L.a", "R.b"), gt("L.b", "R.a")])
+        """No equality conjunct: one bucket, the whole predicate is residual."""
+        predicate = KEYLESS["non_equi"]
         keys_l, keys_r, _residual = decompose_join_predicate(
             predicate, frozenset(L_ATTRS), frozenset(R_ATTRS)
         )
         assert not keys_l and not keys_r
+        fast = fast_op(left, right, predicate)
+        assert bag_equal(fast, naive_op(left, right, predicate))
+
+    @pytest.mark.parametrize("kind", sorted(KEYLESS))
+    @given(left=lefts, right=rights)
+    @settings(max_examples=20, deadline=None)
+    def test_keyless_predicate_is_one_bucket(self, fast_op, naive_op, kind, left, right):
+        """Non-equi, ``TRUE`` and opaque predicates over null-bearing
+        inputs, empty ones included: one bucket, every pair checked."""
+        predicate = KEYLESS[kind]
+        keys_l, keys_r, residual = decompose_join_predicate(
+            predicate, frozenset(L_ATTRS), frozenset(R_ATTRS)
+        )
+        assert not keys_l and not keys_r
+        assert residual == predicate.conjuncts()
         fast = fast_op(left, right, predicate)
         assert bag_equal(fast, naive_op(left, right, predicate))
 

@@ -12,11 +12,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra import Comparison, Const, IsNull, bag_equal, eq
-from repro.core import Restrict, jn, oj
+from repro.algebra import (
+    Comparison,
+    Const,
+    CustomPredicate,
+    Database,
+    IsNull,
+    Relation,
+    bag_equal,
+    eq,
+)
+from repro.algebra.operators import ORACLE_OPS
+from repro.core import Rel, Restrict, jn, oj
 from repro.datagen import example1_storage
-from repro.engine import execute
+from repro.engine import Storage, execute
+from repro.engine.batch.kernels import _FILTER_CACHE
 from repro.optimizer import PlanCache, optimize_query
+from repro.optimizer.pipeline import optimize_and_run
 from repro.optimizer.plancache import (
     DEFAULT_CAPACITY,
     default_plan_cache,
@@ -234,3 +246,43 @@ def test_default_cache_used_when_none_passed():
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))
+
+
+# -- opaque predicates ----------------------------------------------------------
+
+
+def _opaque_in(values):
+    """An opaque ``In`` filter on ``R.a``; every call makes a new function."""
+    allowed = frozenset(values)
+    return CustomPredicate("In", lambda row: row["R.a"] in allowed, ["R.a"])
+
+
+def _one_column_db():
+    return Database({"R": Relation.from_dicts(["R.a"], [{"R.a": v} for v in range(1, 6)])})
+
+
+def _values(relation):
+    return sorted(row["R.a"] for row in relation.distinct_rows())
+
+
+def test_opaque_filters_with_different_functions_do_not_share_a_compiled_filter():
+    """Two ``In`` filters that differ only in their function are two
+    predicates: the second must not run the first one's compiled filter."""
+    db = _one_column_db()
+    storage = Storage.from_database(db)
+    assert _values(execute(Restrict(Rel("R"), _opaque_in({1, 2})), storage).relation) == [1, 2]
+    query = Restrict(Rel("R"), _opaque_in({3, 4, 5}))
+    assert _values(query.eval(db, ops=ORACLE_OPS)) == [3, 4, 5]
+    assert _values(execute(query, storage).relation) == [3, 4, 5]
+
+
+def test_opaque_filters_with_different_functions_do_not_share_a_cached_plan():
+    db = _one_column_db()
+    storage = Storage.from_database(db)
+    cache = PlanCache()
+    first, run = optimize_and_run(Restrict(Rel("R"), _opaque_in({1, 2})), storage, cache=cache)
+    assert _values(run.relation) == [1, 2]
+    _FILTER_CACHE.clear()
+    second, run = optimize_and_run(Restrict(Rel("R"), _opaque_in({3, 4, 5})), storage, cache=cache)
+    assert second.fingerprint != first.fingerprint
+    assert _values(run.relation) == [3, 4, 5]

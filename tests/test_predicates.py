@@ -240,6 +240,16 @@ class TestCustomPredicate:
         with pytest.raises(PredicateError):
             CustomPredicate("Bad", lambda row: True, ["@r"], ["@other"])
 
+    def test_equality_compares_the_function_by_identity(self):
+        def fn(row):
+            return True
+
+        same = CustomPredicate("In", fn, ["@r"])
+        assert same == CustomPredicate("In", fn, ["@r"])
+        assert hash(same) == hash(CustomPredicate("In", fn, ["@r"]))
+        other = CustomPredicate("In", lambda row: True, ["@r"])
+        assert same != other and repr(same) == repr(other)
+
 
 class TestHelpers:
     def test_references(self):

@@ -66,27 +66,24 @@ class TestErrors:
 
 class TestSwitchOverridesArePerThread:
     def test_overlapping_scopes_on_two_threads_each_read_their_own(self):
-        from repro.util.fastpath import (
-            batch_size,
-            batch_sized,
-            small_input_cutoff,
-            small_input_limit,
-        )
+        """Nested ``batch_sized`` scopes open on two threads at once: each
+        thread reads its own innermost size and its default after."""
+        from repro.util.fastpath import batch_size, batch_sized
 
-        def current():
-            return batch_size(), small_input_cutoff()
-
-        default = current()
+        default = batch_size()
         barrier = threading.Barrier(2, timeout=10)
         seen = {}
 
         def hold(size):
-            with batch_sized(size), small_input_limit(size * 10):
-                barrier.wait()  # both scopes are open ...
-                seen[size] = current()
-                barrier.wait()  # ... and both have read before either exits
+            with batch_sized(size):
+                with batch_sized(size * 10):
+                    barrier.wait()  # all four scopes are open ...
+                    seen[size, "inner"] = batch_size()
+                    barrier.wait()  # ... and both have read before either exits
+                seen[size] = batch_size()
+                barrier.wait()
             barrier.wait()
-            seen[size, "after"] = current()
+            seen[size, "after"] = batch_size()
 
         threads = [threading.Thread(target=hold, args=(size,)) for size in (2, 3)]
         for thread in threads:
@@ -94,10 +91,10 @@ class TestSwitchOverridesArePerThread:
         for thread in threads:
             thread.join(timeout=10)
             assert not thread.is_alive()
-        assert seen[2] == (2, 20)
-        assert seen[3] == (3, 30)
+        assert seen[2, "inner"] == 20 and seen[3, "inner"] == 30
+        assert seen[2] == 2 and seen[3] == 3
         assert seen[2, "after"] == seen[3, "after"] == default
-        assert current() == default
+        assert batch_size() == default
 
     def test_batch_sized_rejects_sizes_below_one(self):
         from repro.util.fastpath import batch_size, batch_sized

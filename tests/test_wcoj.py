@@ -4,7 +4,7 @@ Four layers of assurance:
 
 * known-answer pattern counts (triangle, 4-clique) against an
   independent brute-force recomputation, the SQLite oracle, and the
-  kernels tier;
+  algebra tier;
 * bag-equality of Leapfrog Triejoin vs. the DP binary plans on every
   cyclic fuzz topology under nulls, duplicates, and skew;
 * the optimizer's AGM cost gate (dispatches on cyclic cores with real
@@ -171,7 +171,7 @@ class TestKnownAnswers:
 
         wcoj_rows = run_executor("wcoj", expr, db)
         assert len(wcoj_rows) == expected
-        for tier in ("sqlite", "kernels"):
+        for tier in ("sqlite", "algebra"):
             assert bag_equal(wcoj_rows, run_executor(tier, expr, db)), tier
 
     def test_clique4_count_matches_brute_force_and_oracles(self):
@@ -213,7 +213,7 @@ class TestKnownAnswers:
             eq("R1.c", "R4.a") & eq("R2.c", "R4.b") & eq("R3.c", "R4.c"),
         )
         wcoj_rows = run_executor("wcoj", expr, db)
-        for tier in ("sqlite", "kernels", "naive"):
+        for tier in ("sqlite", "algebra", "naive"):
             assert bag_equal(wcoj_rows, run_executor(tier, expr, db)), tier
 
 
